@@ -99,10 +99,9 @@ func cmdSummary(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "  totals: rounds=%d maxAwake=%d avgAwake=%.2f awakeTotal=%d msgs=%d dropped=%d bits=%d mis=%d\n",
 		tot.Rounds, tot.MaxAwake, tot.AvgAwake, tot.Awake, tot.MsgsSent,
 		tot.MsgsDropped, tot.Bits, tot.MISSize)
-	if tot.Components > 0 || tot.SweepWords > 0 || tot.OverlapWindows > 0 {
-		fmt.Fprintf(w, "  dynamic: components=%d maxComponents=%d sweepWords=%d packBuilds=%d packHits=%d overlapWindows=%d\n",
-			tot.Components, tot.MaxComponents, tot.SweepWords,
-			tot.PackBuilds, tot.PackHits, tot.OverlapWindows)
+	if tot.Components > 0 || tot.SweepWords > 0 {
+		fmt.Fprintf(w, "  dynamic: components=%d maxComponents=%d sweepWords=%d\n",
+			tot.Components, tot.MaxComponents, tot.SweepWords)
 	}
 	fmt.Fprintln(w)
 
@@ -200,7 +199,7 @@ func cmdCheck(args []string, w io.Writer) (failed bool, err error) {
 func cmdCSV(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("csv", flag.ContinueOnError)
 	out := fs.String("o", "", "write CSV to this file instead of stdout")
-	totals := fs.Bool("totals", false, "emit the summary totals as one row (components, sweep and pipeline counters included) instead of the round curve")
+	totals := fs.Bool("totals", false, "emit the summary totals as one row (components and sweep words included) instead of the round curve")
 	fs.SetOutput(io.Discard)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -7,7 +7,7 @@ package main
 //	D3 — sustained updates/sec vs. the coalescing window, per stream class
 //	D4 — sustained updates/sec vs. repair workers, per coalescing window
 //	D5 — sustained updates/sec vs. graph size, per repair mode
-//	     (legacy per-node, word-packed batch, pipelined windows)
+//	     (legacy per-node, word-packed batch)
 
 import (
 	"fmt"
@@ -281,12 +281,10 @@ func runD4(c sweepConfig) error {
 }
 
 // D5: sustained update throughput against graph size, per repair mode:
-// the per-node legacy reference, the word-packed batch engine, and the
-// word-packed engine with window pipelining. Uniform churn at window 64 on
-// sparse GNP, n from 10⁴ to 10⁶. The deterministic counters are asserted
-// byte-identical across all three modes — the modes may only move the
-// wall clock. On a single-core host the pipelined row reads as packed
-// plus snapshot/handoff overhead; its win needs a second core.
+// the per-node legacy reference and the word-packed batch engine. Uniform
+// churn at window 64 on sparse GNP, n from 10⁴ to 10⁶. The deterministic
+// counters are asserted byte-identical across both modes — the modes may
+// only move the wall clock.
 func runD5(c sweepConfig) error {
 	reps := c.seeds
 	if reps < 1 {
@@ -309,7 +307,6 @@ func runD5(c sweepConfig) error {
 	}{
 		{"legacy", energymis.DynamicOptions{Seed: 9, Window: window, Legacy: true}},
 		{"packed", energymis.DynamicOptions{Seed: 9, Window: window}},
-		{"pipelined", energymis.DynamicOptions{Seed: 9, Window: window, Pipeline: true}},
 	}
 	var rows [][]string
 	for _, base := range []int{10000, 100000, 1000000} {
@@ -352,19 +349,19 @@ func runD5(c sweepConfig) error {
 				i0(n), mode.name, i0(len(flat)), i0(window),
 				fmt.Sprintf("%.0f", best),
 				f2(float64(st.AwakeTotal) / float64(max64(st.Updates, 1))),
-				i0(int(perf.SweepWords)), i0(int(perf.PackBuilds)), i0(int(perf.OverlapWindows)),
+				i0(int(perf.SweepWords)),
 			})
 		}
 	}
 	headers := []string{"n", "mode", "updates", "window", "updates/sec",
-		"awake/update", "sweep words", "pack builds", "overlap windows"}
+		"awake/update", "sweep words"}
 	table(headers, rows)
 	fmt.Println()
 	fmt.Println("(uniform churn, wall-clock best of " + i0(reps) + " replays; " +
 		"counters verified byte-identical across the mode axis)")
 	return c.writeCSV("D5.csv",
 		[]string{"n", "mode", "updates", "window", "updates_per_sec",
-			"awake_per_update", "sweep_words", "pack_builds", "overlap_windows"}, rows)
+			"awake_per_update", "sweep_words"}, rows)
 }
 
 func max64(a, b int64) int64 {

@@ -85,14 +85,6 @@ type DynamicOptions struct {
 	// (higher throughput, higher per-repair latency); see docs/DYNAMIC.md
 	// for tuning.
 	Window int
-	// Pipeline overlaps ApplyBatch windows: the structural apply of
-	// window k+1 runs while window k's repair is still electing, with a
-	// deterministic join, so sets, counters, and traces stay byte-
-	// identical to the serial schedule. Needs Window > 0 to have windows
-	// to overlap, and degrades to the serial schedule under Legacy or
-	// SelfCheck (the reference path has no snapshot sweeps; SelfCheck
-	// reads the whole graph between batches). See docs/DYNAMIC.md.
-	Pipeline bool
 	// Legacy selects the per-node reference repair path (identical sets
 	// and counters; for differential testing and head-to-head
 	// benchmarks). Incompatible with TracePath.
@@ -116,10 +108,9 @@ type DynamicOptions struct {
 // docs/DYNAMIC.md); DynamicOptions.Legacy selects the per-node reference
 // path.
 type DynamicMIS struct {
-	eng      *dynamic.Engine
-	algo     Algorithm
-	window   int
-	pipeline bool
+	eng    *dynamic.Engine
+	algo   Algorithm
+	window int
 
 	// Tracing state: the open writer and the per-node awake ledger at
 	// trace start, so Close can summarize exactly the traced window.
@@ -132,7 +123,7 @@ func newDynamicMIS(g *Graph, inSet []bool, algo Algorithm, algoName string, opts
 	if opts.Legacy && opts.TracePath != "" {
 		return nil, fmt.Errorf("energymis: tracing requires the batch repair path (Legacy=false)")
 	}
-	d := &DynamicMIS{algo: algo, window: opts.Window, pipeline: opts.Pipeline, tracePath: opts.TracePath}
+	d := &DynamicMIS{algo: algo, window: opts.Window, tracePath: opts.TracePath}
 	params := dynamic.Params{
 		Seed:      opts.Seed,
 		Repair:    opts.Repair,
@@ -245,21 +236,17 @@ func (d *DynamicMIS) Apply(batch []Update) (BatchStats, error) { return d.eng.Ap
 // ApplyBatch applies a stream of updates through the coalescing window
 // (DynamicOptions.Window): each window of updates is repaired in one
 // batch, merging overlapping regions. With Window 0 (or a stream no
-// longer than the window) it is one Apply call. With Pipeline set, each
-// window's repair overlaps the next window's structural apply — same
-// sets, counters, and traces, better wall clock on multi-core hosts. The
-// returned BatchStats aggregate all windows; the set is fully repaired
-// when ApplyBatch returns. On error, updates past the failed window are
-// not applied.
+// longer than the window) it is one Apply call. The returned BatchStats
+// aggregate all windows; the set is fully repaired when ApplyBatch
+// returns. On error, the windows before the failing one and the valid
+// prefix of the failing window are applied and repaired, later updates
+// are not, and the returned Updates counts exactly the applied ones.
 func (d *DynamicMIS) ApplyBatch(updates []Update) (BatchStats, error) {
 	if len(updates) == 0 {
 		return BatchStats{}, nil
 	}
 	if d.window <= 0 || d.window >= len(updates) {
 		return d.eng.Apply(updates)
-	}
-	if d.pipeline {
-		return d.applyPipelined(updates)
 	}
 	var agg BatchStats
 	for start := 0; start < len(updates); start += d.window {
@@ -274,30 +261,6 @@ func (d *DynamicMIS) ApplyBatch(updates []Update) (BatchStats, error) {
 		}
 	}
 	return agg, nil
-}
-
-// applyPipelined streams updates through an overlapping batcher. The
-// batcher is created per call — the pipeline's double-buffered windows
-// live on the engine, so this allocates almost nothing — and is always
-// drained before returning: ApplyBatch's contract is a fully repaired
-// set, so repairs never stay in flight across calls.
-func (d *DynamicMIS) applyPipelined(updates []Update) (BatchStats, error) {
-	b := dynamic.NewPipelinedBatcher(d.eng, d.window)
-	var agg BatchStats
-	for i := range updates {
-		bs, _, err := b.Add(updates[i])
-		agg.Add(bs)
-		if err != nil {
-			b.Discard()
-			return agg, err
-		}
-	}
-	bs, err := b.Flush()
-	agg.Add(bs)
-	if err != nil {
-		b.Discard()
-	}
-	return agg, err
 }
 
 // InSet returns a copy of the membership vector indexed by slot; dead
@@ -330,7 +293,8 @@ func (d *DynamicMIS) M() int { return d.eng.M() }
 // Alive reports whether slot v holds a live node.
 func (d *DynamicMIS) Alive(v int) bool { return d.eng.Alive(v) }
 
-// Degree returns the current degree of node v.
+// Degree returns the current degree of node v (0 for dead or out-of-range
+// slots).
 func (d *DynamicMIS) Degree(v int) int { return d.eng.Degree(v) }
 
 // HasEdge reports whether {u, v} is currently an edge.
@@ -351,11 +315,10 @@ func (d *DynamicMIS) Snapshot() (*Graph, []int, []bool) {
 // Stats returns the cumulative lifetime statistics.
 func (d *DynamicMIS) Stats() DynamicStats { return d.eng.Stats() }
 
-// DynamicPerf counts the batch engine's internal mechanics — word-sweep
-// volume, row-pack snapshot reuse, and overlapped windows. Unlike
-// DynamicStats these measure the implementation, not the distributed
-// protocol, so they may change between modes that produce identical
-// protocol counters.
+// DynamicPerf counts the batch engine's internal mechanics (word-sweep
+// volume). Unlike DynamicStats these measure the implementation, not the
+// distributed protocol, so they may change between modes that produce
+// identical protocol counters.
 type DynamicPerf = dynamic.Perf
 
 // Perf returns cumulative engine-mechanics counters (see DynamicPerf).
@@ -394,7 +357,6 @@ func (d *DynamicMIS) Close() error {
 		}
 	}
 	sort.Slice(awake, func(i, j int) bool { return awake[i] < awake[j] })
-	perf := d.eng.Perf()
 	sum := obs.SummaryStats{
 		Rounds:      int(st.Rounds),
 		AwakeTotal:  st.AwakeTotal,
@@ -405,12 +367,9 @@ func (d *DynamicMIS) Close() error {
 		Violations:  st.Violations,
 		MISSize:     d.MISSize(),
 
-		Components:     st.Components,
-		MaxComponents:  st.MaxComponents,
-		SweepWords:     perf.SweepWords,
-		PackBuilds:     perf.PackBuilds,
-		PackHits:       perf.PackHits,
-		OverlapWindows: perf.OverlapWindows,
+		Components:    st.Components,
+		MaxComponents: st.MaxComponents,
+		SweepWords:    d.eng.Perf().SweepWords,
 	}
 	if n := len(awake); n > 0 {
 		sum.MaxAwake = int(awake[n-1])

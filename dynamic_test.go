@@ -1,6 +1,7 @@
 package energymis
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -148,6 +149,67 @@ func TestDynamicPublicSurface(t *testing.T) {
 	}
 	if _, err := NewDynamic(g, Algorithm(0), DynamicOptions{}); err == nil {
 		t.Fatal("unknown bootstrap algorithm accepted")
+	}
+}
+
+// TestApplyBatchRejectsMiddleWindow pins ApplyBatch's error path: an
+// invalid update in the second of three windows leaves the first window
+// and the failing window's valid prefix applied and repaired, applies
+// nothing after the rejected update, reports exactly the applied count,
+// and keeps the maintained set a valid MIS.
+func TestApplyBatchRejectsMiddleWindow(t *testing.T) {
+	g := Path(20)
+	updates := []Update{
+		// Window 1: applied.
+		DelEdge(0, 1), InsEdge(0, 5), DelEdge(2, 3), InsEdge(3, 9),
+		// Window 2: one valid update, then a self-loop.
+		InsEdge(10, 15), InsEdge(7, 7), DelEdge(12, 13), InsEdge(14, 18),
+		// Window 3: never reached.
+		DelEdge(16, 17), InsEdge(1, 19), DelEdge(4, 5), InsEdge(2, 11),
+	}
+	const window, applied = 4, 5
+	d, err := NewDynamicFrom(g, GreedyMIS(g), DynamicOptions{Seed: 3, Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := d.ApplyBatch(updates)
+	if err == nil {
+		t.Fatal("ApplyBatch accepted a self-loop")
+	}
+	if bs.Updates != applied {
+		t.Fatalf("BatchStats.Updates = %d, want %d", bs.Updates, applied)
+	}
+	for i, up := range updates {
+		if up.U == up.V {
+			continue
+		}
+		// Every pair starts in the opposite state of its update, so an
+		// edge's presence tells whether its update ran.
+		ran := d.HasEdge(up.U, up.V) == (up.Op == OpInsertEdge)
+		if ran != (i < applied) {
+			t.Errorf("update %d (%s %d-%d): applied=%v, want %v", i, up.Op, up.U, up.V, ran, i < applied)
+		}
+	}
+	if !d.IsValidMIS() {
+		t.Fatalf("invalid MIS after rejected window: %v", d.Check())
+	}
+	if st := d.Stats(); st.Updates != applied || st.Batches != 2 {
+		t.Fatalf("stats after rejected window: updates=%d batches=%d, want %d/2", st.Updates, st.Batches, applied)
+	}
+
+	// The failed call repaired exactly what a clean run of the same
+	// windows repairs.
+	ref, err := NewDynamicFrom(g, GreedyMIS(g), DynamicOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, win := range [][]Update{updates[:window], updates[window:applied]} {
+		if _, err := ref.Apply(win); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(d.InSet(), ref.InSet()) || d.Stats() != ref.Stats() {
+		t.Fatalf("rejected-window state differs from the clean prefix run:\n got %+v\nwant %+v", d.Stats(), ref.Stats())
 	}
 }
 

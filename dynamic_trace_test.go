@@ -100,6 +100,48 @@ func TestDynamicTraceReproducesRepairTotals(t *testing.T) {
 	}
 }
 
+// TestDynamicPipelineTraceSummary follows a windowed ApplyBatch through the
+// trace pipeline (engine → JSONL file → obs.ReadTraceFile → Summary): the
+// file must conserve under CheckTrace and its summary record must carry the
+// engine's dynamic counters (components, max components, sweep words).
+func TestDynamicPipelineTraceSummary(t *testing.T) {
+	g := GNP(400, 10.0/400, 11)
+	path := filepath.Join(t.TempDir(), "pipe.jsonl")
+	d, err := NewDynamicFrom(g, GreedyMIS(g),
+		DynamicOptions{Seed: 7, Window: 16, TracePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ApplyBatch(FlattenStream(ChurnStream(g, 20, 16, 29))); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := obs.ReadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if problems := obs.CheckTrace(tr); len(problems) > 0 {
+		t.Fatalf("trace conservation problems: %v", problems)
+	}
+	sum := tr.Summary()
+	if sum == nil {
+		t.Fatal("trace has no summary record")
+	}
+	st, perf := d.Stats(), d.Perf()
+	if sum.Components != st.Components || sum.MaxComponents != st.MaxComponents {
+		t.Errorf("summary components %d/%d, engine %d/%d",
+			sum.Components, sum.MaxComponents, st.Components, st.MaxComponents)
+	}
+	if sum.SweepWords != perf.SweepWords {
+		t.Errorf("summary sweep words %d, engine %d", sum.SweepWords, perf.SweepWords)
+	}
+	if sum.Components == 0 || sum.SweepWords == 0 {
+		t.Errorf("dynamic summary fields not populated: %+v", sum)
+	}
+}
+
 // TestDynamicWindowedValidity drives ApplyBatch through several window
 // sizes over the same stream and requires a valid MIS after every call,
 // plus identical final topology regardless of windowing.

@@ -4,30 +4,10 @@ import "math/bits"
 
 // Word-level kernels over CSR adjacency rows. A row is a sorted list of
 // int32 ids; `words` is a plain bitset indexed id>>6 (the dynamic
-// engine's membership words). The Row variants group consecutive ids
-// sharing a word into one mask on the fly, so a probe over a clustered
+// engine's membership words). The kernels group consecutive ids sharing
+// a word into one mask on the fly, so a probe over a clustered
 // neighborhood does one AND per 64-key word instead of one load per
-// neighbor; the Runs variants consume a row pre-packed by PackRow (used
-// when the raw row is not safe to read, e.g. a snapshot taken before
-// overlapping structural updates). Rows and packs enumerate the same
-// ids in the same ascending order, so the two forms are interchangeable
-// bit for bit.
-
-// PackRow converts a sorted row into word runs appended to wbuf/mbuf:
-// run i covers keys [wbuf[i]<<6, wbuf[i]<<6+64) with bit mask mbuf[i].
-// Runs are ascending in word index and non-empty.
-func PackRow(row []int32, wbuf []int32, mbuf []uint64) ([]int32, []uint64) {
-	for i := 0; i < len(row); {
-		w := row[i] >> 6
-		var m uint64
-		for ; i < len(row) && row[i]>>6 == w; i++ {
-			m |= 1 << (uint32(row[i]) & 63)
-		}
-		wbuf = append(wbuf, w)
-		mbuf = append(mbuf, m)
-	}
-	return wbuf, mbuf
-}
+// neighbor.
 
 // FirstAndRow returns the smallest row id whose bit is set in words, or
 // -1 when the row and the bitset are disjoint.
@@ -40,18 +20,6 @@ func FirstAndRow(words []uint64, row []int32) int32 {
 		}
 		if int(w) < len(words) {
 			if x := m & words[w]; x != 0 {
-				return w<<6 + int32(bits.TrailingZeros64(x))
-			}
-		}
-	}
-	return -1
-}
-
-// FirstAndRuns is FirstAndRow over a pre-packed row.
-func FirstAndRuns(words []uint64, rw []int32, rm []uint64) int32 {
-	for i, w := range rw {
-		if int(w) < len(words) {
-			if x := rm[i] & words[w]; x != 0 {
 				return w<<6 + int32(bits.TrailingZeros64(x))
 			}
 		}
@@ -75,17 +43,6 @@ func CountAndRow(words []uint64, row []int32) int {
 	return n
 }
 
-// CountAndRuns is CountAndRow over a pre-packed row.
-func CountAndRuns(words []uint64, rw []int32, rm []uint64) int {
-	n := 0
-	for i, w := range rw {
-		if int(w) < len(words) {
-			n += bits.OnesCount64(rm[i] & words[w])
-		}
-	}
-	return n
-}
-
 // IntersectsRow reports whether any row id has its bit set in words,
 // short-circuiting on the first overlapping word.
 func IntersectsRow(words []uint64, row []int32) bool {
@@ -96,16 +53,6 @@ func IntersectsRow(words []uint64, row []int32) bool {
 			m |= 1 << (uint32(row[i]) & 63)
 		}
 		if int(w) < len(words) && m&words[w] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// IntersectsRuns is IntersectsRow over a pre-packed row.
-func IntersectsRuns(words []uint64, rw []int32, rm []uint64) bool {
-	for i, w := range rw {
-		if int(w) < len(words) && rm[i]&words[w] != 0 {
 			return true
 		}
 	}

@@ -84,30 +84,9 @@ func FuzzRowKernels(f *testing.F) {
 			t.Fatalf("IntersectsRow = %v, want %v (row %v)", got, want, row)
 		}
 
-		// PackRow must enumerate exactly the row, and the Runs kernels
-		// must agree with the Row kernels on the packed form.
-		rw, rm := PackRow(row, nil, nil)
-		if !slices.IsSortedFunc(rw, func(a, b int32) int { return int(a - b) }) {
-			t.Fatalf("PackRow runs not ascending: %v", rw)
-		}
-		var unpacked []int32
-		for i, w := range rw {
-			if rm[i] == 0 {
-				t.Fatalf("PackRow produced empty run at word %d", w)
-			}
-			x := rm[i]
-			for x != 0 {
-				unpacked = append(unpacked, w<<6+int32(trailingZeros(x)))
-				x &= x - 1
-			}
-		}
-		dedup := slices.Compact(slices.Clone(row))
-		if !slices.Equal(unpacked, dedup) {
-			t.Fatalf("PackRow round-trip = %v, want %v", unpacked, dedup)
-		}
-
 		// OrRowCount must count like CountAndRow and mark like OrRow.
 		if len(row) > 0 {
+			dedup := slices.Compact(slices.Clone(row))
 			var s Stamped
 			s.Grow(int(row[len(row)-1]) + 1)
 			if got, want := s.OrRowCount(row, words), naiveCountAnd(words, row); got != want {
@@ -117,25 +96,7 @@ func FuzzRowKernels(f *testing.F) {
 				t.Fatalf("OrRowCount marked %v, want %v", got, dedup)
 			}
 		}
-		if got, want := FirstAndRuns(words, rw, rm), naiveFirstAnd(words, row); got != want {
-			t.Fatalf("FirstAndRuns = %d, want %d", got, want)
-		}
-		if got, want := CountAndRuns(words, rw, rm), naiveCountAnd(words, row); got != want {
-			t.Fatalf("CountAndRuns = %d, want %d", got, want)
-		}
-		if got, want := IntersectsRuns(words, rw, rm), naiveFirstAnd(words, row) >= 0; got != want {
-			t.Fatalf("IntersectsRuns = %v, want %v", got, want)
-		}
 	})
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // FuzzStampedOps drives a Stamped through a random op sequence —
@@ -265,16 +226,6 @@ func TestKernelsBoundary(t *testing.T) {
 	}
 	if CountAndRow(words, []int32{192}) != 0 || IntersectsRow(words, []int32{250}) {
 		t.Fatal("ids past the word array must read as non-members")
-	}
-	rw, rm := PackRow(row, nil, nil)
-	if got := FirstAndRuns(words, rw, rm); got != 63 {
-		t.Fatalf("FirstAndRuns = %d, want 63", got)
-	}
-	if got := CountAndRuns(words, rw, rm); got != 3 {
-		t.Fatalf("CountAndRuns = %d, want 3", got)
-	}
-	if !IntersectsRuns(words, rw, rm) || IntersectsRuns(words, []int32{3}, []uint64{1}) {
-		t.Fatal("IntersectsRuns boundary mismatch")
 	}
 }
 

@@ -166,14 +166,6 @@ func (s *Stamped) OrRowCount(row []int32, filter []uint64) int {
 	return n
 }
 
-// OrRuns adds a packed row (see PackRow): one OrWord per run. All run
-// words must be covered by a prior Grow.
-func (s *Stamped) OrRuns(words []int32, masks []uint64) {
-	for i, w := range words {
-		s.OrWord(w, masks[i])
-	}
-}
-
 // TouchedWords returns the word indices written this epoch, unordered;
 // a touched word may have all its bits cleared again. The slice aliases
 // the set's bookkeeping and is valid until the next mutation.

@@ -139,132 +139,3 @@ func TestBatchWorkersDeterminism(t *testing.T) {
 		t.Fatalf("stats differ across worker counts: %v vs %v", st1, st8)
 	}
 }
-
-// TestBatcherFlushError injects a failing update mid-window and pins the
-// error-path contract: the flush reports flushed=false, the applied
-// prefix and the rejected update leave the buffer, the un-applied suffix
-// stays pending, and a follow-up Flush applies it cleanly.
-func TestBatcherFlushError(t *testing.T) {
-	g := graph.Path(6)
-	e, err := New(g, verify.GreedyMIS(g), Params{Seed: 3, SelfCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatcher(e, 4)
-	for _, up := range []Update{DelEdge(0, 1), InsEdge(0, 2)} {
-		if _, flushed, err := b.Add(up); err != nil || flushed {
-			t.Fatalf("buffered Add: flushed=%v err=%v", flushed, err)
-		}
-	}
-	// The third update is invalid (self-loop); the fourth is fine. The
-	// window fills on the fourth Add, so the flush sees: 2 applied, 1
-	// rejected, 1 un-applied.
-	if _, flushed, err := b.Add(InsEdge(3, 3)); err != nil || flushed {
-		t.Fatalf("buffered bad Add: flushed=%v err=%v", flushed, err)
-	}
-	bs, flushed, err := b.Add(DelEdge(4, 5))
-	if err == nil {
-		t.Fatal("flush with invalid update succeeded")
-	}
-	if flushed {
-		t.Fatal("failed flush reported flushed=true")
-	}
-	if bs.Updates != 2 {
-		t.Fatalf("failed flush applied %d updates, want 2 (the valid prefix)", bs.Updates)
-	}
-	if b.Pending() != 1 {
-		t.Fatalf("pending after failed flush = %d, want the 1 un-applied suffix update", b.Pending())
-	}
-	if e.HasEdge(0, 1) || !e.HasEdge(0, 2) {
-		t.Fatal("valid prefix not applied")
-	}
-	if !e.HasEdge(4, 5) {
-		t.Fatal("suffix update leaked into the engine")
-	}
-	if err := e.Check(); err != nil {
-		t.Fatalf("invariant after failed flush: %v", err)
-	}
-	// The suffix is still live: the next Flush applies it.
-	bs, err = b.Flush()
-	if err != nil || bs.Updates != 1 {
-		t.Fatalf("follow-up flush: bs=%+v err=%v", bs, err)
-	}
-	if e.HasEdge(4, 5) {
-		t.Fatal("suffix update not applied by follow-up flush")
-	}
-	if b.Pending() != 0 {
-		t.Fatalf("pending after follow-up flush = %d", b.Pending())
-	}
-	// Discard drops without applying.
-	if _, _, err := b.Add(InsEdge(1, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if n := b.Discard(); n != 1 {
-		t.Fatalf("Discard dropped %d, want 1", n)
-	}
-	if b.Pending() != 0 || e.HasEdge(1, 3) {
-		t.Fatal("Discard applied or kept the update")
-	}
-}
-
-func TestBatcher(t *testing.T) {
-	g := graph.GNP(120, 8.0/120, 3)
-	e, err := New(g, verify.GreedyMIS(g), Params{Seed: 2, SelfCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatcher(e, 4)
-	if b.Window() != 4 {
-		t.Fatalf("window = %d", b.Window())
-	}
-	r := rng.New(13)
-	flushes, updates := 0, 0
-	for i := 0; i < 21; i++ {
-		u, v := r.Intn(120), r.Intn(120)
-		if u == v {
-			continue
-		}
-		up := InsEdge(u, v)
-		if e.HasEdge(u, v) {
-			up = DelEdge(u, v)
-		}
-		bs, flushed, err := b.Add(up)
-		if err != nil {
-			t.Fatal(err)
-		}
-		updates++
-		if flushed {
-			flushes++
-			if bs.Updates != 4 {
-				t.Fatalf("flush applied %d updates, want 4", bs.Updates)
-			}
-			if b.Pending() != 0 {
-				t.Fatalf("pending after flush = %d", b.Pending())
-			}
-		}
-	}
-	if flushes != updates/4 {
-		t.Fatalf("flushes = %d over %d updates (window 4)", flushes, updates)
-	}
-	if b.Pending() != updates%4 {
-		t.Fatalf("pending = %d, want %d", b.Pending(), updates%4)
-	}
-	if bs, err := b.Flush(); err != nil || bs.Updates != updates%4 {
-		t.Fatalf("final flush: bs=%+v err=%v", bs, err)
-	}
-	if err := e.Check(); err != nil {
-		t.Fatal(err)
-	}
-	// Empty flush is free.
-	if bs, err := b.Flush(); err != nil || bs != (BatchStats{}) {
-		t.Fatalf("empty flush charged: %+v err=%v", bs, err)
-	}
-	// Window < 1 degrades to per-update application.
-	b1 := NewBatcher(e, 0)
-	if b1.Window() != 1 {
-		t.Fatalf("window 0 not clamped: %d", b1.Window())
-	}
-	if _, flushed, err := b1.Add(DelEdge(0, 1)); err == nil && !flushed {
-		t.Fatal("window-1 Add did not flush")
-	}
-}

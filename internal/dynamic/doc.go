@@ -47,7 +47,9 @@
 // partition, seed derivation, and merge — identical sets and identical
 // deterministic counters, proven by differential tests.
 //
-// Batcher coalesces a window of updates into one Apply: overlapping
-// repair regions merge and are re-elected once, which is what turns the
-// unit of traffic from a run into an update.
+// One Apply call is one coalesced window: overlapping repair regions of
+// its updates merge and are re-elected once, which is what turns the unit
+// of traffic from a run into an update. The public
+// energymis.DynamicMIS.ApplyBatch cuts an update stream into windows of
+// DynamicOptions.Window updates and applies each with one Apply call.
 package dynamic

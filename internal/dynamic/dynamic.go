@@ -175,32 +175,15 @@ type Engine struct {
 	comps []compRun
 	work  []int32
 
-	// Window-pipelining state (overlap.go): amortized row-pack snapshots
-	// with per-row version stamps (nil until a pipelined batcher enables
-	// them — the serial path pays zero bookkeeping), the double-buffered
-	// windows, and internal performance counters.
-	packs    []rowPack
-	rowVer   []uint32
-	wins     [2]window
-	flip     int
-	inflight *window // window whose repair is running; nil when quiescent
-	perf     Perf
+	perf Perf
 }
 
-// Perf reports engine-internal performance counters: word-sweep and
-// snapshot-cache effectiveness plus how many windows ran overlapped.
-// Unlike Stats these are not part of the batch-vs-legacy differential
-// contract — the two paths legitimately differ here.
+// Perf reports engine-internal performance counters. Unlike Stats these
+// are not part of the batch-vs-legacy differential contract — the two
+// paths legitimately differ here.
 type Perf struct {
 	// SweepWords counts dirty/woken touched words walked by repair sweeps.
 	SweepWords int64
-	// PackBuilds counts row-pack snapshots (re)built at window seal;
-	// PackHits counts rows whose cached pack was still current.
-	PackBuilds int64
-	PackHits   int64
-	// OverlapWindows counts windows whose repair overlapped the next
-	// window's structural apply.
-	OverlapWindows int64
 }
 
 // Perf returns the engine-internal performance counters.
@@ -319,11 +302,21 @@ func (e *Engine) InSet() []bool {
 	return out
 }
 
-// Degree returns the current degree of node v (0 for dead slots).
-func (e *Engine) Degree(v int) int { return len(e.adj[v]) }
+// Degree returns the current degree of node v (0 for dead or out-of-range
+// slots).
+func (e *Engine) Degree(v int) int {
+	if v < 0 || v >= len(e.adj) {
+		return 0
+	}
+	return len(e.adj[v])
+}
 
-// Neighbors returns a copy of v's sorted adjacency list.
+// Neighbors returns a copy of v's sorted adjacency list (nil for dead or
+// out-of-range slots).
 func (e *Engine) Neighbors(v int) []int32 {
+	if v < 0 || v >= len(e.adj) {
+		return nil
+	}
 	return append([]int32(nil), e.adj[v]...)
 }
 
@@ -459,10 +452,10 @@ func (e *Engine) Apply(batch []Update) (BatchStats, error) {
 	applied := 0
 	var applyErr error
 	for i := range batch {
-		if err := e.applyStructural(&batch[i], rt, nil); err != nil {
+		if err := e.applyStructural(&batch[i], rt); err != nil {
 			// Repair the applied prefix below so the invariant holds even
 			// when the caller passed an invalid update.
-			applyErr = applyError(i, &batch[i], err)
+			applyErr = fmt.Errorf("dynamic: update %d (%s): %w", i, batch[i].Op, err)
 			break
 		}
 		applied++
@@ -491,10 +484,6 @@ func (e *Engine) Apply(batch []Update) (BatchStats, error) {
 		}
 	}
 	return bs, nil
-}
-
-func applyError(i int, up *Update, err error) error {
-	return fmt.Errorf("dynamic: update %d (%s): %w", i, up.Op, err)
 }
 
 // accumulate folds one repaired batch into the lifetime stats. Runs even
@@ -529,12 +518,8 @@ func (e *Engine) accumulate(bs *BatchStats, applied int) {
 }
 
 // applyStructural applies one update's structural changes, marking the
-// affected region in st. With a non-nil window w (the pipelined batcher),
-// every membership read/write — and the region bookkeeping that depends
-// on one — is deferred to w's journal instead, because the previous
-// window's repair still owns the membership arrays (see overlap.go);
-// adjacency mutations additionally bump the row-pack versions.
-func (e *Engine) applyStructural(up *Update, st regionTracker, w *window) error {
+// affected region in st.
+func (e *Engine) applyStructural(up *Update, st regionTracker) error {
 	switch up.Op {
 	case OpInsertEdge, OpRemoveEdge:
 		u, v := up.U, up.V
@@ -561,8 +546,6 @@ func (e *Engine) applyStructural(up *Update, st regionTracker, w *window) error 
 			e.adj[v], _ = removeSorted(e.adj[v], int32(u))
 			e.edges--
 		}
-		e.bumpRow(int32(u))
-		e.bumpRow(int32(v))
 		st.wake(int32(u))
 		st.wake(int32(v))
 		st.markDirty(int32(u))
@@ -581,11 +564,7 @@ func (e *Engine) applyStructural(up *Update, st regionTracker, w *window) error 
 		}
 		e.adj = append(e.adj, nil)
 		e.alive = append(e.alive, true)
-		if w == nil {
-			e.growMembership()
-		} else {
-			w.journal = append(w.journal, jentry{op: OpInsertNode, v: id})
-		}
+		e.growMembership()
 		e.aliveCount++
 		for _, nb := range up.Neighbors {
 			var added bool
@@ -595,10 +574,8 @@ func (e *Engine) applyStructural(up *Update, st regionTracker, w *window) error 
 			}
 			e.adj[nb], _ = insertSorted(e.adj[nb], id)
 			e.edges++
-			e.bumpRow(int32(nb))
 			st.wake(int32(nb))
 		}
-		e.bumpRow(id)
 		st.wake(id)
 		st.markDirty(id)
 	case OpRemoveNode:
@@ -607,10 +584,9 @@ func (e *Engine) applyStructural(up *Update, st regionTracker, w *window) error 
 			return fmt.Errorf("node %d dead or out of range", v)
 		}
 		row := e.adj[v]
-		wasMember := w == nil && e.inSet[v]
+		wasMember := e.inSet[v]
 		for _, u := range row {
 			e.adj[u], _ = removeSorted(e.adj[u], int32(v))
-			e.bumpRow(u)
 			st.wake(u)
 			if wasMember {
 				// u may have lost its only member neighbor.
@@ -619,20 +595,12 @@ func (e *Engine) applyStructural(up *Update, st regionTracker, w *window) error 
 		}
 		e.edges -= len(row)
 		e.adj[v] = nil
-		e.bumpRow(int32(v))
 		e.alive[v] = false
 		e.aliveCount--
-		if w == nil {
-			e.clearMember(int32(v))
-			// The dead slot must not join the repair region even if an
-			// earlier update in the batch marked it.
-			st.unmark(int32(v))
-		} else {
-			// The saved row is stable: nothing inserts into a dead node's
-			// row, and other removals edit their neighbors' rows, not this
-			// detached one.
-			w.journal = append(w.journal, jentry{op: OpRemoveNode, v: int32(v), nbrs: row})
-		}
+		e.clearMember(int32(v))
+		// The dead slot must not join the repair region even if an earlier
+		// update in the batch marked it.
+		st.unmark(int32(v))
 	default:
 		return fmt.Errorf("unknown op %d", up.Op)
 	}

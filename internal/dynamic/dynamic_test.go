@@ -146,6 +146,19 @@ func TestInvalidUpdates(t *testing.T) {
 	if e.N() != 4 {
 		t.Fatalf("rejected inserts grew the slot space to %d", e.N())
 	}
+	// Read accessors answer out-of-range slots like dead ones instead of
+	// panicking.
+	for _, v := range []int{-1, e.N(), 99} {
+		if d := e.Degree(v); d != 0 {
+			t.Fatalf("Degree(%d) = %d, want 0", v, d)
+		}
+		if nb := e.Neighbors(v); nb != nil {
+			t.Fatalf("Neighbors(%d) = %v, want nil", v, nb)
+		}
+		if e.Alive(v) || e.InMIS(v) || e.HasEdge(0, v) {
+			t.Fatalf("out-of-range slot %d reads as live", v)
+		}
+	}
 }
 
 func TestInsertNodeBadNeighborLeavesNoTrace(t *testing.T) {

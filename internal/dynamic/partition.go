@@ -226,16 +226,7 @@ func compCfg(base sim.Config, c uint64) sim.Config {
 func (e *Engine) electComponents(sub *graph.Graph, region []int32, st regionTracker, bs *BatchStats) error {
 	offs, nodes := e.part.split(sub)
 	work := e.prepComps(offs, nodes)
-	var base sim.Config
-	if sc, ok := st.(*scratch); ok && sc.cfgSet {
-		// Overlapped repair: the election config was sealed on the main
-		// goroutine before launch (simCfg reads batchNo and the slot count,
-		// both owned by the structural side while a repair is in flight —
-		// calling simCfg here would race with the next window's apply).
-		base = sc.cfg
-	} else {
-		base = e.simCfg()
-	}
+	base := e.simCfg()
 	switch poolW := min(e.p.Workers, len(work)); {
 	case e.p.Legacy:
 		// The reference path elects sequentially on the per-node engines;
@@ -370,8 +361,7 @@ func (e *Engine) mergeComponents(region []int32, offs, nodes []int32, st regionT
 
 // joinMIS adds v to the maintained set: the joiner notifies its full
 // neighborhood, which wakes for the notification. On the batch path the
-// wake is a word-op row OR (and under packed repair it reads the sealed
-// row snapshot, never e.adj).
+// wake is a word-op row OR.
 func (e *Engine) joinMIS(v int32, st regionTracker, bs *BatchStats) {
 	e.setMember(v)
 	bs.Joins++

@@ -43,15 +43,6 @@ type scratch struct {
 	region    []int32
 	subOffs   []int32
 	subAdj    []int32
-
-	// Sealed batch state, captured on the main goroutine so an overlapped
-	// repair never reads engine fields the next window's structural apply
-	// owns: the slot count, the election base config, and whether row
-	// reads must go through the engine's row packs instead of e.adj.
-	n      int
-	cfg    sim.Config
-	cfgSet bool
-	packed bool
 }
 
 // begin opens a new batch over n node slots and returns the tracker.
@@ -59,9 +50,6 @@ func (s *scratch) begin(n int) *scratch {
 	s.dirty.Reset()
 	s.woken.Reset()
 	s.grow(n)
-	s.n = 0
-	s.cfgSet = false
-	s.packed = false
 	return s
 }
 
@@ -107,12 +95,7 @@ func (e *Engine) repairBatch(st *scratch, bs *BatchStats) error {
 	if st.empty() {
 		return nil // nothing changed (no-op updates only)
 	}
-	if !st.packed {
-		// Serial repair runs after the whole batch has applied; under
-		// window overlap, seal() captured the slot count before launch.
-		st.n = len(e.adj)
-	}
-	st.grow(st.n)
+	st.grow(len(e.adj))
 	e.resolveConflictsBatch(st, bs)
 
 	// Coverage probe: every dirty non-member broadcasts a probe; member
@@ -184,12 +167,12 @@ func (e *Engine) resolveConflictsBatch(st *scratch, bs *BatchStats) {
 	st.dirtySnap = st.dirty.AndInto(e.inSetW, st.dirtySnap[:0])
 	for _, v := range st.dirtySnap {
 		for e.inSet[v] {
-			conflict := e.firstMemberNbr(v, st)
+			conflict := bitvec.FirstAndRow(e.inSetW, e.adj[v]) // smallest member neighbor
 			if conflict < 0 {
 				break
 			}
 			loser := v
-			du, dv := e.rowDeg(conflict, st), e.rowDeg(v, st)
+			du, dv := len(e.adj[conflict]), len(e.adj[v])
 			if du < dv || (du == dv && conflict > v) {
 				loser = conflict
 			}
@@ -204,49 +187,25 @@ func (e *Engine) resolveConflictsBatch(st *scratch, bs *BatchStats) {
 	}
 }
 
-// Row accessors for the repair sweeps. Under packed repair (window
-// overlap) the engine's adjacency is being mutated by the next window's
-// structural apply on the main goroutine, so every row read goes through
-// the row-pack snapshots sealed before launch; serial repair reads e.adj
-// directly. A pack is a copy of the row, so the two modes are bit-for-bit
-// interchangeable.
-
-// row returns v's adjacency as of the repair's sealed view.
-func (e *Engine) row(v int32, st *scratch) []int32 {
-	if st.packed {
-		return e.packs[v].row
-	}
-	return e.adj[v]
-}
-
-func (e *Engine) rowDeg(v int32, st *scratch) int {
-	return len(e.row(v, st))
-}
-
-// firstMemberNbr returns v's smallest member neighbor, or -1.
-func (e *Engine) firstMemberNbr(v int32, st *scratch) int32 {
-	return bitvec.FirstAndRow(e.inSetW, e.row(v, st))
-}
-
 // probeRow wakes v's whole neighborhood and returns (degree, member
 // replies) — the coverage probe of one dirty non-member, as one fused
 // word-grouped pass over the row.
 func (e *Engine) probeRow(v int32, st *scratch) (deg, replies int) {
-	row := e.row(v, st)
+	row := e.adj[v]
 	return len(row), st.woken.OrRowCount(row, e.inSetW)
 }
 
 // wakeRow wakes v's neighborhood and returns its degree (the join/leave
 // notification fan-out).
 func (e *Engine) wakeRow(v int32, st *scratch) int {
-	row := e.row(v, st)
+	row := e.adj[v]
 	st.woken.OrRow(row)
 	return len(row)
 }
 
 // wakeDirtyRow wakes and dirties v's neighborhood (the eviction fan-out).
 func (e *Engine) wakeDirtyRow(v int32, st *scratch) int {
-	row := e.row(v, st)
+	row := e.adj[v]
 	st.woken.OrRow(row)
 	st.dirty.OrRow(row)
 	return len(row)
@@ -277,7 +236,7 @@ func (e *Engine) electBatch(region []int32, st *scratch, bs *BatchStats) error {
 // neighbors to dst, ascending: each row word ANDs against the region
 // membership word and surviving bits map through localIdx.
 func (e *Engine) appendRegionNbrs(v int32, st *scratch, dst []int32) []int32 {
-	row := e.row(v, st)
+	row := e.adj[v]
 	for i := 0; i < len(row); {
 		w := row[i] >> 6
 		var m uint64

@@ -248,8 +248,8 @@ func WriteCurveCSV(w io.Writer, t *Trace) error {
 
 // WriteTotalsCSV emits the trace's summary record as a one-row CSV — the
 // machine-readable counterpart of `mistrace summary`'s totals line,
-// including the dynamic-run columns (components, sweep words, pack and
-// overlap counters), which are zero for static traces.
+// including the dynamic-run columns (components, sweep words), which are
+// zero for static traces.
 func WriteTotalsCSV(w io.Writer, t *Trace) error {
 	s := Summarize(t)
 	tot := s.Total
@@ -258,14 +258,13 @@ func WriteTotalsCSV(w io.Writer, t *Trace) error {
 	}
 	if _, err := fmt.Fprintln(w, "rounds,awake_total,max_awake,avg_awake,p99_awake,"+
 		"msgs_sent,msgs_dropped,bits,bits_max,violations,mis_size,"+
-		"components,max_components,sweep_words,pack_builds,pack_hits,overlap_windows"); err != nil {
+		"components,max_components,sweep_words"); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%d,%d,%d,%.6f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+	_, err := fmt.Fprintf(w, "%d,%d,%d,%.6f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 		tot.Rounds, tot.Awake, tot.MaxAwake, tot.AvgAwake, tot.P99Awake,
 		tot.MsgsSent, tot.MsgsDropped, tot.Bits, tot.BitsMax, tot.Violations,
-		tot.MISSize, tot.Components, tot.MaxComponents, tot.SweepWords,
-		tot.PackBuilds, tot.PackHits, tot.OverlapWindows)
+		tot.MISSize, tot.Components, tot.MaxComponents, tot.SweepWords)
 	return err
 }
 

@@ -1,19 +1,19 @@
 // Package obs is the observability layer of the simulation stack: tracing
-// hooks, a versioned JSONL run-trace format, and an in-memory metrics
-// registry.
+// hooks and a versioned JSONL run-trace format.
 //
 // The package deliberately has no dependency on the engine or graph
 // packages — sim, pipeline, and core all import obs, never the other way
 // around — and costs nothing when disabled: a nil Tracer in sim.Config is
 // one pointer comparison per round.
 //
-// Three pieces:
+// Two pieces:
 //
 //   - Tracer (tracer.go): the hook interface. The engines (sim.Run,
 //     sim.RunBatch) invoke Round once per executed round with that round's
 //     counter deltas; internal/pipeline brackets each phase of a composed
 //     run with PhaseStart/PhaseEnd spans carrying rounds, energy deltas,
-//     and the residual size. MultiTracer fans events out to several sinks.
+//     and the residual size. MultiTracer fans events out to several sinks;
+//     Recorder (recorder.go) buffers them for ordered replay.
 //
 //   - TraceWriter/ReadTrace (trace.go) and the analyzers (analyze.go): a
 //     versioned JSONL run-trace file — one JSON record per line, a header
@@ -24,9 +24,4 @@
 //     do sum to the deterministic totals. Traces are deterministic in
 //     (graph, algorithm, seed) up to wall-time fields; Canonical zeroes
 //     those for byte-level comparison. cmd/mistrace is the CLI front end.
-//
-//   - Registry (registry.go): named atomic counters and power-of-two
-//     histograms with expvar exposition, plus NewRegistryTracer which
-//     mirrors trace events into live metrics — the substrate for the
-//     planned misd metrics endpoint (ROADMAP item 1).
 package obs

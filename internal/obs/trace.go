@@ -78,14 +78,13 @@ type Record struct {
 	MISSize     int     `json:"mis_size,omitempty"`
 
 	// Dynamic-repair summary fields (energymis.DynamicMIS.Close): repair
-	// region component counts, and the batch engine's word-sweep and
-	// window-pipeline counters. Zero (and omitted) for static runs.
-	Components     int64 `json:"components,omitempty"`
-	MaxComponents  int   `json:"max_components,omitempty"`
-	SweepWords     int64 `json:"sweep_words,omitempty"`
-	PackBuilds     int64 `json:"pack_builds,omitempty"`
-	PackHits       int64 `json:"pack_hits,omitempty"`
-	OverlapWindows int64 `json:"overlap_windows,omitempty"`
+	// region component counts and the batch engine's word-sweep counter.
+	// Zero (and omitted) for static runs. Readers ignore unknown keys, so
+	// older traces that still carry pack_builds, pack_hits or
+	// overlap_windows read and check unchanged.
+	Components    int64 `json:"components,omitempty"`
+	MaxComponents int   `json:"max_components,omitempty"`
+	SweepWords    int64 `json:"sweep_words,omitempty"`
 
 	WallNS int64 `json:"wall_ns,omitempty"`
 }
@@ -199,9 +198,8 @@ func (t *TraceWriter) Summary(s SummaryStats) {
 		MsgsSent: s.MsgsSent, MsgsDropped: s.MsgsDropped, Bits: s.BitsTotal,
 		BitsMax: s.BitsMax, Violations: s.Violations, MISSize: s.MISSize,
 		Components: s.Components, MaxComponents: s.MaxComponents,
-		SweepWords: s.SweepWords, PackBuilds: s.PackBuilds,
-		PackHits: s.PackHits, OverlapWindows: s.OverlapWindows,
-		WallNS: time.Since(t.start).Nanoseconds(),
+		SweepWords: s.SweepWords,
+		WallNS:     time.Since(t.start).Nanoseconds(),
 	})
 }
 

@@ -43,15 +43,12 @@ type SummaryStats struct {
 	MISSize     int
 
 	// Dynamic-run extras (zero for static runs): repair-region component
-	// counts and the batch engine's sweep/pipeline counters. Reported in
-	// the summary record only — they have no per-round events, so they sit
+	// counts and the batch engine's word-sweep counter. Reported in the
+	// summary record only — they have no per-round events, so they sit
 	// outside CheckTrace's conservation checks.
-	Components     int64
-	MaxComponents  int
-	SweepWords     int64
-	PackBuilds     int64
-	PackHits       int64
-	OverlapWindows int64
+	Components    int64
+	MaxComponents int
+	SweepWords    int64
 }
 
 // Tracer receives execution events: one Round callback per executed round

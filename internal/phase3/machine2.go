@@ -8,13 +8,6 @@ import (
 	"github.com/energymis/energymis/internal/sim"
 )
 
-// debugHook, when non-nil, observes (iteration, node, clusterID) at every
-// X0 round. Tests use it to trace merging progress.
-var debugHook func(iter, node int, cid int32)
-
-// rerootTrace, when non-nil, observes every applied re-rooting update.
-var rerootTrace func(node, iter, stage int, oldD, oldP, newD, newP, newCid int32)
-
 // nbrIndex returns the index of neighbor id in the sorted adjacency list,
 // or -1.
 func (m *Machine) nbrIndex(id int32) int {
@@ -107,9 +100,6 @@ func (m *Machine) deliverMerge(round int, inbox []sim.Msg) {
 
 	switch {
 	case off == l.x0:
-		if debugHook != nil {
-			debugHook(i, m.env.Node, m.tree.CID)
-		}
 		m.resetIteration()
 		if len(m.nbrStatus) != m.env.Degree {
 			m.nbrStatus = make([]uint8, m.env.Degree)
@@ -614,10 +604,6 @@ func (m *Machine) deliverLate(base, off, d int, inbox []sim.Msg) {
 				}
 			}
 			if m.pendSet {
-				if rerootTrace != nil {
-					rerootTrace(m.env.Node, base/m.tt.layout.length, s,
-						m.tree.Depth, m.tree.Parent, m.pendDepth, m.pendPar, m.pendCid)
-				}
 				m.tree.Depth = m.pendDepth
 				m.tree.Parent = m.pendPar
 				m.tree.CID = m.pendCid
