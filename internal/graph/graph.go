@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -141,20 +143,12 @@ func (b *Builder) AddEdge(u, v int) {
 // Build finalizes the graph. The builder may be reused afterward (its edge
 // set is retained).
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
-		}
-		return b.edges[i].v < b.edges[j].v
+	// Endpoints are non-negative int32s, so the packed key orders edges
+	// by (u, v) in one comparison.
+	slices.SortFunc(b.edges, func(x, y edge) int {
+		return cmp.Compare(uint64(x.u)<<32|uint64(x.v), uint64(y.u)<<32|uint64(y.v))
 	})
-	// Deduplicate in place.
-	uniq := b.edges[:0]
-	for i, e := range b.edges {
-		if i == 0 || e != b.edges[i-1] {
-			uniq = append(uniq, e)
-		}
-	}
-	b.edges = uniq
+	b.edges = slices.Compact(b.edges)
 
 	deg := make([]int32, b.n)
 	for _, e := range b.edges {
@@ -174,14 +168,10 @@ func (b *Builder) Build() *Graph {
 		adj[cursor[e.v]] = e.u
 		cursor[e.v]++
 	}
-	g := &Graph{offsets: offsets, adj: adj}
-	// Each per-node list was filled in globally sorted edge order for the u
-	// side but not the v side; sort each list to restore the invariant.
-	for v := 0; v < b.n; v++ {
-		nb := g.adj[offsets[v]:offsets[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-	}
-	return g
+	// Every row comes out sorted: in (u, v) order, the edges that give x a
+	// smaller neighbour (u, x) all precede those that give it a larger one
+	// (x, v), and each group arrives ascending.
+	return &Graph{offsets: offsets, adj: adj}
 }
 
 // FromCSR wraps prebuilt CSR arrays as a Graph without copying or
@@ -213,26 +203,58 @@ type Subgraph struct {
 }
 
 // InducedSubgraph extracts the subgraph induced by the given nodes of g.
-// keep lists parent node indices; duplicates are not allowed.
+// keep lists parent node indices: local node i is keep[i] (Orig[i] ==
+// keep[i]), and every row of the result is sorted. It panics if keep
+// holds a duplicate or an index outside [0, g.N()).
+//
+// It runs in O(g.N() + Σ_{v∈keep} deg(v)) time: a dense parent→local
+// index of length g.N() translates neighbours, one pass over the kept
+// rows counts their kept neighbours into the CSR offsets, and a second
+// writes them into an exact-size adjacency array. An ascending keep (the
+// residual sets every caller passes) relabels monotonically, so its rows
+// come out sorted as written; any other order sorts each row.
 func InducedSubgraph(g *Graph, keep []int) *Subgraph {
-	local := make(map[int32]int32, len(keep))
+	local := make([]int32, g.N())
+	for i := range local {
+		local[i] = -1
+	}
 	orig := make([]int32, len(keep))
+	ascending := true
 	for i, v := range keep {
-		if _, dup := local[int32(v)]; dup {
+		if v < 0 || v >= len(local) {
+			panic(fmt.Sprintf("graph: node %d out of range in InducedSubgraph with n=%d", v, len(local)))
+		}
+		if local[v] >= 0 {
 			panic(fmt.Sprintf("graph: duplicate node %d in InducedSubgraph", v))
 		}
-		local[int32(v)] = int32(i)
+		local[v] = int32(i)
 		orig[i] = int32(v)
+		ascending = ascending && (i == 0 || keep[i-1] < v)
 	}
-	b := NewBuilder(len(keep))
+	offsets := make([]int32, len(keep)+1)
 	for i, v := range keep {
+		d := int32(0)
 		for _, u := range g.Neighbors(v) {
-			if j, ok := local[u]; ok && int32(i) < j {
-				b.AddEdge(i, int(j))
+			if local[u] >= 0 {
+				d++
 			}
 		}
+		offsets[i+1] = offsets[i] + d
 	}
-	return &Subgraph{Graph: b.Build(), Orig: orig}
+	adj := make([]int32, offsets[len(keep)])
+	for i, v := range keep {
+		k := offsets[i]
+		for _, u := range g.Neighbors(v) {
+			if j := local[u]; j >= 0 {
+				adj[k] = j
+				k++
+			}
+		}
+		if !ascending {
+			slices.Sort(adj[offsets[i]:k])
+		}
+	}
+	return &Subgraph{Graph: &Graph{offsets: offsets, adj: adj}, Orig: orig}
 }
 
 // Components returns the connected components of g, each as a slice of node

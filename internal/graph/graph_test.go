@@ -2,6 +2,9 @@ package graph
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -127,13 +130,153 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
+// assertInducedPanics checks that InducedSubgraph rejects each keep list.
+func assertInducedPanics(t *testing.T, g *Graph, keeps ...[]int) {
+	t.Helper()
+	for _, keep := range keeps {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("InducedSubgraph(keep=%v) on %d nodes did not panic", keep, g.N())
+				}
+			}()
+			InducedSubgraph(g, keep)
+		}()
+	}
+}
+
 func TestInducedSubgraphDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate keep node did not panic")
+	assertInducedPanics(t, Path(3), []int{0, 0}, []int{2, 0, 2})
+}
+
+func TestInducedSubgraphOutOfRangePanics(t *testing.T) {
+	assertInducedPanics(t, Path(3), []int{-1}, []int{0, 3}, []int{5, 1})
+}
+
+// naiveInducedSubgraph is the reference construction the CSR filter must
+// reproduce: a hash map from parent to local index and one separately
+// sorted row per kept node, sharing no code with InducedSubgraph.
+func naiveInducedSubgraph(g *Graph, keep []int) *Subgraph {
+	local := make(map[int32]int32, len(keep))
+	orig := make([]int32, len(keep))
+	for i, v := range keep {
+		local[int32(v)] = int32(i)
+		orig[i] = int32(v)
+	}
+	offsets := []int32{0}
+	var adj []int32
+	for _, v := range keep {
+		var row []int32
+		for _, u := range g.Neighbors(v) {
+			if j, ok := local[u]; ok {
+				row = append(row, j)
+			}
 		}
-	}()
-	InducedSubgraph(Path(3), []int{0, 0})
+		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+		adj = append(adj, row...)
+		offsets = append(offsets, int32(len(adj)))
+	}
+	return &Subgraph{Graph: &Graph{offsets: offsets, adj: adj}, Orig: orig}
+}
+
+// greedyIndependent returns an ascending independent set of g: every node
+// of it is isolated in the subgraph it induces.
+func greedyIndependent(g *Graph) []int {
+	blocked := make([]bool, g.N())
+	var set []int
+	for v := 0; v < g.N(); v++ {
+		if !blocked[v] {
+			set = append(set, v)
+			for _, u := range g.Neighbors(v) {
+				blocked[u] = true
+			}
+		}
+	}
+	return set
+}
+
+func TestInducedSubgraphMatchesNaive(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"gnp", GNP(600, 0.02, 3)},
+		{"gnp-sparse", GNP(400, 0.002, 4)}, // many isolated parent nodes
+		{"ba", BarabasiAlbert(500, 4, 5)},
+		{"grid", Grid2D(17, 23)},
+	}
+	for _, c := range graphs {
+		n := c.g.N()
+		r := rand.New(rand.NewSource(int64(n)))
+		all := make([]int, n)
+		for v := range all {
+			all[v] = v
+		}
+		var half []int
+		for v := 0; v < n; v++ {
+			if r.Intn(2) == 0 {
+				half = append(half, v)
+			}
+		}
+		shuffled := append([]int(nil), half...)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		allShuffled := append([]int(nil), all...)
+		r.Shuffle(n, func(i, j int) { allShuffled[i], allShuffled[j] = allShuffled[j], allShuffled[i] })
+		indep := greedyIndependent(c.g)
+		// An independent set plus a few of its neighbours: mostly isolated
+		// nodes with some edges among the additions.
+		mixed := append([]int(nil), indep...)
+		inMixed := make([]bool, n)
+		for _, v := range indep {
+			inMixed[v] = true
+		}
+		for _, v := range indep[:len(indep)/4] {
+			for _, u := range c.g.Neighbors(v) {
+				if !inMixed[u] {
+					inMixed[u] = true
+					mixed = append(mixed, int(u))
+				}
+			}
+		}
+		keeps := []struct {
+			name string
+			keep []int
+		}{
+			{"ascending", half},
+			{"shuffled", shuffled},
+			{"empty", nil},
+			{"singleton", []int{n / 2}},
+			{"all", all},
+			{"all-shuffled", allShuffled},
+			{"independent", indep},
+			{"independent+neighbours", mixed},
+		}
+		for _, k := range keeps {
+			got := InducedSubgraph(c.g, k.keep)
+			want := naiveInducedSubgraph(c.g, k.keep)
+			where := c.name + "/" + k.name
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+			if got.N() != len(k.keep) || got.M() != want.M() {
+				t.Fatalf("%s: N=%d M=%d, want N=%d M=%d", where, got.N(), got.M(), len(k.keep), want.M())
+			}
+			if !slices.Equal(got.Orig, want.Orig) || !slices.Equal(got.offsets, want.offsets) {
+				t.Fatalf("%s: Orig or offsets differ from the reference", where)
+			}
+			for v := 0; v < got.N(); v++ {
+				if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+					t.Fatalf("%s: row %d = %v, want %v", where, v, got.Neighbors(v), want.Neighbors(v))
+				}
+			}
+			if k.name == "independent" && got.M() != 0 {
+				t.Fatalf("%s: independent keep set induced %d edges", where, got.M())
+			}
+			if k.name == "all" && got.M() != c.g.M() {
+				t.Fatalf("%s: keeping every node lost edges: M=%d, want %d", where, got.M(), c.g.M())
+			}
+		}
+	}
 }
 
 func TestGeneratorsValidate(t *testing.T) {

@@ -51,7 +51,7 @@ func (a *Accumulator) AddPhase(name string, res *sim.Result, origIDs []int32) {
 		Name:        name,
 		Rounds:      res.Rounds,
 		MaxAwake:    res.MaxAwake(),
-		AvgAwake:    float64(sum) / float64(a.n),
+		AvgAwake:    a.perNode(float64(sum)),
 		MsgsSent:    res.MsgsSent,
 		MsgsDropped: res.MsgsDropped,
 		BitsTotal:   res.BitsTotal,
@@ -71,8 +71,17 @@ func (a *Accumulator) AddFlat(name string, rounds int, nodes []int32) {
 		Name:     name,
 		Rounds:   rounds,
 		MaxAwake: rounds,
-		AvgAwake: float64(rounds) * float64(len(nodes)) / float64(a.n),
+		AvgAwake: a.perNode(float64(rounds) * float64(len(nodes))),
 	})
+}
+
+// perNode averages a total over the original node count; it is 0 on the
+// empty network instead of NaN.
+func (a *Accumulator) perNode(total float64) float64 {
+	if a.n == 0 {
+		return 0
+	}
+	return total / float64(a.n)
 }
 
 // NoteRetries annotates the most recent phase with a retry count.

@@ -95,8 +95,16 @@ func TestSummaryString(t *testing.T) {
 }
 
 func TestEmptyAccumulator(t *testing.T) {
-	s := NewAccumulator(0).Summarize()
-	if s.Rounds != 0 || s.MaxAwake != 0 || s.AvgAwake != 0 {
+	a := NewAccumulator(0)
+	a.AddPhase("p", &sim.Result{Rounds: 2}, nil)
+	a.AddFlat("sync", 1, nil)
+	s := a.Summarize()
+	if s.Rounds != 3 || s.MaxAwake != 0 || s.AvgAwake != 0 {
 		t.Fatalf("empty summary = %+v", s)
+	}
+	for _, p := range s.Phases {
+		if p.AvgAwake != 0 {
+			t.Fatalf("phase %s on the empty network: AvgAwake = %v, want 0", p.Name, p.AvgAwake)
+		}
 	}
 }

@@ -65,6 +65,40 @@ func TestEveryAlgorithmYieldsValidMIS(t *testing.T) {
 	}
 }
 
+// TestEveryAlgorithmOnTinyGraphs covers the degenerate inputs: the empty
+// and one-node graphs. Every phase average must be finite, including the
+// 0/0 average of the empty network, and the phases must add up to the
+// totals.
+func TestEveryAlgorithmOnTinyGraphs(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		g := NewBuilder(n).Build()
+		for _, algo := range Algorithms() {
+			t.Run(fmt.Sprintf("%s/n=%d", algo, n), func(t *testing.T) {
+				res, err := RunVerified(g, algo, Options{Seed: 1})
+				if err != nil {
+					t.Fatalf("RunVerified: %v", err)
+				}
+				if len(res.InSet) != n || res.MISSize() != n {
+					t.Fatalf("MIS size %d of %d slots, want %d", res.MISSize(), len(res.InSet), n)
+				}
+				rounds, msgs, avg := 0, int64(0), 0.0
+				for _, p := range res.Phases {
+					if math.IsNaN(p.AvgAwake) || math.IsInf(p.AvgAwake, 0) {
+						t.Fatalf("phase %s: AvgAwake = %v", p.Name, p.AvgAwake)
+					}
+					rounds += p.Rounds
+					msgs += p.Messages
+					avg += p.AvgAwake
+				}
+				if rounds != res.Rounds || msgs != res.Messages || math.Abs(avg-res.AvgAwake) > 1e-9 {
+					t.Fatalf("phase sums rounds=%d msgs=%d avgAwake=%v, totals %d/%d/%v",
+						rounds, msgs, avg, res.Rounds, res.Messages, res.AvgAwake)
+				}
+			})
+		}
+	}
+}
+
 func TestDynamicIsValidMISAgreesWithCheckUnderChurn(t *testing.T) {
 	const (
 		n     = 400
