@@ -279,8 +279,7 @@ func BenchmarkA3IndegreeThreshold(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput measures raw simulator speed (node-rounds per
-// second) to contextualize the experiment runtimes; the scaling suite of
-// cmd/bench tracks the same workload across worker counts.
+// second) to contextualize the experiment runtimes.
 func BenchmarkEngineThroughput(b *testing.B) {
 	g := energymis.GNP(50_000, 10.0/50_000, 3)
 	b.Run("luby-50k", func(b *testing.B) {

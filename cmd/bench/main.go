@@ -5,7 +5,7 @@
 //
 //	bench -out BENCH_MIS.json              # full run, write the baseline
 //	bench -quick -compare BENCH_MIS.json   # the CI perf gate
-//	bench -suites static,scaling -reps 7
+//	bench -suites static,dynamic -reps 7
 //	bench -list
 //
 // Exit status: 0 on success, 1 when -compare finds a regression beyond

@@ -11,7 +11,7 @@ import (
 	energymis "github.com/energymis/energymis"
 )
 
-func runDynamic(g *energymis.Graph, algoName, streamKind, tracePath string, updates, batch, window int, seed uint64, workers int, check bool) error {
+func runDynamic(g *energymis.Graph, algoName, streamKind, tracePath string, updates, batch, window int, seed uint64, check bool) error {
 	algos, err := pickAlgos(algoName)
 	if err != nil {
 		return err
@@ -35,7 +35,7 @@ func runDynamic(g *energymis.Graph, algoName, streamKind, tracePath string, upda
 	}
 
 	d, err := energymis.NewDynamic(g, algo, energymis.DynamicOptions{
-		Seed: seed, Workers: workers, Window: window, TracePath: tracePath,
+		Seed: seed, Window: window, TracePath: tracePath,
 	})
 	if err != nil {
 		return err
@@ -91,7 +91,7 @@ func runDynamic(g *energymis.Graph, algoName, streamKind, tracePath string, upda
 	// What the static alternative would spend per update, on the final
 	// topology.
 	snap, _, _ := d.Snapshot()
-	res, err := energymis.Run(snap, algo, energymis.Options{Seed: seed, Workers: workers})
+	res, err := energymis.Run(snap, algo, energymis.Options{Seed: seed})
 	if err != nil {
 		return err
 	}

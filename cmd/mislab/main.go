@@ -44,7 +44,6 @@ func run() error {
 		deg        = flag.Float64("deg", 8, "target average degree (density knob)")
 		radius     = flag.Float64("radius", 0, "udg communication radius (0 = derive from -deg)")
 		seed       = flag.Uint64("seed", 1, "random seed (graph and run)")
-		workers    = flag.Int("workers", 0, "parallel executor width (0 = sequential)")
 		verify     = flag.Bool("verify", true, "verify the output is a maximal independent set")
 		phases     = flag.Bool("phases", true, "print the per-phase breakdown")
 		tracePath  = flag.String("trace", "", "write a JSONL run trace here (see cmd/mistrace)")
@@ -64,7 +63,7 @@ func run() error {
 		*graphName, g.N(), g.M(), g.MaxDegree(), g.AvgDegree())
 
 	if *dyn {
-		return runDynamic(g, *algoName, *streamKind, *tracePath, *updates, *batch, *window, *seed, *workers, *verify)
+		return runDynamic(g, *algoName, *streamKind, *tracePath, *updates, *batch, *window, *seed, *verify)
 	}
 
 	algos, err := pickAlgos(*algoName)
@@ -72,7 +71,7 @@ func run() error {
 		return err
 	}
 	for _, algo := range algos {
-		opts := energymis.Options{Seed: *seed, Workers: *workers}
+		opts := energymis.Options{Seed: *seed}
 		if *tracePath != "" {
 			opts.TracePath = traceFile(*tracePath, algo.String(), len(algos) > 1)
 		}

@@ -5,7 +5,6 @@ package main
 //	D1 — repair vs. per-update recompute under uniform churn
 //	D2 — repair cost across stream classes (churn, window, hub attack)
 //	D3 — sustained updates/sec vs. the coalescing window, per stream class
-//	D4 — sustained updates/sec vs. repair workers, per coalescing window
 //	D5 — sustained updates/sec vs. graph size, per repair mode
 //	     (legacy per-node, word-packed batch)
 
@@ -206,78 +205,6 @@ func runD3(c sweepConfig) error {
 	fmt.Println("(wall-clock best of " + i0(reps) + " replays; gated twins: bench suite dynamic-throughput)")
 	return c.writeCSV("D3.csv",
 		[]string{"stream", "n", "updates", "window", "batches", "updates_per_sec", "awake_per_update"}, rows)
-}
-
-// D4: sustained update throughput against the repair worker count, per
-// coalescing window. The workload is uniform churn on a unit-disk graph:
-// its clustering makes adjacent nodes lose coverage together, so
-// coalesced windows reliably split into multiple region components — the
-// units the parallel executor distributes. The counters are byte-identical
-// across the workers axis (asserted against the workers=1 run); only the
-// wall clock moves.
-func runD4(c sweepConfig) error {
-	n := c.n(50000)
-	g := energymis.RandomGeometric(n, energymis.RadiusForAvgDegree(n, 12), 5)
-	upd := int(float64(25600) * c.scale)
-	if upd < 256 {
-		upd = 256
-	}
-	flat := energymis.FlattenStream(energymis.ChurnStream(g, upd, 1, 6))
-	inSet := energymis.GreedyMIS(g)
-	reps := c.seeds
-	if reps < 1 {
-		reps = 1
-	}
-	var rows [][]string
-	for _, w := range []int{16, 64, 256} {
-		var base energymis.DynamicStats
-		for _, workers := range []int{1, 2, 4, 8} {
-			var best float64
-			var st energymis.DynamicStats
-			for rep := 0; rep < reps; rep++ {
-				d, err := energymis.NewDynamicFrom(g, inSet, energymis.DynamicOptions{
-					Seed: 9, Window: w, Workers: workers,
-				})
-				if err != nil {
-					return err
-				}
-				start := time.Now()
-				if _, err := d.ApplyBatch(flat); err != nil {
-					return fmt.Errorf("D4 w=%d workers=%d: %w", w, workers, err)
-				}
-				elapsed := time.Since(start).Seconds()
-				if ups := float64(len(flat)) / elapsed; ups > best {
-					best = ups
-				}
-				if rep == 0 {
-					if err := d.Check(); err != nil {
-						return fmt.Errorf("D4 w=%d workers=%d: %w", w, workers, err)
-					}
-					st = d.Stats()
-				}
-			}
-			if workers == 1 {
-				base = st
-			} else if st != base {
-				return fmt.Errorf("D4 w=%d: counters diverge between workers=1 and workers=%d", w, workers)
-			}
-			rows = append(rows, []string{
-				i0(n), i0(int(st.Updates)), i0(w), i0(workers),
-				fmt.Sprintf("%.0f", best),
-				f2(float64(st.Components) / float64(max64(st.Batches, 1))),
-				i0(st.MaxComponents),
-			})
-		}
-	}
-	headers := []string{"n", "updates", "window", "workers", "updates/sec",
-		"components/batch", "max components"}
-	table(headers, rows)
-	fmt.Println()
-	fmt.Println("(unit-disk churn, wall-clock best of " + i0(reps) + " replays; " +
-		"counters verified byte-identical across the workers axis)")
-	return c.writeCSV("D4.csv",
-		[]string{"n", "updates", "window", "workers", "updates_per_sec",
-			"components_per_batch", "max_components"}, rows)
 }
 
 // D5: sustained update throughput against graph size, per repair mode:

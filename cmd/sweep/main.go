@@ -61,7 +61,6 @@ func main() {
 		{"D1", "Dynamic MIS: localized repair vs per-update recompute", runD1},
 		{"D2", "Dynamic MIS: repair cost across update-stream classes", runD2},
 		{"D3", "Dynamic MIS: updates/sec vs batch window across stream classes", runD3},
-		{"D4", "Dynamic MIS: updates/sec vs repair workers per batch window", runD4},
 		{"D5", "Dynamic MIS: updates/sec vs graph size per repair mode", runD5},
 		{"B1", "Benchmark harness: quick suites (twin of BENCH_MIS.json)", runB1},
 		{"F1", "Analytical twin: fit paper curves from a multi-size sweep", runF1},

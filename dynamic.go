@@ -60,18 +60,11 @@ type BatchStats = dynamic.BatchStats
 type DynamicStats = dynamic.Stats
 
 // DynamicOptions configures a DynamicMIS. The zero value is valid: seed 0,
-// Luby repairs, sequential execution, default CONGEST budget, batch-engine
-// repairs, no coalescing window.
+// Luby repairs, default CONGEST budget, batch-engine repairs, no
+// coalescing window.
 type DynamicOptions struct {
 	// Seed drives the bootstrap run and all repair randomness.
 	Seed uint64
-	// Workers > 1 runs the bootstrap on the parallel engine executor and
-	// elects independent repair-region components concurrently on a
-	// worker pool with per-worker engine memory. Results are
-	// byte-identical for every worker count — the per-component counters
-	// and trace spans merge in deterministic region order — so Workers
-	// trades wall clock only. See docs/DYNAMIC.md for when it pays.
-	Workers int
 	// B overrides the CONGEST budget in bits (0 = default).
 	B int
 	// Repair selects the re-election protocol (default RepairLuby).
@@ -128,7 +121,6 @@ func newDynamicMIS(g *Graph, inSet []bool, algo Algorithm, algoName string, opts
 		Seed:      opts.Seed,
 		Repair:    opts.Repair,
 		B:         opts.B,
-		Workers:   opts.Workers,
 		SelfCheck: opts.SelfCheck,
 		Legacy:    opts.Legacy,
 	}
@@ -143,7 +135,6 @@ func newDynamicMIS(g *Graph, inSet []bool, algo Algorithm, algoName string, opts
 			"n":         strconv.Itoa(g.N()),
 			"m":         strconv.Itoa(g.M()),
 			"seed":      strconv.FormatUint(opts.Seed, 10),
-			"workers":   strconv.Itoa(opts.Workers),
 			"window":    strconv.Itoa(opts.Window),
 		})
 		if err != nil {
@@ -174,7 +165,6 @@ func NewDynamic(g *Graph, algo Algorithm, opts DynamicOptions) (*DynamicMIS, err
 	}
 	copts := core.DefaultOptions()
 	copts.Seed = opts.Seed
-	copts.Workers = opts.Workers
 	copts.B = opts.B
 	res, err := core.Run(g, ca, copts)
 	if err != nil {

@@ -178,18 +178,18 @@ func TestDynamicWindowedValidity(t *testing.T) {
 	}
 }
 
-// TestDynamicParallelTraceDeterministic runs the same traced workload at
-// Workers 1 and Workers 8: parallel component elections buffer their
-// spans per component and replay them in component order, so the
-// canonical traces (wall times stripped) must be byte-identical, and the
-// parallel trace must still conserve under CheckTrace.
+// TestDynamicParallelTraceDeterministic replays the same traced workload
+// twice on a unit-disk graph whose repairs split into several region
+// components: component elections trace straight into the writer in
+// component order, so both canonical traces (wall times stripped) must be
+// byte-identical, and each must conserve under CheckTrace.
 func TestDynamicParallelTraceDeterministic(t *testing.T) {
 	g := RandomGeometric(500, RadiusForAvgDegree(500, 12), 11)
 	flat := FlattenStream(ChurnStream(g, 60, 4, 13))
-	trace := func(workers int) []byte {
+	trace := func() []byte {
 		path := filepath.Join(t.TempDir(), "dyn.jsonl")
 		d, err := NewDynamicFrom(g, GreedyMIS(g), DynamicOptions{
-			Seed: 5, Window: 16, Workers: workers, TracePath: path,
+			Seed: 5, Window: 16, TracePath: path,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -200,33 +200,24 @@ func TestDynamicParallelTraceDeterministic(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if st := d.Stats(); st.MaxComponents < 2 {
+			t.Fatalf("workload never split a region into components (max %d)", st.MaxComponents)
+		}
 		tr, err := obs.ReadTraceFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if workers > 1 {
-			if problems := obs.CheckTrace(tr); len(problems) != 0 {
-				t.Errorf("CheckTrace (workers=%d): %v", workers, problems)
-			}
+		if problems := obs.CheckTrace(tr); len(problems) != 0 {
+			t.Errorf("CheckTrace: %v", problems)
 		}
-		// Drop the header: it legitimately records the worker count (and
-		// environment details). Everything below it must match.
-		recs := obs.Canonical(tr)[:0:0]
-		for _, r := range obs.Canonical(tr) {
-			if r.Type != obs.RecHeader {
-				recs = append(recs, r)
-			}
-		}
-		b, err := obs.CanonicalBytes(recs)
+		b, err := obs.CanonicalBytes(obs.Canonical(tr))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	seq := trace(1)
-	par := trace(8)
-	if string(seq) != string(par) {
-		t.Error("canonical traces differ between Workers 1 and Workers 8")
+	if string(trace()) != string(trace()) {
+		t.Error("canonical traces differ between identical replays")
 	}
 }
 

@@ -88,16 +88,13 @@ func Algorithms() []Algorithm {
 	return []Algorithm{Luby, RegularizedLuby, Algorithm1, Algorithm2, Algorithm1Avg, Algorithm2Avg}
 }
 
-// Options configures a run. The zero value is valid: seed 0, sequential
-// execution, the default CONGEST budget B = 4·ceil(log2 n) bits, and the
-// paper-faithful parameter profile.
+// Options configures a run. The zero value is valid: seed 0, the default
+// CONGEST budget B = 4·ceil(log2 n) bits, and the paper-faithful
+// parameter profile. A run executes on the calling goroutine.
 type Options struct {
 	// Seed drives all randomness; identical (graph, algorithm, Seed)
 	// runs produce identical outputs and measurements.
 	Seed uint64
-	// Workers > 1 executes each round's awake nodes on a worker pool.
-	// Results are identical to the sequential executor.
-	Workers int
 	// B overrides the CONGEST message budget in bits (0 = default).
 	B int
 	// Mem supplies a pooled engine-buffer set reused across runs (see
@@ -121,7 +118,6 @@ func (o Options) toCore() core.Options {
 		opts = *o.Advanced
 	}
 	opts.Seed = o.Seed
-	opts.Workers = o.Workers
 	opts.B = o.B
 	if o.Mem != nil {
 		opts.Mem = o.Mem
@@ -196,7 +192,6 @@ func Run(g *Graph, algo Algorithm, opts Options) (*Result, error) {
 			"n":         strconv.Itoa(g.N()),
 			"m":         strconv.Itoa(g.M()),
 			"seed":      strconv.FormatUint(opts.Seed, 10),
-			"workers":   strconv.Itoa(opts.Workers),
 		})
 		if err != nil {
 			return nil, err

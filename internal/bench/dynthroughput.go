@@ -53,37 +53,31 @@ func dynThroughputSpec(name string, quick bool, setup func() (*energymis.Graph, 
 			}
 			m := FromDynamicStats(d.Stats(), d.MISSize(), d.AwakePerNode())
 			m.Extra["window"] = float64(opts.Window)
-			m.Extra["workers"] = float64(opts.Workers)
 			return m, nil
 		},
 	}
 }
 
 // churnWorkload is the shared setup of the paired batch/legacy cases:
-// identical graph, stream, and knobs, differing only in the repair path
-// and worker count (workers > 1 elects independent region components
-// concurrently); the counters stay byte-identical across all of them.
-func churnWorkload(n, updates, window, workers int, legacy bool) func() (*energymis.Graph, []energymis.Update, energymis.DynamicOptions) {
+// identical graph, stream, and knobs, differing only in the repair path;
+// the counters stay byte-identical between them.
+func churnWorkload(n, updates, window int, legacy bool) func() (*energymis.Graph, []energymis.Update, energymis.DynamicOptions) {
 	return func() (*energymis.Graph, []energymis.Update, energymis.DynamicOptions) {
 		g := gnpDeg8Graph(n)()
 		flat := energymis.FlattenStream(energymis.ChurnStream(g, updates, 1, 7))
-		return g, flat, energymis.DynamicOptions{Seed: 1, Window: window, Workers: workers, Legacy: legacy}
+		return g, flat, energymis.DynamicOptions{Seed: 1, Window: window, Legacy: legacy}
 	}
 }
 
 func dynThroughputSpecs() []Spec {
 	return []Spec{
 		// The headline pair: batch vs legacy on the identical workload.
-		dynThroughputSpec("churn/n=100000/w=64", true, churnWorkload(100000, 51200, 64, 0, false)),
-		dynThroughputSpec("churn/n=100000/w=64/legacy", true, churnWorkload(100000, 51200, 64, 0, true)),
-		// The parallel-repair path: identical workload and counters, with
-		// the window's region components elected on 8 workers.
-		dynThroughputSpec("churn/n=100000/w=64/workers=8", true, churnWorkload(100000, 51200, 64, 8, false)),
+		dynThroughputSpec("churn/n=100000/w=64", true, churnWorkload(100000, 51200, 64, false)),
+		dynThroughputSpec("churn/n=100000/w=64/legacy", true, churnWorkload(100000, 51200, 64, true)),
 		// Window ablation endpoints: no coalescing, and the large-graph
 		// target (n=10⁶ at a wide window).
-		dynThroughputSpec("churn/n=100000/w=1", false, churnWorkload(100000, 51200, 1, 0, false)),
-		dynThroughputSpec("churn/n=1000000/w=256", false, churnWorkload(1000000, 131072, 256, 0, false)),
-		dynThroughputSpec("churn/n=1000000/w=256/workers=8", false, churnWorkload(1000000, 131072, 256, 8, false)),
+		dynThroughputSpec("churn/n=100000/w=1", false, churnWorkload(100000, 51200, 1, false)),
+		dynThroughputSpec("churn/n=1000000/w=256", false, churnWorkload(1000000, 131072, 256, false)),
 		// Other stream classes: sliding-window arrivals and the
 		// adversarial hub attack.
 		dynThroughputSpec("window/n=50000/w=64", false, func() (*energymis.Graph, []energymis.Update, energymis.DynamicOptions) {

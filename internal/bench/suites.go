@@ -13,14 +13,13 @@ import (
 const (
 	SuiteStatic        = "static"             // static MIS runs: graph families × sizes × algorithms
 	SuiteDynamic       = "dynamic"            // churn workloads through the dynamic repair engine
-	SuiteScaling       = "scaling"            // parallel-executor scaling, 1 → N workers
 	SuiteThroughput    = "throughput"         // M independent runs across a worker pool (runs/sec)
 	SuiteDynThroughput = "dynamic-throughput" // sustained update streams through ApplyBatch (updates/sec)
 )
 
 // SuiteNames lists every suite in canonical order.
 func SuiteNames() []string {
-	return []string{SuiteStatic, SuiteDynamic, SuiteScaling, SuiteThroughput, SuiteDynThroughput}
+	return []string{SuiteStatic, SuiteDynamic, SuiteThroughput, SuiteDynThroughput}
 }
 
 // The benchmark topologies, each defined exactly once so every suite that
@@ -97,13 +96,7 @@ func FromDynamicStats(st energymis.DynamicStats, misSize int, awakePerNode []int
 	}
 }
 
-func staticSpec(family string, g func() *energymis.Graph, n int, algo energymis.Algorithm, workers int, quick bool) Spec {
-	name := fmt.Sprintf("%s/n=%d/%s", family, n, algo)
-	suite := SuiteStatic
-	if workers > 1 || family == "scaling" {
-		suite = SuiteScaling
-		name = fmt.Sprintf("%s/n=%d/workers=%d", algo, n, workers)
-	}
+func staticSpec(family string, g func() *energymis.Graph, n int, algo energymis.Algorithm, quick bool) Spec {
 	// One pooled Mem per case: the warm-up run allocates the engine
 	// buffers once, every timed repetition then executes the whole batch
 	// pipeline — all phases — against the warm pool (case runs are
@@ -112,11 +105,11 @@ func staticSpec(family string, g func() *energymis.Graph, n int, algo energymis.
 	// pipeline.TestSharedMemIdentical).
 	mem := energymis.NewMem()
 	return Spec{
-		Suite: suite,
-		Name:  name,
+		Suite: SuiteStatic,
+		Name:  fmt.Sprintf("%s/n=%d/%s", family, n, algo),
 		Quick: quick,
 		Run: func() (Metrics, error) {
-			res, err := energymis.Run(g(), algo, energymis.Options{Seed: 1, Workers: workers, Mem: mem})
+			res, err := energymis.Run(g(), algo, energymis.Options{Seed: 1, Mem: mem})
 			if err != nil {
 				return Metrics{}, err
 			}
@@ -164,7 +157,7 @@ func Specs(suites []string, quick bool) ([]Spec, error) {
 	if len(suites) == 0 {
 		suites = SuiteNames()
 	}
-	known := map[string]bool{SuiteStatic: true, SuiteDynamic: true, SuiteScaling: true, SuiteThroughput: true, SuiteDynThroughput: true}
+	known := map[string]bool{SuiteStatic: true, SuiteDynamic: true, SuiteThroughput: true, SuiteDynThroughput: true}
 	for _, s := range suites {
 		if !known[s] {
 			return nil, fmt.Errorf("bench: unknown suite %q (have %v)", s, SuiteNames())
@@ -191,7 +184,7 @@ func Specs(suites []string, quick bool) ([]Spec, error) {
 				// Quick subset: the gnp family at both sizes (same keys as
 				// the full run, so -quick -compare matches the baseline).
 				q := fam.name == "gnp"
-				specs = append(specs, staticSpec(fam.name, g, n, algo, 0, q))
+				specs = append(specs, staticSpec(fam.name, g, n, algo, q))
 			}
 		}
 	}
@@ -213,15 +206,6 @@ func Specs(suites []string, quick bool) ([]Spec, error) {
 	}
 
 	specs = append(specs, dyn...)
-
-	// --- scaling: the parallel executor from 1 to N workers ---
-	{
-		g := gnpGraph(20000)
-		for _, w := range []int{1, 2, 4, 8} {
-			q := w == 1 || w == 4
-			specs = append(specs, staticSpec("scaling", g, 20000, energymis.Luby, w, q))
-		}
-	}
 
 	// --- throughput: many independent runs over the worker-pool executor ---
 	specs = append(specs,

@@ -64,9 +64,8 @@ func (a Algorithm) String() string {
 // Options configures a run. The zero value is not valid; use
 // DefaultOptions.
 type Options struct {
-	Seed    uint64
-	Workers int // parallel executor width (0/1 = sequential)
-	B       int // CONGEST budget override (0 = 4·ceil(log2 n))
+	Seed uint64
+	B    int // CONGEST budget override (0 = 4·ceil(log2 n))
 	// Mem supplies pooled engine buffers reused across phases and runs
 	// (see sim.Mem). A Mem must not be shared by concurrent runs; nil
 	// allocates per run. Used by the throughput executor to make repeated
@@ -181,7 +180,7 @@ func runRegularizedLuby(g *graph.Graph, opts Options) (*Result, error) {
 // baseCfg is the root-seed engine configuration of a run; per-phase
 // configs derive from it via sim.Config.ForPhase.
 func (o Options) baseCfg() sim.Config {
-	return sim.Config{Seed: o.Seed, Workers: o.Workers, B: o.B, Mem: o.Mem, Tracer: o.Tracer}
+	return sim.Config{Seed: o.Seed, B: o.B, Mem: o.Mem, Tracer: o.Tracer}
 }
 
 func (o Options) simCfg(phase uint64) sim.Config {

@@ -131,26 +131,6 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	}
 }
 
-func TestParallelExecutorEndToEnd(t *testing.T) {
-	g := graph.GNP(800, 0.02, 37)
-	opts := DefaultOptions()
-	opts.Seed = 5
-	seq, err := RunVerified(g, Algorithm1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 8
-	par, err := RunVerified(g, Algorithm1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range seq.InSet {
-		if seq.InSet[v] != par.InSet[v] {
-			t.Fatalf("node %d differs between executors", v)
-		}
-	}
-}
-
 func TestUnknownAlgorithm(t *testing.T) {
 	if _, err := Run(graph.Path(2), Algorithm(99), DefaultOptions()); err == nil {
 		t.Fatal("expected error for unknown algorithm")

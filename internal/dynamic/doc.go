@@ -35,17 +35,16 @@
 // union-find partitioner (partition.go). Each component is an independent
 // election: singletons join analytically without an engine run, and the
 // rest are composed as internal/pipeline runs (batch luby / batch
-// ghaffari with a Luby finisher). With Params.Workers > 1 the non-trivial
-// components are elected concurrently on a per-worker sim.Mem pool; a
-// deterministic region-ordered merge then folds the per-component
-// counters and set joins, so every worker count produces byte-identical
-// results. Params.Tracer receives a phase span per election stage
-// (buffered per component, replayed in component order), a
-// "repair/singleton" span for the analytic joins, and a synthetic
-// one-round "repair/detect" span per batch. Params.Legacy selects the
-// frozen per-node reference path (repair_legacy.go), which shares the
-// partition, seed derivation, and merge — identical sets and identical
-// deterministic counters, proven by differential tests.
+// ghaffari with a Luby finisher), one after another in component order on
+// the engine's one sim.Mem. An ordered merge then folds the per-component
+// counters and set joins. Params.Tracer receives a phase span per
+// election stage (in component order), a "repair/singleton" span for the
+// analytic joins, and a synthetic one-round "repair/detect" span per
+// batch. Params.Legacy selects the frozen per-node reference path
+// (repair_legacy.go), which shares the partition, seed derivation, and
+// merge — identical sets and identical deterministic counters, proven by
+// differential tests. Repairs run on the calling goroutine; the package
+// starts no goroutine.
 //
 // One Apply call is one coalesced window: overlapping repair regions of
 // its updates merge and are re-elected once, which is what turns the unit

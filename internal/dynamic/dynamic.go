@@ -101,15 +101,6 @@ type Params struct {
 	Repair RepairAlgo
 	// B overrides the CONGEST budget in bits (0 = 4·ceil(log2 n)).
 	B int
-	// Workers > 1 parallelizes repair across the independent components
-	// of the affected region: each connected component of the uncovered
-	// region's induced subgraph elects on its own worker with its own
-	// sim.Mem, and a deterministic region-ordered merge folds the results
-	// (partition.go). When a batch yields fewer components than workers,
-	// the spare budget goes to the election engine's parallel executor
-	// instead. Counters and sets are byte-identical for every worker
-	// count.
-	Workers int
 	// MaxRetry bounds the Ghaffari retry loop before the Luby finisher
 	// takes over.
 	MaxRetry int
@@ -128,10 +119,12 @@ type Params struct {
 	// (election spans from the pipeline, a synthetic "repair/singleton"
 	// span aggregating the analytic singleton-component decisions, plus
 	// one synthetic one-round "repair/detect" span per batch) and
-	// per-round events from the election engines. Parallel component
-	// elections buffer their events per component and replay them in
-	// component order, so the trace is deterministic up to wall times.
-	// Only the batch path is traced; Legacy ignores it.
+	// per-round events from the election engines. Component elections
+	// trace straight into it, in ascending component order, so the trace
+	// is deterministic up to wall times. When an election fails, the
+	// events the batch's elections emitted before the failure stay in the
+	// trace; the engine's set is not a valid MIS after a repair error
+	// anyway. Only the batch path is traced; Legacy ignores it.
 	Tracer obs.Tracer
 }
 
@@ -158,12 +151,11 @@ type Engine struct {
 	stats   Stats
 	batchNo uint64
 
-	// Batch-path resources: per-worker pooled engine buffers (slot 0
-	// doubles as the sequential path's pool), the epoch-stamped region
-	// scratch, and the tracer. simMsgs counts the engine messages of the
-	// current batch's elections, so the analytic detection-round messages
-	// can be split out for the trace.
-	memPool sim.MemPool
+	// Batch-path resources: the pooled engine buffers every election
+	// runs on, the epoch-stamped region scratch, and the tracer. simMsgs
+	// counts the engine messages of the current batch's elections, so the
+	// analytic detection-round messages can be split out for the trace.
+	mem     sim.Mem
 	scr     scratch
 	tracer  obs.Tracer
 	simMsgs int64

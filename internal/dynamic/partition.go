@@ -1,27 +1,22 @@
 package dynamic
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/obs"
 	"github.com/energymis/energymis/internal/sim"
 )
 
-// This file parallelizes the re-election across the independent regions of
-// one coalesced window. The uncovered region's induced subgraph splits
+// This file splits the re-election of one coalesced window into its
+// independent regions. The uncovered region's induced subgraph splits
 // into connected components that cannot observe each other (an MIS of a
-// disconnected graph is the union of per-component MISes), so each
-// component elects on its own engine — concurrently when Params.Workers
-// allows — and a deterministic region-ordered merge folds the winners and
-// counters back. Determinism does not depend on the schedule: every
-// component derives its election seed from the (batch, component ordinal)
-// pair alone, per-component counters accumulate in component-local state,
-// and the merge always folds components in ascending ordinal order from a
-// single goroutine. Workers only changes wall-clock time, never a counter
-// or the elected set; both repair paths (batch and legacy) share the same
-// partition and merge, which keeps them counter-identical.
+// disconnected graph is the union of per-component MISes). A singleton
+// component joins analytically, without an engine run; every other
+// component elects on its own engine run, in ascending ordinal order, and
+// an ordered merge folds the winners and counters back. Every component
+// derives its election seed from the (batch, component ordinal) pair
+// alone, and per-component counters accumulate in component-local state.
+// Both repair paths (batch and legacy) share the same partition, seeds,
+// and merge, which keeps them counter-identical.
 
 // partitioner splits a region subgraph into connected components with a
 // reusable union-find. Components are ordered by their smallest member
@@ -36,6 +31,11 @@ type partitioner struct {
 	nodes  []int32
 	cursor []int32
 	rank   []int32 // subgraph-local node -> index within its component
+
+	// Reusable CSR buffers for the induced subgraph of the component
+	// being elected (see component); elections run one at a time.
+	compOffs []int32
+	compAdj  []int32
 }
 
 // split partitions sub and returns component c's (subgraph-local) nodes
@@ -121,10 +121,30 @@ func ensureInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// compRun is one non-singleton component's election state: the work list
-// entry a worker consumes and the component-local result the merge folds.
-// Counters and awake charges accumulate here — never on the Engine — so
-// workers share nothing but the immutable region subgraph.
+// component builds the induced subgraph of a component of the last split
+// (ids: its region-subgraph-local nodes, ascending) from sub's CSR rows
+// into the partitioner's reusable buffers; the result is valid until the
+// next call. A connected component is closed under adjacency, so no
+// membership filtering is needed: every neighbor maps through rank to its
+// component-local index, and rows stay ascending because rank is monotone
+// within a component.
+func (p *partitioner) component(sub *graph.Graph, ids []int) *graph.Graph {
+	p.compOffs = p.compOffs[:0]
+	p.compAdj = p.compAdj[:0]
+	for _, v := range ids {
+		p.compOffs = append(p.compOffs, int32(len(p.compAdj)))
+		for _, u := range sub.Neighbors(v) {
+			p.compAdj = append(p.compAdj, p.rank[u])
+		}
+	}
+	p.compOffs = append(p.compOffs, int32(len(p.compAdj)))
+	return graph.FromCSR(p.compOffs, p.compAdj)
+}
+
+// compRun is one non-singleton component's election state: the
+// component-local result the merge folds. Counters and awake charges
+// accumulate here, not on the Engine, so a failed election leaves the
+// Engine untouched.
 type compRun struct {
 	ids   []int  // component nodes, region-subgraph-local, ascending (reused)
 	inSet []bool // elected set, component-local indexing
@@ -134,36 +154,10 @@ type compRun struct {
 	msgs, dropped, bits, viol int64
 	bitsMax                   int
 	retries                   int
-
-	// Reusable CSR buffers for the component's induced subgraph (see
-	// subgraph); owned per component so concurrent elections never share.
-	offs []int32
-	adjb []int32
-
-	rec *obs.Recorder // per-component trace buffer; nil when untraced
-	err error
-}
-
-// subgraph builds the component's induced subgraph from the region
-// subgraph's CSR rows into the compRun's reusable buffers. A connected
-// component is closed under adjacency, so no membership filtering is
-// needed: every neighbor maps through rank to its component-local index,
-// and rows stay ascending because rank is monotone within a component.
-func (cr *compRun) subgraph(sub *graph.Graph, rank []int32) *graph.Graph {
-	cr.offs = cr.offs[:0]
-	cr.adjb = cr.adjb[:0]
-	for _, v := range cr.ids {
-		cr.offs = append(cr.offs, int32(len(cr.adjb)))
-		for _, u := range sub.Neighbors(v) {
-			cr.adjb = append(cr.adjb, rank[u])
-		}
-	}
-	cr.offs = append(cr.offs, int32(len(cr.adjb)))
-	return graph.FromCSR(cr.offs, cr.adjb)
 }
 
 // reset prepares the state for a component of the given size.
-func (cr *compRun) reset(size int, traced bool) {
+func (cr *compRun) reset(size int) {
 	cr.ids = cr.ids[:0]
 	cr.inSet = nil
 	if cap(cr.awake) < size {
@@ -176,15 +170,6 @@ func (cr *compRun) reset(size int, traced bool) {
 	}
 	cr.rounds, cr.bitsMax, cr.retries = 0, 0, 0
 	cr.msgs, cr.dropped, cr.bits, cr.viol = 0, 0, 0, 0
-	cr.err = nil
-	if traced {
-		if cr.rec == nil {
-			cr.rec = &obs.Recorder{}
-		}
-		cr.rec.Reset()
-	} else {
-		cr.rec = nil
-	}
 }
 
 // account folds one engine run into the component's counters. orig maps
@@ -210,60 +195,36 @@ func (cr *compRun) account(res *sim.Result, orig []int32) {
 
 // compCfg derives component c's election config from the batch config:
 // every component draws an independent randomness stream determined by
-// the (batch seed, component ordinal) pair alone, regardless of which
-// worker runs it or when. The multiplier is a distinct splitmix64-style
-// odd constant so component streams cannot collide with the batch
-// (simCfg) or retry (bump) derivations.
+// the (batch seed, component ordinal) pair alone. The multiplier is a
+// distinct splitmix64-style odd constant so component streams cannot
+// collide with the batch (simCfg) or retry (bump) derivations.
 func compCfg(base sim.Config, c uint64) sim.Config {
 	base.Seed ^= (c + 1) * 0x94d049bb133111eb
 	return base
 }
 
 // electComponents partitions the region subgraph, elects every
-// non-singleton component — concurrently when Params.Workers > 1 — and
-// merges the winners in component order. region is the sorted engine-slot
-// list the subgraph was built from; sub's node i is region[i].
+// non-singleton component in ascending ordinal order, and merges the
+// winners. region is the sorted engine-slot list the subgraph was built
+// from; sub's node i is region[i]. The first failed election is returned
+// before the merge, so the Engine's set and counters stay untouched.
 func (e *Engine) electComponents(sub *graph.Graph, region []int32, st regionTracker, bs *BatchStats) error {
 	offs, nodes := e.part.split(sub)
 	work := e.prepComps(offs, nodes)
 	base := e.simCfg()
-	switch poolW := min(e.p.Workers, len(work)); {
-	case e.p.Legacy:
-		// The reference path elects sequentially on the per-node engines;
-		// the shared partition, seeds, and merge keep it counter-identical
-		// to any batch-path worker count.
-		for _, c := range work {
-			e.electComponentLegacy(sub, int(c), base)
+	for _, c := range work {
+		var err error
+		if e.p.Legacy {
+			err = e.electComponentLegacy(sub, int(c), base)
+		} else {
+			err = e.electComponent(sub, int(c), base)
 		}
-	case poolW > 1:
-		// Component pool, shaped like bench.RunThroughput: per-worker Mem,
-		// an atomic cursor for work stealing, inner elections sequential.
-		// Ensure the pool up front — Get must not grow it while shared.
-		e.memPool.Ensure(poolW)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < poolW; w++ {
-			wg.Add(1)
-			go func(mem *sim.Mem) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(work) {
-						return
-					}
-					e.electComponent(sub, int(work[i]), base, mem, 1)
-				}
-			}(e.memPool.Get(w))
-		}
-		wg.Wait()
-	default:
-		// Zero or one component pool slot: run inline and give the inner
-		// election engine the full worker budget instead.
-		for _, c := range work {
-			e.electComponent(sub, int(c), base, e.memPool.Get(0), e.p.Workers)
+		if err != nil {
+			return err
 		}
 	}
-	return e.mergeComponents(region, offs, nodes, st, bs)
+	e.mergeComponents(region, offs, nodes, st, bs)
+	return nil
 }
 
 // prepComps sizes the per-component state for this partition and returns
@@ -281,7 +242,7 @@ func (e *Engine) prepComps(offs, nodes []int32) []int32 {
 			continue
 		}
 		cr := &e.comps[c]
-		cr.reset(int(hi-lo), e.tracer != nil)
+		cr.reset(int(hi - lo))
 		for _, i := range nodes[lo:hi] {
 			cr.ids = append(cr.ids, int(i))
 		}
@@ -290,21 +251,12 @@ func (e *Engine) prepComps(offs, nodes []int32) []int32 {
 	return e.work
 }
 
-// mergeComponents is the region-ordered reduce: from a single goroutine,
-// fold every component back into the engine in ascending ordinal order —
-// singletons analytically, elected components from their compRun. All
-// folded quantities are order-insensitive sums (or maxes), and the order
-// is fixed anyway, so the outcome is byte-identical for any worker count.
-func (e *Engine) mergeComponents(region []int32, offs, nodes []int32, st regionTracker, bs *BatchStats) error {
+// mergeComponents is the region-ordered reduce: fold every component back
+// into the engine in ascending ordinal order — singletons analytically,
+// elected components from their compRun.
+func (e *Engine) mergeComponents(region []int32, offs, nodes []int32, st regionTracker, bs *BatchStats) {
 	k := len(offs) - 1
 	bs.Components = k
-	// Surface the first failed election before mutating anything, keeping a
-	// failed Apply's partial state no worse than the sequential path's.
-	for _, c := range e.work {
-		if err := e.comps[c].err; err != nil {
-			return err
-		}
-	}
 	singles := 0
 	for c := 0; c < k; c++ {
 		comp := nodes[offs[c]:offs[c+1]]
@@ -337,9 +289,6 @@ func (e *Engine) mergeComponents(region []int32, offs, nodes []int32, st regionT
 			e.awake[region[comp[i]]] += a
 			bs.AwakeRounds += a
 		}
-		if cr.rec != nil && e.tracer != nil {
-			cr.rec.Replay(e.tracer)
-		}
 		for i, in := range cr.inSet {
 			if in {
 				e.joinMIS(region[comp[i]], st, bs)
@@ -356,7 +305,6 @@ func (e *Engine) mergeComponents(region []int32, offs, nodes []int32, st regionT
 			Name: "repair/singleton", Rounds: singles, Awake: int64(singles),
 		})
 	}
-	return nil
 }
 
 // joinMIS adds v to the maintained set: the joiner notifies its full

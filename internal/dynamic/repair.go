@@ -18,12 +18,11 @@ import (
 // of a coalesced update window is tracked in epoch-stamped bit vectors
 // (zero steady-state allocation, word-op detection sweeps), and the
 // re-election runs per independent region component as internal/pipeline
-// compositions on the SoA batch runtime — concurrently across components
-// when Params.Workers > 1 (see partition.go). Counters are deterministic
-// and identical to repair_legacy.go — same analytic charges, same seed
-// derivations, the same partition and merge, and the batch election
-// engines are counter-identical to the per-node ones (proven by their own
-// differential tests).
+// compositions on the SoA batch runtime (see partition.go). Counters are
+// deterministic and identical to repair_legacy.go — same analytic charges,
+// same seed derivations, the same partition and merge, and the batch
+// election engines are counter-identical to the per-node ones (proven by
+// their own differential tests).
 
 // scratch is the batch path's reusable region tracker. The dirty and
 // woken sets live in epoch-stamped bit vectors: begin bumps the epochs,
@@ -255,18 +254,14 @@ func (e *Engine) appendRegionNbrs(v int32, st *scratch, dst []int32) []int32 {
 
 // electComponent elects one non-singleton component on the batch engines:
 // an internal/pipeline composition over the component's induced subgraph,
-// with the given Mem and inner worker count. Results land in the
-// component's compRun only; with a tracer attached, phase spans and round
-// events buffer in the component's Recorder for ordered replay at merge.
-func (e *Engine) electComponent(sub *graph.Graph, c int, base sim.Config, mem *sim.Mem, workers int) {
+// on the Engine's Mem. Results land in the component's compRun only; with
+// a tracer attached, phase spans and round events go straight to it.
+func (e *Engine) electComponent(sub *graph.Graph, c int, base sim.Config) error {
 	cr := &e.comps[c]
-	sg := cr.subgraph(sub, e.part.rank)
+	sg := e.part.component(sub, cr.ids)
 	cfg := compCfg(base, uint64(c))
-	cfg.Mem = mem
-	cfg.Workers = workers
-	if cr.rec != nil {
-		cfg.Tracer = cr.rec
-	}
+	cfg.Mem = &e.mem
+	cfg.Tracer = e.tracer
 	pl := pipeline.New(sg, cfg)
 	var err error
 	switch e.p.Repair {
@@ -276,10 +271,10 @@ func (e *Engine) electComponent(sub *graph.Graph, c int, base sim.Config, mem *s
 		err = e.electLubyComp(pl, cfg, cr)
 	}
 	if err != nil {
-		cr.err = err
-		return
+		return err
 	}
 	cr.inSet = pl.InSet()
+	return nil
 }
 
 // electLubyComp runs batch Luby to completion on the component subgraph.
@@ -343,7 +338,7 @@ func (e *Engine) electGhaffariComp(pl *pipeline.Pipeline, cfg sim.Config, cr *co
 // simCfg returns the base engine configuration of this batch's elections.
 // Each batch gets a fresh deterministic seed; compCfg then splits it per
 // component, and bump per retry attempt. Shared by both repair paths; the
-// batch path adds Mem, Workers, and Tracer per component on top.
+// batch path adds Mem and Tracer per component on top.
 func (e *Engine) simCfg() sim.Config {
 	b := e.p.B
 	if b == 0 {

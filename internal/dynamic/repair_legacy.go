@@ -153,15 +153,15 @@ func (e *Engine) electLegacy(region []int32, st *repairState, bs *BatchStats) er
 
 // electComponentLegacy elects one non-singleton component on the per-node
 // engines, accumulating into its compRun exactly like the batch path.
-func (e *Engine) electComponentLegacy(sub *graph.Graph, c int, base sim.Config) {
+func (e *Engine) electComponentLegacy(sub *graph.Graph, c int, base sim.Config) error {
 	cr := &e.comps[c]
 	sg := graph.InducedSubgraph(sub, cr.ids)
 	cfg := compCfg(base, uint64(c))
 	switch e.p.Repair {
 	case RepairGhaffari:
-		cr.err = e.electGhaffariCompLegacy(sg.Graph, cfg, cr)
+		return e.electGhaffariCompLegacy(sg.Graph, cfg, cr)
 	default:
-		cr.err = e.electLubyCompLegacy(sg.Graph, cfg, cr)
+		return e.electLubyCompLegacy(sg.Graph, cfg, cr)
 	}
 }
 

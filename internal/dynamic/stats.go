@@ -11,7 +11,7 @@ type BatchStats struct {
 	Region  int // size of the re-elected uncovered region
 	// Components counts the connected components the uncovered region
 	// split into — the independent elections of the batch (singletons
-	// included), and the upper bound on repair parallelism.
+	// included).
 	Components int
 	Rounds     int // repair rounds (1 detection/probe round + election rounds)
 
@@ -70,8 +70,8 @@ type Stats struct {
 	MaxRegion   int // largest re-elected region
 
 	// Components counts independent region components across all batches
-	// (the units of repair parallelism); MaxComponents is the largest
-	// single-batch count.
+	// (one election each); MaxComponents is the largest single-batch
+	// count.
 	Components    int64
 	MaxComponents int
 

@@ -1,11 +1,11 @@
 package dynamic_test
 
-// Worker-count determinism over the benchmark stream shapes. This lives in
+// Batch-vs-legacy equality over the benchmark stream shapes. This lives in
 // an external test package because internal/stream imports
 // internal/dynamic. The churn and hub workloads run on clustered graphs
 // (RGG, Barabási–Albert) where uncovered regions reliably split into
-// multi-node components, so Workers 8 genuinely exercises the parallel
-// component executor — including under the race detector.
+// multi-node components, so the partition, the per-component seeds, and
+// the ordered merge all carry real work.
 
 import (
 	"reflect"
@@ -17,11 +17,12 @@ import (
 	"github.com/energymis/energymis/internal/verify"
 )
 
-// TestWorkersDeterministicAcrossStreams drives the batch path through the
-// three benchmark stream shapes at Workers ∈ {1, 2, 8} and requires
-// byte-identical per-batch BatchStats, final sets, awake ledgers, and
-// lifetime Stats across worker counts.
-func TestWorkersDeterministicAcrossStreams(t *testing.T) {
+// TestBatchVsLegacyAcrossStreams drives the batch and legacy repair
+// paths through the three benchmark stream shapes (RGG churn, sliding
+// window, BA hub attack) and requires byte-identical per-batch BatchStats,
+// final sets, awake ledgers, and lifetime Stats. SelfCheck validates the
+// MIS after every batch on both paths.
+func TestBatchVsLegacyAcrossStreams(t *testing.T) {
 	cases := []struct {
 		name  string
 		g     *graph.Graph
@@ -52,9 +53,9 @@ func TestWorkersDeterministicAcrossStreams(t *testing.T) {
 				awake    []int64
 				stats    dynamic.Stats
 			}
-			run := func(workers int) runOut {
+			run := func(legacy bool) runOut {
 				e, err := dynamic.New(tc.g, verify.GreedyMIS(tc.g),
-					dynamic.Params{Seed: 23, Workers: workers, SelfCheck: true})
+					dynamic.Params{Seed: 23, Legacy: legacy, SelfCheck: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,7 +63,7 @@ func TestWorkersDeterministicAcrossStreams(t *testing.T) {
 				for i, batch := range tc.trace {
 					bs, err := e.Apply(batch)
 					if err != nil {
-						t.Fatalf("workers=%d batch %d: %v", workers, i, err)
+						t.Fatalf("legacy=%v batch %d: %v", legacy, i, err)
 					}
 					out.perBatch = append(out.perBatch, bs)
 				}
@@ -71,31 +72,28 @@ func TestWorkersDeterministicAcrossStreams(t *testing.T) {
 				out.stats = e.Stats()
 				return out
 			}
-			base := run(1)
-			if tc.name != "window" && base.stats.MaxComponents < 2 {
+			batch := run(false)
+			if tc.name != "window" && batch.stats.MaxComponents < 2 {
 				t.Fatalf("workload never split a region into components (max %d); "+
-					"the parallel path is not exercised", base.stats.MaxComponents)
+					"the partition and merge are not exercised", batch.stats.MaxComponents)
 			}
-			for _, workers := range []int{2, 8} {
-				got := run(workers)
-				if !reflect.DeepEqual(got.perBatch, base.perBatch) {
-					for i := range base.perBatch {
-						if got.perBatch[i] != base.perBatch[i] {
-							t.Fatalf("workers=%d batch %d diverges:\n w1: %+v\n w%d: %+v",
-								workers, i, base.perBatch[i], workers, got.perBatch[i])
-						}
+			legacy := run(true)
+			if !reflect.DeepEqual(legacy.perBatch, batch.perBatch) {
+				for i := range batch.perBatch {
+					if legacy.perBatch[i] != batch.perBatch[i] {
+						t.Fatalf("batch %d diverges:\n batch:  %+v\n legacy: %+v",
+							i, batch.perBatch[i], legacy.perBatch[i])
 					}
 				}
-				if !reflect.DeepEqual(got.inSet, base.inSet) {
-					t.Errorf("workers=%d: final set differs from Workers=1", workers)
-				}
-				if !reflect.DeepEqual(got.awake, base.awake) {
-					t.Errorf("workers=%d: per-node awake ledger differs from Workers=1", workers)
-				}
-				if got.stats != base.stats {
-					t.Errorf("workers=%d: Stats differ:\n w1: %+v\n w%d: %+v",
-						workers, base.stats, workers, got.stats)
-				}
+			}
+			if !reflect.DeepEqual(legacy.inSet, batch.inSet) {
+				t.Error("final set differs between batch and legacy paths")
+			}
+			if !reflect.DeepEqual(legacy.awake, batch.awake) {
+				t.Error("per-node awake ledger differs between batch and legacy paths")
+			}
+			if legacy.stats != batch.stats {
+				t.Errorf("Stats differ:\n batch:  %+v\n legacy: %+v", batch.stats, legacy.stats)
 			}
 		})
 	}

@@ -43,7 +43,7 @@ func sameCounters(t *testing.T, ctx string, ref, got *sim.Result) {
 }
 
 // TestBatchMatchesLegacy is the differential gate of the batch port: for
-// every graph shape, K, seed, and worker count, the struct-of-arrays batch
+// every graph shape, K, and seed, the struct-of-arrays batch
 // automaton must produce byte-identical per-execution decisions and
 // identical complexity counters to the per-node reference.
 func TestBatchMatchesLegacy(t *testing.T) {
@@ -63,29 +63,27 @@ func TestBatchMatchesLegacy(t *testing.T) {
 			rounds := 12
 			for seed := uint64(1); seed <= 2; seed++ {
 				refProtos, refRes := runLegacyK(t, tc.g, k, rounds, sim.Config{Seed: seed})
-				for _, w := range []int{1, 2, 8} {
-					b := NewBatch(tc.g, k, rounds)
-					res, err := sim.RunBatch(tc.g, b, sim.Config{Seed: seed, Workers: w})
-					if err != nil {
-						t.Fatalf("%s k=%d seed=%d workers=%d: %v", tc.name, k, seed, w, err)
+				b := NewBatch(tc.g, k, rounds)
+				res, err := sim.RunBatch(tc.g, b, sim.Config{Seed: seed})
+				if err != nil {
+					t.Fatalf("%s k=%d seed=%d: %v", tc.name, k, seed, err)
+				}
+				ctx := tc.name
+				sameCounters(t, ctx, refRes, res)
+				for e := 0; e < k; e++ {
+					in := b.InMISExec(e)
+					und := map[int]bool{}
+					for _, v := range b.UndecidedExec(e) {
+						und[v] = true
 					}
-					ctx := tc.name
-					sameCounters(t, ctx, refRes, res)
-					for e := 0; e < k; e++ {
-						in := b.InMISExec(e)
-						und := map[int]bool{}
-						for _, v := range b.UndecidedExec(e) {
-							und[v] = true
+					for v := 0; v < tc.g.N(); v++ {
+						if in[v] != refProtos[v].InMIS[e] {
+							t.Fatalf("%s k=%d seed=%d: InMIS[%d][exec %d] = %v, legacy %v",
+								tc.name, k, seed, v, e, in[v], refProtos[v].InMIS[e])
 						}
-						for v := 0; v < tc.g.N(); v++ {
-							if in[v] != refProtos[v].InMIS[e] {
-								t.Fatalf("%s k=%d seed=%d workers=%d: InMIS[%d][exec %d] = %v, legacy %v",
-									tc.name, k, seed, w, v, e, in[v], refProtos[v].InMIS[e])
-							}
-							if und[v] != refProtos[v].Undecided(e) {
-								t.Fatalf("%s k=%d seed=%d workers=%d: Undecided[%d][exec %d] = %v, legacy %v",
-									tc.name, k, seed, w, v, e, und[v], refProtos[v].Undecided(e))
-							}
+						if und[v] != refProtos[v].Undecided(e) {
+							t.Fatalf("%s k=%d seed=%d: Undecided[%d][exec %d] = %v, legacy %v",
+								tc.name, k, seed, v, e, und[v], refProtos[v].Undecided(e))
 						}
 					}
 				}
@@ -95,7 +93,7 @@ func TestBatchMatchesLegacy(t *testing.T) {
 }
 
 // TestRunShatterMatchesLegacy checks the shattering entry point end to end:
-// same set, same survivors, same counters, for every worker count.
+// same set, same survivors, same counters.
 func TestRunShatterMatchesLegacy(t *testing.T) {
 	g := graph.GNP(500, 12.0/500, 7)
 	for _, rounds := range []int{0, 1, 9} {
@@ -104,28 +102,26 @@ func TestRunShatterMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{1, 2, 8} {
-				set, surv, res, err := RunShatter(g, rounds, sim.Config{Seed: seed, Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for v := range refSet {
-					if set[v] != refSet[v] {
-						t.Fatalf("rounds=%d seed=%d workers=%d: InSet[%d] differs", rounds, seed, w, v)
-					}
-				}
-				if len(surv) != len(refSurv) {
-					t.Fatalf("rounds=%d seed=%d workers=%d: %d survivors, legacy %d",
-						rounds, seed, w, len(surv), len(refSurv))
-				}
-				for i := range surv {
-					if surv[i] != refSurv[i] {
-						t.Fatalf("rounds=%d seed=%d workers=%d: survivor[%d] = %d, legacy %d",
-							rounds, seed, w, i, surv[i], refSurv[i])
-					}
-				}
-				sameCounters(t, "shatter", refRes, res)
+			set, surv, res, err := RunShatter(g, rounds, sim.Config{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
 			}
+			for v := range refSet {
+				if set[v] != refSet[v] {
+					t.Fatalf("rounds=%d seed=%d: InSet[%d] differs", rounds, seed, v)
+				}
+			}
+			if len(surv) != len(refSurv) {
+				t.Fatalf("rounds=%d seed=%d: %d survivors, legacy %d",
+					rounds, seed, len(surv), len(refSurv))
+			}
+			for i := range surv {
+				if surv[i] != refSurv[i] {
+					t.Fatalf("rounds=%d seed=%d: survivor[%d] = %d, legacy %d",
+						rounds, seed, i, surv[i], refSurv[i])
+				}
+			}
+			sameCounters(t, "shatter", refRes, res)
 		}
 	}
 }

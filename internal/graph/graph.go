@@ -5,16 +5,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Graph is an immutable undirected simple graph in CSR form.
 type Graph struct {
 	offsets []int32 // len = n+1
 	adj     []int32 // concatenated sorted adjacency lists
-
-	matesOnce sync.Once
-	mates     []int32 // arc-reversal permutation, computed lazily
 }
 
 // N returns the number of nodes.
@@ -32,54 +28,6 @@ func (g *Graph) Degree(v int) int {
 // aliases the graph's storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
-}
-
-// Arcs returns the number of directed arcs (2·M). Arc i is the i-th slot
-// of the CSR adjacency array: the arcs of node v occupy
-// [ArcBase(v), ArcBase(v+1)) and point at Neighbors(v) in sorted order.
-func (g *Graph) Arcs() int { return len(g.adj) }
-
-// ArcBase returns the index of v's first arc in arc-indexed arrays. Port p
-// of node v (its p-th incident edge, in sorted neighbor order) is arc
-// ArcBase(v)+p.
-func (g *Graph) ArcBase(v int) int32 { return g.offsets[v] }
-
-// Mates returns the arc-reversal permutation: if arc i is the directed edge
-// (v, u) then Mates()[i] is the arc (u, v). This is the CSR port map used
-// by the simulator's routing phase — a sender that knows its port for a
-// neighbor learns, in O(1), which of the receiver's ports the message
-// arrives on. Computed once on first use (O(arcs)) and cached; safe for
-// concurrent use. The returned slice must not be modified.
-func (g *Graph) Mates() []int32 {
-	g.matesOnce.Do(g.computeMates)
-	return g.mates
-}
-
-func (g *Graph) computeMates() {
-	mates := make([]int32, len(g.adj))
-	// Sweeping v in increasing order, the arcs pointing *at* a fixed node u
-	// are visited in increasing sender order — exactly the order of u's own
-	// sorted adjacency list — so a per-node cursor pairs arcs in O(arcs).
-	cur := make([]int32, g.N())
-	for v := 0; v < g.N(); v++ {
-		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-			u := g.adj[i]
-			mates[i] = g.offsets[u] + cur[u]
-			cur[u]++
-		}
-	}
-	g.mates = mates
-}
-
-// Port returns the index of u in v's sorted adjacency list, or -1 when
-// {v, u} is not an edge. It runs in O(log deg(v)).
-func (g *Graph) Port(v int, u int32) int {
-	nb := g.Neighbors(v)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= u })
-	if i < len(nb) && nb[i] == u {
-		return i
-	}
-	return -1
 }
 
 // HasEdge reports whether {u, v} is an edge. It runs in O(log deg(u)).

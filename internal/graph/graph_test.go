@@ -493,45 +493,6 @@ func TestDegreesSorted(t *testing.T) {
 	}
 }
 
-func TestMatesInvolution(t *testing.T) {
-	for _, g := range []*Graph{GNP(300, 0.05, 7), BarabasiAlbert(200, 3, 1), Star(5), Cycle(9)} {
-		mates := g.Mates()
-		if len(mates) != g.Arcs() {
-			t.Fatalf("Mates length %d, want %d arcs", len(mates), g.Arcs())
-		}
-		for v := 0; v < g.N(); v++ {
-			base := g.ArcBase(v)
-			for p, u := range g.Neighbors(v) {
-				i := base + int32(p)
-				j := mates[i]
-				// Arc j must live in u's range and point back at v.
-				if j < g.ArcBase(int(u)) || j >= g.ArcBase(int(u))+int32(g.Degree(int(u))) {
-					t.Fatalf("mate of arc %d outside node %d's range", i, u)
-				}
-				if g.Neighbors(int(u))[j-g.ArcBase(int(u))] != int32(v) {
-					t.Fatalf("mate of (%d,%d) does not point back", v, u)
-				}
-				if mates[j] != i {
-					t.Fatalf("Mates not an involution at arc %d", i)
-				}
-			}
-		}
-	}
-}
-
-func TestPort(t *testing.T) {
-	g := Star(4) // center 0, leaves 1..3
-	if p := g.Port(0, 2); p != 1 {
-		t.Fatalf("Port(0,2) = %d, want 1", p)
-	}
-	if p := g.Port(1, 0); p != 0 {
-		t.Fatalf("Port(1,0) = %d, want 0", p)
-	}
-	if p := g.Port(1, 2); p != -1 {
-		t.Fatalf("Port(1,2) = %d, want -1 (no edge)", p)
-	}
-}
-
 func TestRandomGeometricDeterministicAndValid(t *testing.T) {
 	a := RandomGeometric(500, 0.05, 9)
 	b := RandomGeometric(500, 0.05, 9)

@@ -8,7 +8,7 @@ import (
 )
 
 // TestBatchMatchesLegacy is the differential gate of the batch port: for
-// every graph shape, seed, and worker count, the struct-of-arrays batch
+// every graph shape and seed, the struct-of-arrays batch
 // automaton must produce byte-identical output and identical complexity
 // counters to the per-node reference implementation.
 func TestBatchMatchesLegacy(t *testing.T) {
@@ -30,28 +30,26 @@ func TestBatchMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed=%d legacy: %v", tc.name, seed, err)
 			}
-			for _, w := range []int{1, 2, 8} {
-				set, res, err := Run(tc.g, sim.Config{Seed: seed, Workers: w})
-				if err != nil {
-					t.Fatalf("%s seed=%d workers=%d batch: %v", tc.name, seed, w, err)
+			set, res, err := Run(tc.g, sim.Config{Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed=%d batch: %v", tc.name, seed, err)
+			}
+			for v := range refSet {
+				if set[v] != refSet[v] {
+					t.Fatalf("%s seed=%d: InSet[%d] = %v, legacy %v",
+						tc.name, seed, v, set[v], refSet[v])
 				}
-				for v := range refSet {
-					if set[v] != refSet[v] {
-						t.Fatalf("%s seed=%d workers=%d: InSet[%d] = %v, legacy %v",
-							tc.name, seed, w, v, set[v], refSet[v])
-					}
-				}
-				if res.Rounds != refRes.Rounds || res.MsgsSent != refRes.MsgsSent ||
-					res.MsgsDropped != refRes.MsgsDropped || res.BitsTotal != refRes.BitsTotal ||
-					res.BitsMax != refRes.BitsMax || res.Violations != refRes.Violations {
-					t.Fatalf("%s seed=%d workers=%d: counters differ\n legacy: %+v\n batch:  %+v",
-						tc.name, seed, w, refRes, res)
-				}
-				for v := range res.Awake {
-					if res.Awake[v] != refRes.Awake[v] {
-						t.Fatalf("%s seed=%d workers=%d: Awake[%d] = %d, legacy %d",
-							tc.name, seed, w, v, res.Awake[v], refRes.Awake[v])
-					}
+			}
+			if res.Rounds != refRes.Rounds || res.MsgsSent != refRes.MsgsSent ||
+				res.MsgsDropped != refRes.MsgsDropped || res.BitsTotal != refRes.BitsTotal ||
+				res.BitsMax != refRes.BitsMax || res.Violations != refRes.Violations {
+				t.Fatalf("%s seed=%d: counters differ\n legacy: %+v\n batch:  %+v",
+					tc.name, seed, refRes, res)
+			}
+			for v := range res.Awake {
+				if res.Awake[v] != refRes.Awake[v] {
+					t.Fatalf("%s seed=%d: Awake[%d] = %d, legacy %d",
+						tc.name, seed, v, res.Awake[v], refRes.Awake[v])
 				}
 			}
 		}

@@ -9,8 +9,7 @@ import (
 
 // TestBatchMatchesLegacy differentially tests the struct-of-arrays batch
 // automaton against the per-node reference: identical marking rounds, wake
-// schedules, outputs, and engine counters for every graph, seed, and worker
-// count.
+// schedules, outputs, and engine counters for every graph and seed.
 func TestBatchMatchesLegacy(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,37 +29,35 @@ func TestBatchMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed=%d legacy: %v", tc.name, seed, err)
 			}
-			for _, w := range []int{1, 2, 8} {
-				out, err := RunWithPlan(tc.g, plan, p, sim.Config{Seed: seed, Workers: w})
-				if err != nil {
-					t.Fatalf("%s seed=%d workers=%d batch: %v", tc.name, seed, w, err)
+			out, err := RunWithPlan(tc.g, plan, p, sim.Config{Seed: seed})
+			if err != nil {
+				t.Fatalf("%s seed=%d batch: %v", tc.name, seed, err)
+			}
+			for v := range ref.InSet {
+				if out.InSet[v] != ref.InSet[v] {
+					t.Fatalf("%s seed=%d: InSet[%d] = %v, legacy %v",
+						tc.name, seed, v, out.InSet[v], ref.InSet[v])
 				}
-				for v := range ref.InSet {
-					if out.InSet[v] != ref.InSet[v] {
-						t.Fatalf("%s seed=%d workers=%d: InSet[%d] = %v, legacy %v",
-							tc.name, seed, w, v, out.InSet[v], ref.InSet[v])
-					}
-				}
-				if out.Sampled != ref.Sampled || out.Spoiled != ref.Spoiled {
-					t.Fatalf("%s seed=%d workers=%d: sampled/spoiled %d/%d, legacy %d/%d",
-						tc.name, seed, w, out.Sampled, out.Spoiled, ref.Sampled, ref.Spoiled)
-				}
-				if len(out.Residual) != len(ref.Residual) {
-					t.Fatalf("%s seed=%d workers=%d: residual size %d, legacy %d",
-						tc.name, seed, w, len(out.Residual), len(ref.Residual))
-				}
-				r, rr := out.Res, ref.Res
-				if r.Rounds != rr.Rounds || r.MsgsSent != rr.MsgsSent ||
-					r.MsgsDropped != rr.MsgsDropped || r.BitsTotal != rr.BitsTotal ||
-					r.BitsMax != rr.BitsMax || r.Violations != rr.Violations {
-					t.Fatalf("%s seed=%d workers=%d: counters differ\n legacy: %+v\n batch:  %+v",
-						tc.name, seed, w, rr, r)
-				}
-				for v := range r.Awake {
-					if r.Awake[v] != rr.Awake[v] {
-						t.Fatalf("%s seed=%d workers=%d: Awake[%d] = %d, legacy %d",
-							tc.name, seed, w, v, r.Awake[v], rr.Awake[v])
-					}
+			}
+			if out.Sampled != ref.Sampled || out.Spoiled != ref.Spoiled {
+				t.Fatalf("%s seed=%d: sampled/spoiled %d/%d, legacy %d/%d",
+					tc.name, seed, out.Sampled, out.Spoiled, ref.Sampled, ref.Spoiled)
+			}
+			if len(out.Residual) != len(ref.Residual) {
+				t.Fatalf("%s seed=%d: residual size %d, legacy %d",
+					tc.name, seed, len(out.Residual), len(ref.Residual))
+			}
+			r, rr := out.Res, ref.Res
+			if r.Rounds != rr.Rounds || r.MsgsSent != rr.MsgsSent ||
+				r.MsgsDropped != rr.MsgsDropped || r.BitsTotal != rr.BitsTotal ||
+				r.BitsMax != rr.BitsMax || r.Violations != rr.Violations {
+				t.Fatalf("%s seed=%d: counters differ\n legacy: %+v\n batch:  %+v",
+					tc.name, seed, rr, r)
+			}
+			for v := range r.Awake {
+				if r.Awake[v] != rr.Awake[v] {
+					t.Fatalf("%s seed=%d: Awake[%d] = %d, legacy %d",
+						tc.name, seed, v, r.Awake[v], rr.Awake[v])
 				}
 			}
 		}

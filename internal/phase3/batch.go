@@ -9,8 +9,9 @@ import (
 // Batch drives the Phase III automata on the batch runtime as one flat
 // value array: all machines live in a single contiguous slice (no per-node
 // heap object, no interface dispatch — Compose/Deliver are direct method
-// calls), per-node outboxes are pooled scratch drained into the shared
-// BatchOutbox, and inboxes are served from the engine's pooled buffer.
+// calls), each node composes into one scratch Outbox that is drained into
+// the shared BatchOutbox, and inboxes are served from the engine's pooled
+// buffer.
 //
 // Unlike the simpler protocols (luby, phase1, ghaffari, degreduce), the
 // Phase III automaton is not split into struct-of-arrays form: its state is
@@ -29,7 +30,7 @@ type Batch struct {
 	nodes []Machine
 	envs  []sim.Env
 	rands []rng.Stream // per-node streams in one arena, aliased by envs
-	outs  []sim.Outbox // per-node scratch: ComposeAll chunks may run concurrently
+	out   sim.Outbox   // scratch for one node's Compose, drained after each call
 }
 
 var _ sim.BatchMachine = (*Batch)(nil)
@@ -41,7 +42,6 @@ func NewBatch(g *graph.Graph, tt *Timetable, thresh int) *Batch {
 	b.nodes = make([]Machine, n)
 	b.envs = make([]sim.Env, n)
 	b.rands = make([]rng.Stream, n)
-	b.outs = make([]sim.Outbox, n)
 	return b
 }
 
@@ -66,8 +66,8 @@ func (b *Batch) InitAll(env *sim.BatchEnv) []int {
 
 // ComposeAll implements sim.BatchMachine.
 func (b *Batch) ComposeAll(round int, awake []int32, out *sim.BatchOutbox) {
+	ob := &b.out
 	for _, v := range awake {
-		ob := &b.outs[v]
 		ob.ResetFor(v, b.envs[v].Neighbors)
 		b.nodes[v].Compose(round, ob)
 		ob.DrainTo(out)

@@ -11,8 +11,8 @@ import (
 // (the flat value-array Batch on the batch runtime) must produce
 // byte-identical Outcomes and complexity counters to RunLegacy (per-node
 // machines on the per-node engine), for every graph shape — including
-// multi-component shattered residuals, the phase's real input — seed, and
-// worker count.
+// multi-component shattered residuals, the phase's real input — and
+// seed.
 func TestBatchMatchesLegacy(t *testing.T) {
 	cases := []struct {
 		name string
@@ -33,41 +33,39 @@ func TestBatchMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s mode=%v seed=%d legacy: %v", tc.name, mode, seed, err)
 				}
-				for _, w := range []int{1, 2, 8} {
-					got, err := Run(tc.g, p, sim.Config{Seed: seed, Workers: w})
-					if err != nil {
-						t.Fatalf("%s mode=%v seed=%d workers=%d batch: %v", tc.name, mode, seed, w, err)
+				got, err := Run(tc.g, p, sim.Config{Seed: seed})
+				if err != nil {
+					t.Fatalf("%s mode=%v seed=%d batch: %v", tc.name, mode, seed, err)
+				}
+				for v := range ref.InSet {
+					if got.InSet[v] != ref.InSet[v] {
+						t.Fatalf("%s mode=%v seed=%d: InSet[%d] differs",
+							tc.name, mode, seed, v)
 					}
-					for v := range ref.InSet {
-						if got.InSet[v] != ref.InSet[v] {
-							t.Fatalf("%s mode=%v seed=%d workers=%d: InSet[%d] differs",
-								tc.name, mode, seed, w, v)
-						}
+				}
+				if len(got.Undecided) != len(ref.Undecided) || got.MaxDepth != ref.MaxDepth ||
+					got.MaxAttempts != ref.MaxAttempts || got.BrokenNodes != ref.BrokenNodes ||
+					got.Components != ref.Components || got.MaxComponent != ref.MaxComponent {
+					t.Fatalf("%s mode=%v seed=%d: outcome differs\n legacy: %+v\n batch:  %+v",
+						tc.name, mode, seed, summary(ref), summary(got))
+				}
+				for i := range got.Undecided {
+					if got.Undecided[i] != ref.Undecided[i] {
+						t.Fatalf("%s mode=%v seed=%d: undecided[%d] differs",
+							tc.name, mode, seed, i)
 					}
-					if len(got.Undecided) != len(ref.Undecided) || got.MaxDepth != ref.MaxDepth ||
-						got.MaxAttempts != ref.MaxAttempts || got.BrokenNodes != ref.BrokenNodes ||
-						got.Components != ref.Components || got.MaxComponent != ref.MaxComponent {
-						t.Fatalf("%s mode=%v seed=%d workers=%d: outcome differs\n legacy: %+v\n batch:  %+v",
-							tc.name, mode, seed, w, summary(ref), summary(got))
-					}
-					for i := range got.Undecided {
-						if got.Undecided[i] != ref.Undecided[i] {
-							t.Fatalf("%s mode=%v seed=%d workers=%d: undecided[%d] differs",
-								tc.name, mode, seed, w, i)
-						}
-					}
-					r, gr := ref.Res, got.Res
-					if gr.Rounds != r.Rounds || gr.MsgsSent != r.MsgsSent ||
-						gr.MsgsDropped != r.MsgsDropped || gr.BitsTotal != r.BitsTotal ||
-						gr.BitsMax != r.BitsMax || gr.Violations != r.Violations {
-						t.Fatalf("%s mode=%v seed=%d workers=%d: counters differ\n legacy: %+v\n batch:  %+v",
-							tc.name, mode, seed, w, r, gr)
-					}
-					for v := range gr.Awake {
-						if gr.Awake[v] != r.Awake[v] {
-							t.Fatalf("%s mode=%v seed=%d workers=%d: Awake[%d] = %d, legacy %d",
-								tc.name, mode, seed, w, v, gr.Awake[v], r.Awake[v])
-						}
+				}
+				r, gr := ref.Res, got.Res
+				if gr.Rounds != r.Rounds || gr.MsgsSent != r.MsgsSent ||
+					gr.MsgsDropped != r.MsgsDropped || gr.BitsTotal != r.BitsTotal ||
+					gr.BitsMax != r.BitsMax || gr.Violations != r.Violations {
+					t.Fatalf("%s mode=%v seed=%d: counters differ\n legacy: %+v\n batch:  %+v",
+						tc.name, mode, seed, r, gr)
+				}
+				for v := range gr.Awake {
+					if gr.Awake[v] != r.Awake[v] {
+						t.Fatalf("%s mode=%v seed=%d: Awake[%d] = %d, legacy %d",
+							tc.name, mode, seed, v, gr.Awake[v], r.Awake[v])
 					}
 				}
 			}

@@ -38,13 +38,6 @@ type BatchEnv struct {
 // awake node's inbox via in.At(i) — i indexes into the `awake` slice it was
 // given — and writes the node's next wake round (must be > round, or Never)
 // into next[i].
-//
-// When the engine runs with Workers > 1, ComposeAll and DeliverAll are
-// invoked concurrently on disjoint contiguous sub-slices of the round's
-// awake set. An implementation must therefore only touch per-node state of
-// the nodes in the slice it was handed — which the struct-of-arrays layout
-// gives for free when the loop body stays per-node, as in the per-node
-// engine's contract.
 type BatchMachine interface {
 	InitAll(env *BatchEnv) []int
 	ComposeAll(round int, awake []int32, out *BatchOutbox)
@@ -68,7 +61,8 @@ func (o *BatchOutbox) Broadcast(from int32, m Msg) {
 	o.bcast = append(o.bcast, m)
 }
 
-// Send queues a unicast from node from to its neighbor to.
+// Send queues a unicast from node from to its neighbor to. RunBatch fails
+// the run with an error when to is not a neighbor of from.
 func (o *BatchOutbox) Send(from, to int32, m Msg) {
 	m.From = from
 	o.uni = append(o.uni, m)
@@ -84,21 +78,17 @@ func (o *BatchOutbox) reset() {
 // Inboxes serves every awake node's inbox as a segment of one pooled
 // buffer: node awake[i]'s messages are At(i), in the same order the
 // per-node engine would deliver them (ascending sender; per sender,
-// broadcasts before unicasts, each in call order). The view may cover a
-// sub-slice of the round's awake set (the parallel executor hands each
-// worker its chunk); At indexes relative to that sub-slice.
+// broadcasts before unicasts, each in call order).
 type Inboxes struct {
-	buf  []Msg
-	off  []int32 // len = full awake set + 1
-	base int32   // rank of this view's first node in the full awake set
+	buf []Msg
+	off []int32 // len = awake set + 1
 }
 
 // At returns the inbox of the i-th node of the awake slice this view was
 // delivered with. The returned slice aliases the round's shared buffer and
 // must not be retained across rounds.
 func (in Inboxes) At(i int) []Msg {
-	o := in.base + int32(i)
-	return in.buf[in.off[o]:in.off[o+1]]
+	return in.buf[in.off[i]:in.off[i+1]]
 }
 
 // Mem holds the engine's reusable buffers, so a caller executing many runs
@@ -119,13 +109,13 @@ type Mem struct {
 	roundHeap  []int
 	buckets    map[int][]int32
 	bucketPool [][]int32
-	outs       []BatchOutbox
+	out        BatchOutbox
 }
 
 // NewMem returns an empty buffer pool.
 func NewMem() *Mem { return &Mem{} }
 
-func (m *Mem) grow(n, workers int) {
+func (m *Mem) grow(n int) {
 	if cap(m.stamp) < n {
 		m.stamp = make([]int64, n)
 		m.stampBase = 0
@@ -137,9 +127,6 @@ func (m *Mem) grow(n, workers int) {
 	m.rank = m.rank[:n]
 	if m.buckets == nil {
 		m.buckets = make(map[int][]int32)
-	}
-	for len(m.outs) < workers {
-		m.outs = append(m.outs, BatchOutbox{})
 	}
 }
 
@@ -156,12 +143,6 @@ func RunBatch(g *graph.Graph, bm BatchMachine, cfg Config) (*Result, error) {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 1 << 22
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.Workers > n && n > 0 {
-		cfg.Workers = n
-	}
 	mem := cfg.Mem
 	if mem == nil {
 		mem = NewMem()
@@ -176,12 +157,6 @@ type batchEngine struct {
 	cfg Config
 	mem *Mem
 	res Result
-
-	// Current-round state read by the hoisted worker closures (allocated
-	// once per run, not once per round).
-	curRound int
-	curAwake []int32
-	curNext  []int
 }
 
 func (e *batchEngine) schedule(v int32, round int) error {
@@ -207,21 +182,23 @@ func (e *batchEngine) schedule(v int32, round int) error {
 func (e *batchEngine) run() (*Result, error) {
 	n := e.g.N()
 	m := e.mem
-	m.grow(n, e.cfg.Workers)
+	m.grow(n)
 	e.res.Awake = make([]int32, n) // escapes into the Result; never pooled
 
 	// Leave the Mem reusable on every exit, including error paths: drain
 	// pending wake buckets (a retry on the same pool must not see phantom
 	// scheduled nodes, possibly from a different graph) and advance the
 	// stamp epoch past every stamp this run may have written, so the next
-	// run needs no O(n) clear and stale stamps can never match.
+	// run needs no O(n) clear and stale stamps can never match. No stamp
+	// written so far exceeds stampBase+last+1.
+	last := 0 // the last round that stamped its awake set
 	defer func() {
 		for r, b := range m.buckets {
 			m.bucketPool = append(m.bucketPool, b)
 			delete(m.buckets, r)
 		}
 		m.roundHeap = m.roundHeap[:0]
-		m.stampBase += int64(e.curRound) + 2
+		m.stampBase += int64(last) + 2
 	}()
 
 	env := BatchEnv{G: e.g, N: n, B: e.cfg.B, Seed: e.cfg.Seed}
@@ -233,16 +210,6 @@ func (e *batchEngine) run() (*Result, error) {
 		if err := e.schedule(int32(v), r); err != nil {
 			return nil, err
 		}
-	}
-
-	composeChunk := func(w, lo, hi int) {
-		ob := &m.outs[w]
-		ob.reset()
-		e.bm.ComposeAll(e.curRound, e.curAwake[lo:hi], ob)
-	}
-	deliverChunk := func(w, lo, hi int) {
-		view := Inboxes{buf: m.inbuf, off: m.inoff, base: int32(lo)}
-		e.bm.DeliverAll(e.curRound, e.curAwake[lo:hi], view, e.curNext[lo:hi])
 	}
 
 	tr := e.cfg.Tracer
@@ -263,6 +230,7 @@ func (e *batchEngine) run() (*Result, error) {
 			snap = e.res // counter snapshot; the round's deltas are diffs against it
 		}
 
+		last = round
 		stamp := m.stampBase + int64(round) + 1
 		for i, v := range awake {
 			m.stamp[v] = stamp
@@ -270,33 +238,22 @@ func (e *batchEngine) run() (*Result, error) {
 			e.res.Awake[v]++
 		}
 
-		workers := e.cfg.Workers
-		if workers > len(awake) {
-			workers = len(awake)
-		}
-		if workers < 1 {
-			workers = 1
-		}
+		// Phase 1: compose the whole awake set into one outbox.
+		m.out.reset()
+		e.bm.ComposeAll(round, awake, &m.out)
 
-		// Phase 1: compose, one BatchOutbox per worker chunk.
-		e.curRound, e.curAwake = round, awake
-		runChunks(workers, len(awake), composeChunk)
-
-		// Phase 2: route sequentially — merge the worker outboxes (chunks
-		// partition the sorted awake set, so visiting them in order walks
-		// senders ascending) into one receiver-grouped inbox buffer.
-		if err := e.route(awake, workers, stamp); err != nil {
+		// Phase 2: route the outbox (senders ascending) into one
+		// receiver-grouped inbox buffer.
+		if err := e.route(awake, stamp); err != nil {
 			return nil, err
 		}
 
-		// Phase 3: deliver over the same chunks, then apply scheduling
-		// decisions sequentially (the wake buckets are shared state).
+		// Phase 3: deliver, then apply the scheduling decisions.
 		if cap(m.next) < len(awake) {
 			m.next = make([]int, len(awake))
 		}
 		next := m.next[:len(awake)]
-		e.curNext = next
-		runChunks(workers, len(awake), deliverChunk)
+		e.bm.DeliverAll(round, awake, Inboxes{buf: m.inbuf, off: m.inoff}, next)
 		for i, v := range awake {
 			if next[i] != Never && next[i] <= round {
 				return nil, fmt.Errorf("sim: node %d returned wake round %d <= current %d", v, next[i], round)
@@ -322,14 +279,15 @@ func (e *batchEngine) run() (*Result, error) {
 	return &e.res, nil
 }
 
-// route merges the worker outboxes into the round's inbox buffer. Two
-// passes: the first walks every message in the per-node engine's routing
-// order (ascending sender; per sender broadcasts then unicasts), accounts
-// traffic, drops messages to sleeping receivers, and stages the survivors
-// with their destination rank; the second computes per-receiver offsets and
-// scatters. Staging preserves arrival order, so each receiver's segment is
-// byte-identical to the per-node engine's inbox.
-func (e *batchEngine) route(awake []int32, workers int, stamp int64) error {
+// route moves the round's outbox into its inbox buffer. Two passes: the
+// first walks every message in the per-node engine's routing order
+// (ascending sender; per sender broadcasts then unicasts), rejects
+// unicasts to non-neighbors, accounts traffic, drops messages to sleeping
+// receivers, and stages the survivors with their destination rank; the
+// second computes per-receiver offsets and scatters. Staging preserves
+// arrival order, so each receiver's segment is byte-identical to the
+// per-node engine's inbox.
+func (e *batchEngine) route(awake []int32, stamp int64) error {
 	m := e.mem
 	k := len(awake)
 	if cap(m.cnt) < k+1 {
@@ -342,49 +300,50 @@ func (e *batchEngine) route(awake []int32, workers int, stamp int64) error {
 	routed := m.routed[:0]
 	rdst := m.rdst[:0]
 
-	for w := 0; w < workers; w++ {
-		ob := &m.outs[w]
-		bi, ui := 0, 0
-		for bi < len(ob.bcast) || ui < len(ob.uni) {
-			// Next sender: the smaller head; its broadcasts drain before
-			// its unicasts, matching the per-node engine's router.
-			var s int32
-			if bi < len(ob.bcast) && (ui >= len(ob.uni) || ob.bcast[bi].From <= ob.uni[ui].From) {
-				s = ob.bcast[bi].From
-			} else {
-				s = ob.uni[ui].From
+	ob := &m.out
+	bi, ui := 0, 0
+	for bi < len(ob.bcast) || ui < len(ob.uni) {
+		// Next sender: the smaller head; its broadcasts drain before its
+		// unicasts, matching the per-node engine's router.
+		var s int32
+		if bi < len(ob.bcast) && (ui >= len(ob.uni) || ob.bcast[bi].From <= ob.uni[ui].From) {
+			s = ob.bcast[bi].From
+		} else {
+			s = ob.uni[ui].From
+		}
+		nbrs := e.g.Neighbors(int(s))
+		d := len(nbrs)
+		for bi < len(ob.bcast) && ob.bcast[bi].From == s {
+			mm := ob.bcast[bi]
+			bi++
+			if d == 0 {
+				continue // no incident edges: nothing sent, nothing accounted
 			}
-			nbrs := e.g.Neighbors(int(s))
-			d := len(nbrs)
-			for bi < len(ob.bcast) && ob.bcast[bi].From == s {
-				mm := ob.bcast[bi]
-				bi++
-				if d == 0 {
-					continue // no incident edges: nothing sent, nothing accounted
-				}
-				e.accountFanoutBatch(mm, d)
-				for _, u := range nbrs {
-					if m.stamp[u] == stamp {
-						routed = append(routed, mm)
-						rdst = append(rdst, m.rank[u])
-						cnt[m.rank[u]]++
-					} else {
-						e.res.MsgsDropped++
-					}
-				}
-			}
-			for ui < len(ob.uni) && ob.uni[ui].From == s {
-				mm := ob.uni[ui]
-				to := ob.uto[ui]
-				ui++
-				e.accountFanoutBatch(mm, 1)
-				if m.stamp[to] == stamp {
+			e.accountFanoutBatch(mm, d)
+			for _, u := range nbrs {
+				if m.stamp[u] == stamp {
 					routed = append(routed, mm)
-					rdst = append(rdst, m.rank[to])
-					cnt[m.rank[to]]++
+					rdst = append(rdst, m.rank[u])
+					cnt[m.rank[u]]++
 				} else {
 					e.res.MsgsDropped++
 				}
+			}
+		}
+		for ui < len(ob.uni) && ob.uni[ui].From == s {
+			mm := ob.uni[ui]
+			to := ob.uto[ui]
+			ui++
+			if !e.g.HasEdge(int(s), int(to)) {
+				return fmt.Errorf("sim: node %d unicast to non-neighbor %d", s, to)
+			}
+			e.accountFanoutBatch(mm, 1)
+			if m.stamp[to] == stamp {
+				routed = append(routed, mm)
+				rdst = append(rdst, m.rank[to])
+				cnt[m.rank[to]]++
+			} else {
+				e.res.MsgsDropped++
 			}
 		}
 	}
@@ -443,13 +402,12 @@ func Adapt(machines []Machine) BatchMachine {
 type machineAdapter struct {
 	machines []Machine
 	envs     []Env
-	outs     []Outbox // per-node scratch: ComposeAll chunks may run concurrently
+	out      Outbox // scratch for one node's Compose, drained after each call
 }
 
 func (a *machineAdapter) InitAll(env *BatchEnv) []int {
 	n := len(a.machines)
 	a.envs = make([]Env, n)
-	a.outs = make([]Outbox, n)
 	first := make([]int, n)
 	for v := 0; v < n; v++ {
 		a.envs[v] = Env{
@@ -466,8 +424,8 @@ func (a *machineAdapter) InitAll(env *BatchEnv) []int {
 }
 
 func (a *machineAdapter) ComposeAll(round int, awake []int32, out *BatchOutbox) {
+	ob := &a.out
 	for _, v := range awake {
-		ob := &a.outs[v]
 		ob.reset(v, a.envs[v].Neighbors)
 		a.machines[v].Compose(round, ob)
 		ob.DrainTo(out)

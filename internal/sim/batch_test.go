@@ -47,16 +47,90 @@ func (m *chatterMachine) Deliver(round int, inbox []Msg) int {
 	return round + 1 + m.env.Rand.Intn(3)
 }
 
-func runChatter(t *testing.T, g *graph.Graph, batch bool, workers int) ([]uint64, *Result) {
+func (m *chatterMachine) Digest() uint64 { return m.digest }
+
+// chattyMachine sends two broadcasts plus two unicasts to every neighbor
+// in each awake round — several messages per edge per round — on a
+// personal wake schedule, so some rounds mix awake and asleep receivers.
+// It logs every message it receives, in arrival order.
+type chattyMachine struct {
+	env   *Env
+	log   []int64 // one chattyEntry per received message
+	awake []int   // personal wake schedule
+}
+
+// chattySchedule is node v's chattyMachine wake schedule: nodes 1 mod 3
+// sleep through round 1 and wake in round 2 instead.
+func chattySchedule(v int) []int {
+	if v%3 == 1 {
+		return []int{0, 2, 3}
+	}
+	return []int{0, 1, 3}
+}
+
+// chattyEntry packs a received message into one chattyMachine log entry.
+func chattyEntry(from int32, kind uint8, a uint64) int64 {
+	return int64(from)<<32 | int64(kind)<<16 | int64(a&0xFFFF)
+}
+
+func (m *chattyMachine) Init(env *Env) int {
+	m.env = env
+	if len(m.awake) == 0 {
+		return Never
+	}
+	return m.awake[0]
+}
+
+func (m *chattyMachine) Compose(round int, out *Outbox) {
+	out.Broadcast(Msg{Kind: 1, A: uint64(m.env.Node)<<8 | uint64(round), Bits: 16})
+	out.Broadcast(Msg{Kind: 2, A: uint64(m.env.Node), Bits: 8})
+	for _, u := range m.env.Neighbors {
+		out.Send(u, Msg{Kind: 3, A: uint64(u), Bits: 4})
+		out.Send(u, Msg{Kind: 4, A: uint64(round), Bits: 4})
+	}
+}
+
+func (m *chattyMachine) Deliver(round int, inbox []Msg) int {
+	for _, msg := range inbox {
+		m.log = append(m.log, chattyEntry(msg.From, msg.Kind, msg.A))
+	}
+	for i, r := range m.awake {
+		if r == round && i+1 < len(m.awake) {
+			return m.awake[i+1]
+		}
+	}
+	return Never
+}
+
+// Digest folds the delivery log, in order, into one word.
+func (m *chattyMachine) Digest() uint64 {
+	var d uint64
+	for _, e := range m.log {
+		d = d*0x9e3779b97f4a7c15 + uint64(e)
+	}
+	return d
+}
+
+// digestMachine is a per-node machine whose final state is an
+// order-sensitive digest of every inbox it received.
+type digestMachine interface {
+	Machine
+	Digest() uint64
+}
+
+// runDigests runs one digestMachine per node, made by mk, on the per-node
+// engine or through Adapt on the batch engine, and returns every node's
+// final digest with the run's Result.
+func runDigests(t *testing.T, g *graph.Graph, mk func(v int) digestMachine, batch bool) ([]uint64, *Result) {
 	t.Helper()
 	n := g.N()
 	machines := make([]Machine, n)
-	nodes := make([]chatterMachine, n)
+	nodes := make([]digestMachine, n)
 	for v := range machines {
-		nodes[v].rounds = 6
-		machines[v] = &nodes[v]
+		nodes[v] = mk(v)
+		machines[v] = nodes[v]
 	}
-	cfg := Config{Seed: 42, Workers: workers}
+	cfg := Config{Seed: 42}
 	var res *Result
 	var err error
 	if batch {
@@ -69,41 +143,111 @@ func runChatter(t *testing.T, g *graph.Graph, batch bool, workers int) ([]uint64
 	}
 	digests := make([]uint64, n)
 	for v := range nodes {
-		digests[v] = nodes[v].digest
+		digests[v] = nodes[v].Digest()
 	}
 	return digests, res
 }
 
 // TestBatchAdapterMatchesPerNodeEngine runs the same per-node machines on
-// both engines (and on the batch engine across worker counts) and requires
-// byte-identical inbox sequences and counters.
+// both engines and requires byte-identical inbox sequences and counters:
+// chatterMachine mixes broadcasts, random unicasts and random sleep;
+// chattyMachine puts several messages on every edge in every awake round.
 func TestBatchAdapterMatchesPerNodeEngine(t *testing.T) {
+	machines := []struct {
+		name string
+		mk   func(v int) digestMachine
+	}{
+		{"chatter", func(int) digestMachine { return &chatterMachine{rounds: 6} }},
+		{"chatty", func(v int) digestMachine { return &chattyMachine{awake: chattySchedule(v)} }},
+	}
 	graphs := []*graph.Graph{
 		graph.GNP(200, 0.05, 9),
+		graph.GNP(40, 0.2, 9),
 		graph.Cycle(31),
 		graph.Star(40),
 		graph.FromEdges(6, [][2]int{{0, 1}}), // isolated nodes
 	}
-	for gi, g := range graphs {
-		refDig, refRes := runChatter(t, g, false, 1)
-		for _, workers := range []int{1, 2, 7} {
-			dig, res := runChatter(t, g, true, workers)
+	for _, mc := range machines {
+		for gi, g := range graphs {
+			refDig, refRes := runDigests(t, g, mc.mk, false)
+			dig, res := runDigests(t, g, mc.mk, true)
 			for v := range refDig {
 				if dig[v] != refDig[v] {
-					t.Fatalf("graph %d workers=%d: node %d inbox digest %x, per-node engine %x",
-						gi, workers, v, dig[v], refDig[v])
+					t.Fatalf("%s graph %d: node %d inbox digest %x, per-node engine %x",
+						mc.name, gi, v, dig[v], refDig[v])
 				}
 			}
 			if res.Rounds != refRes.Rounds || res.MsgsSent != refRes.MsgsSent ||
 				res.MsgsDropped != refRes.MsgsDropped || res.BitsTotal != refRes.BitsTotal ||
 				res.BitsMax != refRes.BitsMax {
-				t.Fatalf("graph %d workers=%d: counters differ\n per-node: %+v\n batch:    %+v",
-					gi, workers, refRes, res)
+				t.Fatalf("%s graph %d: counters differ\n per-node: %+v\n batch:    %+v",
+					mc.name, gi, refRes, res)
 			}
 			for v := range res.Awake {
 				if res.Awake[v] != refRes.Awake[v] {
-					t.Fatalf("graph %d workers=%d: Awake[%d] = %d, per-node %d",
-						gi, workers, v, res.Awake[v], refRes.Awake[v])
+					t.Fatalf("%s graph %d: Awake[%d] = %d, per-node %d",
+						mc.name, gi, v, res.Awake[v], refRes.Awake[v])
+				}
+			}
+		}
+	}
+}
+
+// TestParallelPreservesMultiMessageOrder checks both engines' delivery
+// order, with several messages on one edge in one round, against the order
+// they promise: each inbox is grouped by sender in ascending id, and each
+// sender's messages arrive broadcasts first and unicasts second, each in
+// Compose call order. A sender's messages reach only receivers awake in
+// the round they were sent.
+func TestParallelPreservesMultiMessageOrder(t *testing.T) {
+	g := graph.GNP(40, 0.2, 9)
+	n := g.N()
+	awakeIn := func(v, round int) bool {
+		for _, r := range chattySchedule(v) {
+			if r == round {
+				return true
+			}
+		}
+		return false
+	}
+	want := make([][]int64, n)
+	for v := 0; v < n; v++ {
+		for _, round := range chattySchedule(v) {
+			for u := 0; u < n; u++ {
+				if !g.HasEdge(u, v) || !awakeIn(u, round) {
+					continue
+				}
+				from := int32(u)
+				want[v] = append(want[v],
+					chattyEntry(from, 1, uint64(u)<<8|uint64(round)),
+					chattyEntry(from, 2, uint64(u)),
+					chattyEntry(from, 3, uint64(v)),
+					chattyEntry(from, 4, uint64(round)))
+			}
+		}
+	}
+	for _, engine := range []string{"Run", "RunBatch(Adapt)"} {
+		machines := make([]Machine, n)
+		for v := range machines {
+			machines[v] = &chattyMachine{awake: chattySchedule(v)}
+		}
+		var err error
+		if engine == "Run" {
+			_, err = Run(g, machines, Config{Seed: 2})
+		} else {
+			_, err = RunBatch(g, Adapt(machines), Config{Seed: 2})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range machines {
+			got := machines[v].(*chattyMachine).log
+			if len(got) != len(want[v]) {
+				t.Fatalf("%s node %d: received %d messages, want %d", engine, v, len(got), len(want[v]))
+			}
+			for i := range got {
+				if got[i] != want[v][i] {
+					t.Fatalf("%s node %d: message %d is %x, want %x", engine, v, i, got[i], want[v][i])
 				}
 			}
 		}
@@ -230,32 +374,68 @@ func TestBatchAdapterAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestBatchMemReuseAfterError: a run that errors mid-flight (MaxRounds
-// here) must leave a pooled Mem clean — no phantom scheduled nodes, no
-// stale awake stamps — so a subsequent run on a different (smaller) graph
-// behaves exactly like one on fresh buffers.
+// strayBatch is pingBatch plus, in round `at`, one unicast from the first
+// awake node to a node that is not its neighbor.
+type strayBatch struct {
+	pingBatch
+	at int
+}
+
+func (p *strayBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
+	p.pingBatch.ComposeAll(round, awake, out)
+	if round != p.at {
+		return
+	}
+	v := awake[0]
+	for u := int32(0); int(u) < p.g.N(); u++ {
+		if u != v && !p.g.HasEdge(int(v), int(u)) {
+			out.Send(v, u, Msg{Kind: 2, Bits: 8})
+			return
+		}
+	}
+}
+
+// TestBatchMemReuseAfterError: a run that errors mid-flight (the MaxRounds
+// cap, or a unicast to a non-neighbor) must leave a pooled Mem clean — no
+// phantom scheduled nodes, no stale awake stamps — so a subsequent run on
+// a different (smaller) graph behaves exactly like one on fresh buffers.
 func TestBatchMemReuseAfterError(t *testing.T) {
-	mem := NewMem()
 	big := graph.GNP(300, 0.05, 1)
-	if _, err := RunBatch(big, &pingBatch{g: big, rounds: 50}, Config{Mem: mem, MaxRounds: 5}); err == nil {
-		t.Fatal("expected MaxRounds error")
+	failing := []struct {
+		name string
+		run  func(mem *Mem) error
+	}{
+		{"max-rounds", func(mem *Mem) error {
+			_, err := RunBatch(big, &pingBatch{g: big, rounds: 50}, Config{Mem: mem, MaxRounds: 5})
+			return err
+		}},
+		{"non-neighbor", func(mem *Mem) error {
+			_, err := RunBatch(big, &strayBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3}, Config{Mem: mem})
+			return err
+		}},
 	}
 	small := graph.Cycle(10)
-	pooled, err := RunBatch(small, &pingBatch{g: small, rounds: 3}, Config{Mem: mem})
-	if err != nil {
-		t.Fatal(err)
-	}
 	fresh, err := RunBatch(small, &pingBatch{g: small, rounds: 3}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pooled.Rounds != fresh.Rounds || pooled.MsgsSent != fresh.MsgsSent ||
-		pooled.MsgsDropped != fresh.MsgsDropped || pooled.BitsTotal != fresh.BitsTotal {
-		t.Fatalf("post-error pooled run differs\n fresh:  %+v\n pooled: %+v", fresh, pooled)
-	}
-	for v := range pooled.Awake {
-		if pooled.Awake[v] != fresh.Awake[v] {
-			t.Fatalf("post-error pooled Awake[%d] = %d, fresh %d", v, pooled.Awake[v], fresh.Awake[v])
+	for _, f := range failing {
+		mem := NewMem()
+		if err := f.run(mem); err == nil {
+			t.Fatalf("%s: expected an error", f.name)
+		}
+		pooled, err := RunBatch(small, &pingBatch{g: small, rounds: 3}, Config{Mem: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pooled.Rounds != fresh.Rounds || pooled.MsgsSent != fresh.MsgsSent ||
+			pooled.MsgsDropped != fresh.MsgsDropped || pooled.BitsTotal != fresh.BitsTotal {
+			t.Fatalf("%s: post-error pooled run differs\n fresh:  %+v\n pooled: %+v", f.name, fresh, pooled)
+		}
+		for v := range pooled.Awake {
+			if pooled.Awake[v] != fresh.Awake[v] {
+				t.Fatalf("%s: post-error pooled Awake[%d] = %d, fresh %d", f.name, v, pooled.Awake[v], fresh.Awake[v])
+			}
 		}
 	}
 }

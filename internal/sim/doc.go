@@ -34,6 +34,12 @@
 // identical between the two paths: for any protocol expressed both ways,
 // Run and RunBatch produce byte-identical Results (enforced by the
 // differential tests in the protocol packages and by determinism_test.go
-// at the repo root). Both paths support the deterministic parallel
-// executor (Config.Workers > 1), again with byte-identical results.
+// at the repo root).
+//
+// Both paths execute a run on the calling goroutine: compose, route, and
+// deliver walk the sorted awake set in order, and nothing in the package
+// starts a goroutine. Independent runs may execute concurrently, each on
+// its own Mem (see internal/bench's throughput executor). Both routers
+// reject a unicast to a node that is not the sender's neighbor: the run
+// fails with an error, like a non-increasing wake round.
 package sim

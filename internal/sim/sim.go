@@ -53,22 +53,13 @@ type Machine interface {
 // Outbox collects the messages a node sends in one round. At most one
 // message per neighbor per round is allowed (the CONGEST discipline);
 // Broadcast counts as one message on every incident edge. Unicasts must
-// address a neighbor of the sending node (the parallel executor enforces
-// this; it is a model violation either way).
+// address a neighbor of the sending node; both engines fail the run with
+// an error otherwise.
 type Outbox struct {
 	node      int32
 	neighbors []int32
 	msgs      []addressed
 	bcast     []Msg
-
-	// Port-grouped finalized form, used by the parallel routing phase:
-	// final holds this round's messages grouped by destination port, with
-	// port p's segment at final[off[p]:off[p+1]] (broadcasts first, then
-	// unicasts, each in call order). All buffers are reused across rounds.
-	final  []Msg
-	off    []int32
-	cur    []int32
-	uports []int32 // resolved unicast ports, one per entry of msgs
 }
 
 type addressed struct {
@@ -155,7 +146,6 @@ type Config struct {
 	Seed      uint64
 	MaxRounds int  // safety cap; 0 means a generous default
 	B         int  // CONGEST budget in bits; 0 means 4*ceil(log2 N) (min 16)
-	Workers   int  // >1 enables the parallel executor with that many workers
 	Strict    bool // panic on CONGEST violations instead of counting them
 	// Mem supplies pooled engine buffers reused across runs (see Mem). Used
 	// by the batch runtime (RunBatch); nil allocates fresh buffers.
@@ -168,8 +158,8 @@ type Config struct {
 }
 
 // ForPhase derives the engine configuration of phase `phase` of a composed
-// run: an independent seed from the root seed, everything else (workers,
-// budget, Mem pool) shared. This is the single definition of the per-phase
+// run: an independent seed from the root seed, everything else (budget,
+// Mem pool, tracer) shared. This is the single definition of the per-phase
 // seed derivation used by core and pipeline.
 func (c Config) ForPhase(phase uint64) Config {
 	c.Seed ^= phase * 0x9e3779b97f4a7c15
@@ -195,11 +185,11 @@ func log2Ceil(n int) int {
 // Run executes machines on g until no node is scheduled to wake, and
 // returns the measured Result. machines[v] is node v's automaton; len must
 // equal g.N(). An error is returned only if the MaxRounds cap is hit or a
-// machine misbehaves (returns a non-increasing wake round).
+// machine misbehaves (returns a non-increasing wake round, or unicasts to
+// a node that is not its neighbor).
 //
-// The Config is normalized once here: Workers < 1 is treated as 1
-// (sequential), Workers is capped at the node count, and the zero values
-// of B and MaxRounds get their documented defaults.
+// The Config is normalized once here: the zero values of B and MaxRounds
+// get their documented defaults.
 func Run(g *graph.Graph, machines []Machine, cfg Config) (*Result, error) {
 	n := g.N()
 	if len(machines) != n {
@@ -210,12 +200,6 @@ func Run(g *graph.Graph, machines []Machine, cfg Config) (*Result, error) {
 	}
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 1 << 22
-	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.Workers > n && n > 0 {
-		cfg.Workers = n
 	}
 	e := &engine{g: g, machines: machines, cfg: cfg}
 	return e.run()
@@ -237,13 +221,6 @@ type engine struct {
 	inboxes    [][]Msg
 	outboxes   []Outbox
 	res        Result
-
-	// Parallel executor state (allocated only when Workers > 1).
-	mates    []int32 // CSR port map (graph.Mates)
-	scratch  [][]Msg // per-worker inbox gather buffers
-	nextBuf  []int   // per-round wake decisions, reused
-	acctBuf  []routeStats
-	curStamp int64
 }
 
 func (e *engine) schedule(v int32, round int) error {
@@ -274,12 +251,6 @@ func (e *engine) run() (*Result, error) {
 	e.inboxes = make([][]Msg, n)
 	e.outboxes = make([]Outbox, n)
 	e.res.Awake = make([]int32, n)
-	parallel := e.cfg.Workers > 1
-	if parallel {
-		e.mates = e.g.Mates()
-		e.scratch = make([][]Msg, e.cfg.Workers)
-		e.acctBuf = make([]routeStats, e.cfg.Workers)
-	}
 
 	envs := make([]Env, n)
 	for v := 0; v < n; v++ {
@@ -326,51 +297,44 @@ func (e *engine) run() (*Result, error) {
 			e.res.Awake[v]++
 		}
 
-		if parallel {
-			// Compose+route scatter and gather+deliver, both over the
-			// worker pool (see parallel.go).
-			e.curStamp = stamp
-			e.composeParallel(awake, round)
-			if err := e.deliverParallel(awake, round); err != nil {
+		// Phase 1: compose.
+		for _, v := range awake {
+			ob := &e.outboxes[v]
+			ob.reset(v, e.g.Neighbors(int(v)))
+			e.machines[v].Compose(round, ob)
+		}
+
+		// Phase 2: route (in sender order, so inboxes are sorted by sender
+		// and runs are deterministic).
+		for _, v := range awake {
+			ob := &e.outboxes[v]
+			for _, m := range ob.bcast {
+				// A broadcast occupies every incident edge: one CONGEST
+				// message per neighbor; account the whole fan-out at once
+				// instead of per copy.
+				e.accountFanout(m, len(ob.neighbors))
+				for _, u := range ob.neighbors {
+					e.deliverTo(u, m, stamp)
+				}
+			}
+			for _, am := range ob.msgs {
+				if !e.g.HasEdge(int(v), int(am.to)) {
+					return nil, fmt.Errorf("sim: node %d unicast to non-neighbor %d", v, am.to)
+				}
+				e.accountMsg(am.msg)
+				e.deliverTo(am.to, am.msg, stamp)
+			}
+		}
+
+		// Phase 3: deliver and reschedule.
+		for _, v := range awake {
+			next := e.machines[v].Deliver(round, e.inboxes[v])
+			e.inboxes[v] = e.inboxes[v][:0]
+			if next != Never && next <= round {
+				return nil, fmt.Errorf("sim: node %d returned wake round %d <= current %d", v, next, round)
+			}
+			if err := e.schedule(v, next); err != nil {
 				return nil, err
-			}
-		} else {
-			// Phase 1: compose.
-			for _, v := range awake {
-				ob := &e.outboxes[v]
-				ob.reset(v, e.g.Neighbors(int(v)))
-				e.machines[v].Compose(round, ob)
-			}
-
-			// Phase 2: route (in sender order, so inboxes are sorted by
-			// sender and runs are deterministic).
-			for _, v := range awake {
-				ob := &e.outboxes[v]
-				for _, m := range ob.bcast {
-					// A broadcast occupies every incident edge: one CONGEST
-					// message per neighbor; account the whole fan-out at
-					// once instead of per copy.
-					e.accountFanout(m, len(ob.neighbors))
-					for _, u := range ob.neighbors {
-						e.deliverTo(u, m, stamp)
-					}
-				}
-				for _, am := range ob.msgs {
-					e.accountMsg(am.msg)
-					e.deliverTo(am.to, am.msg, stamp)
-				}
-			}
-
-			// Phase 3: deliver and reschedule.
-			for _, v := range awake {
-				next := e.machines[v].Deliver(round, e.inboxes[v])
-				e.inboxes[v] = e.inboxes[v][:0]
-				if next != Never && next <= round {
-					return nil, fmt.Errorf("sim: node %d returned wake round %d <= current %d", v, next, round)
-				}
-				if err := e.schedule(v, next); err != nil {
-					return nil, err
-				}
 			}
 		}
 		if tr != nil {

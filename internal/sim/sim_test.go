@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -278,185 +279,38 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	g := graph.GNP(300, 0.03, 5)
-	run := func(workers int) ([]int32, *Result) {
-		machines := make([]Machine, g.N())
-		for v := range machines {
-			machines[v] = &randomTalker{rounds: 15}
-		}
-		res, err := Run(g, machines, Config{Seed: 11, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums := make([]int32, g.N())
-		for v, m := range machines {
-			sums[v] = m.(*randomTalker).checksum
-		}
-		return sums, res
-	}
-	seq, seqRes := run(1)
-	par, parRes := run(8)
-	for v := range seq {
-		if seq[v] != par[v] {
-			t.Fatalf("node %d differs between sequential and parallel executors", v)
-		}
-	}
-	if seqRes.Rounds != parRes.Rounds || seqRes.MsgsSent != parRes.MsgsSent {
-		t.Fatalf("stats differ: seq %+v par %+v", seqRes, parRes)
-	}
+// nonNeighborSender violates the model: node 0 unicasts to `to`, which is
+// not one of its neighbors.
+type nonNeighborSender struct {
+	env *Env
+	to  int32
 }
-
-// TestWorkersNormalization: Workers ≤ 0 and worker counts exceeding the
-// node/awake count must behave exactly like the sequential executor (the
-// config is normalized once in Run; chunking never degenerates).
-func TestWorkersNormalization(t *testing.T) {
-	g := graph.GNP(60, 0.1, 2)
-	run := func(workers int) ([]int32, *Result) {
-		machines := make([]Machine, g.N())
-		for v := range machines {
-			machines[v] = &randomTalker{rounds: 10}
-		}
-		res, err := Run(g, machines, Config{Seed: 4, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		sums := make([]int32, g.N())
-		for v, m := range machines {
-			sums[v] = m.(*randomTalker).checksum
-		}
-		return sums, res
-	}
-	refSums, refRes := run(1)
-	for _, w := range []int{-5, 0, 2, 61, 4096} {
-		sums, res := run(w)
-		for v := range sums {
-			if sums[v] != refSums[v] {
-				t.Fatalf("workers=%d: node %d diverged", w, v)
-			}
-		}
-		if res.MsgsSent != refRes.MsgsSent || res.MsgsDropped != refRes.MsgsDropped ||
-			res.BitsTotal != refRes.BitsTotal || res.Rounds != refRes.Rounds {
-			t.Fatalf("workers=%d: counters differ: %+v vs %+v", w, res, refRes)
-		}
-	}
-}
-
-func TestParallelTinyGraphs(t *testing.T) {
-	// Worker counts far beyond the awake set on degenerate topologies.
-	for _, g := range []*graph.Graph{graph.Path(1), graph.Path(2), graph.Star(3)} {
-		machines := make([]Machine, g.N())
-		for v := range machines {
-			machines[v] = &floodMachine{}
-		}
-		if _, err := Run(g, machines, Config{Seed: 1, Workers: 64}); err != nil {
-			t.Fatalf("n=%d: %v", g.N(), err)
-		}
-	}
-}
-
-// chattyMachine sends two broadcasts plus two unicasts to the same
-// neighbor in one round — multiple messages per edge per round, the
-// hardest case for port-grouped routing order.
-type chattyMachine struct {
-	env   *Env
-	log   []int64
-	awake []int // personal wake schedule
-}
-
-func (m *chattyMachine) Init(env *Env) int {
-	m.env = env
-	if len(m.awake) == 0 {
-		return Never
-	}
-	return m.awake[0]
-}
-
-func (m *chattyMachine) Compose(round int, out *Outbox) {
-	out.Broadcast(Msg{Kind: 1, A: uint64(m.env.Node)<<8 | uint64(round), Bits: 16})
-	out.Broadcast(Msg{Kind: 2, A: uint64(m.env.Node), Bits: 8})
-	for _, u := range m.env.Neighbors {
-		out.Send(u, Msg{Kind: 3, A: uint64(u), Bits: 4})
-		out.Send(u, Msg{Kind: 4, A: uint64(round), Bits: 4})
-	}
-}
-
-func (m *chattyMachine) Deliver(round int, inbox []Msg) int {
-	for _, msg := range inbox {
-		m.log = append(m.log, int64(msg.From)<<32|int64(msg.Kind)<<16|int64(msg.A&0xFFFF))
-	}
-	for i, r := range m.awake {
-		if r == round && i+1 < len(m.awake) {
-			return m.awake[i+1]
-		}
-	}
-	return Never
-}
-
-func TestParallelPreservesMultiMessageOrder(t *testing.T) {
-	g := graph.GNP(40, 0.2, 9)
-	// Staggered schedules so some rounds mix awake and asleep receivers.
-	mk := func() []Machine {
-		machines := make([]Machine, g.N())
-		for v := range machines {
-			sched := []int{0, 1, 3}
-			if v%3 == 1 {
-				sched = []int{0, 2, 3}
-			}
-			machines[v] = &chattyMachine{awake: sched}
-		}
-		return machines
-	}
-	seqM := mk()
-	seqRes, err := Run(g, seqM, Config{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 7} {
-		parM := mk()
-		parRes, err := Run(g, parM, Config{Seed: 2, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range seqM {
-			a := seqM[v].(*chattyMachine).log
-			b := parM[v].(*chattyMachine).log
-			if len(a) != len(b) {
-				t.Fatalf("workers=%d node %d: inbox length %d vs %d", w, v, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("workers=%d node %d: delivery order diverges at %d", w, v, i)
-				}
-			}
-		}
-		if seqRes.MsgsSent != parRes.MsgsSent || seqRes.MsgsDropped != parRes.MsgsDropped ||
-			seqRes.BitsTotal != parRes.BitsTotal || seqRes.BitsMax != parRes.BitsMax {
-			t.Fatalf("workers=%d: accounting differs: %+v vs %+v", w, seqRes, parRes)
-		}
-	}
-}
-
-// nonNeighborSender violates the model by unicasting outside its edges.
-type nonNeighborSender struct{ env *Env }
 
 func (m *nonNeighborSender) Init(env *Env) int { m.env = env; return 0 }
 func (m *nonNeighborSender) Compose(round int, out *Outbox) {
 	if m.env.Node == 0 {
-		out.Send(2, Msg{Bits: 1}) // 0-1-2 path: 2 is not a neighbor of 0
+		out.Send(m.to, Msg{Bits: 1})
 	}
 }
 func (m *nonNeighborSender) Deliver(round int, inbox []Msg) int { return Never }
 
+// TestParallelRejectsNonNeighborUnicast: both engines fail the run with a
+// named error when a node unicasts across a non-edge — to a node that
+// exists (2 on the path 0-1-2) or to one that does not (3).
 func TestParallelRejectsNonNeighborUnicast(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-neighbor unicast under the parallel executor")
-		}
-	}()
 	g := graph.Path(3)
-	Run(g, []Machine{&nonNeighborSender{}, &nonNeighborSender{}, &nonNeighborSender{}},
-		Config{Seed: 1, Workers: 2})
+	for _, to := range []int32{2, 3} {
+		mk := func() []Machine {
+			return []Machine{&nonNeighborSender{to: to}, &nonNeighborSender{to: to}, &nonNeighborSender{to: to}}
+		}
+		want := fmt.Sprintf("sim: node 0 unicast to non-neighbor %d", to)
+		if _, err := Run(g, mk(), Config{Seed: 1}); err == nil || err.Error() != want {
+			t.Fatalf("Run, to=%d: err = %v, want %q", to, err, want)
+		}
+		if _, err := RunBatch(g, Adapt(mk()), Config{Seed: 1}); err == nil || err.Error() != want {
+			t.Fatalf("RunBatch(Adapt), to=%d: err = %v, want %q", to, err, want)
+		}
+	}
 }
 
 // randomTalker sends random payloads to random neighbors for a fixed

@@ -3,8 +3,8 @@ package energymis
 // Run-trace integration tests: every algorithm's JSONL trace must be
 // internally consistent (the streamed per-round counter deltas sum exactly
 // to the Result's deterministic totals — obs.CheckTrace), and traces must
-// be deterministic across executors: same (graph, algorithm, seed) gives a
-// byte-identical trace modulo wall-time fields for any worker count.
+// be deterministic: same (graph, algorithm, seed) gives a byte-identical
+// trace modulo wall-time fields, on fresh or on already-used buffers.
 
 import (
 	"bytes"
@@ -14,10 +14,10 @@ import (
 	"github.com/energymis/energymis/internal/obs"
 )
 
-func runTraced(t *testing.T, g *Graph, algo Algorithm, seed uint64, workers int) (*Result, *obs.Trace) {
+func runTraced(t *testing.T, g *Graph, algo Algorithm, seed uint64, mem *Mem) (*Result, *obs.Trace) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	res, err := Run(g, algo, Options{Seed: seed, Workers: workers, TracePath: path})
+	res, err := Run(g, algo, Options{Seed: seed, Mem: mem, TracePath: path})
 	if err != nil {
 		t.Fatalf("%s: %v", algo, err)
 	}
@@ -34,7 +34,7 @@ func runTraced(t *testing.T, g *Graph, algo Algorithm, seed uint64, workers int)
 func TestTraceReproducesResultTotals(t *testing.T) {
 	g := GNP(600, 9.0/600, 7)
 	for _, algo := range Algorithms() {
-		res, tr := runTraced(t, g, algo, 3, 1)
+		res, tr := runTraced(t, g, algo, 3, nil)
 
 		var awake, msgs, dropped, bits, viol int64
 		var phaseRounds int
@@ -92,31 +92,23 @@ func TestTraceReproducesResultTotals(t *testing.T) {
 	}
 }
 
-// TestTraceDeterminism: same seed and config produce byte-identical traces
-// (modulo wall-time fields) for sequential and parallel executors.
+// TestTraceDeterminism: the same seed and config produce byte-identical
+// traces (modulo wall-time fields) on fresh buffers and on a Mem already
+// used on a different graph — the only state a run can inherit.
 func TestTraceDeterminism(t *testing.T) {
 	g := GNP(500, 10.0/500, 11)
 	for _, algo := range []Algorithm{Luby, Algorithm1, Algorithm2Avg} {
 		var want []byte
-		for _, workers := range []int{1, 8} {
-			// Two runs per worker count guard against run-to-run drift too.
-			for rep := 0; rep < 2; rep++ {
-				_, tr := runTraced(t, g, algo, 5, workers)
-				// Drop the header: its meta legitimately records the
-				// differing worker count. Every payload record must match.
-				recs := obs.Canonical(tr)
-				for len(recs) > 0 && recs[0].Type == obs.RecHeader {
-					recs = recs[1:]
-				}
-				got, err := obs.CanonicalBytes(recs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = got
-				} else if !bytes.Equal(want, got) {
-					t.Fatalf("%s: canonical trace differs (workers=%d rep=%d)", algo, workers, rep)
-				}
+		for _, mem := range []*Mem{nil, usedMem(t, algo)} {
+			_, tr := runTraced(t, g, algo, 5, mem)
+			got, err := obs.CanonicalBytes(obs.Canonical(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(want, got) {
+				t.Fatalf("%s: canonical trace on a used Mem differs from fresh buffers", algo)
 			}
 		}
 	}
