@@ -5,8 +5,7 @@ package main
 //	D1 — repair vs. per-update recompute under uniform churn
 //	D2 — repair cost across stream classes (churn, window, hub attack)
 //	D3 — sustained updates/sec vs. the coalescing window, per stream class
-//	D5 — sustained updates/sec vs. graph size, per repair mode
-//	     (legacy per-node, word-packed batch)
+//	D5 — sustained updates/sec vs. graph size
 
 import (
 	"fmt"
@@ -207,11 +206,8 @@ func runD3(c sweepConfig) error {
 		[]string{"stream", "n", "updates", "window", "batches", "updates_per_sec", "awake_per_update"}, rows)
 }
 
-// D5: sustained update throughput against graph size, per repair mode:
-// the per-node legacy reference and the word-packed batch engine. Uniform
-// churn at window 64 on sparse GNP, n from 10⁴ to 10⁶. The deterministic
-// counters are asserted byte-identical across both modes — the modes may
-// only move the wall clock.
+// D5: sustained update throughput against graph size: uniform churn at
+// window 64 on sparse GNP, n from 10⁴ to 10⁶.
 func runD5(c sweepConfig) error {
 	reps := c.seeds
 	if reps < 1 {
@@ -228,66 +224,51 @@ func runD5(c sweepConfig) error {
 		return u
 	}
 	const window = 64
-	modes := []struct {
-		name string
-		opts energymis.DynamicOptions
-	}{
-		{"legacy", energymis.DynamicOptions{Seed: 9, Window: window, Legacy: true}},
-		{"packed", energymis.DynamicOptions{Seed: 9, Window: window}},
-	}
+	opts := energymis.DynamicOptions{Seed: 9, Window: window}
 	var rows [][]string
 	for _, base := range []int{10000, 100000, 1000000} {
 		n := c.n(base)
 		g := energymis.GNP(n, 8.0/float64(n), uint64(n))
 		flat := energymis.FlattenStream(energymis.ChurnStream(g, upd(n), 1, 6))
 		inSet := energymis.GreedyMIS(g)
-		var baseStats energymis.DynamicStats
-		for mi, mode := range modes {
-			var best float64
-			var st energymis.DynamicStats
-			var perf energymis.DynamicPerf
-			for rep := 0; rep < reps; rep++ {
-				d, err := energymis.NewDynamicFrom(g, inSet, mode.opts)
-				if err != nil {
-					return err
-				}
-				start := time.Now()
-				if _, err := d.ApplyBatch(flat); err != nil {
-					return fmt.Errorf("D5 n=%d %s: %w", n, mode.name, err)
-				}
-				elapsed := time.Since(start).Seconds()
-				if ups := float64(len(flat)) / elapsed; ups > best {
-					best = ups
-				}
-				if rep == 0 {
-					if err := d.Check(); err != nil {
-						return fmt.Errorf("D5 n=%d %s: %w", n, mode.name, err)
-					}
-					st = d.Stats()
-					perf = d.Perf()
-				}
+		var best float64
+		var st energymis.DynamicStats
+		var perf energymis.DynamicPerf
+		for rep := 0; rep < reps; rep++ {
+			d, err := energymis.NewDynamicFrom(g, inSet, opts)
+			if err != nil {
+				return err
 			}
-			if mi == 0 {
-				baseStats = st
-			} else if st != baseStats {
-				return fmt.Errorf("D5 n=%d: counters diverge between legacy and %s", n, mode.name)
+			start := time.Now()
+			if _, err := d.ApplyBatch(flat); err != nil {
+				return fmt.Errorf("D5 n=%d: %w", n, err)
 			}
-			rows = append(rows, []string{
-				i0(n), mode.name, i0(len(flat)), i0(window),
-				fmt.Sprintf("%.0f", best),
-				f2(float64(st.AwakeTotal) / float64(max64(st.Updates, 1))),
-				i0(int(perf.SweepWords)),
-			})
+			elapsed := time.Since(start).Seconds()
+			if ups := float64(len(flat)) / elapsed; ups > best {
+				best = ups
+			}
+			if rep == 0 {
+				if err := d.Check(); err != nil {
+					return fmt.Errorf("D5 n=%d: %w", n, err)
+				}
+				st = d.Stats()
+				perf = d.Perf()
+			}
 		}
+		rows = append(rows, []string{
+			i0(n), i0(len(flat)), i0(window),
+			fmt.Sprintf("%.0f", best),
+			f2(float64(st.AwakeTotal) / float64(max64(st.Updates, 1))),
+			i0(int(perf.SweepWords)),
+		})
 	}
-	headers := []string{"n", "mode", "updates", "window", "updates/sec",
+	headers := []string{"n", "updates", "window", "updates/sec",
 		"awake/update", "sweep words"}
 	table(headers, rows)
 	fmt.Println()
-	fmt.Println("(uniform churn, wall-clock best of " + i0(reps) + " replays; " +
-		"counters verified byte-identical across the mode axis)")
+	fmt.Println("(uniform churn, wall-clock best of " + i0(reps) + " replays)")
 	return c.writeCSV("D5.csv",
-		[]string{"n", "mode", "updates", "window", "updates_per_sec",
+		[]string{"n", "updates", "window", "updates_per_sec",
 			"awake_per_update", "sweep_words"}, rows)
 }
 

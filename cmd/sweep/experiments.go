@@ -15,7 +15,6 @@ import (
 	"github.com/energymis/energymis/internal/schedule"
 	"github.com/energymis/energymis/internal/shatter"
 	"github.com/energymis/energymis/internal/sim"
-	"github.com/energymis/energymis/internal/verify"
 )
 
 // avgRun runs (algo, graph) over the seeds and averages the measurements.
@@ -369,8 +368,8 @@ func runA3(c sweepConfig) error {
 	return nil
 }
 
-// A4: coloring trajectories — CV (used by phase3) vs the true Linial
-// reduction palette chain.
+// A4: coloring trajectories — the Cole–Vishkin palette chains of phase3's
+// timetable in both modes.
 func runA4(c sweepConfig) error {
 	var rows [][]string
 	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
@@ -383,13 +382,10 @@ func runA4(c sweepConfig) error {
 	}
 	table([]string{"n", "Alg1 palette chain (LR=2)", "classes", "Alg2 chain (log*)", "classes"}, rows)
 	fmt.Println()
-	fmt.Println("(The general-graph Linial cover-free reduction is implemented and " +
-		"property-tested in internal/linial; on the out-degree-1 forest H_L the " +
-		"Cole–Vishkin chain above reaches the same O(log log n) / O(1) class counts.)")
+	fmt.Println("(The paper invokes Linial's reduction; on the out-degree-1 forest H_L " +
+		"the Cole–Vishkin chain above reaches the same O(log log n) / O(1) class counts.)")
 	return nil
 }
-
-var _ = verify.Count // keep import for future extensions
 
 // B1: the cmd/bench harness suites, printed as a markdown table. Reuses
 // the exact suite definitions behind BENCH_MIS.json and the CI perf gate

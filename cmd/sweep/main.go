@@ -57,11 +57,11 @@ func main() {
 		{"A1", "Ablation: one-shot marking off (energy blow-up)", runA1},
 		{"A2", "Ablation: finisher executions K = 1 vs Θ(log n)", runA2},
 		{"A3", "Ablation: indegree threshold in Lemma 2.8", runA3},
-		{"A4", "Ablation: CV coloring depth vs Linial palette trajectory", runA4},
+		{"A4", "Ablation: Cole–Vishkin palette trajectory per mode", runA4},
 		{"D1", "Dynamic MIS: localized repair vs per-update recompute", runD1},
 		{"D2", "Dynamic MIS: repair cost across update-stream classes", runD2},
 		{"D3", "Dynamic MIS: updates/sec vs batch window across stream classes", runD3},
-		{"D5", "Dynamic MIS: updates/sec vs graph size per repair mode", runD5},
+		{"D5", "Dynamic MIS: updates/sec vs graph size", runD5},
 		{"B1", "Benchmark harness: quick suites (twin of BENCH_MIS.json)", runB1},
 		{"F1", "Analytical twin: fit paper curves from a multi-size sweep", runF1},
 		{"G1", "Unit-disk sensor field: fixed radius, growing density", runG1},

@@ -3,9 +3,9 @@ package energymis
 // Determinism regression tests for the executors. Every run executes on
 // one goroutine, so the only state that carries from one run to the next
 // is a shared Mem: a run on a Mem already used on a different graph must
-// be byte-identical to a run on fresh buffers. Also cross-checks the batch
-// runtime against the per-node engine, and the dynamic engine against an
-// identical replay under churn.
+// be byte-identical to a run on fresh buffers. Also cross-checks the
+// struct-of-arrays Luby against its per-node Machine, and the dynamic
+// engine against an identical replay under churn.
 
 import (
 	"bytes"
@@ -66,11 +66,11 @@ func TestStaticExecutorDeterminism(t *testing.T) {
 	}
 }
 
-// TestBatchVsLegacyLubyDeterminism cross-checks the two runtimes: the
-// struct-of-arrays Luby on the batch engine (what energymis.Luby runs)
-// against the per-node Machine on the per-node engine. Output sets, all
-// counters, and per-node energy must be byte-identical — the batch runtime
-// is an execution strategy, not an algorithm change.
+// TestBatchVsLegacyLubyDeterminism cross-checks the two forms of Luby: the
+// struct-of-arrays automaton (what energymis.Luby runs) against the
+// per-node Machine through sim.Run. Output sets, all counters, and
+// per-node energy must be byte-identical — the struct-of-arrays form is an
+// execution strategy, not an algorithm change.
 func TestBatchVsLegacyLubyDeterminism(t *testing.T) {
 	for _, n := range []int{300, 1000} {
 		g := GNP(n, 10.0/float64(n), uint64(n)+17)

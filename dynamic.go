@@ -60,8 +60,7 @@ type BatchStats = dynamic.BatchStats
 type DynamicStats = dynamic.Stats
 
 // DynamicOptions configures a DynamicMIS. The zero value is valid: seed 0,
-// Luby repairs, default CONGEST budget, batch-engine repairs, no
-// coalescing window.
+// Luby repairs, default CONGEST budget, no coalescing window.
 type DynamicOptions struct {
 	// Seed drives the bootstrap run and all repair randomness.
 	Seed uint64
@@ -78,10 +77,6 @@ type DynamicOptions struct {
 	// (higher throughput, higher per-repair latency); see docs/DYNAMIC.md
 	// for tuning.
 	Window int
-	// Legacy selects the per-node reference repair path (identical sets
-	// and counters; for differential testing and head-to-head
-	// benchmarks). Incompatible with TracePath.
-	Legacy bool
 	// TracePath, when non-empty, streams a versioned JSONL trace of every
 	// repair to the given file: election phase spans ("repair/luby",
 	// "repair/ghaffari", "repair/finisher"), per-round engine events, and
@@ -98,8 +93,7 @@ type DynamicOptions struct {
 // re-running a static algorithm on the whole network; rounds, per-node
 // awake rounds, and messages are accounted with the same semantics as
 // static runs. Repairs execute on the SoA batch engine (see
-// docs/DYNAMIC.md); DynamicOptions.Legacy selects the per-node reference
-// path.
+// docs/DYNAMIC.md).
 type DynamicMIS struct {
 	eng    *dynamic.Engine
 	algo   Algorithm
@@ -113,16 +107,12 @@ type DynamicMIS struct {
 }
 
 func newDynamicMIS(g *Graph, inSet []bool, algo Algorithm, algoName string, opts DynamicOptions) (*DynamicMIS, error) {
-	if opts.Legacy && opts.TracePath != "" {
-		return nil, fmt.Errorf("energymis: tracing requires the batch repair path (Legacy=false)")
-	}
 	d := &DynamicMIS{algo: algo, window: opts.Window, tracePath: opts.TracePath}
 	params := dynamic.Params{
 		Seed:      opts.Seed,
 		Repair:    opts.Repair,
 		B:         opts.B,
 		SelfCheck: opts.SelfCheck,
-		Legacy:    opts.Legacy,
 	}
 	if params.Repair == 0 {
 		params.Repair = RepairLuby

@@ -220,15 +220,3 @@ func TestDynamicParallelTraceDeterministic(t *testing.T) {
 		t.Error("canonical traces differ between identical replays")
 	}
 }
-
-// TestDynamicLegacyTraceRejected pins the contract that tracing requires
-// the batch repair path.
-func TestDynamicLegacyTraceRejected(t *testing.T) {
-	g := GNP(50, 0.1, 1)
-	_, err := NewDynamicFrom(g, GreedyMIS(g), DynamicOptions{
-		Legacy: true, TracePath: filepath.Join(t.TempDir(), "x.jsonl"),
-	})
-	if err == nil {
-		t.Fatal("Legacy+TracePath accepted")
-	}
-}

@@ -14,10 +14,7 @@ import (
 // compare.go). The engine is seeded with GreedyMIS instead of a bootstrap
 // run, so the measurement is repair throughput, not static-algorithm
 // time; stream generation and graph construction are cached outside the
-// timed region. The paired `legacy` case runs the identical workload on
-// the per-node reference path — its deterministic counters must match the
-// batch case exactly, and its updates/sec is the baseline the batch port
-// has to beat.
+// timed region.
 
 // gnpDeg8Graph is the churn topology: sparse GNP with average degree 8.
 func gnpDeg8Graph(n int) func() *energymis.Graph {
@@ -58,26 +55,24 @@ func dynThroughputSpec(name string, quick bool, setup func() (*energymis.Graph, 
 	}
 }
 
-// churnWorkload is the shared setup of the paired batch/legacy cases:
-// identical graph, stream, and knobs, differing only in the repair path;
-// the counters stay byte-identical between them.
-func churnWorkload(n, updates, window int, legacy bool) func() (*energymis.Graph, []energymis.Update, energymis.DynamicOptions) {
+// churnWorkload is the setup of the uniform-churn cases: sparse GNP, a
+// fixed churn stream, and the given coalescing window.
+func churnWorkload(n, updates, window int) func() (*energymis.Graph, []energymis.Update, energymis.DynamicOptions) {
 	return func() (*energymis.Graph, []energymis.Update, energymis.DynamicOptions) {
 		g := gnpDeg8Graph(n)()
 		flat := energymis.FlattenStream(energymis.ChurnStream(g, updates, 1, 7))
-		return g, flat, energymis.DynamicOptions{Seed: 1, Window: window, Legacy: legacy}
+		return g, flat, energymis.DynamicOptions{Seed: 1, Window: window}
 	}
 }
 
 func dynThroughputSpecs() []Spec {
 	return []Spec{
-		// The headline pair: batch vs legacy on the identical workload.
-		dynThroughputSpec("churn/n=100000/w=64", true, churnWorkload(100000, 51200, 64, false)),
-		dynThroughputSpec("churn/n=100000/w=64/legacy", true, churnWorkload(100000, 51200, 64, true)),
+		// The headline case: uniform churn at window 64.
+		dynThroughputSpec("churn/n=100000/w=64", true, churnWorkload(100000, 51200, 64)),
 		// Window ablation endpoints: no coalescing, and the large-graph
 		// target (n=10⁶ at a wide window).
-		dynThroughputSpec("churn/n=100000/w=1", false, churnWorkload(100000, 51200, 1, false)),
-		dynThroughputSpec("churn/n=1000000/w=256", false, churnWorkload(1000000, 131072, 256, false)),
+		dynThroughputSpec("churn/n=100000/w=1", false, churnWorkload(100000, 51200, 1)),
+		dynThroughputSpec("churn/n=1000000/w=256", false, churnWorkload(1000000, 131072, 256)),
 		// Other stream classes: sliding-window arrivals and the
 		// adversarial hub attack.
 		dynThroughputSpec("window/n=50000/w=64", false, func() (*energymis.Graph, []energymis.Update, energymis.DynamicOptions) {

@@ -2,9 +2,15 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"regexp"
+	"slices"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
+	"github.com/energymis/energymis/internal/shatter"
+	"github.com/energymis/energymis/internal/sim"
+	"github.com/energymis/energymis/internal/stats"
 	"github.com/energymis/energymis/internal/verify"
 )
 
@@ -156,6 +162,69 @@ func TestAverageEnergyVariants(t *testing.T) {
 			base.Summary.AvgAwake, base.Summary.MaxAwake, res.Diag.FailedNodes)
 		if res.Summary.AvgAwake > base.Summary.AvgAwake+2 {
 			t.Fatalf("%s average energy %v above base %v", algo, res.Summary.AvgAwake, base.Summary.AvgAwake)
+		}
+	}
+}
+
+// TestForcedPhase3Failures drives Phase III into its w.h.p. failure paths
+// on a pooled Mem: one Phase II round leaves large survivor components,
+// and a finisher with one execution, one attempt and few rounds often
+// fails on them. Over seeds 1–40, each run must either end in a valid MIS
+// — at least one of them after a fresh-randomness retry
+// ("phase-iii.retry1") — or return the documented retry-exhaustion error,
+// which at least one seed must hit. After each such error the same Mem
+// must run a default Algorithm 1 exactly like a fresh Mem.
+func TestForcedPhase3Failures(t *testing.T) {
+	g := graph.GNP(300, 4.0/300, 9)
+	clean := graph.GNP(500, 0.02, 11)
+	want, err := Run(clean, Algorithm1, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exhausted := regexp.MustCompile(`^core: \d+ nodes undecided after 3 Phase III retries$`)
+	for _, algo := range []Algorithm{Algorithm1, Algorithm2} {
+		mem := sim.NewMem()
+		retried, failed := 0, 0
+		for seed := uint64(1); seed <= 40; seed++ {
+			opts := DefaultOptions()
+			opts.Seed = seed
+			opts.Mem = mem
+			opts.Shatter = shatter.Params{RoundsC: 0, Floor: 1}
+			opts.Phase3.K = 1
+			opts.Phase3.GhaffariC = 1
+			opts.Phase3.GhaffariFloor = 1
+			opts.Phase3.Attempts = 1
+			res, err := Run(g, algo, opts)
+			if err != nil {
+				if !exhausted.MatchString(err.Error()) {
+					t.Fatalf("%s seed=%d: unexpected error %v", algo, seed, err)
+				}
+				failed++
+				opts := DefaultOptions()
+				opts.Mem = mem
+				got, err := Run(clean, Algorithm1, opts)
+				if err != nil {
+					t.Fatalf("%s seed=%d: clean run on the pooled Mem: %v", algo, seed, err)
+				}
+				if !slices.Equal(got.InSet, want.InSet) || !reflect.DeepEqual(got.Summary, want.Summary) ||
+					!slices.Equal(got.AwakePerNode, want.AwakePerNode) {
+					t.Fatalf("%s seed=%d: clean run on the Mem after the error differs from a fresh Mem", algo, seed)
+				}
+				continue
+			}
+			if err := verify.Check(g, res.InSet); err != nil {
+				t.Fatalf("%s seed=%d: %v", algo, seed, err)
+			}
+			if res.Diag.Phase3Retries > 0 {
+				if !slices.ContainsFunc(res.Summary.Phases, func(p stats.Phase) bool { return p.Name == "phase-iii.retry1" }) {
+					t.Fatalf("%s seed=%d: %d retries but no phase-iii.retry1 phase", algo, seed, res.Diag.Phase3Retries)
+				}
+				retried++
+			}
+		}
+		t.Logf("%s: %d seeds retried and succeeded, %d exhausted their retries", algo, retried, failed)
+		if retried == 0 || failed == 0 {
+			t.Fatalf("%s: %d retried-and-valid seeds, %d exhausted; want at least one of each", algo, retried, failed)
 		}
 	}
 }

@@ -385,8 +385,8 @@ type iterOut struct {
 	res     *sim.Result
 }
 
-// runIterLegacy executes one iteration with per-node machines on the
-// per-node engine.
+// runIterLegacy executes one iteration with per-node machines through
+// sim.Run.
 func runIterLegacy(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterOut, error) {
 	machines := make([]sim.Machine, cur.N())
 	nodes := make([]*Machine, cur.N())

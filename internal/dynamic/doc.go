@@ -43,8 +43,8 @@
 // batch. Params.Legacy selects the frozen per-node reference path
 // (repair_legacy.go), which shares the partition, seed derivation, and
 // merge — identical sets and identical deterministic counters, proven by
-// differential tests. Repairs run on the calling goroutine; the package
-// starts no goroutine.
+// this package's differential tests, the only code that sets it. Repairs
+// run on the calling goroutine; the package starts no goroutine.
 //
 // One Apply call is one coalesced window: overlapping repair regions of
 // its updates merge and are re-elected once, which is what turns the unit

@@ -108,12 +108,12 @@ type Params struct {
 	// (O(n+m); for tests).
 	SelfCheck bool
 	// Legacy selects the per-node reference repair path (RepairLegacy):
-	// map-based region tracking and the per-node sim engines. The default
-	// batch path — epoch-stamped region scratch, pipeline-composed
-	// elections on the SoA batch runtime, one pooled sim.Mem — produces
-	// identical sets and identical deterministic counters (see the
-	// differential tests); Legacy exists as the reference and for
-	// head-to-head benchmarks.
+	// map-based region tracking and elections with per-node machines
+	// through sim.Run. The default batch path — epoch-stamped region
+	// scratch, pipeline-composed elections on the SoA batch runtime, one
+	// pooled sim.Mem — produces identical sets and identical deterministic
+	// counters; Legacy exists only as the reference of this package's
+	// differential tests.
 	Legacy bool
 	// Tracer, when non-nil, receives phase spans for every repair
 	// (election spans from the pipeline, a synthetic "repair/singleton"

@@ -10,12 +10,12 @@ import (
 )
 
 // This file is the per-node reference repair path (Params.Legacy):
-// map-based region tracking and the per-node sim engines (luby.RunLegacy /
-// ghaffari.RunShatterLegacy), always sequential. It shares the region
+// map-based region tracking and elections with per-node machines
+// (luby.RunLegacy / ghaffari.RunShatterLegacy). It shares the region
 // partition, per-component seed derivation, and region-ordered merge with
 // the batch path (partition.go), so the two paths must produce identical
-// sets and identical deterministic counters for every worker count; the
-// differential tests hold them against each other.
+// sets and identical deterministic counters; the differential tests hold
+// them against each other.
 
 // repairState tracks the affected region of a batch on the legacy path.
 type repairState struct {

@@ -7,8 +7,8 @@ import (
 	"github.com/energymis/energymis/internal/sim"
 )
 
-// runLegacyK executes K packed executions with the per-node Machine on the
-// per-node engine and extracts the per-execution decisions.
+// runLegacyK executes K packed executions with the per-node Machine
+// through sim.Run and extracts the per-execution decisions.
 func runLegacyK(t *testing.T, g *graph.Graph, k, rounds int, cfg sim.Config) ([]*Proto, *sim.Result) {
 	t.Helper()
 	machines := make([]sim.Machine, g.N())

@@ -262,8 +262,8 @@ func RunShatter(g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool, survi
 	return b.InMISExec(0), b.UndecidedExec(0), res, nil
 }
 
-// RunShatterLegacy executes the per-node Machine implementation on the
-// per-node engine: the reference the batch path is differentially tested
+// RunShatterLegacy executes the per-node Machine implementation through
+// sim.Run: the reference the batch automaton is differentially tested
 // against.
 func RunShatterLegacy(g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool, survivors []int, res *sim.Result, err error) {
 	machines := make([]sim.Machine, g.N())

@@ -167,8 +167,8 @@ func Run(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
 	return b.InSet(), res, nil
 }
 
-// RunLegacy executes the per-node Machine implementation on the per-node
-// engine: the reference the batch path is differentially tested against.
+// RunLegacy executes the per-node Machine implementation through sim.Run:
+// the reference the batch automaton is differentially tested against.
 func RunLegacy(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
 	machines := make([]sim.Machine, g.N())
 	nodes := make([]Machine, g.N())

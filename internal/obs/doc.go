@@ -8,11 +8,12 @@
 //
 // Two pieces:
 //
-//   - Tracer (tracer.go): the hook interface. The engines (sim.Run,
-//     sim.RunBatch) invoke Round once per executed round with that round's
-//     counter deltas; internal/pipeline brackets each phase of a composed
-//     run with PhaseStart/PhaseEnd spans carrying rounds, energy deltas,
-//     and the residual size. MultiTracer fans events out to several sinks.
+//   - Tracer (tracer.go): the hook interface. The engine (sim.RunBatch,
+//     which sim.Run runs on) invokes Round once per executed round with
+//     that round's counter deltas; internal/pipeline brackets each phase
+//     of a composed run with PhaseStart/PhaseEnd spans carrying rounds,
+//     energy deltas, and the residual size. MultiTracer fans events out
+//     to several sinks.
 //
 //   - TraceWriter/ReadTrace (trace.go) and the analyzers (analyze.go): a
 //     versioned JSONL run-trace file — one JSON record per line, a header

@@ -56,7 +56,7 @@ type SummaryStats struct {
 // layer. All callbacks for one run are invoked from a single goroutine,
 // in event order; implementations need no locking against the run itself.
 //
-// A nil Tracer disables tracing; the engines guard every emission with a
+// A nil Tracer disables tracing; the engine guards every emission with a
 // nil check, so the disabled path costs one branch per round.
 type Tracer interface {
 	PhaseStart(name string)
@@ -89,7 +89,7 @@ func (m MultiTracer) PhaseEnd(p PhaseStats) {
 }
 
 // Multi combines tracers, dropping nils: it returns nil when none remain
-// (preserving the engines' nil fast path) and the tracer itself when only
+// (preserving the engine's nil fast path) and the tracer itself when only
 // one remains (no fan-out indirection for the common single-sink case).
 func Multi(ts ...Tracer) Tracer {
 	var out MultiTracer

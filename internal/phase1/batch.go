@@ -211,8 +211,8 @@ func (b *Batch) outcome(res *sim.Result) *Outcome {
 	return out
 }
 
-// RunWithPlanLegacy executes the phase with the per-node Machine on the
-// per-node engine: the reference the batch path is differentially tested
+// RunWithPlanLegacy executes the phase with the per-node Machine through
+// sim.Run: the reference the batch automaton is differentially tested
 // against.
 func RunWithPlanLegacy(g *graph.Graph, plan Plan, p Params, cfg sim.Config) (*Outcome, error) {
 	machines, nodes := NewMachines(g, plan, p)

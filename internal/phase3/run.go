@@ -21,34 +21,53 @@ type Outcome struct {
 	MaxComponent int
 }
 
-// plan derives the shared run parameters: the global timetable and the
-// high-indegree threshold.
-func plan(g *graph.Graph, p Params) (tt *Timetable, thresh, comps, maxComp int) {
+// Run executes Phase III on g: Borůvka merging from singleton clusters to
+// one rooted spanning tree per connected component, then the Lemma 2.7
+// parallel-executions finisher. The automata live in one flat value array
+// and run through sim.Run.
+//
+// Unlike the simpler protocols (luby, phase1, ghaffari, degreduce), Phase
+// III has no struct-of-arrays BatchMachine: its state is dozens of
+// interdependent per-node fields (tree position, iteration scratch, merge
+// roles, finisher vectors) touched a few at a time along deeply branching
+// stage logic, so an SoA split would trade a large correctness risk for
+// little locality gain.
+func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
+	n := g.N()
 	cc := graph.Components(g)
+	maxComp := 0
 	for _, c := range cc {
 		if len(c) > maxComp {
 			maxComp = len(c)
 		}
 	}
-	tt = NewTimetable(g.N(), maxComp, p)
-	thresh = p.IndegreeThresh
+	tt := NewTimetable(n, maxComp, p)
+	thresh := p.IndegreeThresh
 	if thresh < 2 {
 		thresh = 2
 	}
-	return tt, thresh, len(cc), maxComp
-}
-
-// assemble extracts the Outcome from the automata after a run.
-func assemble(n int, node func(int) *Machine, tt *Timetable, res *sim.Result, comps, maxComp int) *Outcome {
+	nodes := make([]Machine, n)
+	machines := make([]sim.Machine, n)
+	for v := range nodes {
+		nodes[v] = Machine{tt: tt, threshVal: thresh}
+		machines[v] = &nodes[v]
+	}
+	if cfg.MaxRounds == 0 {
+		cfg.MaxRounds = tt.TotalLen + 2
+	}
+	res, err := sim.Run(g, machines, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("phase3: %w", err)
+	}
 	out := &Outcome{
 		InSet:        make([]bool, n),
 		Timetable:    tt,
 		Res:          res,
-		Components:   comps,
+		Components:   len(cc),
 		MaxComponent: maxComp,
 	}
-	for v := 0; v < n; v++ {
-		nm := node(v)
+	for v := range nodes {
+		nm := &nodes[v]
 		if nm.Decided() {
 			out.InSet[v] = nm.InMIS
 		} else {
@@ -64,43 +83,5 @@ func assemble(n int, node func(int) *Machine, tt *Timetable, res *sim.Result, co
 			out.MaxAttempts = nm.AttemptsUsed()
 		}
 	}
-	return out
-}
-
-// Run executes Phase III on g: Borůvka merging from singleton clusters to
-// one rooted spanning tree per connected component, then the Lemma 2.7
-// parallel-executions finisher. The automata run as one flat value array
-// on the batch runtime (see Batch); results are byte-identical to
-// RunLegacy (the per-node reference).
-func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
-	tt, thresh, comps, maxComp := plan(g, p)
-	b := NewBatch(g, tt, thresh)
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = tt.TotalLen + 2
-	}
-	res, err := sim.RunBatch(g, b, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("phase3: %w", err)
-	}
-	return assemble(g.N(), b.Node, tt, res, comps, maxComp), nil
-}
-
-// RunLegacy executes Phase III with per-node machines on the per-node
-// engine: the reference the batch path is differentially tested against.
-func RunLegacy(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
-	tt, thresh, comps, maxComp := plan(g, p)
-	machines := make([]sim.Machine, g.N())
-	nodes := make([]*Machine, g.N())
-	for v := range machines {
-		nodes[v] = &Machine{tt: tt, threshVal: thresh}
-		machines[v] = nodes[v]
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = tt.TotalLen + 2
-	}
-	res, err := sim.Run(g, machines, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("phase3: %w", err)
-	}
-	return assemble(g.N(), func(v int) *Machine { return nodes[v] }, tt, res, comps, maxComp), nil
+	return out, nil
 }

@@ -10,7 +10,7 @@ import (
 // TestBatchMatchesLegacy is the differential gate of the phase's batch
 // path: Run (ghaffari.Batch on the batch runtime) must produce the same
 // Outcome — set, survivors, components — and identical complexity counters
-// as RunLegacy (per-node machines on the per-node engine).
+// as RunLegacy (per-node machines through sim.Run).
 func TestBatchMatchesLegacy(t *testing.T) {
 	cases := []struct {
 		name string

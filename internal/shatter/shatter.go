@@ -46,8 +46,9 @@ func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 	return run(g, p, cfg, ghaffari.RunShatter)
 }
 
-// RunLegacy executes the phase with the per-node machines on the per-node
-// engine: the reference the batch path is differentially tested against.
+// RunLegacy executes the phase with the per-node machines through
+// sim.Run: the reference the batch automaton is differentially tested
+// against.
 func RunLegacy(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 	return run(g, p, cfg, ghaffari.RunShatterLegacy)
 }

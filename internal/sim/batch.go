@@ -1,6 +1,6 @@
-// This file is the batch-machine runtime: the allocation-free execution
-// path of the engine. See the package documentation in doc.go for how it
-// relates to the per-node path in sim.go.
+// This file is the engine: RunBatch and its pooled buffers. Run (sim.go)
+// executes per-node machines on it through an adapter; see the package
+// documentation in doc.go.
 
 package sim
 
@@ -11,14 +11,13 @@ import (
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/obs"
-	"github.com/energymis/energymis/internal/rng"
 )
 
 // BatchEnv is the static view a BatchMachine receives once, before round 0:
 // the full topology (a simulated node may of course only *use* its own
 // neighborhood), the model parameters, and the seed from which per-node
 // randomness must be derived via rng.ForNode(Seed, v) — the same streams
-// the per-node engine hands each Machine.
+// Run hands each Machine.
 type BatchEnv struct {
 	G    *graph.Graph
 	N    int // number of nodes
@@ -46,9 +45,8 @@ type BatchMachine interface {
 
 // BatchOutbox collects the messages of one ComposeAll call: broadcasts and
 // unicasts in two flat arrays, each grouped by sender in awake order (the
-// engine's router relies on that grouping to reproduce the per-node
-// engine's delivery order without sorting). Buffers are pooled and reused
-// across rounds.
+// engine's router relies on that grouping to deliver in sender order
+// without sorting). Buffers are pooled and reused across rounds.
 type BatchOutbox struct {
 	bcast []Msg   // broadcasts; Msg.From is the sender
 	uni   []Msg   // unicasts; Msg.From is the sender
@@ -76,9 +74,9 @@ func (o *BatchOutbox) reset() {
 }
 
 // Inboxes serves every awake node's inbox as a segment of one pooled
-// buffer: node awake[i]'s messages are At(i), in the same order the
-// per-node engine would deliver them (ascending sender; per sender,
-// broadcasts before unicasts, each in call order).
+// buffer: node awake[i]'s messages are At(i), in routing order
+// (ascending sender; per sender, broadcasts before unicasts, each in call
+// order).
 type Inboxes struct {
 	buf []Msg
 	off []int32 // len = awake set + 1
@@ -131,10 +129,11 @@ func (m *Mem) grow(n int) {
 }
 
 // RunBatch executes bm on g until no node is scheduled to wake, and returns
-// the measured Result — the batch-runtime counterpart of Run, with
-// identical Config normalization, scheduling, routing order, and
-// accounting. cfg.Mem, when non-nil, supplies pooled buffers reused across
-// runs.
+// the measured Result. An error is returned only if the MaxRounds cap is
+// hit or bm misbehaves (a non-increasing wake round, or a unicast to a
+// node that is not the sender's neighbor). The zero values of cfg.B and
+// cfg.MaxRounds get their documented defaults; cfg.Mem, when non-nil,
+// supplies pooled buffers reused across runs.
 func RunBatch(g *graph.Graph, bm BatchMachine, cfg Config) (*Result, error) {
 	n := g.N()
 	if cfg.B == 0 {
@@ -280,13 +279,12 @@ func (e *batchEngine) run() (*Result, error) {
 }
 
 // route moves the round's outbox into its inbox buffer. Two passes: the
-// first walks every message in the per-node engine's routing order
-// (ascending sender; per sender broadcasts then unicasts), rejects
-// unicasts to non-neighbors, accounts traffic, drops messages to sleeping
-// receivers, and stages the survivors with their destination rank; the
-// second computes per-receiver offsets and scatters. Staging preserves
-// arrival order, so each receiver's segment is byte-identical to the
-// per-node engine's inbox.
+// first walks every message in routing order (ascending sender; per
+// sender broadcasts then unicasts), rejects unicasts to non-neighbors,
+// accounts traffic, drops messages to sleeping receivers, and stages the
+// survivors with their destination rank; the second computes
+// per-receiver offsets and scatters. Staging preserves arrival order, so
+// each receiver's segment is in routing order too.
 func (e *batchEngine) route(awake []int32, stamp int64) error {
 	m := e.mem
 	k := len(awake)
@@ -304,7 +302,7 @@ func (e *batchEngine) route(awake []int32, stamp int64) error {
 	bi, ui := 0, 0
 	for bi < len(ob.bcast) || ui < len(ob.uni) {
 		// Next sender: the smaller head; its broadcasts drain before its
-		// unicasts, matching the per-node engine's router.
+		// unicasts.
 		var s int32
 		if bi < len(ob.bcast) && (ui >= len(ob.uni) || ob.bcast[bi].From <= ob.uni[ui].From) {
 			s = ob.bcast[bi].From
@@ -387,53 +385,5 @@ func (e *batchEngine) accountFanoutBatch(m Msg, copies int) {
 			panic(fmt.Sprintf("sim: message of %d bits exceeds CONGEST budget %d", m.Bits, e.cfg.B))
 		}
 		e.res.Violations += int64(copies)
-	}
-}
-
-// Adapt wraps per-node machines as a BatchMachine, so any legacy protocol
-// can execute on the batch runtime (and be differentially tested against
-// the per-node engine). The adapter pays the per-node dispatch the batch
-// runtime exists to avoid — protocols on the hot path should implement
-// BatchMachine natively.
-func Adapt(machines []Machine) BatchMachine {
-	return &machineAdapter{machines: machines}
-}
-
-type machineAdapter struct {
-	machines []Machine
-	envs     []Env
-	out      Outbox // scratch for one node's Compose, drained after each call
-}
-
-func (a *machineAdapter) InitAll(env *BatchEnv) []int {
-	n := len(a.machines)
-	a.envs = make([]Env, n)
-	first := make([]int, n)
-	for v := 0; v < n; v++ {
-		a.envs[v] = Env{
-			Node:      v,
-			N:         env.N,
-			Degree:    env.G.Degree(v),
-			Neighbors: env.G.Neighbors(v),
-			B:         env.B,
-			Rand:      rng.NewForNode(env.Seed, v),
-		}
-		first[v] = a.machines[v].Init(&a.envs[v])
-	}
-	return first
-}
-
-func (a *machineAdapter) ComposeAll(round int, awake []int32, out *BatchOutbox) {
-	ob := &a.out
-	for _, v := range awake {
-		ob.reset(v, a.envs[v].Neighbors)
-		a.machines[v].Compose(round, ob)
-		ob.DrainTo(out)
-	}
-}
-
-func (a *machineAdapter) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
-	for i, v := range awake {
-		next[i] = a.machines[v].Deliver(round, in.At(i))
 	}
 }

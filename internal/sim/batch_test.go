@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -118,10 +119,12 @@ type digestMachine interface {
 	Digest() uint64
 }
 
-// runDigests runs one digestMachine per node, made by mk, on the per-node
-// engine or through Adapt on the batch engine, and returns every node's
-// final digest with the run's Result.
-func runDigests(t *testing.T, g *graph.Graph, mk func(v int) digestMachine, batch bool) ([]uint64, *Result) {
+// engineFunc is the shape shared by Run and its reference runPerNode.
+type engineFunc func(g *graph.Graph, machines []Machine, cfg Config) (*Result, error)
+
+// runDigests runs one digestMachine per node, made by mk, on engine with
+// cfg and returns every node's final digest with the run's Result.
+func runDigests(t *testing.T, g *graph.Graph, mk func(v int) digestMachine, engine engineFunc, cfg Config) ([]uint64, *Result) {
 	t.Helper()
 	n := g.N()
 	machines := make([]Machine, n)
@@ -130,14 +133,7 @@ func runDigests(t *testing.T, g *graph.Graph, mk func(v int) digestMachine, batc
 		nodes[v] = mk(v)
 		machines[v] = nodes[v]
 	}
-	cfg := Config{Seed: 42}
-	var res *Result
-	var err error
-	if batch {
-		res, err = RunBatch(g, Adapt(machines), cfg)
-	} else {
-		res, err = Run(g, machines, cfg)
-	}
+	res, err := engine(g, machines, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +144,9 @@ func runDigests(t *testing.T, g *graph.Graph, mk func(v int) digestMachine, batc
 	return digests, res
 }
 
-// TestBatchAdapterMatchesPerNodeEngine runs the same per-node machines on
-// both engines and requires byte-identical inbox sequences and counters:
+// TestBatchAdapterMatchesPerNodeEngine runs the same per-node machines
+// through Run (the batch engine) and through the per-node reference loop
+// runPerNode, and requires byte-identical inbox sequences and counters:
 // chatterMachine mixes broadcasts, random unicasts and random sleep;
 // chattyMachine puts several messages on every edge in every awake round.
 func TestBatchAdapterMatchesPerNodeEngine(t *testing.T) {
@@ -169,23 +166,23 @@ func TestBatchAdapterMatchesPerNodeEngine(t *testing.T) {
 	}
 	for _, mc := range machines {
 		for gi, g := range graphs {
-			refDig, refRes := runDigests(t, g, mc.mk, false)
-			dig, res := runDigests(t, g, mc.mk, true)
+			refDig, refRes := runDigests(t, g, mc.mk, runPerNode, Config{Seed: 42})
+			dig, res := runDigests(t, g, mc.mk, Run, Config{Seed: 42})
 			for v := range refDig {
 				if dig[v] != refDig[v] {
-					t.Fatalf("%s graph %d: node %d inbox digest %x, per-node engine %x",
+					t.Fatalf("%s graph %d: node %d inbox digest %x, runPerNode %x",
 						mc.name, gi, v, dig[v], refDig[v])
 				}
 			}
 			if res.Rounds != refRes.Rounds || res.MsgsSent != refRes.MsgsSent ||
 				res.MsgsDropped != refRes.MsgsDropped || res.BitsTotal != refRes.BitsTotal ||
 				res.BitsMax != refRes.BitsMax {
-				t.Fatalf("%s graph %d: counters differ\n per-node: %+v\n batch:    %+v",
+				t.Fatalf("%s graph %d: counters differ\n runPerNode: %+v\n Run:        %+v",
 					mc.name, gi, refRes, res)
 			}
 			for v := range res.Awake {
 				if res.Awake[v] != refRes.Awake[v] {
-					t.Fatalf("%s graph %d: Awake[%d] = %d, per-node %d",
+					t.Fatalf("%s graph %d: Awake[%d] = %d, runPerNode %d",
 						mc.name, gi, v, res.Awake[v], refRes.Awake[v])
 				}
 			}
@@ -193,12 +190,12 @@ func TestBatchAdapterMatchesPerNodeEngine(t *testing.T) {
 	}
 }
 
-// TestParallelPreservesMultiMessageOrder checks both engines' delivery
-// order, with several messages on one edge in one round, against the order
-// they promise: each inbox is grouped by sender in ascending id, and each
-// sender's messages arrive broadcasts first and unicasts second, each in
-// Compose call order. A sender's messages reach only receivers awake in
-// the round they were sent.
+// TestParallelPreservesMultiMessageOrder checks the delivery order of Run
+// and of its reference runPerNode, with several messages on one edge in
+// one round, against the order they promise: each inbox is grouped by
+// sender in ascending id, and each sender's messages arrive broadcasts
+// first and unicasts second, each in Compose call order. A sender's
+// messages reach only receivers awake in the round they were sent.
 func TestParallelPreservesMultiMessageOrder(t *testing.T) {
 	g := graph.GNP(40, 0.2, 9)
 	n := g.N()
@@ -226,28 +223,25 @@ func TestParallelPreservesMultiMessageOrder(t *testing.T) {
 			}
 		}
 	}
-	for _, engine := range []string{"Run", "RunBatch(Adapt)"} {
+	for _, engine := range []struct {
+		name string
+		run  engineFunc
+	}{{"Run", Run}, {"runPerNode", runPerNode}} {
 		machines := make([]Machine, n)
 		for v := range machines {
 			machines[v] = &chattyMachine{awake: chattySchedule(v)}
 		}
-		var err error
-		if engine == "Run" {
-			_, err = Run(g, machines, Config{Seed: 2})
-		} else {
-			_, err = RunBatch(g, Adapt(machines), Config{Seed: 2})
-		}
-		if err != nil {
+		if _, err := engine.run(g, machines, Config{Seed: 2}); err != nil {
 			t.Fatal(err)
 		}
 		for v := range machines {
 			got := machines[v].(*chattyMachine).log
 			if len(got) != len(want[v]) {
-				t.Fatalf("%s node %d: received %d messages, want %d", engine, v, len(got), len(want[v]))
+				t.Fatalf("%s node %d: received %d messages, want %d", engine.name, v, len(got), len(want[v]))
 			}
 			for i := range got {
 				if got[i] != want[v][i] {
-					t.Fatalf("%s node %d: message %d is %x, want %x", engine, v, i, got[i], want[v][i])
+					t.Fatalf("%s node %d: message %d is %x, want %x", engine.name, v, i, got[i], want[v][i])
 				}
 			}
 		}
@@ -255,7 +249,7 @@ func TestParallelPreservesMultiMessageOrder(t *testing.T) {
 }
 
 // badWakeBatch schedules a non-increasing wake round, which must error the
-// run exactly like the per-node engine does.
+// run exactly like badMachine does through Run.
 type badWakeBatch struct{}
 
 func (badWakeBatch) InitAll(env *BatchEnv) []int {
@@ -349,9 +343,9 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchAdapterAllocsBounded bounds the adapter path: it pays per-node
-// init allocations (envs, rng streams, outbox growth) but nothing per
-// round beyond them.
+// TestBatchAdapterAllocsBounded bounds Run's adapter path on a pooled Mem:
+// it pays per-run init allocations (the Env and rng.Stream arenas, outbox
+// growth) but nothing per round beyond them.
 func TestBatchAdapterAllocsBounded(t *testing.T) {
 	g := graph.GNP(400, 10.0/400, 3)
 	n := g.N()
@@ -363,7 +357,7 @@ func TestBatchAdapterAllocsBounded(t *testing.T) {
 			nodes[v] = chatterMachine{rounds: 4}
 			machines[v] = &nodes[v]
 		}
-		if _, err := RunBatch(g, Adapt(machines), Config{Seed: 7, Mem: mem}); err != nil {
+		if _, err := Run(g, machines, Config{Seed: 7, Mem: mem}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,11 +390,25 @@ func (p *strayBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
 }
 
 // TestBatchMemReuseAfterError: a run that errors mid-flight (the MaxRounds
-// cap, or a unicast to a non-neighbor) must leave a pooled Mem clean — no
-// phantom scheduled nodes, no stale awake stamps — so a subsequent run on
-// a different (smaller) graph behaves exactly like one on fresh buffers.
+// cap, or a unicast to a non-neighbor), through RunBatch or through Run's
+// per-node machines, must leave a pooled Mem clean — no phantom scheduled
+// nodes, no stale awake stamps — so a subsequent run on a different
+// (smaller) graph behaves exactly like one on fresh buffers. The clean
+// run lets nodes sleep while neighbors send, so a stale awake stamp would
+// deliver a message that must be dropped.
 func TestBatchMemReuseAfterError(t *testing.T) {
 	big := graph.GNP(300, 0.05, 1)
+	stray := int32(1) // the first node that is not node 0's neighbor
+	for big.HasEdge(0, int(stray)) {
+		stray++
+	}
+	machines := func(mk func() Machine) []Machine {
+		ms := make([]Machine, big.N())
+		for v := range ms {
+			ms[v] = mk()
+		}
+		return ms
+	}
 	failing := []struct {
 		name string
 		run  func(mem *Mem) error
@@ -413,28 +421,34 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 			_, err := RunBatch(big, &strayBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3}, Config{Mem: mem})
 			return err
 		}},
+		{"run/max-rounds", func(mem *Mem) error {
+			// Staggered wakes that never stop: nodes stay scheduled past
+			// the cap, so the error path must drain their wake buckets.
+			_, err := Run(big, machines(func() Machine { return &chatterMachine{rounds: math.MaxInt} }), Config{Mem: mem, MaxRounds: 5})
+			return err
+		}},
+		{"run/non-neighbor", func(mem *Mem) error {
+			_, err := Run(big, machines(func() Machine { return &nonNeighborSender{to: stray} }), Config{Mem: mem})
+			return err
+		}},
 	}
 	small := graph.Cycle(10)
-	fresh, err := RunBatch(small, &pingBatch{g: small, rounds: 3}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	chatter := func(int) digestMachine { return &chatterMachine{rounds: 6} }
+	freshDig, fresh := runDigests(t, small, chatter, Run, Config{Seed: 5})
 	for _, f := range failing {
 		mem := NewMem()
 		if err := f.run(mem); err == nil {
 			t.Fatalf("%s: expected an error", f.name)
 		}
-		pooled, err := RunBatch(small, &pingBatch{g: small, rounds: 3}, Config{Mem: mem})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dig, pooled := runDigests(t, small, chatter, Run, Config{Seed: 5, Mem: mem})
 		if pooled.Rounds != fresh.Rounds || pooled.MsgsSent != fresh.MsgsSent ||
 			pooled.MsgsDropped != fresh.MsgsDropped || pooled.BitsTotal != fresh.BitsTotal {
 			t.Fatalf("%s: post-error pooled run differs\n fresh:  %+v\n pooled: %+v", f.name, fresh, pooled)
 		}
 		for v := range pooled.Awake {
-			if pooled.Awake[v] != fresh.Awake[v] {
-				t.Fatalf("%s: post-error pooled Awake[%d] = %d, fresh %d", f.name, v, pooled.Awake[v], fresh.Awake[v])
+			if pooled.Awake[v] != fresh.Awake[v] || dig[v] != freshDig[v] {
+				t.Fatalf("%s: post-error pooled node %d: awake %d, digest %x; fresh %d, %x",
+					f.name, v, pooled.Awake[v], dig[v], fresh.Awake[v], freshDig[v])
 			}
 		}
 	}

@@ -14,32 +14,38 @@
 // (per-node awake-round counts), and accounts message sizes in bits against
 // the CONGEST budget B = O(log n).
 //
-// # Two execution paths
+// # One engine, two ways to write a protocol
 //
-// The model has two interchangeable runtimes with identical semantics:
+// RunBatch is the engine: it owns the wake schedule, the router, the
+// CONGEST accounting and the tracer hook. A protocol reaches it in one of
+// two forms:
 //
-//   - The per-node path (Run): one Machine automaton per node, driven with
-//     Init/Compose/Deliver calls. Easiest to write and read, but costs two
-//     virtual calls and one inbox slice per awake node per round.
-//   - The batch path (RunBatch): one BatchMachine automaton per protocol,
-//     driven with whole awake-sets per call over flat struct-of-arrays
-//     state. The engine makes O(1) interface calls per round regardless of
-//     how many nodes are awake, routes every message through one pooled
+//   - Machine, run with Run: one automaton per node, driven with
+//     Init/Compose/Deliver calls. Easiest to write and read; Run adapts
+//     the machines to the engine, which costs one Compose and one Deliver
+//     call per awake node per round. The per-node machines of every
+//     protocol package are the executable specification; Phase III
+//     (internal/phase3), regularized Luby and the Section 4 slotted
+//     stages (internal/avgenergy) run this way in production.
+//   - BatchMachine, run with RunBatch: one automaton per protocol, driven
+//     with whole awake sets per call over flat struct-of-arrays state.
+//     The engine makes O(1) interface calls per round regardless of how
+//     many nodes are awake, routes every message through one pooled
 //     buffer, and — with a warm Mem pool — reaches zero steady-state
-//     allocations per round. Every protocol package on the hot path (luby,
-//     phase1, ghaffari, degreduce, shatter, phase3) executes this way;
-//     Adapt runs any legacy []Machine on the batch engine.
+//     allocations per round. The hot protocols (luby, phase1, ghaffari,
+//     degreduce, shatter) execute this way.
 //
-// Execution semantics, delivery order, and all measured counters are
-// identical between the two paths: for any protocol expressed both ways,
-// Run and RunBatch produce byte-identical Results (enforced by the
-// differential tests in the protocol packages and by determinism_test.go
-// at the repo root).
+// Both forms see the same semantics, delivery order and counters: for any
+// protocol written both ways, Run and RunBatch produce byte-identical
+// Results (enforced by the differential tests in the protocol packages and
+// by determinism_test.go at the repo root). The engine itself is checked
+// against runPerNode, an independent per-node round loop kept in this
+// package's tests.
 //
-// Both paths execute a run on the calling goroutine: compose, route, and
+// The engine executes a run on the calling goroutine: compose, route, and
 // deliver walk the sorted awake set in order, and nothing in the package
 // starts a goroutine. Independent runs may execute concurrently, each on
-// its own Mem (see internal/bench's throughput executor). Both routers
-// reject a unicast to a node that is not the sender's neighbor: the run
+// its own Mem (see internal/bench's throughput executor). The router
+// rejects a unicast to a node that is not the sender's neighbor: the run
 // fails with an error, like a non-increasing wake round.
 package sim

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
-	"time"
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/obs"
@@ -53,13 +51,12 @@ type Machine interface {
 // Outbox collects the messages a node sends in one round. At most one
 // message per neighbor per round is allowed (the CONGEST discipline);
 // Broadcast counts as one message on every incident edge. Unicasts must
-// address a neighbor of the sending node; both engines fail the run with
-// an error otherwise.
+// address a neighbor of the sending node; Run fails with an error
+// otherwise.
 type Outbox struct {
-	node      int32
-	neighbors []int32
-	msgs      []addressed
-	bcast     []Msg
+	node  int32
+	msgs  []addressed
+	bcast []Msg
 }
 
 type addressed struct {
@@ -79,26 +76,16 @@ func (o *Outbox) Broadcast(m Msg) {
 	o.bcast = append(o.bcast, m)
 }
 
-func (o *Outbox) reset(node int32, neighbors []int32) {
+func (o *Outbox) reset(node int32) {
 	o.node = node
-	o.neighbors = neighbors
 	o.msgs = o.msgs[:0]
 	o.bcast = o.bcast[:0]
 }
 
-// ResetFor prepares o to collect node `node`'s messages for one round.
-// It exists for batch drivers outside this package (see BatchMachine) that
-// execute per-node Compose logic against a scratch Outbox and then move the
-// messages into a BatchOutbox with DrainTo; the engine's own paths call the
-// unexported reset directly.
-func (o *Outbox) ResetFor(node int32, neighbors []int32) { o.reset(node, neighbors) }
-
-// DrainTo appends o's queued messages to a batch outbox under o's node as
-// the sender, broadcasts first and unicasts second, each in call order —
-// exactly the per-sender order the per-node engine's router uses, so a
-// batch driver built on per-node Compose logic stays byte-identical to the
-// per-node engine.
-func (o *Outbox) DrainTo(out *BatchOutbox) {
+// drainTo appends o's queued messages to a batch outbox under o's node as
+// the sender, broadcasts first and unicasts second, each in call order:
+// the per-sender order RunBatch's router promises (see Inboxes).
+func (o *Outbox) drainTo(out *BatchOutbox) {
 	for _, m := range o.bcast {
 		out.Broadcast(o.node, m)
 	}
@@ -147,8 +134,8 @@ type Config struct {
 	MaxRounds int  // safety cap; 0 means a generous default
 	B         int  // CONGEST budget in bits; 0 means 4*ceil(log2 N) (min 16)
 	Strict    bool // panic on CONGEST violations instead of counting them
-	// Mem supplies pooled engine buffers reused across runs (see Mem). Used
-	// by the batch runtime (RunBatch); nil allocates fresh buffers.
+	// Mem supplies pooled engine buffers reused across runs (see Mem).
+	// Run and RunBatch both honour it; nil allocates fresh buffers.
 	Mem *Mem
 	// Tracer, when non-nil, receives one obs.RoundStats callback at the
 	// end of every executed round, carrying that round's counter deltas
@@ -188,170 +175,64 @@ func log2Ceil(n int) int {
 // machine misbehaves (returns a non-increasing wake round, or unicasts to
 // a node that is not its neighbor).
 //
-// The Config is normalized once here: the zero values of B and MaxRounds
-// get their documented defaults.
+// The machines execute on the batch engine (RunBatch) through a thin
+// adapter, so Config normalization, scheduling, routing order, accounting,
+// tracing and cfg.Mem pooling are RunBatch's.
 func Run(g *graph.Graph, machines []Machine, cfg Config) (*Result, error) {
-	n := g.N()
-	if len(machines) != n {
-		return nil, fmt.Errorf("sim: %d machines for %d nodes", len(machines), n)
+	if len(machines) != g.N() {
+		return nil, fmt.Errorf("sim: %d machines for %d nodes", len(machines), g.N())
 	}
-	if cfg.B == 0 {
-		cfg.B = DefaultB(n)
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 1 << 22
-	}
-	e := &engine{g: g, machines: machines, cfg: cfg}
-	return e.run()
+	return RunBatch(g, adapt(machines), cfg)
 }
 
-type engine struct {
-	g        *graph.Graph
+// adapt wraps per-node machines as a BatchMachine. The adapter pays one
+// Compose and one Deliver call per awake node per round, which native
+// BatchMachines avoid; its per-run state is one Env and one rng.Stream per
+// node, each held in a single flat slice.
+func adapt(machines []Machine) BatchMachine {
+	return &machineAdapter{machines: machines}
+}
+
+type machineAdapter struct {
 	machines []Machine
-	cfg      Config
-
-	// Wake schedule: a bucket of nodes per pending round, a min-heap of
-	// the pending rounds, and a free list so bucket slices are reused
-	// across rounds instead of reallocated.
-	buckets    map[int][]int32
-	roundHeap  []int
-	bucketPool [][]int32
-
-	awakeStamp []int64 // node -> last round awake (+1), 0 = never
-	inboxes    [][]Msg
-	outboxes   []Outbox
-	res        Result
+	envs     []Env
+	rands    []rng.Stream // per-node streams in one arena, aliased by envs
+	out      Outbox       // scratch for one node's Compose, drained after each call
 }
 
-func (e *engine) schedule(v int32, round int) error {
-	if round == Never {
-		return nil
-	}
-	if round < 0 {
-		return fmt.Errorf("sim: node %d scheduled invalid round %d", v, round)
-	}
-	b, ok := e.buckets[round]
-	if !ok {
-		// New pending round: register it in the heap and take a pooled
-		// slice for its bucket.
-		heapPush(&e.roundHeap, round)
-		if k := len(e.bucketPool); k > 0 {
-			b = e.bucketPool[k-1][:0]
-			e.bucketPool = e.bucketPool[:k-1]
-		}
-	}
-	e.buckets[round] = append(b, v)
-	return nil
-}
-
-func (e *engine) run() (*Result, error) {
-	n := e.g.N()
-	e.buckets = make(map[int][]int32)
-	e.awakeStamp = make([]int64, n)
-	e.inboxes = make([][]Msg, n)
-	e.outboxes = make([]Outbox, n)
-	e.res.Awake = make([]int32, n)
-
-	envs := make([]Env, n)
+func (a *machineAdapter) InitAll(env *BatchEnv) []int {
+	n := len(a.machines)
+	a.envs = make([]Env, n)
+	a.rands = make([]rng.Stream, n)
+	first := make([]int, n)
 	for v := 0; v < n; v++ {
-		envs[v] = Env{
+		a.rands[v] = rng.ForNode(env.Seed, v)
+		a.envs[v] = Env{
 			Node:      v,
-			N:         n,
-			Degree:    e.g.Degree(v),
-			Neighbors: e.g.Neighbors(v),
-			B:         e.cfg.B,
-			Rand:      rng.NewForNode(e.cfg.Seed, v),
+			N:         env.N,
+			Degree:    env.G.Degree(v),
+			Neighbors: env.G.Neighbors(v),
+			B:         env.B,
+			Rand:      &a.rands[v],
 		}
-		first := e.machines[v].Init(&envs[v])
-		if err := e.schedule(int32(v), first); err != nil {
-			return nil, err
-		}
+		first[v] = a.machines[v].Init(&a.envs[v])
 	}
+	return first
+}
 
-	tr := e.cfg.Tracer
-	for len(e.roundHeap) > 0 {
-		// Every scheduled round exceeds every processed round, so the
-		// heap minimum is always the next round with awake nodes; rounds
-		// in between elapse on the wall clock with everyone asleep.
-		round := heapPop(&e.roundHeap)
-		awake := e.buckets[round]
-		delete(e.buckets, round)
-		if round >= e.cfg.MaxRounds {
-			return nil, fmt.Errorf("sim: exceeded MaxRounds=%d", e.cfg.MaxRounds)
-		}
-		slices.Sort(awake)
-		// Deduplicate: a node must not be double-scheduled, but be tolerant
-		// of identical entries.
-		awake = dedupSorted(awake)
-
-		var roundStart time.Time
-		var snap Result
-		if tr != nil {
-			roundStart = time.Now()
-			snap = e.res // counter snapshot; the round's deltas are diffs against it
-		}
-
-		stamp := int64(round) + 1
-		for _, v := range awake {
-			e.awakeStamp[v] = stamp
-			e.res.Awake[v]++
-		}
-
-		// Phase 1: compose.
-		for _, v := range awake {
-			ob := &e.outboxes[v]
-			ob.reset(v, e.g.Neighbors(int(v)))
-			e.machines[v].Compose(round, ob)
-		}
-
-		// Phase 2: route (in sender order, so inboxes are sorted by sender
-		// and runs are deterministic).
-		for _, v := range awake {
-			ob := &e.outboxes[v]
-			for _, m := range ob.bcast {
-				// A broadcast occupies every incident edge: one CONGEST
-				// message per neighbor; account the whole fan-out at once
-				// instead of per copy.
-				e.accountFanout(m, len(ob.neighbors))
-				for _, u := range ob.neighbors {
-					e.deliverTo(u, m, stamp)
-				}
-			}
-			for _, am := range ob.msgs {
-				if !e.g.HasEdge(int(v), int(am.to)) {
-					return nil, fmt.Errorf("sim: node %d unicast to non-neighbor %d", v, am.to)
-				}
-				e.accountMsg(am.msg)
-				e.deliverTo(am.to, am.msg, stamp)
-			}
-		}
-
-		// Phase 3: deliver and reschedule.
-		for _, v := range awake {
-			next := e.machines[v].Deliver(round, e.inboxes[v])
-			e.inboxes[v] = e.inboxes[v][:0]
-			if next != Never && next <= round {
-				return nil, fmt.Errorf("sim: node %d returned wake round %d <= current %d", v, next, round)
-			}
-			if err := e.schedule(v, next); err != nil {
-				return nil, err
-			}
-		}
-		if tr != nil {
-			tr.Round(obs.RoundStats{
-				Round:       round,
-				Awake:       len(awake),
-				MsgsSent:    e.res.MsgsSent - snap.MsgsSent,
-				MsgsDropped: e.res.MsgsDropped - snap.MsgsDropped,
-				Bits:        e.res.BitsTotal - snap.BitsTotal,
-				Violations:  e.res.Violations - snap.Violations,
-				WallNS:      time.Since(roundStart).Nanoseconds(),
-			})
-		}
-		e.bucketPool = append(e.bucketPool, awake)
-		e.res.Rounds = round + 1
+func (a *machineAdapter) ComposeAll(round int, awake []int32, out *BatchOutbox) {
+	ob := &a.out
+	for _, v := range awake {
+		ob.reset(v)
+		a.machines[v].Compose(round, ob)
+		ob.drainTo(out)
 	}
-	return &e.res, nil
+}
+
+func (a *machineAdapter) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
+	for i, v := range awake {
+		next[i] = a.machines[v].Deliver(round, in.At(i))
+	}
 }
 
 // heapPush / heapPop implement a plain int min-heap (no interface
@@ -394,45 +275,6 @@ func heapPop(h *[]int) int {
 		i = min
 	}
 	return top
-}
-
-func (e *engine) accountFanout(m Msg, copies int) {
-	if copies == 0 {
-		return
-	}
-	e.res.MsgsSent += int64(copies)
-	e.res.BitsTotal += int64(copies) * int64(m.Bits)
-	if int(m.Bits) > e.res.BitsMax {
-		e.res.BitsMax = int(m.Bits)
-	}
-	if int(m.Bits) > e.cfg.B {
-		if e.cfg.Strict {
-			panic(fmt.Sprintf("sim: message of %d bits exceeds CONGEST budget %d", m.Bits, e.cfg.B))
-		}
-		e.res.Violations += int64(copies)
-	}
-}
-
-func (e *engine) accountMsg(m Msg) {
-	e.res.MsgsSent++
-	e.res.BitsTotal += int64(m.Bits)
-	if int(m.Bits) > e.res.BitsMax {
-		e.res.BitsMax = int(m.Bits)
-	}
-	if int(m.Bits) > e.cfg.B {
-		if e.cfg.Strict {
-			panic(fmt.Sprintf("sim: message of %d bits exceeds CONGEST budget %d", m.Bits, e.cfg.B))
-		}
-		e.res.Violations++
-	}
-}
-
-func (e *engine) deliverTo(u int32, m Msg, stamp int64) {
-	if e.awakeStamp[u] == stamp {
-		e.inboxes[u] = append(e.inboxes[u], m)
-	} else {
-		e.res.MsgsDropped++
-	}
 }
 
 func dedupSorted(s []int32) []int32 {

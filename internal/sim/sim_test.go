@@ -294,9 +294,9 @@ func (m *nonNeighborSender) Compose(round int, out *Outbox) {
 }
 func (m *nonNeighborSender) Deliver(round int, inbox []Msg) int { return Never }
 
-// TestParallelRejectsNonNeighborUnicast: both engines fail the run with a
-// named error when a node unicasts across a non-edge — to a node that
-// exists (2 on the path 0-1-2) or to one that does not (3).
+// TestParallelRejectsNonNeighborUnicast: Run and its reference runPerNode
+// fail the run with a named error when a node unicasts across a non-edge —
+// to a node that exists (2 on the path 0-1-2) or to one that does not (3).
 func TestParallelRejectsNonNeighborUnicast(t *testing.T) {
 	g := graph.Path(3)
 	for _, to := range []int32{2, 3} {
@@ -307,8 +307,8 @@ func TestParallelRejectsNonNeighborUnicast(t *testing.T) {
 		if _, err := Run(g, mk(), Config{Seed: 1}); err == nil || err.Error() != want {
 			t.Fatalf("Run, to=%d: err = %v, want %q", to, err, want)
 		}
-		if _, err := RunBatch(g, Adapt(mk()), Config{Seed: 1}); err == nil || err.Error() != want {
-			t.Fatalf("RunBatch(Adapt), to=%d: err = %v, want %q", to, err, want)
+		if _, err := runPerNode(g, mk(), Config{Seed: 1}); err == nil || err.Error() != want {
+			t.Fatalf("runPerNode, to=%d: err = %v, want %q", to, err, want)
 		}
 	}
 }
