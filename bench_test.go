@@ -5,9 +5,9 @@ package energymis_test
 // Each benchmark reports the paper's complexity measures as custom
 // metrics (rounds, awake counts) in addition to wall-clock throughput, so
 // `go test -bench=. -benchmem` regenerates every experiment's headline
-// series. The metrics are produced by internal/bench — the same harness
-// behind `cmd/bench` and BENCH_MIS.json — so both report identical
-// quantities; cmd/sweep prints the same data as full markdown tables.
+// series; cmd/sweep prints the same data as full markdown tables. These
+// benchmarks are also the profiling entry point: add -cpuprofile,
+// -memprofile or -trace to a -bench run (see docs/BENCHMARKING.md).
 
 import (
 	"fmt"
@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	energymis "github.com/energymis/energymis"
-	"github.com/energymis/energymis/internal/bench"
 	"github.com/energymis/energymis/internal/degreduce"
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/phase1"
@@ -27,46 +26,20 @@ import (
 
 func reportRun(b *testing.B, g *energymis.Graph, algo energymis.Algorithm) {
 	b.Helper()
-	var m bench.Metrics
+	var res *energymis.Result
 	for i := 0; i < b.N; i++ {
-		res, err := energymis.Run(g, algo, energymis.Options{Seed: uint64(i) + 1})
+		var err error
+		res, err = energymis.Run(g, algo, energymis.Options{Seed: uint64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		m = bench.FromResult(res)
 	}
-	b.ReportMetric(float64(m.Rounds), "rounds")
-	b.ReportMetric(float64(m.AwakeMax), "maxAwake")
-	b.ReportMetric(m.AwakeAvg, "avgAwake")
-	if m.AwakeTotal > 0 && b.N > 0 {
+	b.ReportMetric(float64(res.Rounds), "rounds")
+	b.ReportMetric(float64(res.MaxAwake), "maxAwake")
+	b.ReportMetric(res.AvgAwake, "avgAwake")
+	if res.AwakeTotal > 0 && b.N > 0 {
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.ReportMetric(perOp/float64(m.AwakeTotal), "ns/awake-node-round")
-	}
-}
-
-// BenchmarkHarnessQuick runs the cmd/bench quick suite cases through the
-// standard Go benchmark driver — the same workloads the CI perf gate
-// times, here with -benchmem allocation accounting.
-func BenchmarkHarnessQuick(b *testing.B) {
-	specs, err := bench.Specs(nil, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, spec := range specs {
-		spec := spec
-		b.Run(spec.Key(), func(b *testing.B) {
-			var m bench.Metrics
-			for i := 0; i < b.N; i++ {
-				var err error
-				if m, err = spec.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if m.AwakeTotal > 0 && b.N > 0 {
-				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				b.ReportMetric(perOp/float64(m.AwakeTotal), "ns/awake-node-round")
-			}
-		})
+		b.ReportMetric(perOp/float64(res.AwakeTotal), "ns/awake-node-round")
 	}
 }
 

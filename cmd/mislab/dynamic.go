@@ -12,6 +12,12 @@ import (
 )
 
 func runDynamic(g *energymis.Graph, algoName, streamKind, tracePath string, updates, batch, window int, seed uint64, check bool) error {
+	if updates < 0 {
+		return fmt.Errorf("-updates must not be negative, got %d", updates)
+	}
+	if window < 0 {
+		return fmt.Errorf("-window must not be negative, got %d", window)
+	}
 	algos, err := pickAlgos(algoName)
 	if err != nil {
 		return err

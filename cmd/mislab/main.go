@@ -132,6 +132,12 @@ func pickAlgos(name string) ([]energymis.Algorithm, error) {
 }
 
 func makeGraph(name string, n int, deg, radius float64, seed uint64) (*energymis.Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("-n must not be negative, got %d", n)
+	}
+	if deg < 0 {
+		return nil, fmt.Errorf("-deg must not be negative, got %g", deg)
+	}
 	switch name {
 	case "gnp":
 		return energymis.GNP(n, deg/float64(max(1, n-1)), seed), nil

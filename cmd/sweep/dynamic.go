@@ -125,9 +125,9 @@ func runD2(c sweepConfig) error {
 // D3: sustained update throughput against the coalescing window, per
 // stream class. The engine starts from a greedy MIS (no bootstrap) so the
 // wall clock measures pure repair throughput; each configuration keeps the
-// best of -seeds timed replays. These numbers are wall-clock and
-// machine-dependent — the gated, reproducible twins live in the bench
-// harness's dynamic-throughput suite (BENCH_MIS.json).
+// best of -seeds timed replays. These numbers are wall-clock,
+// machine-dependent and ungated; the gated measure of repair throughput
+// is misbench's dyn-churn workload (see docs/BENCHMARKING.md).
 func runD3(c sweepConfig) error {
 	windows := []int{1, 8, 64, 256}
 	upd := func(base int) int {
@@ -162,9 +162,6 @@ func runD3(c sweepConfig) error {
 			energymis.FlattenStream(energymis.HubAttackStream(g, upd(200), 6))})
 	}
 	reps := c.seeds
-	if reps < 1 {
-		reps = 1
-	}
 	var rows [][]string
 	for _, cl := range classes {
 		inSet := energymis.GreedyMIS(cl.g)
@@ -201,7 +198,7 @@ func runD3(c sweepConfig) error {
 	headers := []string{"stream", "n", "updates", "window", "batches", "updates/sec", "awake/update"}
 	table(headers, rows)
 	fmt.Println()
-	fmt.Println("(wall-clock best of " + i0(reps) + " replays; gated twins: bench suite dynamic-throughput)")
+	fmt.Println("(wall-clock best of " + i0(reps) + " replays, ungated)")
 	return c.writeCSV("D3.csv",
 		[]string{"stream", "n", "updates", "window", "batches", "updates_per_sec", "awake_per_update"}, rows)
 }
@@ -210,9 +207,6 @@ func runD3(c sweepConfig) error {
 // window 64 on sparse GNP, n from 10⁴ to 10⁶.
 func runD5(c sweepConfig) error {
 	reps := c.seeds
-	if reps < 1 {
-		reps = 1
-	}
 	upd := func(n int) int {
 		u := n / 4
 		if u > 51200 {

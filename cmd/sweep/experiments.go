@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	energymis "github.com/energymis/energymis"
-	"github.com/energymis/energymis/internal/bench"
 	"github.com/energymis/energymis/internal/core"
 	"github.com/energymis/energymis/internal/degreduce"
 	"github.com/energymis/energymis/internal/graph"
@@ -384,37 +383,6 @@ func runA4(c sweepConfig) error {
 	fmt.Println()
 	fmt.Println("(The paper invokes Linial's reduction; on the out-degree-1 forest H_L " +
 		"the Cole–Vishkin chain above reaches the same O(log log n) / O(1) class counts.)")
-	return nil
-}
-
-// B1: the cmd/bench harness suites, printed as a markdown table. Reuses
-// the exact suite definitions behind BENCH_MIS.json and the CI perf gate
-// (fixed instance sizes; -scale does not apply). -seeds sets the timed
-// repetitions per case.
-func runB1(c sweepConfig) error {
-	specs, err := bench.Specs(nil, true)
-	if err != nil {
-		return err
-	}
-	reps := c.seeds
-	if reps < 1 {
-		reps = 1
-	}
-	var rows [][]string
-	for _, s := range specs {
-		res, err := bench.Measure(s, reps)
-		if err != nil {
-			return err
-		}
-		m, t := res.Metrics, res.Timing
-		rows = append(rows, []string{
-			res.Key(), i0(int(m.Rounds)), i0(int(m.AwakeMax)), f2(m.AwakeAvg),
-			i0(int(m.Messages)), fmt.Sprintf("%.1f", t.MinNS/1e6), f2(t.NSPerAwakeNodeRound),
-		})
-	}
-	table([]string{"case", "rounds", "maxAwake", "avgAwake", "msgs", "min ms", "ns/awake-node-round"}, rows)
-	fmt.Println()
-	fmt.Printf("(quick subset, %d reps/case; `cmd/bench` emits the full suites as BENCH_MIS.json)\n", reps)
 	return nil
 }
 

@@ -1,8 +1,8 @@
 // Command sweep regenerates the paper-reproduction experiments (E1–E10),
-// the ablations (A1–A4), the dynamic-MIS experiments (D1–D5), the bench
-// twin (B1), the analytical-twin fit (F1), and the unit-disk scenario
-// (G1), printing each as a markdown table (see the registry below for
-// what each one measures).
+// the ablations (A1–A4), the dynamic-MIS experiments (D1–D3, D5), the
+// analytical-twin fit (F1), and the unit-disk scenario (G1), printing
+// each as a markdown table (see the registry below for what each one
+// measures).
 //
 // Usage:
 //
@@ -25,13 +25,21 @@ import (
 
 func main() {
 	var (
-		expts    = flag.String("e", "all", "comma-separated experiment IDs (E1..E10, A1..A4, D1..D5, B1, F1, G1, all)")
+		expts    = flag.String("e", "all", "comma-separated experiment IDs (E1..E10, A1..A4, D1..D3, D5, F1, G1, all)")
 		seeds    = flag.Int("seeds", 3, "seeds per configuration")
 		scale    = flag.Float64("scale", 1, "instance-size multiplier")
 		traceDir = flag.String("trace", "", "write one JSONL run trace per measured run into this directory (see cmd/mistrace)")
 		csvDir   = flag.String("csv", "", "write plot-ready CSV files for experiments that emit them into this directory")
 	)
 	flag.Parse()
+	if *seeds < 1 {
+		fmt.Fprintln(os.Stderr, "sweep: -seeds must be at least 1")
+		os.Exit(1)
+	}
+	if !(*scale > 0) { // also rejects NaN
+		fmt.Fprintln(os.Stderr, "sweep: -scale must be positive")
+		os.Exit(1)
+	}
 
 	for _, dir := range []string{*traceDir, *csvDir} {
 		if dir == "" {
@@ -62,7 +70,6 @@ func main() {
 		{"D2", "Dynamic MIS: repair cost across update-stream classes", runD2},
 		{"D3", "Dynamic MIS: updates/sec vs batch window across stream classes", runD3},
 		{"D5", "Dynamic MIS: updates/sec vs graph size", runD5},
-		{"B1", "Benchmark harness: quick suites (twin of BENCH_MIS.json)", runB1},
 		{"F1", "Analytical twin: fit paper curves from a multi-size sweep", runF1},
 		{"G1", "Unit-disk sensor field: fixed radius, growing density", runG1},
 	}
@@ -88,7 +95,7 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments matched; use -e all or E1..E10, A1..A4, D1..D5, B1, F1, G1")
+		fmt.Fprintln(os.Stderr, "no experiments matched; use -e all or E1..E10, A1..A4, D1..D3, D5, F1, G1")
 		os.Exit(1)
 	}
 }

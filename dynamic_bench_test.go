@@ -3,35 +3,35 @@ package energymis_test
 // Dynamic-workload benchmarks (experiment D1/D2 of cmd/sweep): repair cost
 // under churn vs. re-running the static algorithm after every update. The
 // headline metric is awake/update — total node-awake-rounds per update —
-// which is where the sleeping model's locality pays off. Metrics flow
-// through internal/bench so these report exactly what the cmd/bench
-// dynamic suite records in BENCH_MIS.json.
+// which is where the sleeping model's locality pays off.
 
 import (
 	"fmt"
 	"testing"
 
 	energymis "github.com/energymis/energymis"
-	"github.com/energymis/energymis/internal/bench"
 )
 
-func reportDynamic(b *testing.B, m bench.Metrics) {
+// reportDynamic reports an engine lifetime's repair cost per update and,
+// since each iteration's wall time includes the bootstrap, its ns per
+// awake node-round over bootstrap plus repairs.
+func reportDynamic(b *testing.B, st energymis.DynamicStats) {
 	b.Helper()
-	b.ReportMetric(m.Extra["awake_update"], "awake/update")
-	b.ReportMetric(m.Extra["max_region"], "maxRegion")
-	if up := m.Extra["updates"]; up > 0 {
-		b.ReportMetric(m.Extra["woken_total"]/up, "woken/update")
+	b.ReportMetric(float64(st.AwakeTotal)/float64(max(st.Updates, 1)), "awake/update")
+	b.ReportMetric(float64(st.MaxRegion), "maxRegion")
+	if st.Updates > 0 {
+		b.ReportMetric(float64(st.WokenTotal)/float64(st.Updates), "woken/update")
 	}
-	if m.AwakeTotal > 0 && b.N > 0 {
+	if awake := st.AwakeTotal + st.BootstrapAwake; awake > 0 && b.N > 0 {
 		perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		b.ReportMetric(perOp/float64(m.AwakeTotal), "ns/awake-node-round")
+		b.ReportMetric(perOp/float64(awake), "ns/awake-node-round")
 	}
 }
 
 func benchChurn(b *testing.B, n, updates int, repair energymis.RepairAlgo) {
 	g := energymis.GNP(n, 8.0/float64(n), uint64(n))
 	trace := energymis.ChurnStream(g, updates, 1, 7)
-	var m bench.Metrics
+	var st energymis.DynamicStats
 	for i := 0; i < b.N; i++ {
 		d, err := energymis.NewDynamic(g, energymis.Luby, energymis.DynamicOptions{Seed: uint64(i) + 1, Repair: repair})
 		if err != nil {
@@ -42,9 +42,9 @@ func benchChurn(b *testing.B, n, updates int, repair energymis.RepairAlgo) {
 				b.Fatal(err)
 			}
 		}
-		m = bench.FromDynamicStats(d.Stats(), d.MISSize(), d.AwakePerNode())
+		st = d.Stats()
 	}
-	reportDynamic(b, m)
+	reportDynamic(b, st)
 }
 
 // BenchmarkDynamicChurn measures localized repair under uniform churn.
@@ -82,8 +82,7 @@ func BenchmarkStaticRecompute(b *testing.B) {
 func BenchmarkDynamicHubAttack(b *testing.B) {
 	g := energymis.BarabasiAlbert(5000, 4, 3)
 	trace := energymis.HubAttackStream(g, 100, 5)
-	var m bench.Metrics
-	var batches, awakeRepairs float64
+	var st energymis.DynamicStats
 	for i := 0; i < b.N; i++ {
 		d, err := energymis.NewDynamic(g, energymis.Luby, energymis.DynamicOptions{Seed: uint64(i) + 1})
 		if err != nil {
@@ -94,12 +93,9 @@ func BenchmarkDynamicHubAttack(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		st := d.Stats()
-		batches = float64(st.Batches)
-		awakeRepairs = float64(st.AwakeTotal)
-		m = bench.FromDynamicStats(st, d.MISSize(), d.AwakePerNode())
+		st = d.Stats()
 	}
-	b.ReportMetric(awakeRepairs/batches, "awake/batch")
-	b.ReportMetric(m.Extra["max_region"], "maxRegion")
-	b.ReportMetric(m.Extra["evictions"], "evictions")
+	b.ReportMetric(float64(st.AwakeTotal)/float64(st.Batches), "awake/batch")
+	b.ReportMetric(float64(st.MaxRegion), "maxRegion")
+	b.ReportMetric(float64(st.Evictions), "evictions")
 }

@@ -151,7 +151,7 @@ type Result struct {
 	P99Awake int
 
 	// AwakeTotal is the total awake node-rounds over the run — the
-	// denominator of the benchmark harness's ns/awake-node-round metric.
+	// denominator of the benchmarks' ns/awake-node-round metric.
 	AwakeTotal int64
 
 	// AwakePerNode is each node's total awake rounds — the per-node

@@ -68,8 +68,8 @@ type Options struct {
 	B    int // CONGEST budget override (0 = 4·ceil(log2 n))
 	// Mem supplies pooled engine buffers reused across phases and runs
 	// (see sim.Mem). A Mem must not be shared by concurrent runs; nil
-	// allocates per run. Used by the throughput executor to make repeated
-	// simulations allocation-free in steady state.
+	// allocates per run. A caller repeating simulations passes one Mem to
+	// all of them, so only the first pays for the engine buffers.
 	Mem *sim.Mem
 	// Tracer, when non-nil, observes the run: per-round counter deltas
 	// from the engine and phase spans from the composition layer (see
@@ -212,7 +212,7 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 	// All phases execute on the batch runtime and share one engine buffer
 	// pool through the pipeline, so crossing a phase boundary costs zero
 	// steady-state engine allocations; callers running many simulations
-	// (the bench throughput executor) pass their own per-worker Mem.
+	// pass one Mem to all of them.
 	pl := pipeline.New(g, opts.baseCfg())
 	diag := PhaseDiag{InputMaxDegree: g.MaxDegree()}
 

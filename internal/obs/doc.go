@@ -17,11 +17,11 @@
 //
 //   - TraceWriter/ReadTrace (trace.go) and the analyzers (analyze.go): a
 //     versioned JSONL run-trace file — one JSON record per line, a header
-//     with schema version and host environment metadata (mirroring
-//     BENCH_MIS.json), then round/phase events in execution order and a
-//     closing summary written from the run's authoritative Result, so
-//     CheckTrace can verify that the streamed per-round counters really
-//     do sum to the deterministic totals. Traces are deterministic in
+//     with schema version and host environment metadata (TraceEnv, also
+//     stamped into TWIN_MIS.json), then round/phase events in execution
+//     order and a closing summary written from the run's authoritative
+//     Result, so CheckTrace can verify that the streamed per-round
+//     counters really do sum to the deterministic totals. Traces are deterministic in
 //     (graph, algorithm, seed) up to wall-time fields; Canonical zeroes
 //     those for byte-level comparison. cmd/mistrace is the CLI front end.
 package obs

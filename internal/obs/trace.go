@@ -27,8 +27,8 @@ const (
 	RecSummary    = "summary"     // last line: the run's authoritative totals
 )
 
-// TraceEnv records where a trace was produced (the BENCH_MIS.json
-// convention). All fields are stable on one host, so they do not disturb
+// TraceEnv records where a trace or a TWIN_MIS.json baseline was
+// produced. All fields are stable on one host, so they do not disturb
 // trace determinism.
 type TraceEnv struct {
 	GoVersion  string `json:"go_version"`

@@ -10,10 +10,10 @@
 // machinery between them:
 //
 //   - one sim.Mem buffer pool threaded through every phase's Config, so
-//     engine buffers are allocated once per pipeline (or once per worker,
-//     for callers that reuse a Mem across many pipelines, like the bench
-//     throughput executor) instead of once per phase — crossing a phase
-//     boundary costs zero steady-state engine allocations;
+//     engine buffers are allocated once per pipeline (or once in all, for
+//     callers that reuse a Mem across many pipelines) instead of once per
+//     phase — crossing a phase boundary costs zero steady-state engine
+//     allocations;
 //   - the residual node set in original IDs and its induced subgraphs;
 //   - the stats.Accumulator mapping each phase's local measurements back
 //     to original node IDs;
@@ -21,6 +21,6 @@
 //     of one root seed.
 //
 // internal/core builds the paper's Algorithm 1 and Algorithm 2 on these
-// primitives; the bench suites and both CLIs reach the batch pipeline
+// primitives; the benchmarks and the CLIs reach the batch pipeline
 // through core.
 package pipeline

@@ -90,8 +90,8 @@ func (in Inboxes) At(i int) []Msg {
 }
 
 // Mem holds the engine's reusable buffers, so a caller executing many runs
-// (the throughput executor in internal/bench) can amortize all engine
-// allocations across runs instead of paying them per run. A Mem may be
+// can amortize all engine allocations across runs instead of paying them
+// per run. A Mem may be
 // reused across runs of different sizes (buffers grow to the maximum) but
 // must not be shared by concurrent runs. The zero value is ready to use.
 type Mem struct {

@@ -45,7 +45,7 @@
 // The engine executes a run on the calling goroutine: compose, route, and
 // deliver walk the sorted awake set in order, and nothing in the package
 // starts a goroutine. Independent runs may execute concurrently, each on
-// its own Mem (see internal/bench's throughput executor). The router
-// rejects a unicast to a node that is not the sender's neighbor: the run
-// fails with an error, like a non-increasing wake round.
+// its own Mem. The router rejects a unicast to a node that is not the
+// sender's neighbor: the run fails with an error, like a non-increasing
+// wake round.
 package sim

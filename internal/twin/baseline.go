@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/energymis/energymis/internal/bench"
+	"github.com/energymis/energymis/internal/obs"
 )
 
 // SchemaVersion identifies the TWIN_MIS.json layout. Bump when fields
@@ -63,10 +63,10 @@ func (e *Entry) Predict(n int) float64 { return e.Constant * e.Shape.Eval(n) }
 
 // Baseline is the versioned top-level document of TWIN_MIS.json.
 type Baseline struct {
-	SchemaVersion int           `json:"schema_version"`
-	Env           bench.EnvInfo `json:"env"`
-	Sweep         SweepSpec     `json:"sweep"`
-	Entries       []Entry       `json:"entries"`
+	SchemaVersion int          `json:"schema_version"`
+	Env           obs.TraceEnv `json:"env"`
+	Sweep         SweepSpec    `json:"sweep"`
+	Entries       []Entry      `json:"entries"`
 }
 
 // Entry finds an entry by key, or nil.

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/energymis/energymis/internal/bench"
+	"github.com/energymis/energymis/internal/obs"
 	"github.com/energymis/energymis/internal/stats"
 )
 
@@ -62,7 +62,7 @@ func FitModel(m Model, family string, points []Point) (Entry, error) {
 // assembles the baseline document. Every registry model must have a
 // measured series — a missing algorithm is an error, not a silent gap.
 func FitAll(spec SweepSpec, ms Measurements) (*Baseline, error) {
-	b := &Baseline{SchemaVersion: SchemaVersion, Env: bench.Env(), Sweep: spec}
+	b := &Baseline{SchemaVersion: SchemaVersion, Env: obs.CaptureEnv(), Sweep: spec}
 	for _, m := range Registry() {
 		series, ok := ms[m.Algorithm]
 		if !ok {

@@ -26,9 +26,9 @@ type SweepSpec struct {
 }
 
 // DefaultSpec is the committed TWIN_MIS.json sweep: the gnp family at
-// average degree 10 (the bench suites' density), five sizes spanning 16×,
-// two seeds. Small enough for a CI job, wide enough to separate log n
-// from log² n growth.
+// average degree 10 (the density of the root Go benchmarks), five sizes
+// spanning 16×, two seeds. Small enough for a CI job, wide enough to
+// separate log n from log² n growth.
 func DefaultSpec() SweepSpec {
 	return SweepSpec{Family: "gnp", AvgDeg: 10, Sizes: []int{1024, 2048, 4096, 8192, 16384}, Seeds: 2}
 }
@@ -56,8 +56,8 @@ func (s SweepSpec) Scale(f float64) SweepSpec {
 func Families() []string { return []string{"gnp", "udg", "ba", "grid"} }
 
 // FamilyGraph builds the spec's graph instance at size n. The generator
-// seed is n, matching the bench suites, so twin and bench measure the
-// same instances where sizes coincide.
+// seed is n, matching the root Go benchmarks, so the twin and those
+// benchmarks measure the same gnp instances where sizes coincide.
 func FamilyGraph(spec SweepSpec, n int) (*energymis.Graph, error) {
 	switch spec.Family {
 	case "gnp":

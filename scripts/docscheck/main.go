@@ -1,6 +1,6 @@
 // Command docscheck is the documentation gate run by the CI docs job.
 //
-// It enforces two invariants:
+// It enforces three invariants:
 //
 //  1. Every Go package under internal/, plus the public energymis root
 //     package, has a package doc comment (by convention in the package's
@@ -8,6 +8,10 @@
 //  2. Every relative link in the repo's markdown files (README.md,
 //     ROADMAP.md, CHANGES.md, PAPER.md, PAPERS.md, docs/*.md) resolves to
 //     an existing file.
+//  3. Every cmd/<x> or internal/<x> package directory that the current
+//     docs (README.md, docs/*.md, .claude/skills/verify/SKILL.md) name
+//     exists. CHANGES.md and ROADMAP.md are history and may name deleted
+//     packages.
 //
 // Usage: go run ./scripts/docscheck [repo-root]   (default ".")
 //
@@ -15,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/parser"
 	"go/token"
@@ -33,6 +38,7 @@ func main() {
 	var problems []string
 	problems = append(problems, checkPackageDocs(root)...)
 	problems = append(problems, checkMarkdownLinks(root)...)
+	problems = append(problems, checkPackagePaths(root)...)
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, p)
 	}
@@ -123,6 +129,37 @@ func checkMarkdownLinks(root string) []string {
 			resolved := filepath.Join(filepath.Dir(file), target)
 			if _, err := os.Stat(resolved); err != nil {
 				problems = append(problems, fmt.Sprintf("%s: broken link %q", file, m[1]))
+			}
+		}
+	}
+	return problems
+}
+
+var pkgPathRe = regexp.MustCompile(`\b(?:cmd|internal)/[A-Za-z0-9_]+`)
+
+// checkPackagePaths verifies that the package directories the current
+// docs name exist, so a deleted or renamed package cannot live on in them.
+func checkPackagePaths(root string) []string {
+	files, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	files = append(files, filepath.Join(root, "README.md"), filepath.Join(root, ".claude", "skills", "verify", "SKILL.md"))
+	var problems []string
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", file, err))
+			continue
+		}
+		seen := map[string]bool{}
+		for _, dir := range pkgPathRe.FindAllString(string(data), -1) {
+			if seen[dir] {
+				continue
+			}
+			seen[dir] = true
+			if fi, err := os.Stat(filepath.Join(root, dir)); err != nil || !fi.IsDir() {
+				problems = append(problems, fmt.Sprintf("%s: names %s, which does not exist", file, dir))
 			}
 		}
 	}
