@@ -12,7 +12,10 @@
 // summary prints the run metadata, the totals from the closing summary
 // record, a per-phase table (rounds, awake node-rounds and their share,
 // messages, residual set size, wall time), the top-k phases by awake
-// node-rounds, and the awake-vs-round curve as a sparkline.
+// node-rounds, and the awake-vs-round curve as a sparkline. For a trace
+// whose engine rounds carry stage times (schema version 2), it also prints
+// each stage's share of the engine rounds' wall time (compose, route,
+// deliver, schedule) and the route time per message sent.
 //
 // diff aligns two traces phase by phase (retried phases pre-summed per
 // side) and prints per-phase and total deltas — e.g. to compare two

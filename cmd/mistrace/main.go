@@ -103,6 +103,15 @@ func cmdSummary(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  dynamic: components=%d maxComponents=%d sweepWords=%d\n",
 			tot.Components, tot.MaxComponents, tot.SweepWords)
 	}
+	if st := s.Stages; st.Rounds > 0 && st.WallNS > 0 {
+		share := func(ns int64) float64 { return 100 * float64(ns) / float64(st.WallNS) }
+		fmt.Fprintf(w, "  engine stages (%d rounds): compose %.1f%% route %.1f%% deliver %.1f%% schedule %.1f%%",
+			st.Rounds, share(st.ComposeNS), share(st.RouteNS), share(st.DeliverNS), share(st.ScheduleNS))
+		if st.MsgsSent > 0 {
+			fmt.Fprintf(w, "; route %.1f ns/msg", float64(st.RouteNS)/float64(st.MsgsSent))
+		}
+		fmt.Fprintln(w)
+	}
 	fmt.Fprintln(w)
 
 	fmt.Fprintf(w, "  %-18s %8s %12s %7s %12s %9s %10s\n",

@@ -40,6 +40,48 @@ func TestSummaryGolden(t *testing.T) {
 	}
 }
 
+// TestSummaryStages: a schema v2 trace whose engine rounds carry stage
+// times gets the stage line — each stage's share of those rounds' wall
+// time and the route time per message — and a v1 trace does not.
+func TestSummaryStages(t *testing.T) {
+	code, out, errOut := runCmd(t, "summary", "testdata/golden_stages.jsonl")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	for _, want := range []string{
+		"schema v2",
+		"engine stages (2 rounds): compose 10.0% route 50.0% deliver 30.0% schedule 10.0%; route 40.0 ns/msg\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary output missing %q\n%s", want, out)
+		}
+	}
+	if _, out, _ := runCmd(t, "summary", "testdata/golden_a.jsonl"); strings.Contains(out, "engine stages") {
+		t.Errorf("v1 summary grew a stage line:\n%s", out)
+	}
+}
+
+// TestCheckStages: check accepts the stage golden and rejects a round
+// whose stage times sum past its wall time.
+func TestCheckStages(t *testing.T) {
+	if code, out, _ := runCmd(t, "check", "testdata/golden_stages.jsonl"); code != 0 {
+		t.Fatalf("check rejects golden_stages.jsonl:\n%s", out)
+	}
+	data, err := os.ReadFile("testdata/golden_stages.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := strings.Replace(string(data), `"schedule_ns":100,"wall_ns":1000}`, `"schedule_ns":101,"wall_ns":1000}`, 1)
+	path := filepath.Join(t.TempDir(), "bad.jsonl")
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, _ := runCmd(t, "check", path)
+	if code != 1 || !strings.Contains(out, "round seq 1: stage times sum to 1001 ns, over its wall_ns 1000") {
+		t.Fatalf("want exit 1 naming round seq 1's stage overrun, got %d:\n%s", code, out)
+	}
+}
+
 func TestDiffGolden(t *testing.T) {
 	code, out, errOut := runCmd(t, "diff", "testdata/golden_a.jsonl", "testdata/golden_b.jsonl")
 	if code != 0 {

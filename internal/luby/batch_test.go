@@ -57,8 +57,8 @@ func TestBatchMatchesLegacy(t *testing.T) {
 }
 
 // TestBatchMemReuse runs many simulations through one pooled Mem and checks
-// each run still matches a fresh-buffer run (the stamp-epoch trick must not
-// leak awake state across runs of different sizes).
+// each run still matches a fresh-buffer run (the engine's buffers must not
+// leak awake or schedule state across runs of different sizes).
 func TestBatchMemReuse(t *testing.T) {
 	mem := sim.NewMem()
 	graphs := []*graph.Graph{

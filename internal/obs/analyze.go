@@ -30,6 +30,21 @@ type TraceSummary struct {
 	RoundCount int      // number of round records
 	PeakAwake  int64    // largest per-round awake count
 	Curve      []Record // round records in file order (the awake-vs-round curve)
+
+	// Stages sums the engine stage times over the round records that
+	// carry them (schema version 2 engine rounds); Stages.Rounds is 0 for
+	// a trace without stage fields.
+	Stages StageTotals
+}
+
+// StageTotals is the engine's time split by round stage, summed over the
+// round records that carry stage fields, with those records' wall time
+// and messages sent.
+type StageTotals struct {
+	Rounds                                    int
+	ComposeNS, RouteNS, DeliverNS, ScheduleNS int64
+	WallNS                                    int64
+	MsgsSent                                  int64
 }
 
 // Summarize digests a trace for reporting.
@@ -44,6 +59,16 @@ func Summarize(t *Trace) *TraceSummary {
 				s.PeakAwake = rec.Awake
 			}
 			s.Curve = append(s.Curve, *rec)
+			if stageSum(rec) > 0 {
+				st := &s.Stages
+				st.Rounds++
+				st.ComposeNS += rec.ComposeNS
+				st.RouteNS += rec.RouteNS
+				st.DeliverNS += rec.DeliverNS
+				st.ScheduleNS += rec.ScheduleNS
+				st.WallNS += rec.WallNS
+				st.MsgsSent += rec.MsgsSent
+			}
 		case RecPhase:
 			s.Phases = append(s.Phases, PhaseAgg{
 				Name: rec.Name, Rounds: rec.Rounds, Awake: rec.Awake,
@@ -56,6 +81,11 @@ func Summarize(t *Trace) *TraceSummary {
 		}
 	}
 	return s
+}
+
+// stageSum is a round record's total engine stage time.
+func stageSum(r *Record) int64 {
+	return r.ComposeNS + r.RouteNS + r.DeliverNS + r.ScheduleNS
 }
 
 // TopPhases returns the k phases with the most awake node-rounds, ties
@@ -80,7 +110,8 @@ func TopPhases(s *TraceSummary, k int) []PhaseAgg {
 // problem string per violation (empty means the trace checks out):
 //
 //   - structural: a summary record exists, every round record falls inside
-//     an open phase span, round sequence numbers are contiguous from 1;
+//     an open phase span, round sequence numbers are contiguous from 1,
+//     and a round's engine stage times sum to at most its wall time;
 //   - conservation: the per-round counter deltas and the per-phase
 //     aggregates each sum exactly to the summary totals the run's Result
 //     reported (awake node-rounds, messages sent/dropped, bits,
@@ -116,6 +147,9 @@ func CheckTrace(t *Trace) []string {
 			if rec.Seq != seq {
 				badf("round sequence gap: got seq %d, want %d", rec.Seq, seq)
 				seq = rec.Seq
+			}
+			if st := stageSum(rec); st > rec.WallNS {
+				badf("round seq %d: stage times sum to %d ns, over its wall_ns %d", rec.Seq, st, rec.WallNS)
 			}
 			roundAwake += rec.Awake
 			roundMsgs += rec.MsgsSent

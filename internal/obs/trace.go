@@ -15,8 +15,11 @@ import (
 )
 
 // TraceSchemaVersion identifies the JSONL trace layout. Bump when records
-// change incompatibly; ReadTrace refuses newer versions.
-const TraceSchemaVersion = 1
+// change; ReadTrace refuses newer versions and reads every older one.
+// Version 2 adds the engine stage fields of round records (compose_ns,
+// route_ns, deliver_ns, schedule_ns); a version 1 trace reads as one whose
+// rounds carry none.
+const TraceSchemaVersion = 2
 
 // Record types, in the order they may appear in a trace.
 const (
@@ -41,9 +44,9 @@ type TraceEnv struct {
 
 // Record is one JSONL trace line. Type discriminates which fields are
 // meaningful; zero-valued fields are omitted on the wire and read back as
-// zero, so omission is lossless. WallNS is the only volatile field — every
-// other field is deterministic in (graph, algorithm, seed, config); see
-// Canonical.
+// zero, so omission is lossless. WallNS and the round stage times are the
+// only volatile fields — every other field is deterministic in (graph,
+// algorithm, seed, config); see Canonical.
 type Record struct {
 	Type string `json:"type"`
 
@@ -85,6 +88,14 @@ type Record struct {
 	Components    int64 `json:"components,omitempty"`
 	MaxComponents int   `json:"max_components,omitempty"`
 	SweepWords    int64 `json:"sweep_words,omitempty"`
+
+	// Engine stage times of a round record (see RoundStats); they sum to
+	// at most WallNS. Absent from rounds that do not come from the engine
+	// and from schema version 1 traces.
+	ComposeNS  int64 `json:"compose_ns,omitempty"`
+	RouteNS    int64 `json:"route_ns,omitempty"`
+	DeliverNS  int64 `json:"deliver_ns,omitempty"`
+	ScheduleNS int64 `json:"schedule_ns,omitempty"`
 
 	WallNS int64 `json:"wall_ns,omitempty"`
 }
@@ -176,7 +187,9 @@ func (t *TraceWriter) Round(r RoundStats) {
 	t.emit(Record{
 		Type: RecRound, Phase: t.phase, Seq: t.seq, Round: r.Round,
 		Awake: int64(r.Awake), MsgsSent: r.MsgsSent, MsgsDropped: r.MsgsDropped,
-		Bits: r.Bits, Violations: r.Violations, WallNS: r.WallNS,
+		Bits: r.Bits, Violations: r.Violations,
+		ComposeNS: r.ComposeNS, RouteNS: r.RouteNS, DeliverNS: r.DeliverNS,
+		ScheduleNS: r.ScheduleNS, WallNS: r.WallNS,
 	})
 }
 
@@ -294,15 +307,17 @@ func (t *Trace) Summary() *Record {
 	return nil
 }
 
-// Canonical returns the trace's records with every volatile (wall-time)
-// field zeroed. Two runs with identical (graph, algorithm, seed, config)
-// produce Canonical-equal traces regardless of worker count or machine
-// load; CanonicalBytes gives the byte form for direct comparison.
+// Canonical returns the trace's records with every volatile field — wall
+// time and the round stage times — zeroed. Two runs with identical
+// (graph, algorithm, seed, config) produce Canonical-equal traces
+// regardless of machine load; CanonicalBytes gives the byte form for
+// direct comparison.
 func Canonical(t *Trace) []Record {
 	out := make([]Record, len(t.Records))
 	copy(out, t.Records)
 	for i := range out {
 		out[i].WallNS = 0
+		out[i].ComposeNS, out[i].RouteNS, out[i].DeliverNS, out[i].ScheduleNS = 0, 0, 0, 0
 	}
 	return out
 }

@@ -91,6 +91,74 @@ func TestCheckTraceCatchesMismatch(t *testing.T) {
 	}
 }
 
+// TestStageFields: engine stage times survive a round trip, Summarize
+// totals them with the wall time and messages of the rounds that carry
+// them, Canonical strips them, and CheckTrace rejects a round whose
+// stages sum past its wall time.
+func TestStageFields(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewTraceWriter(&buf, nil)
+	w.PhaseStart("p")
+	w.Round(RoundStats{Awake: 4, MsgsSent: 8, ComposeNS: 10, RouteNS: 40, DeliverNS: 30, ScheduleNS: 20, WallNS: 100})
+	w.Round(RoundStats{Round: 1, Awake: 2}) // a round with no stages, like a phase-boundary sync
+	w.PhaseEnd(PhaseStats{Name: "p", Rounds: 2, Awake: 6, MsgsSent: 8, WallNS: 100})
+	w.Summary(SummaryStats{Rounds: 2, AwakeTotal: 6, MsgsSent: 8})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := StageTotals{Rounds: 1, ComposeNS: 10, RouteNS: 40, DeliverNS: 30, ScheduleNS: 20, WallNS: 100, MsgsSent: 8}
+	if got := Summarize(tr).Stages; got != want {
+		t.Fatalf("stage totals %+v, want %+v", got, want)
+	}
+	if problems := CheckTrace(tr); len(problems) != 0 {
+		t.Fatalf("CheckTrace: %v", problems)
+	}
+	b, err := CanonicalBytes(Canonical(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"compose_ns", "route_ns", "deliver_ns", "schedule_ns"} {
+		if bytes.Contains(b, []byte(f)) {
+			t.Fatalf("canonical bytes still mention %s", f)
+		}
+	}
+	for i := range tr.Records {
+		if tr.Records[i].Type == RecRound {
+			tr.Records[i].WallNS = 99
+			break
+		}
+	}
+	problems := CheckTrace(tr)
+	if len(problems) != 1 || !strings.Contains(problems[0], "stage times sum to 100 ns, over its wall_ns 99") {
+		t.Fatalf("problems %q, want the stage overrun", problems)
+	}
+}
+
+// TestReadTraceAcceptsOlderSchema: a version 1 trace, written before
+// rounds carried stage times, still reads and checks.
+func TestReadTraceAcceptsOlderSchema(t *testing.T) {
+	v1 := `{"type":"header","schema_version":1}
+{"type":"phase_start","name":"p"}
+{"type":"round","phase":"p","seq":1,"awake":2,"msgs_sent":2,"wall_ns":50}
+{"type":"phase","name":"p","rounds":1,"awake":2,"msgs_sent":2}
+{"type":"summary","rounds":1,"awake":2,"msgs_sent":2}
+`
+	tr, err := ReadTrace(strings.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if problems := CheckTrace(tr); len(problems) != 0 {
+		t.Fatalf("CheckTrace: %v", problems)
+	}
+	if st := Summarize(tr).Stages; st.Rounds != 0 {
+		t.Fatalf("v1 trace has stage totals %+v", st)
+	}
+}
+
 func TestReadTraceRejectsBadHeader(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader(`{"type":"round","seq":1}` + "\n")); err == nil {
 		t.Fatal("trace without header accepted")

@@ -11,6 +11,16 @@ type RoundStats struct {
 	Bits        int64 // sum of declared message sizes
 	Violations  int64 // messages exceeding the CONGEST budget
 	WallNS      int64 // wall-clock time spent executing the round
+
+	// The engine's split of WallNS by stage (zero for rounds that do not
+	// come from the engine): composing the outbox, routing it into the
+	// inboxes, delivering them, and scheduling (taking the round's awake
+	// set from the wake calendar and rescheduling it). They sum to at most
+	// WallNS.
+	ComposeNS  int64
+	RouteNS    int64
+	DeliverNS  int64
+	ScheduleNS int64
 }
 
 // PhaseStats is one closed phase span of a composed run.

@@ -1,11 +1,12 @@
-// This file is the engine: RunBatch and its pooled buffers. Run (sim.go)
-// executes per-node machines on it through an adapter; see the package
-// documentation in doc.go.
+// This file is the engine: RunBatch, its wake calendar, its router and
+// their pooled buffers. Run (sim.go) executes per-node machines on it
+// through an adapter; see the package documentation in doc.go.
 
 package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -32,11 +33,12 @@ type BatchEnv struct {
 //
 // In every round with a non-empty awake set, the engine calls ComposeAll
 // and then DeliverAll with the sorted awake set. ComposeAll must emit
-// messages grouped by sender, in the order senders appear in `awake` (the
-// natural shape of a `for _, v := range awake` loop). DeliverAll reads each
+// messages only from nodes in `awake`, grouped by sender, in the order
+// senders appear in `awake` (the natural shape of a `for _, v := range
+// awake` loop); RunBatch fails the run otherwise. DeliverAll reads each
 // awake node's inbox via in.At(i) — i indexes into the `awake` slice it was
 // given — and writes the node's next wake round (must be > round, or Never)
-// into next[i].
+// into next[i]. Neither may modify `awake`: the engine reschedules from it.
 type BatchMachine interface {
 	InitAll(env *BatchEnv) []int
 	ComposeAll(round int, awake []int32, out *BatchOutbox)
@@ -46,7 +48,8 @@ type BatchMachine interface {
 // BatchOutbox collects the messages of one ComposeAll call: broadcasts and
 // unicasts in two flat arrays, each grouped by sender in awake order (the
 // engine's router relies on that grouping to deliver in sender order
-// without sorting). Buffers are pooled and reused across rounds.
+// without sorting, and fails the run when it is broken). Buffers are
+// pooled and reused across rounds.
 type BatchOutbox struct {
 	bcast []Msg   // broadcasts; Msg.From is the sender
 	uni   []Msg   // unicasts; Msg.From is the sender
@@ -73,6 +76,22 @@ func (o *BatchOutbox) reset() {
 	o.uto = o.uto[:0]
 }
 
+// group returns the next sender in routing order after bcast[:bi] and
+// uni[:ui] — the smaller head sender; its broadcasts drain before its
+// unicasts — and the ends of that sender's broadcast and unicast runs.
+func (o *BatchOutbox) group(bi, ui int) (s int32, be, ue int) {
+	if bi < len(o.bcast) && (ui >= len(o.uni) || o.bcast[bi].From <= o.uni[ui].From) {
+		s = o.bcast[bi].From
+	} else {
+		s = o.uni[ui].From
+	}
+	for be = bi; be < len(o.bcast) && o.bcast[be].From == s; be++ {
+	}
+	for ue = ui; ue < len(o.uni) && o.uni[ue].From == s; ue++ {
+	}
+	return s, be, ue
+}
+
 // Inboxes serves every awake node's inbox as a segment of one pooled
 // buffer: node awake[i]'s messages are At(i), in routing order
 // (ascending sender; per sender, broadcasts before unicasts, each in call
@@ -89,51 +108,115 @@ func (in Inboxes) At(i int) []Msg {
 	return in.buf[in.off[i]:in.off[i+1]]
 }
 
+// calSize is the number of rounds the wake calendar's ring spans. A power
+// of two, so round r's slot is r&(calSize-1).
+const calSize = 256
+
+// maxRound is the largest round the calendar stores: far-heap keys pack a
+// round into their upper 32 bits. RunBatch caps MaxRounds at it, so a
+// later wake, stored as maxRound, fails the run when it comes due, like
+// any wake at or past MaxRounds.
+const maxRound = math.MaxInt32
+
 // Mem holds the engine's reusable buffers, so a caller executing many runs
 // can amortize all engine allocations across runs instead of paying them
-// per run. A Mem may be
-// reused across runs of different sizes (buffers grow to the maximum) but
-// must not be shared by concurrent runs. The zero value is ready to use.
+// per run: the wake calendar, the awake positions, the round's outbox,
+// and the inbox buffer the router fills in place (there is no staging
+// area). A Mem may be reused across runs of different sizes
+// (buffers grow to the maximum) but must not be shared by concurrent runs.
+// The zero value is ready to use.
 type Mem struct {
-	stamp      []int64 // node -> stampBase + round awake + 1
-	stampBase  int64   // epoch offset, bumped per run so stamp needs no clearing
-	rank       []int32 // node -> index in this round's awake set
-	next       []int
-	inbuf      []Msg
-	inoff      []int32
-	cnt        []int32
-	routed     []Msg
-	rdst       []int32
-	roundHeap  []int
-	buckets    map[int][]int32
-	bucketPool [][]int32
-	out        BatchOutbox
+	// pos[v] is 1 + v's index in the round's awake set while the round
+	// routes, and 0 for a sleeping node and at every other time: each
+	// round clears the entries it set, and so does every exit.
+	pos   []int32
+	awake []int32 // this round's awake set
+	next  []int
+	inbuf []Msg
+	inoff []int32
+	cnt   []int32 // by pos; push: per-receiver counts, then write cursors; pull: per-sender broadcast offsets
+
+	// The wake calendar. Ring slot r&(calSize-1) lists the nodes waking in
+	// round r, for the calSize-1 rounds after the engine's current one,
+	// threaded through link (a node waits in at most one slot). head, tail
+	// and link hold node+1, so 0 ends a list and the zero Mem has an empty
+	// ring. Wakes calSize or more rounds ahead wait in far, a min-heap of
+	// round<<32|node keys, and move into the ring as the round advances.
+	link     []int32
+	head     [calSize]int32
+	tail     [calSize]int32
+	unsorted [calSize]bool // an insertion broke the slot's ascending order
+	pending  int           // nodes in the ring
+	far      []uint64
+	out      BatchOutbox
 }
 
 // NewMem returns an empty buffer pool.
 func NewMem() *Mem { return &Mem{} }
 
 func (m *Mem) grow(n int) {
-	if cap(m.stamp) < n {
-		m.stamp = make([]int64, n)
-		m.stampBase = 0
+	if cap(m.pos) < n {
+		m.pos = make([]int32, n)
 	}
-	m.stamp = m.stamp[:n]
-	if cap(m.rank) < n {
-		m.rank = make([]int32, n)
+	m.pos = m.pos[:n]
+	if cap(m.link) < n {
+		m.link = make([]int32, n)
 	}
-	m.rank = m.rank[:n]
-	if m.buckets == nil {
-		m.buckets = make(map[int][]int32)
+	m.link = m.link[:n]
+}
+
+// ringPush appends v to the ring slot of round r.
+func (m *Mem) ringPush(v int32, r int) {
+	s := r & (calSize - 1)
+	if t := m.tail[s]; t == 0 {
+		m.head[s] = v + 1
+	} else {
+		m.link[t-1] = v + 1
+		if v+1 < t {
+			m.unsorted[s] = true
+		}
 	}
+	m.tail[s] = v + 1
+	m.link[v] = 0
+	m.pending++
+}
+
+// take empties round r's ring slot into the awake buffer, ascending.
+func (m *Mem) take(r int) []int32 {
+	s := r & (calSize - 1)
+	awake := m.awake[:0]
+	for x := m.head[s]; x != 0; x = m.link[x-1] {
+		awake = append(awake, x-1)
+	}
+	if m.unsorted[s] {
+		m.unsorted[s] = false
+		slices.Sort(awake)
+	}
+	m.head[s], m.tail[s] = 0, 0
+	m.pending -= len(awake)
+	m.awake = awake
+	return awake
+}
+
+// clearCalendar drops every pending wake, leaving the calendar as a zero
+// Mem has it.
+func (m *Mem) clearCalendar() {
+	if m.pending > 0 {
+		m.head = [calSize]int32{}
+		m.tail = [calSize]int32{}
+		m.unsorted = [calSize]bool{}
+		m.pending = 0
+	}
+	m.far = m.far[:0]
 }
 
 // RunBatch executes bm on g until no node is scheduled to wake, and returns
 // the measured Result. An error is returned only if the MaxRounds cap is
-// hit or bm misbehaves (a non-increasing wake round, or a unicast to a
-// node that is not the sender's neighbor). The zero values of cfg.B and
-// cfg.MaxRounds get their documented defaults; cfg.Mem, when non-nil,
-// supplies pooled buffers reused across runs.
+// hit or bm misbehaves (a non-increasing wake round, a message from a node
+// that is not awake or out of awake order, or a unicast to a node that is
+// not the sender's neighbor). The zero values of cfg.B and cfg.MaxRounds
+// get their documented defaults; cfg.Mem, when non-nil, supplies pooled
+// buffers reused across runs.
 func RunBatch(g *graph.Graph, bm BatchMachine, cfg Config) (*Result, error) {
 	n := g.N()
 	if cfg.B == 0 {
@@ -142,11 +225,12 @@ func RunBatch(g *graph.Graph, bm BatchMachine, cfg Config) (*Result, error) {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 1 << 22
 	}
+	cfg.MaxRounds = min(cfg.MaxRounds, maxRound)
 	mem := cfg.Mem
 	if mem == nil {
 		mem = NewMem()
 	}
-	e := &batchEngine{g: g, bm: bm, cfg: cfg, mem: mem}
+	e := &batchEngine{g: g, bm: bm, cfg: cfg, mem: mem, cur: -1}
 	return e.run()
 }
 
@@ -156,6 +240,7 @@ type batchEngine struct {
 	cfg Config
 	mem *Mem
 	res Result
+	cur int // the round executing or last executed; -1 before round 0
 }
 
 func (e *batchEngine) schedule(v int32, round int) error {
@@ -165,17 +250,42 @@ func (e *batchEngine) schedule(v int32, round int) error {
 	if round < 0 {
 		return fmt.Errorf("sim: node %d scheduled invalid round %d", v, round)
 	}
-	m := e.mem
-	b, ok := m.buckets[round]
-	if !ok {
-		heapPush(&m.roundHeap, round)
-		if k := len(m.bucketPool); k > 0 {
-			b = m.bucketPool[k-1][:0]
-			m.bucketPool = m.bucketPool[:k-1]
-		}
+	if round < e.cur+calSize { // e.cur <= maxRound, so the sum cannot overflow
+		e.mem.ringPush(v, round)
+	} else {
+		heapPush(&e.mem.far, uint64(min(round, maxRound))<<32|uint64(v))
 	}
-	m.buckets[round] = append(b, v)
 	return nil
+}
+
+// drain moves the far wakes that now fall within calSize rounds of the
+// current one into the ring.
+func (e *batchEngine) drain() {
+	m := e.mem
+	lim := uint64(e.cur+calSize) << 32
+	for len(m.far) > 0 && m.far[0] < lim {
+		k := heapPop(&m.far)
+		m.ringPush(int32(uint32(k)), int(k>>32))
+	}
+}
+
+// nextRound returns the next round with a pending wake, or -1 when none is
+// pending. With the ring empty it jumps the calendar to the far heap's
+// minimum: the rounds in between elapse with every node asleep.
+func (e *batchEngine) nextRound() int {
+	m := e.mem
+	if m.pending == 0 {
+		if len(m.far) == 0 {
+			return -1
+		}
+		e.cur = int(m.far[0]>>32) - 1
+		e.drain()
+	}
+	r := e.cur + 1
+	for m.head[r&(calSize-1)] == 0 {
+		r++
+	}
+	return r
 }
 
 func (e *batchEngine) run() (*Result, error) {
@@ -184,20 +294,17 @@ func (e *batchEngine) run() (*Result, error) {
 	m.grow(n)
 	e.res.Awake = make([]int32, n) // escapes into the Result; never pooled
 
-	// Leave the Mem reusable on every exit, including error paths: drain
-	// pending wake buckets (a retry on the same pool must not see phantom
-	// scheduled nodes, possibly from a different graph) and advance the
-	// stamp epoch past every stamp this run may have written, so the next
-	// run needs no O(n) clear and stale stamps can never match. No stamp
-	// written so far exceeds stampBase+last+1.
-	last := 0 // the last round that stamped its awake set
+	// Leave the Mem reusable on every exit, including error paths and a
+	// Strict panic: drop pending wakes (a retry on the same pool must not
+	// see phantom scheduled nodes, possibly from a different graph) and
+	// clear the positions of the last round's awake set, which a failed
+	// route may have left set, so no node of the next run looks awake.
 	defer func() {
-		for r, b := range m.buckets {
-			m.bucketPool = append(m.bucketPool, b)
-			delete(m.buckets, r)
+		m.clearCalendar()
+		for _, v := range m.awake {
+			m.pos[v] = 0
 		}
-		m.roundHeap = m.roundHeap[:0]
-		m.stampBase += int64(last) + 2
+		m.awake = m.awake[:0]
 	}()
 
 	env := BatchEnv{G: e.g, N: n, B: e.cfg.B, Seed: e.cfg.Seed}
@@ -212,47 +319,65 @@ func (e *batchEngine) run() (*Result, error) {
 	}
 
 	tr := e.cfg.Tracer
-	for len(m.roundHeap) > 0 {
-		round := heapPop(&m.roundHeap)
-		awake := m.buckets[round]
-		delete(m.buckets, round)
+	for {
+		// With a tracer attached, the round's wall time is split into
+		// stages at t1..t4; schedule covers taking the round's awake set
+		// (t0..t1) and rescheduling it (t4..t5).
+		var t0, t1, t2, t3, t4 time.Time
+		var snap Result
+		if tr != nil {
+			t0 = time.Now()
+		}
+		round := e.nextRound()
+		if round < 0 {
+			break
+		}
 		if round >= e.cfg.MaxRounds {
 			return nil, fmt.Errorf("sim: exceeded MaxRounds=%d", e.cfg.MaxRounds)
 		}
-		slices.Sort(awake)
-		awake = dedupSorted(awake)
-
-		var roundStart time.Time
-		var snap Result
+		awake := m.take(round)
+		e.cur = round
 		if tr != nil {
-			roundStart = time.Now()
 			snap = e.res // counter snapshot; the round's deltas are diffs against it
+			t1 = time.Now()
 		}
 
-		last = round
-		stamp := m.stampBase + int64(round) + 1
-		for i, v := range awake {
-			m.stamp[v] = stamp
-			m.rank[v] = int32(i)
+		for _, v := range awake {
 			e.res.Awake[v]++
 		}
 
-		// Phase 1: compose the whole awake set into one outbox.
+		// Stage 1: compose the whole awake set into one outbox.
 		m.out.reset()
 		e.bm.ComposeAll(round, awake, &m.out)
-
-		// Phase 2: route the outbox (senders ascending) into one
-		// receiver-grouped inbox buffer.
-		if err := e.route(awake, stamp); err != nil {
-			return nil, err
+		if tr != nil {
+			t2 = time.Now()
 		}
 
-		// Phase 3: deliver, then apply the scheduling decisions.
+		// Stage 2: route the outbox (senders ascending) into one
+		// receiver-grouped inbox buffer.
+		for i, v := range awake {
+			m.pos[v] = int32(i) + 1
+		}
+		err := e.route(round, awake)
+		for _, v := range awake {
+			m.pos[v] = 0
+		}
+		if err != nil {
+			return nil, err
+		}
+		if tr != nil {
+			t3 = time.Now()
+		}
+
+		// Stage 3: deliver, then apply the scheduling decisions.
 		if cap(m.next) < len(awake) {
 			m.next = make([]int, len(awake))
 		}
 		next := m.next[:len(awake)]
 		e.bm.DeliverAll(round, awake, Inboxes{buf: m.inbuf, off: m.inoff}, next)
+		if tr != nil {
+			t4 = time.Now()
+		}
 		for i, v := range awake {
 			if next[i] != Never && next[i] <= round {
 				return nil, fmt.Errorf("sim: node %d returned wake round %d <= current %d", v, next[i], round)
@@ -261,7 +386,9 @@ func (e *batchEngine) run() (*Result, error) {
 				return nil, err
 			}
 		}
+		e.drain()
 		if tr != nil {
+			t5 := time.Now()
 			tr.Round(obs.RoundStats{
 				Round:       round,
 				Awake:       len(awake),
@@ -269,112 +396,195 @@ func (e *batchEngine) run() (*Result, error) {
 				MsgsDropped: e.res.MsgsDropped - snap.MsgsDropped,
 				Bits:        e.res.BitsTotal - snap.BitsTotal,
 				Violations:  e.res.Violations - snap.Violations,
-				WallNS:      time.Since(roundStart).Nanoseconds(),
+				ComposeNS:   t2.Sub(t1).Nanoseconds(),
+				RouteNS:     t3.Sub(t2).Nanoseconds(),
+				DeliverNS:   t4.Sub(t3).Nanoseconds(),
+				ScheduleNS:  (t1.Sub(t0) + t5.Sub(t4)).Nanoseconds(),
+				WallNS:      t5.Sub(t0).Nanoseconds(),
 			})
 		}
-		m.bucketPool = append(m.bucketPool, awake)
 		e.res.Rounds = round + 1
 	}
 	return &e.res, nil
 }
 
-// route moves the round's outbox into its inbox buffer. Two passes: the
-// first walks every message in routing order (ascending sender; per
-// sender broadcasts then unicasts), rejects unicasts to non-neighbors,
-// accounts traffic, drops messages to sleeping receivers, and stages the
-// survivors with their destination rank; the second computes
-// per-receiver offsets and scatters. Staging preserves arrival order, so
-// each receiver's segment is in routing order too.
-func (e *batchEngine) route(awake []int32, stamp int64) error {
+// route moves the round's outbox into its inbox buffer, in routing order:
+// ascending sender; per sender, broadcasts then unicasts, each in call
+// order. A round with no unicasts and at least half as many broadcasts as
+// awake nodes is routed by pull, every other round by push; both write
+// straight into the inbox buffer, with no staging copy. Counts and
+// offsets are indexed by pos, whose 0 is a sink for sleeping receivers.
+func (e *batchEngine) route(round int, awake []int32) error {
+	m := e.mem
+	if cap(m.cnt) < len(awake)+2 {
+		m.cnt = make([]int32, len(awake)+2)
+	}
+	if cap(m.inoff) < len(awake)+1 {
+		m.inoff = make([]int32, len(awake)+1)
+	}
+	if len(m.out.uni) == 0 && 2*len(m.out.bcast) >= len(awake) {
+		return e.pull(round, awake)
+	}
+	return e.push(round, awake)
+}
+
+// sender validates the next sender group of the round's outbox: s must be
+// awake, and its group must come after the previous group's sender prev
+// (-1 for the first group).
+func (e *batchEngine) sender(s, prev int32, round int) error {
+	if uint(s) >= uint(len(e.mem.pos)) || e.mem.pos[s] == 0 {
+		return fmt.Errorf("sim: node %d sent a message in round %d while asleep", s, round)
+	}
+	if s <= prev {
+		return fmt.Errorf("sim: node %d's messages follow node %d's, out of awake order", s, prev)
+	}
+	return nil
+}
+
+// push routes by sender in two passes over the outbox. Pass 1 validates
+// each sender group, rejects unicasts to non-neighbors, accounts traffic,
+// and counts each receiver's deliveries (sleeping receivers count into
+// the sink, as drops). Pass 2 walks the same order again and writes each
+// copy at its receiver's cursor, so each receiver's segment is in routing
+// order.
+func (e *batchEngine) push(round int, awake []int32) error {
 	m := e.mem
 	k := len(awake)
-	if cap(m.cnt) < k+1 {
-		m.cnt = make([]int32, k+1)
-	}
 	cnt := m.cnt[:k+1]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	routed := m.routed[:0]
-	rdst := m.rdst[:0]
+	clear(cnt)
+	pos := m.pos
 
 	ob := &m.out
-	bi, ui := 0, 0
-	for bi < len(ob.bcast) || ui < len(ob.uni) {
-		// Next sender: the smaller head; its broadcasts drain before its
-		// unicasts.
-		var s int32
-		if bi < len(ob.bcast) && (ui >= len(ob.uni) || ob.bcast[bi].From <= ob.uni[ui].From) {
-			s = ob.bcast[bi].From
-		} else {
-			s = ob.uni[ui].From
+	prev := int32(-1)
+	for bi, ui := 0, 0; bi < len(ob.bcast) || ui < len(ob.uni); {
+		s, be, ue := ob.group(bi, ui)
+		if err := e.sender(s, prev, round); err != nil {
+			return err
 		}
-		nbrs := e.g.Neighbors(int(s))
-		d := len(nbrs)
-		for bi < len(ob.bcast) && ob.bcast[bi].From == s {
-			mm := ob.bcast[bi]
-			bi++
-			if d == 0 {
-				continue // no incident edges: nothing sent, nothing accounted
+		prev = s
+		if nbrs := e.g.Neighbors(int(s)); be > bi && len(nbrs) > 0 {
+			for _, mm := range ob.bcast[bi:be] {
+				e.account(mm, len(nbrs))
 			}
-			e.accountFanoutBatch(mm, d)
+			per := int32(be - bi)
 			for _, u := range nbrs {
-				if m.stamp[u] == stamp {
-					routed = append(routed, mm)
-					rdst = append(rdst, m.rank[u])
-					cnt[m.rank[u]]++
-				} else {
-					e.res.MsgsDropped++
-				}
+				cnt[pos[u]] += per
 			}
 		}
-		for ui < len(ob.uni) && ob.uni[ui].From == s {
-			mm := ob.uni[ui]
-			to := ob.uto[ui]
-			ui++
+		for i := ui; i < ue; i++ {
+			to := ob.uto[i]
 			if !e.g.HasEdge(int(s), int(to)) {
 				return fmt.Errorf("sim: node %d unicast to non-neighbor %d", s, to)
 			}
-			e.accountFanoutBatch(mm, 1)
-			if m.stamp[to] == stamp {
-				routed = append(routed, mm)
-				rdst = append(rdst, m.rank[to])
-				cnt[m.rank[to]]++
-			} else {
-				e.res.MsgsDropped++
-			}
+			e.account(ob.uni[i], 1)
+			cnt[pos[to]]++
 		}
+		bi, ui = be, ue
 	}
-	m.routed = routed
-	m.rdst = rdst
+	e.res.MsgsDropped += int64(cnt[0])
 
-	// Offsets, then scatter in staging order (stable per receiver).
-	if cap(m.inoff) < k+1 {
-		m.inoff = make([]int32, k+1)
-	}
+	// Offsets, then cursors.
 	off := m.inoff[:k+1]
 	run := int32(0)
 	for i := 0; i < k; i++ {
 		off[i] = run
-		run += cnt[i]
-		cnt[i] = off[i] // reuse as write cursor
+		run += cnt[i+1]
+		cnt[i+1] = off[i]
 	}
 	off[k] = run
 	if cap(m.inbuf) < int(run) {
 		m.inbuf = make([]Msg, run)
 	}
 	buf := m.inbuf[:run]
-	for i, mm := range routed {
-		r := rdst[i]
-		buf[cnt[r]] = mm
-		cnt[r]++
+	for bi, ui := 0, 0; bi < len(ob.bcast) || ui < len(ob.uni); {
+		s, be, ue := ob.group(bi, ui)
+		// One pass over the row per broadcast: each receiver still gets
+		// the sender's broadcasts in call order, and the common single
+		// broadcast costs one store per receiver.
+		for _, mm := range ob.bcast[bi:be] {
+			for _, u := range e.g.Neighbors(int(s)) {
+				if r := pos[u]; r != 0 {
+					buf[cnt[r]] = mm
+					cnt[r]++
+				}
+			}
+		}
+		for i := ui; i < ue; i++ {
+			if r := pos[ob.uto[i]]; r != 0 {
+				buf[cnt[r]] = ob.uni[i]
+				cnt[r]++
+			}
+		}
+		bi, ui = be, ue
 	}
 	m.inbuf = buf
 	m.inoff = off
 	return nil
 }
 
-func (e *batchEngine) accountFanoutBatch(m Msg, copies int) {
+// pull routes a round of broadcasts only by receiver: it indexes each
+// awake sender's broadcasts by pos, accounting them in outbox order, and
+// then each awake receiver walks its sorted neighbor row and appends its
+// awake neighbors' broadcasts to its own segment. Messages dropped are
+// those sent minus those delivered.
+func (e *batchEngine) pull(round int, awake []int32) error {
+	m := e.mem
+	k := len(awake)
+	// The node at pos r broadcast bc[from[r]:from[r+1]]; the sink, pos 0,
+	// broadcast nothing.
+	from := m.cnt[:k+2]
+	from[0] = 0
+	pos := m.pos
+
+	bc := m.out.bcast
+	var sent int64
+	prev := int32(-1)
+	r := int32(1)
+	for j := 0; j < len(bc); {
+		s := bc[j].From
+		if err := e.sender(s, prev, round); err != nil {
+			return err
+		}
+		prev = s
+		for ; r <= pos[s]; r++ {
+			from[r] = int32(j)
+		}
+		d := e.g.Degree(int(s))
+		for ; j < len(bc) && bc[j].From == s; j++ {
+			if d > 0 {
+				e.account(bc[j], d)
+				sent += int64(d)
+			}
+		}
+	}
+	for ; r <= int32(k)+1; r++ {
+		from[r] = int32(len(bc))
+	}
+
+	off := m.inoff[:k+1]
+	if cap(m.inbuf) < int(sent) {
+		m.inbuf = make([]Msg, sent)
+	}
+	buf := m.inbuf[:sent] // deliveries never exceed copies sent
+	w := int32(0)
+	for i, v := range awake {
+		off[i] = w
+		for _, u := range e.g.Neighbors(int(v)) {
+			r := pos[u]
+			for j := from[r]; j < from[r+1]; j++ {
+				buf[w] = bc[j]
+				w++
+			}
+		}
+	}
+	off[k] = w
+	e.res.MsgsDropped += sent - int64(w)
+	m.inbuf = buf[:w]
+	m.inoff = off
+	return nil
+}
+
+func (e *batchEngine) account(m Msg, copies int) {
 	e.res.MsgsSent += int64(copies)
 	e.res.BitsTotal += int64(copies) * int64(m.Bits)
 	if int(m.Bits) > e.res.BitsMax {

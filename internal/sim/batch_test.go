@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -36,10 +37,7 @@ func (m *chatterMachine) Compose(round int, out *Outbox) {
 }
 
 func (m *chatterMachine) Deliver(round int, inbox []Msg) int {
-	for _, msg := range inbox {
-		// Order-sensitive rolling hash over the full inbox sequence.
-		m.digest = m.digest*0x9e3779b97f4a7c15 + uint64(msg.From)<<16 + uint64(msg.Kind)<<8 + msg.A
-	}
+	m.digest = foldInbox(m.digest, inbox)
 	m.awake++
 	if m.awake >= m.rounds {
 		return Never
@@ -49,6 +47,15 @@ func (m *chatterMachine) Deliver(round int, inbox []Msg) int {
 }
 
 func (m *chatterMachine) Digest() uint64 { return m.digest }
+
+// foldInbox folds an inbox, in order, into a rolling digest: any change
+// in delivery order changes the result.
+func foldInbox(d uint64, inbox []Msg) uint64 {
+	for _, msg := range inbox {
+		d = d*0x9e3779b97f4a7c15 + uint64(msg.From)<<16 + uint64(msg.Kind)<<8 + msg.A
+	}
+	return d
+}
 
 // chattyMachine sends two broadcasts plus two unicasts to every neighbor
 // in each awake round — several messages per edge per round — on a
@@ -112,6 +119,101 @@ func (m *chattyMachine) Digest() uint64 {
 	return d
 }
 
+// wakeGaps are wakeMachine's sleep lengths, taken in turn: around the
+// wake calendar's ring size and well past it, so wakes go through the
+// ring, the far heap, and the drain from one to the other.
+var wakeGaps = []int{1, calSize - 1, calSize, calSize + 1, 2, 5 * calSize, 3}
+
+// wakeMachine chats like chatterMachine but sleeps for wakeGaps in turn,
+// starting at a gap and a first round set by its node. Nodes whose wakes
+// were scheduled in different rounds — some straight into the ring, some
+// through the far heap — share wake rounds, and reach the round's bucket
+// out of ascending order, so some buckets need their sort.
+type wakeMachine struct {
+	env    *Env
+	gap    int // index of the next gap in wakeGaps
+	left   int // awake rounds left
+	digest uint64
+}
+
+func (m *wakeMachine) Init(env *Env) int {
+	m.env = env
+	m.gap = env.Node % len(wakeGaps)
+	return env.Node % 3
+}
+
+func (m *wakeMachine) Compose(round int, out *Outbox) {
+	r := m.env.Rand
+	if r.Bernoulli(0.5) {
+		out.Broadcast(Msg{Kind: 1, A: uint64(round), Bits: 8})
+	}
+	for _, u := range m.env.Neighbors {
+		if r.Bernoulli(0.2) {
+			out.Send(u, Msg{Kind: 2, A: uint64(u), Bits: 12})
+		}
+	}
+}
+
+func (m *wakeMachine) Deliver(round int, inbox []Msg) int {
+	m.digest = foldInbox(m.digest, inbox)
+	m.left--
+	if m.left <= 0 {
+		return Never
+	}
+	g := wakeGaps[m.gap]
+	m.gap = (m.gap + 1) % len(wakeGaps)
+	return round + g
+}
+
+func (m *wakeMachine) Digest() uint64 { return m.digest }
+
+// bcastMachine only broadcasts, so its rounds have no unicasts: in even
+// rounds every awake node broadcasts (the router pulls), in odd rounds
+// only nodes 0 mod 5 do (it pushes). Nodes 0 mod 3 broadcast twice, and
+// random sleep gaps leave some receivers asleep. It records the rounds it
+// was awake in.
+type bcastMachine struct {
+	env    *Env
+	left   int
+	rounds []int
+	digest uint64
+}
+
+// bcastSends reports how many broadcasts bcastMachine node v sends in
+// round r.
+func bcastSends(v, r int) int {
+	if r%2 == 1 && v%5 != 0 {
+		return 0
+	}
+	if v%3 == 0 {
+		return 2
+	}
+	return 1
+}
+
+func (m *bcastMachine) Init(env *Env) int {
+	m.env = env
+	return env.Node % 4
+}
+
+func (m *bcastMachine) Compose(round int, out *Outbox) {
+	for i := 0; i < bcastSends(m.env.Node, round); i++ {
+		out.Broadcast(Msg{Kind: uint8(1 + i), A: uint64(round), Bits: 8})
+	}
+}
+
+func (m *bcastMachine) Deliver(round int, inbox []Msg) int {
+	m.rounds = append(m.rounds, round)
+	m.digest = foldInbox(m.digest, inbox)
+	m.left--
+	if m.left <= 0 {
+		return Never
+	}
+	return round + 1 + m.env.Rand.Intn(3)
+}
+
+func (m *bcastMachine) Digest() uint64 { return m.digest }
+
 // digestMachine is a per-node machine whose final state is an
 // order-sensitive digest of every inbox it received.
 type digestMachine interface {
@@ -148,7 +250,9 @@ func runDigests(t *testing.T, g *graph.Graph, mk func(v int) digestMachine, engi
 // through Run (the batch engine) and through the per-node reference loop
 // runPerNode, and requires byte-identical inbox sequences and counters:
 // chatterMachine mixes broadcasts, random unicasts and random sleep;
-// chattyMachine puts several messages on every edge in every awake round.
+// chattyMachine puts several messages on every edge in every awake round;
+// wakeMachine sleeps across the wake calendar's ring and far heap;
+// bcastMachine mixes pulled and pushed broadcast rounds.
 func TestBatchAdapterMatchesPerNodeEngine(t *testing.T) {
 	machines := []struct {
 		name string
@@ -156,6 +260,8 @@ func TestBatchAdapterMatchesPerNodeEngine(t *testing.T) {
 	}{
 		{"chatter", func(int) digestMachine { return &chatterMachine{rounds: 6} }},
 		{"chatty", func(v int) digestMachine { return &chattyMachine{awake: chattySchedule(v)} }},
+		{"wake", func(int) digestMachine { return &wakeMachine{left: 8} }},
+		{"bcast", func(int) digestMachine { return &bcastMachine{left: 8} }},
 	}
 	graphs := []*graph.Graph{
 		graph.GNP(200, 0.05, 9),
@@ -174,19 +280,98 @@ func TestBatchAdapterMatchesPerNodeEngine(t *testing.T) {
 						mc.name, gi, v, dig[v], refDig[v])
 				}
 			}
-			if res.Rounds != refRes.Rounds || res.MsgsSent != refRes.MsgsSent ||
-				res.MsgsDropped != refRes.MsgsDropped || res.BitsTotal != refRes.BitsTotal ||
-				res.BitsMax != refRes.BitsMax {
-				t.Fatalf("%s graph %d: counters differ\n runPerNode: %+v\n Run:        %+v",
-					mc.name, gi, refRes, res)
-			}
-			for v := range res.Awake {
-				if res.Awake[v] != refRes.Awake[v] {
-					t.Fatalf("%s graph %d: Awake[%d] = %d, runPerNode %d",
-						mc.name, gi, v, res.Awake[v], refRes.Awake[v])
-				}
+			if err := sameResult(res, refRes); err != nil {
+				t.Fatalf("%s graph %d: %v", mc.name, gi, err)
 			}
 		}
+	}
+}
+
+// sameResult reports how a Result differs from the reference's, or nil.
+func sameResult(got, ref *Result) error {
+	if got.Rounds != ref.Rounds || got.MsgsSent != ref.MsgsSent ||
+		got.MsgsDropped != ref.MsgsDropped || got.BitsTotal != ref.BitsTotal ||
+		got.BitsMax != ref.BitsMax || got.Violations != ref.Violations {
+		return fmt.Errorf("counters differ\n runPerNode: %+v\n Run:        %+v", ref, got)
+	}
+	for v := range got.Awake {
+		if got.Awake[v] != ref.Awake[v] {
+			return fmt.Errorf("Awake[%d] = %d, runPerNode %d", v, got.Awake[v], ref.Awake[v])
+		}
+	}
+	return nil
+}
+
+// TestCalendarOrdersMixedBuckets fills calendar buckets out of ascending
+// order, from different source rounds, on a 1000-node cycle. Round 300
+// gets node 999 (scheduled in round 100) before nodes 0 and 1 (round
+// 200): a sparse bucket. Round 200 gets nodes 500..998 (round 10) before
+// 2..499 (round 20) and 0 and 1 (round 150): a dense one. Both must be
+// sorted. Node 7 sleeps from round 10 to far past the ring, round
+// 10+5*calSize. Run must match runPerNode.
+func TestCalendarOrdersMixedBuckets(t *testing.T) {
+	g := graph.Cycle(1000)
+	schedule := func(v int) []int {
+		switch {
+		case v == 999:
+			return []int{100, 300}
+		case v <= 1:
+			return []int{150, 200, 300}
+		case v == 7:
+			return []int{10, 10 + 5*calSize}
+		case v >= 500:
+			return []int{10, 200}
+		}
+		return []int{20, 200}
+	}
+	mk := func(v int) digestMachine { return &chattyMachine{awake: schedule(v)} }
+	refDig, ref := runDigests(t, g, mk, runPerNode, Config{Seed: 3})
+	dig, res := runDigests(t, g, mk, Run, Config{Seed: 3})
+	for v := range refDig {
+		if dig[v] != refDig[v] {
+			t.Fatalf("node %d inbox digest %x, runPerNode %x", v, dig[v], refDig[v])
+		}
+	}
+	if err := sameResult(res, ref); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPullAndPushRoundsInOneRun checks that bcastMachine, which the engine
+// differential above holds to runPerNode, really mixes the two routers in
+// one run: some rounds have at least half as many broadcasts as awake
+// nodes (the router pulls), and others have fewer, but at least one,
+// broadcast (it pushes).
+func TestPullAndPushRoundsInOneRun(t *testing.T) {
+	g := graph.GNP(200, 0.05, 9)
+	nodes := make([]*bcastMachine, g.N())
+	machines := make([]Machine, g.N())
+	for v := range nodes {
+		nodes[v] = &bcastMachine{left: 8}
+		machines[v] = nodes[v]
+	}
+	if _, err := Run(g, machines, Config{Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	awake := map[int]int{}
+	sending := map[int]int{}
+	for v, m := range nodes {
+		for _, r := range m.rounds {
+			awake[r]++
+			sending[r] += bcastSends(v, r)
+		}
+	}
+	var pull, push int
+	for r, a := range awake {
+		switch b := sending[r]; {
+		case 2*b >= a:
+			pull++
+		case b > 0:
+			push++
+		}
+	}
+	if pull == 0 || push == 0 {
+		t.Fatalf("%d pulled and %d pushed rounds, want both", pull, push)
 	}
 }
 
@@ -389,13 +574,104 @@ func (p *strayBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
 	}
 }
 
+// scriptBatch is a native batch machine driven by functions: wake gives
+// node v's first awake round, after which the node wakes every round up
+// to and including round last, and compose fills each round's outbox.
+type scriptBatch struct {
+	wake    func(v int) int
+	last    int
+	compose func(round int, awake []int32, out *BatchOutbox)
+}
+
+func (s *scriptBatch) InitAll(env *BatchEnv) []int {
+	first := make([]int, env.N)
+	for v := range first {
+		first[v] = s.wake(v)
+	}
+	return first
+}
+
+func (s *scriptBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
+	s.compose(round, awake, out)
+}
+
+func (s *scriptBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
+	for i := range next {
+		next[i] = Never
+		if round < s.last {
+			next[i] = round + 1
+		}
+	}
+}
+
+// TestBatchRejectsRogueSenders: only the round's awake nodes may send,
+// and ComposeAll must group their messages in awake order. On the path
+// 0-1-2 with node 2 asleep, RunBatch fails the run with a named error when
+// node 2 (or a node that does not exist) sends, or when node 1's messages
+// come before node 0's — in a broadcast-only round, which the router
+// pulls, and in a round with a unicast, which it pushes.
+func TestBatchRejectsRogueSenders(t *testing.T) {
+	g := graph.Path(3)
+	msg := Msg{Kind: 1, Bits: 8}
+	const asleep2 = "sim: node 2 sent a message in round 0 while asleep"
+	const misordered = "sim: node 0's messages follow node 1's, out of awake order"
+	cases := []struct {
+		name    string
+		compose func(out *BatchOutbox)
+		want    string // "" for a valid outbox
+	}{
+		{"valid/pull", func(out *BatchOutbox) { out.Broadcast(0, msg); out.Broadcast(1, msg) }, ""},
+		{"valid/push", func(out *BatchOutbox) { out.Broadcast(1, msg); out.Send(0, 1, msg) }, ""},
+		{"asleep/pull", func(out *BatchOutbox) { out.Broadcast(2, msg) }, asleep2},
+		{"asleep/push", func(out *BatchOutbox) { out.Send(0, 1, msg); out.Broadcast(2, msg) }, asleep2},
+		{"asleep/unicast", func(out *BatchOutbox) { out.Send(2, 1, msg) }, asleep2},
+		{"no-such-node", func(out *BatchOutbox) { out.Broadcast(7, msg) }, "sim: node 7 sent a message in round 0 while asleep"},
+		{"negative-node", func(out *BatchOutbox) { out.Broadcast(-1, msg) }, "sim: node -1 sent a message in round 0 while asleep"},
+		{"misordered/pull", func(out *BatchOutbox) { out.Broadcast(1, msg); out.Broadcast(0, msg) }, misordered},
+		{"misordered/push", func(out *BatchOutbox) {
+			out.Broadcast(1, msg)
+			out.Broadcast(0, msg)
+			out.Send(1, 0, msg)
+		}, misordered},
+		{"split-group/pull", func(out *BatchOutbox) {
+			out.Broadcast(0, msg)
+			out.Broadcast(1, msg)
+			out.Broadcast(0, msg)
+		}, misordered},
+	}
+	for _, c := range cases {
+		bm := &scriptBatch{
+			wake: func(v int) int {
+				if v < 2 {
+					return 0
+				}
+				return Never
+			},
+			compose: func(_ int, _ []int32, out *BatchOutbox) { c.compose(out) },
+		}
+		res, err := RunBatch(g, bm, Config{})
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		case c.want == "" && (res.MsgsSent != 3 || res.MsgsDropped != 1 || res.Awake[2] != 0):
+			t.Errorf("%s: sent %d, dropped %d, Awake[2] = %d; want 3, 1, 0",
+				c.name, res.MsgsSent, res.MsgsDropped, res.Awake[2])
+		}
+	}
+}
+
 // TestBatchMemReuseAfterError: a run that errors mid-flight (the MaxRounds
-// cap, or a unicast to a non-neighbor), through RunBatch or through Run's
-// per-node machines, must leave a pooled Mem clean — no phantom scheduled
-// nodes, no stale awake stamps — so a subsequent run on a different
-// (smaller) graph behaves exactly like one on fresh buffers. The clean
-// run lets nodes sleep while neighbors send, so a stale awake stamp would
-// deliver a message that must be dropped.
+// cap, with or without wakes pending in the far heap, a unicast to a
+// non-neighbor, or a message from a sleeping or misordered sender),
+// through RunBatch or through Run's per-node machines, must leave a pooled
+// Mem clean — no phantom scheduled nodes, no stale awake positions — so
+// a subsequent run on a different (smaller) graph behaves exactly like
+// one on fresh buffers. The clean run lets nodes sleep while neighbors
+// send, so a stale awake position would deliver a message that must be
+// dropped. A Strict panic, recovered by the caller, must leave it clean
+// too.
 func TestBatchMemReuseAfterError(t *testing.T) {
 	big := graph.GNP(300, 0.05, 1)
 	stray := int32(1) // the first node that is not node 0's neighbor
@@ -421,6 +697,48 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 			_, err := RunBatch(big, &strayBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3}, Config{Mem: mem})
 			return err
 		}},
+		{"max-rounds/far", func(mem *Mem) error {
+			// Odd nodes first wake far past the cap: the run fails with
+			// their wakes still in the far heap.
+			_, err := RunBatch(big, &scriptBatch{wake: farFirst, last: math.MaxInt, compose: pingAll}, Config{Mem: mem, MaxRounds: 5})
+			return err
+		}},
+		{"asleep-sender", func(mem *Mem) error {
+			// In round 3, odd node 1 — asleep in the far heap — sends.
+			_, err := RunBatch(big, &scriptBatch{wake: farFirst, last: 50, compose: func(round int, awake []int32, out *BatchOutbox) {
+				pingAll(round, awake, out)
+				if round == 3 {
+					out.Broadcast(1, Msg{Kind: 2, Bits: 8})
+				}
+			}}, Config{Mem: mem})
+			return err
+		}},
+		{"strict-panic", func(mem *Mem) (err error) {
+			// In round 3 every awake node sends past the CONGEST budget.
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("recovered: %v", r)
+				}
+			}()
+			_, err = RunBatch(big, &scriptBatch{wake: farFirst, last: 50, compose: func(round int, awake []int32, out *BatchOutbox) {
+				for _, v := range awake {
+					out.Broadcast(v, Msg{Kind: 1, Bits: int32(8 + 100*(round/3%2))})
+				}
+			}}, Config{Mem: mem, B: 16, Strict: true})
+			return err
+		}},
+		{"misordered-sender", func(mem *Mem) error {
+			_, err := RunBatch(big, &scriptBatch{wake: farFirst, last: 50, compose: func(round int, awake []int32, out *BatchOutbox) {
+				if round != 3 {
+					pingAll(round, awake, out)
+					return
+				}
+				for i := len(awake) - 1; i >= 0; i-- {
+					out.Broadcast(awake[i], Msg{Kind: 1, Bits: 8})
+				}
+			}}, Config{Mem: mem})
+			return err
+		}},
 		{"run/max-rounds", func(mem *Mem) error {
 			// Staggered wakes that never stop: nodes stay scheduled past
 			// the cap, so the error path must drain their wake buckets.
@@ -433,6 +751,8 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 		}},
 	}
 	small := graph.Cycle(10)
+	pings := func(int) digestMachine { return &wakeMachine{left: 4} }
+	freshPings, freshPingRes := runDigests(t, small, pings, Run, Config{Seed: 5})
 	chatter := func(int) digestMachine { return &chatterMachine{rounds: 6} }
 	freshDig, fresh := runDigests(t, small, chatter, Run, Config{Seed: 5})
 	for _, f := range failing {
@@ -451,5 +771,58 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 					f.name, v, pooled.Awake[v], dig[v], fresh.Awake[v], freshDig[v])
 			}
 		}
+		// A second clean run, through the far heap, on the same pool.
+		dig, pooled = runDigests(t, small, pings, Run, Config{Seed: 5, Mem: mem})
+		if err := sameResult(pooled, freshPingRes); err != nil {
+			t.Fatalf("%s: post-error pooled far-wake run: %v", f.name, err)
+		}
+		for v := range dig {
+			if dig[v] != freshPings[v] {
+				t.Fatalf("%s: post-error pooled far-wake run: node %d digest %x, fresh %x", f.name, v, dig[v], freshPings[v])
+			}
+		}
+	}
+}
+
+// TestBatchMemReuseAcrossSizes: after a run on a larger graph, a pooled
+// Mem serves a run in which no node ever wakes, and then a run that
+// matches one on fresh buffers.
+func TestBatchMemReuseAcrossSizes(t *testing.T) {
+	mem := NewMem()
+	big := graph.GNP(300, 0.05, 1)
+	if _, err := RunBatch(big, &pingBatch{g: big, rounds: 3}, Config{Mem: mem}); err != nil {
+		t.Fatal(err)
+	}
+	small := graph.Cycle(10)
+	never := &scriptBatch{wake: func(int) int { return Never }, compose: pingAll}
+	if res, err := RunBatch(small, never, Config{Mem: mem}); err != nil || res.Rounds != 0 {
+		t.Fatalf("no-wake run on a used Mem: %+v, %v", res, err)
+	}
+	pings := func(int) digestMachine { return &wakeMachine{left: 4} }
+	freshDig, fresh := runDigests(t, small, pings, Run, Config{Seed: 5})
+	dig, pooled := runDigests(t, small, pings, Run, Config{Seed: 5, Mem: mem})
+	if err := sameResult(pooled, fresh); err != nil {
+		t.Fatal(err)
+	}
+	for v := range dig {
+		if dig[v] != freshDig[v] {
+			t.Fatalf("node %d digest %x on a used Mem, %x fresh", v, dig[v], freshDig[v])
+		}
+	}
+}
+
+// farFirst wakes even nodes in round 0 and odd nodes far past the wake
+// calendar's ring, in round 5*calSize+v.
+func farFirst(v int) int {
+	if v%2 == 0 {
+		return 0
+	}
+	return 5*calSize + v
+}
+
+// pingAll broadcasts once from every awake node.
+func pingAll(_ int, awake []int32, out *BatchOutbox) {
+	for _, v := range awake {
+		out.Broadcast(v, Msg{Kind: 1, A: uint64(v), Bits: 8})
 	}
 }

@@ -15,8 +15,9 @@ import (
 // accounting and tracer hook, calling Compose and Deliver once per awake
 // node per round. Run executes on the batch engine; the engine
 // differentials (TestBatchAdapterMatchesPerNodeEngine,
-// TestParallelPreservesMultiMessageOrder) hold the two to byte-identical
-// inboxes and counters. cfg.Mem is ignored.
+// TestParallelPreservesMultiMessageOrder, TestCalendarOrdersMixedBuckets,
+// FuzzEngineMatchesPerNode) hold the two to byte-identical inboxes and
+// counters. cfg.Mem is ignored.
 func runPerNode(g *graph.Graph, machines []Machine, cfg Config) (*Result, error) {
 	n := g.N()
 	if len(machines) != n {
@@ -219,4 +220,14 @@ func (e *engine) deliverTo(u int32, m Msg, stamp int64) {
 	} else {
 		e.res.MsgsDropped++
 	}
+}
+
+func dedupSorted(s []int32) []int32 {
+	out := s[:0]
+	for i, v := range s {
+		if i == 0 || v != s[i-1] {
+			out = append(out, v)
+		}
+	}
+	return out
 }

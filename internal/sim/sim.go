@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -131,7 +132,7 @@ func (r *Result) AvgAwake() float64 {
 // Config controls an engine run.
 type Config struct {
 	Seed      uint64
-	MaxRounds int  // safety cap; 0 means a generous default
+	MaxRounds int  // safety cap; 0 means a generous default (1<<22); values above math.MaxInt32 act as math.MaxInt32
 	B         int  // CONGEST budget in bits; 0 means 4*ceil(log2 N) (min 16)
 	Strict    bool // panic on CONGEST violations instead of counting them
 	// Mem supplies pooled engine buffers reused across runs (see Mem).
@@ -235,9 +236,9 @@ func (a *machineAdapter) DeliverAll(round int, awake []int32, in Inboxes, next [
 	}
 }
 
-// heapPush / heapPop implement a plain int min-heap (no interface
-// indirection; the schedule is on the engine's hot path).
-func heapPush(h *[]int, x int) {
+// heapPush / heapPop maintain a plain min-heap (no interface indirection):
+// the engine's far wakes and runPerNode's wake rounds.
+func heapPush[T cmp.Ordered](h *[]T, x T) {
 	*h = append(*h, x)
 	s := *h
 	i := len(s) - 1
@@ -251,7 +252,7 @@ func heapPush(h *[]int, x int) {
 	}
 }
 
-func heapPop(h *[]int) int {
+func heapPop[T cmp.Ordered](h *[]T) T {
 	s := *h
 	top := s[0]
 	last := len(s) - 1
@@ -275,14 +276,4 @@ func heapPop(h *[]int) int {
 		i = min
 	}
 	return top
-}
-
-func dedupSorted(s []int32) []int32 {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -234,22 +235,37 @@ func TestMaxRoundsCap(t *testing.T) {
 	if _, err := Run(graph.Path(1), []Machine{&loopMachine{}}, Config{MaxRounds: 10}); err == nil {
 		t.Fatal("expected MaxRounds error")
 	}
+	// A wake past any round the calendar can store fails the run, at the
+	// default cap and at the largest one, whether InitAll or a later
+	// round schedules it.
+	for _, c := range []struct{ max, want int }{{0, 1 << 22}, {math.MaxInt, math.MaxInt32}} {
+		for _, sched := range [][]int{{1 << 40}, {math.MaxInt}, {2, math.MaxInt}} {
+			ms := []Machine{&sleeperMachine{schedule: sched}, &sleeperMachine{schedule: []int{3}}}
+			want := fmt.Sprintf("sim: exceeded MaxRounds=%d", c.want)
+			if _, err := Run(graph.Path(2), ms, Config{MaxRounds: c.max}); err == nil || err.Error() != want {
+				t.Fatalf("MaxRounds %d, wakes %v: err = %v, want %q", c.max, sched, err, want)
+			}
+		}
+	}
 }
 
 func TestRoundSkipping(t *testing.T) {
 	// A node sleeping until round 100 costs 1 awake round but the run
-	// lasts 101 rounds of wall-clock time.
+	// lasts 101 rounds of wall-clock time. Round 1000 lies past the wake
+	// calendar's ring, so that wake waits in the far heap.
 	g := graph.Path(1)
-	m := &sleeperMachine{schedule: []int{100}}
-	res, err := Run(g, []Machine{m}, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 101 {
-		t.Fatalf("Rounds = %d, want 101", res.Rounds)
-	}
-	if res.Awake[0] != 1 {
-		t.Fatalf("Awake = %d, want 1", res.Awake[0])
+	for _, wake := range []int{100, 1000} {
+		m := &sleeperMachine{schedule: []int{wake}}
+		res, err := Run(g, []Machine{m}, Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != wake+1 {
+			t.Fatalf("wake %d: Rounds = %d, want %d", wake, res.Rounds, wake+1)
+		}
+		if res.Awake[0] != 1 {
+			t.Fatalf("wake %d: Awake = %d, want 1", wake, res.Awake[0])
+		}
 	}
 }
 
