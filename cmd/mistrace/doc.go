@@ -11,7 +11,9 @@
 //
 // summary prints the run metadata, the totals from the closing summary
 // record, a per-phase table (rounds, awake node-rounds and their share,
-// messages, residual set size, wall time), the top-k phases by awake
+// messages, residual set size, wall time, and the part of it spent in
+// engine rounds, so wall − engine is the phase's set-up and glue outside
+// rounds), the top-k phases by awake
 // node-rounds, and the awake-vs-round curve as a sparkline. For a trace
 // whose engine rounds carry stage times (schema version 2), it also prints
 // each stage's share of the engine rounds' wall time (compose, route,

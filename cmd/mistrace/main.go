@@ -114,16 +114,17 @@ func cmdSummary(args []string, w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 
-	fmt.Fprintf(w, "  %-18s %8s %12s %7s %12s %9s %10s\n",
-		"phase", "rounds", "awake", "awake%", "msgs", "residual", "wall")
+	fmt.Fprintf(w, "  %-18s %8s %12s %7s %12s %9s %10s %10s\n",
+		"phase", "rounds", "awake", "awake%", "msgs", "residual", "wall", "engine")
 	for _, p := range s.Phases {
 		share := 0.0
 		if tot.Awake > 0 {
 			share = 100 * float64(p.Awake) / float64(tot.Awake)
 		}
-		fmt.Fprintf(w, "  %-18s %8d %12d %6.1f%% %12d %9d %10s\n",
+		fmt.Fprintf(w, "  %-18s %8d %12d %6.1f%% %12d %9d %10s %10s\n",
 			p.Name, p.Rounds, p.Awake, share, p.MsgsSent, p.Residual,
-			time.Duration(p.WallNS).Round(time.Microsecond))
+			time.Duration(p.WallNS).Round(time.Microsecond),
+			time.Duration(p.EngineNS).Round(time.Microsecond))
 	}
 
 	if *top > 0 && len(s.Phases) > 1 {

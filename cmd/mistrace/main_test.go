@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/energymis/energymis/internal/obs"
 )
 
 func runCmd(t *testing.T, args ...string) (code int, out, errOut string) {
@@ -37,6 +39,41 @@ func TestSummaryGolden(t *testing.T) {
 	// phase-a holds 6 of 10 awake node-rounds.
 	if !strings.Contains(out, "60.0%") {
 		t.Errorf("summary output missing phase-a awake share 60.0%%\n%s", out)
+	}
+}
+
+// TestSummaryEngineColumn: each phase's engine time is the summed wall_ns
+// of the round records between the previous phase record and its own, so
+// wall − engine is the phase's time outside rounds. In golden_a, phase-a's
+// rounds take 1500+900 of its 2600 ns, sync's round carries no wall time,
+// and phase-b's round takes 700 of 800 ns.
+func TestSummaryEngineColumn(t *testing.T) {
+	tr, err := obs.ReadTraceFile("testdata/golden_a.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name           string
+		wall, engineNS int64
+	}{{"phase-a", 2600, 2400}, {"sync", 0, 0}, {"phase-b", 800, 700}}
+	s := obs.Summarize(tr)
+	if len(s.Phases) != len(want) {
+		t.Fatalf("%d phases, want %d", len(s.Phases), len(want))
+	}
+	for i, w := range want {
+		if p := s.Phases[i]; p.Name != w.name || p.WallNS != w.wall || p.EngineNS != w.engineNS {
+			t.Errorf("phase %d: %s wall %d engine %d, want %s wall %d engine %d",
+				i, p.Name, p.WallNS, p.EngineNS, w.name, w.wall, w.engineNS)
+		}
+	}
+	_, out, _ := runCmd(t, "summary", "testdata/golden_a.jsonl")
+	for _, line := range []string{
+		"  phase                rounds        awake  awake%         msgs  residual       wall     engine\n",
+		"  phase-a                   2            6   60.0%           10         4        3µs        2µs\n",
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("summary output missing %q\n%s", line, out)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package degreduce
 
 import (
-	"slices"
-
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/rng"
 	"github.com/energymis/energymis/internal/schedule"
@@ -22,9 +20,10 @@ const (
 )
 
 // Batch is the struct-of-arrays automaton of one reduction iteration: the
-// pre-sampled participation rounds, the Lemma 2.5 wake schedules (flattened
-// into one arena with per-node offsets), the tagged-neighbor counts, and
-// the protocol flags, all in flat arrays driven whole-awake-sets at a time.
+// pre-sampled participation rounds, the Lemma 2.5 wake schedules (written
+// ascending into one arena with per-node offsets, with no sort and no
+// per-node allocation), the tagged-neighbor counts, and the protocol
+// flags, all in flat arrays driven whole-awake-sets at a time.
 // Random draws, wake schedules, and state transitions replicate the
 // per-node Machine exactly, so runs are byte-identical to the legacy path
 // (enforced by TestBatchMatchesLegacy).
@@ -42,7 +41,7 @@ type Batch struct {
 	av      []int32 // tagged-neighbor count observed in r_v
 	remDeg  []int32 // end window: active non-spoiled neighbor count
 	flags   []uint8
-	wakeAll []int32 // flattened sorted engine wake rounds
+	wakeAll []int32 // flattened ascending engine wake rounds
 	wakeOff []int32 // node v's schedule is wakeAll[wakeOff[v]:wakeOff[v+1]]
 	wi      []int32 // per-node cursor into its schedule segment
 }
@@ -56,7 +55,11 @@ func NewBatchIter(g *graph.Graph, plan Plan, p Params) *Batch {
 
 // InitAll implements sim.BatchMachine: pre-sample each node's first
 // participating round via the two sampling processes and derive its
-// S_{r_v} awake plan plus the end window.
+// S_{r_v} awake plan plus the end window. Each plan is written ascending
+// straight into the arena: S_{r_v} comes ascending from
+// schedule.AppendAscending through a path buffer on the stack, 4r_v,
+// 4r_v+1 and 4r_v+2 go just before 4r_v+3 (r_v is always in S_{r_v}), and
+// the end window follows every main-window round.
 func (b *Batch) InitAll(env *sim.BatchEnv) []int {
 	n := b.g.N()
 	b.markedBits = int32(1 + bitsFor(env.N))
@@ -68,7 +71,8 @@ func (b *Batch) InitAll(env *sim.BatchEnv) []int {
 	b.wakeOff = make([]int32, n+1)
 	b.wi = make([]int32, n)
 	first := make([]int, n)
-	var scratch []int32
+	wake := make([]int32, 0, n*(schedule.MaxSize(b.plan.T)+3+4))
+	var path [32]int32 // holds S_k for any T below 2³¹
 	for v := 0; v < n; v++ {
 		b.rands[v] = rng.ForNode(env.Seed, v)
 		r := &b.rands[v]
@@ -87,34 +91,24 @@ func (b *Batch) InitAll(env *sim.BatchEnv) []int {
 			b.flags[v] |= bTagged | bPremarked
 		}
 		b.rv[v] = int32(rv)
-		scratch = scratch[:0]
+		start := len(wake)
 		if rv >= 0 {
-			for _, l := range schedule.Set(b.plan.T, rv) {
-				scratch = append(scratch, int32(4*l+3))
+			for _, l := range schedule.AppendAscending(path[:0], b.plan.T, rv) {
+				if int(l) == rv {
+					wake = append(wake, 4*l, 4*l+1, 4*l+2)
+				}
+				wake = append(wake, 4*l+3)
 			}
-			scratch = append(scratch, int32(4*rv), int32(4*rv+1), int32(4*rv+2))
 		}
 		// Every node participates in the end window.
 		for s := 0; s < 4; s++ {
-			scratch = append(scratch, int32(b.plan.endRound(s)))
+			wake = append(wake, int32(b.plan.endRound(s)))
 		}
-		slices.Sort(scratch)
-		scratch = dedup32(scratch)
-		b.wakeAll = append(b.wakeAll, scratch...)
-		b.wakeOff[v+1] = int32(len(b.wakeAll))
-		first[v] = int(scratch[0])
+		b.wakeOff[v+1] = int32(len(wake))
+		first[v] = int(wake[start])
 	}
+	b.wakeAll = wake
 	return first
-}
-
-func dedup32(s []int32) []int32 {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // ComposeAll implements sim.BatchMachine.

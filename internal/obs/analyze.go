@@ -18,6 +18,12 @@ type PhaseAgg struct {
 	Violations  int64
 	Residual    int
 	WallNS      int64
+	// EngineNS sums the wall_ns of the round records between the previous
+	// phase record and this one in file order, the span Pipeline.Record
+	// closes; WallNS - EngineNS is the phase's time outside engine rounds
+	// (protocol set-up such as InitAll's pre-sampling, residual and
+	// subgraph work).
+	EngineNS int64
 }
 
 // TraceSummary is the analyzer's digest of one trace.
@@ -50,10 +56,12 @@ type StageTotals struct {
 // Summarize digests a trace for reporting.
 func Summarize(t *Trace) *TraceSummary {
 	s := &TraceSummary{Meta: t.Header.Meta, N: t.MetaInt("n")}
+	var engine int64 // round wall time since the last phase record
 	for i := range t.Records {
 		rec := &t.Records[i]
 		switch rec.Type {
 		case RecRound:
+			engine += rec.WallNS
 			s.RoundCount++
 			if rec.Awake > s.PeakAwake {
 				s.PeakAwake = rec.Awake
@@ -75,7 +83,9 @@ func Summarize(t *Trace) *TraceSummary {
 				MsgsSent: rec.MsgsSent, MsgsDropped: rec.MsgsDropped,
 				Bits: rec.Bits, Violations: rec.Violations,
 				Residual: rec.Residual, WallNS: rec.WallNS,
+				EngineNS: engine,
 			})
+			engine = 0
 		case RecSummary:
 			s.Total = *rec
 		}

@@ -3,7 +3,6 @@ package phase1
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/rng"
@@ -21,18 +20,19 @@ const (
 )
 
 // Batch is the struct-of-arrays automaton of the phase: the pre-sampled
-// marking rounds, the Lemma 2.5 wake schedules (flattened into one arena
-// with per-node offsets), and the protocol flags, all in flat arrays driven
-// whole-awake-sets at a time. Random draws, wake schedules, and state
-// transitions replicate the per-node Machine exactly, so runs are
-// byte-identical to the legacy path (enforced by TestBatchMatchesLegacy).
+// marking rounds, the Lemma 2.5 wake schedules (written ascending into one
+// arena with per-node offsets, with no sort and no per-node allocation),
+// and the protocol flags, all in flat arrays driven whole-awake-sets at a
+// time. Random draws, wake schedules, and state transitions replicate the
+// per-node Machine exactly, so runs are byte-identical to the legacy path
+// (enforced by TestBatchMatchesLegacy).
 type Batch struct {
 	g    *graph.Graph
 	plan Plan
 	damp float64
 
 	rv      []int32 // logical round of the one-shot marking; -1 = never
-	wakeAll []int32 // flattened sorted engine wake rounds
+	wakeAll []int32 // flattened ascending engine wake rounds
 	wakeOff []int32 // node v's schedule is wakeAll[wakeOff[v]:wakeOff[v+1]]
 	wi      []int32 // per-node cursor into its schedule segment
 	flags   []uint8
@@ -55,7 +55,10 @@ func markProbAt(plan Plan, damp float64, k int) float64 {
 }
 
 // InitAll implements sim.BatchMachine: pre-sample each node's one-shot
-// marking round and derive its S_{r_v} awake plan.
+// marking round and derive its S_{r_v} awake plan, written ascending
+// straight into the arena: S_{r_v} comes ascending from
+// schedule.AppendAscending through a path buffer on the stack, and 3r_v
+// and 3r_v+1 go just before 3r_v+2.
 func (b *Batch) InitAll(env *sim.BatchEnv) []int {
 	n := b.g.N()
 	b.rv = make([]int32, n)
@@ -76,46 +79,40 @@ func (b *Batch) InitAll(env *sim.BatchEnv) []int {
 	for k := range probs {
 		probs[k] = markProbAt(b.plan, b.damp, k)
 	}
-	var scratch []int32
+	// Sample every node first: typically few nodes are ever marked, and
+	// only those need room in the arena.
+	marked := 0
 	for v := 0; v < n; v++ {
 		r := rng.ForNode(env.Seed, v)
-		rv := int32(-1)
+		b.rv[v] = -1
 		for k := 0; k < b.plan.T; k++ {
 			if r.Bernoulli(probs[k]) {
-				rv = int32(k)
+				b.rv[v] = int32(k)
+				marked++
 				break
 			}
 		}
-		b.rv[v] = rv
+	}
+	wake := make([]int32, 0, marked*(schedule.MaxSize(b.plan.T)+2))
+	var path [32]int32 // holds S_k for any T below 2³¹
+	for v, rv := range b.rv {
 		if rv < 0 {
 			b.wakeOff[v+1] = b.wakeOff[v]
 			first[v] = sim.Never // never marked: sleep through the whole phase
 			continue
 		}
-		scratch = scratch[:0]
-		for _, l := range schedule.Set(b.plan.T, int(rv)) {
-			if int32(l) == rv {
-				scratch = append(scratch, int32(3*l), int32(3*l+1))
+		start := len(wake)
+		for _, l := range schedule.AppendAscending(path[:0], b.plan.T, int(rv)) {
+			if l == rv {
+				wake = append(wake, 3*l, 3*l+1)
 			}
-			scratch = append(scratch, int32(3*l+2))
+			wake = append(wake, 3*l+2)
 		}
-		slices.Sort(scratch)
-		scratch = dedup32(scratch)
-		b.wakeAll = append(b.wakeAll, scratch...)
-		b.wakeOff[v+1] = int32(len(b.wakeAll))
-		first[v] = int(scratch[0])
+		b.wakeOff[v+1] = int32(len(wake))
+		first[v] = int(wake[start])
 	}
+	b.wakeAll = wake
 	return first
-}
-
-func dedup32(s []int32) []int32 {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // ComposeAll implements sim.BatchMachine.

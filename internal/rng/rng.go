@@ -1,6 +1,9 @@
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is a single pseudo-random stream. The zero value is not valid; use
 // New or NewForNode.
@@ -64,16 +67,19 @@ func (s *Stream) Fork(tag uint64) *Stream {
 	return New(splitMix64(&x))
 }
 
-// Uint64 returns the next value of the stream.
+// Uint64 returns the next value of the stream. It works on local copies
+// of the state words, which keeps it cheap enough for the compiler to
+// inline, and Bernoulli with it.
 func (s *Stream) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s[0]+s.s[3], 23) + s.s[0]
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	result := bits.RotateLeft64(s0+s3, 23) + s0
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -117,14 +123,27 @@ func (s *Stream) Bernoulli(p float64) bool {
 // Bernoulli(p) experiment, or -1 if all trials fail. Indices are 0-based.
 //
 // It is equivalent to running s.Bernoulli(p) rounds times and reporting the
-// first true, and consumes exactly one variate per simulated trial up to the
-// success, so interleaving with other draws is stable.
+// first true: it returns the same index and consumes the same variates, so
+// interleaving with other draws is stable. That is one variate per trial up
+// to the success for p in (0, 1), none for p <= 0 or p >= 1 (or rounds <=
+// 0), and rounds variates, all failing, for a NaN p.
+//
+// Each trial tests the variate x against an integer threshold computed
+// once: Bernoulli's Float64() < p is (x>>11)/2⁵³ < p, and scaling both
+// sides by 2⁵³ is exact, so for the integer x>>11 it is x>>11 < ⌈p·2⁵³⌉.
 func (s *Stream) FirstSuccess(p float64, rounds int) int {
 	if p <= 0 || rounds <= 0 {
 		return -1
 	}
+	if p >= 1 {
+		return 0
+	}
+	var t uint64 // 0 for a NaN p, which no trial passes
+	if p > 0 {
+		t = uint64(math.Ceil(p * (1 << 53)))
+	}
 	for i := 0; i < rounds; i++ {
-		if s.Bernoulli(p) {
+		if s.Uint64()>>11 < t {
 			return i
 		}
 	}

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +155,96 @@ func TestFirstSuccess(t *testing.T) {
 	if mean < 0.9 || mean > 1.1 {
 		t.Fatalf("FirstSuccess(0.5) mean index %v, want ~1.0", mean)
 	}
+}
+
+// TestGoldenStream pins the generator's output: New(1)'s first four
+// values, computed before Uint64 was rewritten over local state copies.
+// Every counter of every run depends on them.
+func TestGoldenStream(t *testing.T) {
+	s := New(1)
+	for i, want := range []uint64{0xcfc5d07f6f03c29b, 0xbf424132963fe08d, 0x19a37d5757aaf520, 0xbf08119f05cd56d6} {
+		if got := s.Uint64(); got != want {
+			t.Fatalf("New(1) value %d = %#016x, want %#016x", i, got, want)
+		}
+	}
+}
+
+// bernoulliLoop is FirstSuccess's specification: rounds Bernoulli(p)
+// trials, stopping at the first success.
+func bernoulliLoop(s *Stream, p float64, rounds int) int {
+	for i := 0; i < rounds; i++ {
+		if s.Bernoulli(p) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkFirstSuccess requires FirstSuccess to return bernoulliLoop's index
+// and to leave the stream where bernoulliLoop leaves it.
+func checkFirstSuccess(t *testing.T, seed uint64, p float64, rounds int) {
+	t.Helper()
+	a, b := New(seed), New(seed)
+	got, want := a.FirstSuccess(p, rounds), bernoulliLoop(b, p, rounds)
+	if got != want {
+		t.Fatalf("seed %d p=%v (%#x) rounds=%d: FirstSuccess %d, Bernoulli loop %d", seed, p, math.Float64bits(p), rounds, got, want)
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatalf("seed %d p=%v (%#x) rounds=%d: FirstSuccess consumed a different number of draws", seed, p, math.Float64bits(p), rounds)
+	}
+}
+
+// firstSuccessProbs are the edge cases of FirstSuccess's threshold: NaN,
+// the infinities, both zeros, the smallest subnormal, 2⁻⁵³ and the next
+// float above it, the largest float below 1, 1 and 1.5, and the first
+// degree-reduction iteration's tagging and pre-marking probabilities on
+// BA n=16384 m=5 (Δ=447, as in misbench's static-alg2-ba).
+var firstSuccessProbs = []float64{
+	math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	math.SmallestNonzeroFloat64, 0x1p-53, math.Nextafter(0x1p-53, 1),
+	1 - 0x1p-53, 1, 1.5,
+	math.Pow(447, -0.5), 1 / (2 * math.Pow(447, 0.6)),
+}
+
+// TestFirstSuccessThresholdBoundary draws, against each p in (0, 1) of
+// firstSuccessProbs and a few more, a variate whose upper 53 bits u lie on
+// either side of p·2⁵³ (one below, at and above ⌊p·2⁵³⌋ and ⌈p·2⁵³⌉): the
+// comparisons a random stream hits with probability about 2⁻⁵³. A stream
+// whose first state word is 0 yields RotateLeft64(s[3], 23) next.
+func TestFirstSuccessThresholdBoundary(t *testing.T) {
+	probs := append([]float64{0.1, 0.3, 0.5, 1.0 / 3, 0x1p-30 + 0x1p-52}, firstSuccessProbs...)
+	for _, p := range probs {
+		if !(p > 0 && p < 1) {
+			continue
+		}
+		q := p * (1 << 53)
+		for _, u := range []float64{math.Floor(q) - 1, math.Floor(q), math.Ceil(q), math.Ceil(q) + 1} {
+			if u < 0 || u >= 1<<53 {
+				continue
+			}
+			x := uint64(u)<<11 | 0x5a5
+			a := Stream{s: [4]uint64{0, 0x1234, 0x5678, bits.RotateLeft64(x, -23)}}
+			b := a
+			if got, want := a.FirstSuccess(p, 1), bernoulliLoop(&b, p, 1); got != want {
+				t.Errorf("p=%v (%#x) u=%.0f: FirstSuccess %d, Bernoulli loop %d", p, math.Float64bits(p), u, got, want)
+			}
+		}
+	}
+}
+
+// FuzzFirstSuccessMatchesBernoulli holds FirstSuccess to the Bernoulli
+// loop for any p, given as raw float64 bits, and rounds up to 300. Its
+// seed corpus, which every go test runs, crosses firstSuccessProbs with
+// 0, 1, 28 (static-alg2-ba's T) and 300 rounds.
+func FuzzFirstSuccessMatchesBernoulli(f *testing.F) {
+	for i, p := range firstSuccessProbs {
+		for _, rounds := range []uint16{0, 1, 28, 300} {
+			f.Add(uint64(i), math.Float64bits(p), rounds)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed, pBits uint64, rounds uint16) {
+		checkFirstSuccess(t, seed, math.Float64frombits(pBits), int(rounds%301))
+	})
 }
 
 func TestFirstSuccessInRange(t *testing.T) {

@@ -14,7 +14,8 @@
 // then both halves recurse. S_k is therefore the set of midpoints of the
 // recursion intervals containing k, i.e. the binary-search path to k —
 // which is computable for a single k in O(log T) without materializing the
-// whole family.
+// whole family. Set lists it in path order; AppendAscending writes it
+// ascending, with no sort, for callers that build sorted wake schedules.
 //
 // A strictly stronger property holds and is relied on for correctness of
 // the MIS phases: for i < j the separating midpoint l satisfies

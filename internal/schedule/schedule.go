@@ -1,26 +1,77 @@
 package schedule
 
-// Set returns S_k for a schedule over T rounds (0-based). It panics if
-// k is outside [0, T).
+import "slices"
+
+// Set returns S_k for a schedule over T rounds (0-based): each member
+// once, in search-path order, which is not sorted. It panics if k is
+// outside [0, T).
 func Set(t, k int) []int {
 	if k < 0 || k >= t {
 		panic("schedule: round out of range")
 	}
-	// The binary-search path from [0, T-1] to k, recording midpoints.
-	set := make([]int, 0, 2+log2(t))
+	// The binary-search path from [0, T-1] to k, recording midpoints. k is
+	// the last midpoint, of the interval [k, k]; it is also the midpoint
+	// where the path turns left at k, if it does, and is then listed there
+	// only.
+	set := make([]int, 0, MaxSize(t))
 	lo, hi := 0, t-1
-	for {
+	listed := false
+	for lo < hi {
 		mid := lo + (hi-lo)/2
 		set = append(set, mid)
-		if lo == hi {
-			return set
-		}
 		if k <= mid {
+			listed = listed || mid == k
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
+	if !listed {
+		set = append(set, k)
+	}
+	return set
+}
+
+// AppendAscending appends S_k for a schedule over T rounds to dst, in
+// ascending order with each member once, and returns the extended slice.
+// It allocates only when dst has to grow. It panics if k is outside
+// [0, T).
+//
+// Where the search path to k turns right, the midpoint lies below k, and
+// these midpoints ascend along the path; where it turns left, the midpoint
+// lies at or above k, and these descend. So one pass appends the
+// right-turn midpoints and then k, a second appends the left-turn
+// midpoints other than k, and that tail is reversed in place.
+func AppendAscending(dst []int32, t, k int) []int32 {
+	if k < 0 || k >= t {
+		panic("schedule: round out of range")
+	}
+	lo, hi := 0, t-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if k <= mid {
+			hi = mid
+		} else {
+			dst = append(dst, int32(mid))
+			lo = mid + 1
+		}
+	}
+	dst = append(dst, int32(k))
+	tail := len(dst)
+	lo, hi = 0, t-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if k <= mid {
+			if mid != k {
+				dst = append(dst, int32(mid))
+			}
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	slices.Reverse(dst[tail:])
+	return dst
 }
 
 // All materializes S_k for every k in [0, T). Intended for tests and
@@ -34,7 +85,7 @@ func All(t int) [][]int {
 }
 
 // MaxSize returns the worst-case |S_k| for a schedule over T rounds:
-// ceil(log2 T) + 1.
+// ceil(log2 T) + 1, the length of the longest search path.
 func MaxSize(t int) int {
 	if t <= 0 {
 		return 0

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +52,58 @@ func TestSizeBound(t *testing.T) {
 				t.Fatalf("T=%d k=%d |S_k|=%d exceeds bound %d", T, k, got, bound)
 			}
 		}
+	}
+}
+
+// TestSetDistinct: Set lists every member of S_k once. The search path
+// turns left at k whenever k is the midpoint of a longer interval, and k
+// is also the midpoint of the path's last interval, [k, k]; it must not
+// be listed twice (for T=4, S_1 is {0, 1}).
+func TestSetDistinct(t *testing.T) {
+	for T := 1; T <= 300; T++ {
+		for k := 0; k < T; k++ {
+			s := Set(T, k)
+			sorted := slices.Clone(s)
+			slices.Sort(sorted)
+			if len(slices.Compact(sorted)) != len(s) {
+				t.Fatalf("T=%d k=%d: Set lists a round twice: %v", T, k, s)
+			}
+		}
+	}
+}
+
+// TestAppendAscending: AppendAscending is Set sorted, each member once,
+// appended after what dst already holds.
+func TestAppendAscending(t *testing.T) {
+	for T := 1; T <= 300; T++ {
+		for k := 0; k < T; k++ {
+			want := []int32{-7}
+			for _, l := range Set(T, k) {
+				want = append(want, int32(l))
+			}
+			slices.Sort(want[1:])
+			want = slices.Compact(want)
+			if got := AppendAscending([]int32{-7}, T, k); !slices.Equal(got, want) {
+				t.Fatalf("T=%d k=%d: AppendAscending %v, want %v", T, k, got[1:], want[1:])
+			}
+		}
+	}
+}
+
+// TestAppendAscendingNoAllocs: into a buffer with room for the longest
+// schedule, AppendAscending allocates nothing.
+func TestAppendAscendingNoAllocs(t *testing.T) {
+	const T = 1 << 20
+	var path [32]int32
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if s := AppendAscending(path[:0], T, k); len(s) > MaxSize(T) {
+			t.Fatalf("k=%d: |S_k|=%d over MaxSize %d", k, len(s), MaxSize(T))
+		}
+		k = (k + 9973) % T
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendAscending into a stack buffer: %.0f allocs per call, want 0", allocs)
 	}
 }
 
@@ -136,6 +189,14 @@ func TestOutOfRangePanics(t *testing.T) {
 				}
 			}()
 			Set(10, k)
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AppendAscending(nil, 10, %d) did not panic", k)
+				}
+			}()
+			AppendAscending(nil, 10, k)
 		}()
 	}
 }

@@ -7,7 +7,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"time"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -148,6 +148,7 @@ type Mem struct {
 	unsorted [calSize]bool // an insertion broke the slot's ascending order
 	pending  int           // nodes in the ring
 	far      []uint64
+	bitmap   []uint64 // order's bitmap over an unsorted slot's span
 	out      BatchOutbox
 }
 
@@ -190,12 +191,40 @@ func (m *Mem) take(r int) []int32 {
 	}
 	if m.unsorted[s] {
 		m.unsorted[s] = false
-		slices.Sort(awake)
+		m.order(awake)
 	}
 	m.head[s], m.tail[s] = 0, 0
 	m.pending -= len(awake)
 	m.awake = awake
 	return awake
+}
+
+// order sorts a bucket's distinct nodes ascending through a bitmap over
+// their span [lo, hi], in O(len(awake) + (hi-lo)/64) and without
+// comparisons: it sets one bit per node, then reads the nodes back out
+// word by word.
+func (m *Mem) order(awake []int32) {
+	lo, hi := awake[0], awake[0]
+	for _, v := range awake[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	base := lo >> 6
+	words := int(hi>>6-base) + 1
+	if cap(m.bitmap) < words {
+		m.bitmap = make([]uint64, words)
+	}
+	bm := m.bitmap[:words]
+	clear(bm)
+	for _, v := range awake {
+		bm[v>>6-base] |= 1 << (v & 63)
+	}
+	i := 0
+	for w, word := range bm {
+		for ; word != 0; word &= word - 1 {
+			awake[i] = (base+int32(w))<<6 | int32(bits.TrailingZeros64(word))
+			i++
+		}
+	}
 }
 
 // clearCalendar drops every pending wake, leaving the calendar as a zero

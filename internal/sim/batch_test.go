@@ -303,26 +303,51 @@ func sameResult(got, ref *Result) error {
 }
 
 // TestCalendarOrdersMixedBuckets fills calendar buckets out of ascending
-// order, from different source rounds, on a 1000-node cycle. Round 300
-// gets node 999 (scheduled in round 100) before nodes 0 and 1 (round
-// 200): a sparse bucket. Round 200 gets nodes 500..998 (round 10) before
-// 2..499 (round 20) and 0 and 1 (round 150): a dense one. Both must be
-// sorted. Node 7 sleeps from round 10 to far past the ring, round
-// 10+5*calSize. Run must match runPerNode.
+// order, from different source rounds, on an 8192-node cycle (128 bitmap
+// words), and requires Run to match runPerNode. Each bucket below is
+// filled out of order, so take orders it through its bitmap:
+//
+//   - round 200, dense: nodes 500..998 (scheduled in round 10) before
+//     2..499 (round 20) and 0 and 1 (round 150);
+//   - round 300, sparse: node 999 (round 100) before 0 and 1 (round 200),
+//     with round 200's nodes 2..998 left out of a span they fill;
+//   - round 400, spanning all 128 words: node 8191 (round 250) before 0
+//     and 1 (round 300);
+//   - round 500, whose lowest node is in word 46: node 5000 (round 350)
+//     before 3001 and 4500 (round 360);
+//   - round 600, filling word 100 exactly: nodes 6432..6463 (round 450)
+//     before 6400..6431 (round 460).
+//
+// Every wake above is scheduled less than calSize rounds ahead, so it goes
+// straight into the ring in the order scheduled (the far heap drains in
+// ascending order). Node 7 sleeps from round 10 to far past the ring,
+// round 10+5*calSize.
 func TestCalendarOrdersMixedBuckets(t *testing.T) {
-	g := graph.Cycle(1000)
+	g := graph.Cycle(8192)
 	schedule := func(v int) []int {
 		switch {
 		case v == 999:
 			return []int{100, 300}
 		case v <= 1:
-			return []int{150, 200, 300}
+			return []int{150, 200, 300, 400}
 		case v == 7:
 			return []int{10, 10 + 5*calSize}
-		case v >= 500:
+		case v < 500:
+			return []int{20, 200}
+		case v < 999:
 			return []int{10, 200}
+		case v == 8191:
+			return []int{250, 400}
+		case v == 5000:
+			return []int{350, 500}
+		case v == 3001 || v == 4500:
+			return []int{360, 500}
+		case v >= 6432 && v < 6464:
+			return []int{450, 600}
+		case v >= 6400 && v < 6432:
+			return []int{460, 600}
 		}
-		return []int{20, 200}
+		return nil
 	}
 	mk := func(v int) digestMachine { return &chattyMachine{awake: schedule(v)} }
 	refDig, ref := runDigests(t, g, mk, runPerNode, Config{Seed: 3})

@@ -52,11 +52,13 @@
 //
 // # Cost per round
 //
-// A round does no map operation and no staging copy. The wake calendar
-// is a ring of calSize per-round buckets, threaded through a per-node
-// link, plus a min-heap for wakes calSize or more rounds ahead that drains
-// into the ring as the round advances; a bucket is sorted only when an
-// insertion broke its ascending order. The router pushes — one pass
+// A round does no map operation, no staging copy and no comparison sort.
+// The wake calendar is a ring of calSize per-round buckets, threaded
+// through a per-node link, plus a min-heap for wakes calSize or more
+// rounds ahead that drains into the ring as the round advances. A bucket
+// filled in ascending order is taken as it is; one that an insertion
+// left out of order is ordered through a bitmap over its span [lo, hi],
+// in O(k + (hi-lo)/64) for k nodes. The router pushes — one pass
 // counts each receiver's deliveries, a second writes each copy at its
 // receiver's cursor — except in a round with no unicasts and at least
 // half as many broadcasts as awake nodes, which it pulls: each receiver
