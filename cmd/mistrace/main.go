@@ -108,7 +108,8 @@ func cmdSummary(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  engine stages (%d rounds): compose %.1f%% route %.1f%% deliver %.1f%% schedule %.1f%%",
 			st.Rounds, share(st.ComposeNS), share(st.RouteNS), share(st.DeliverNS), share(st.ScheduleNS))
 		if st.MsgsSent > 0 {
-			fmt.Fprintf(w, "; route %.1f ns/msg", float64(st.RouteNS)/float64(st.MsgsSent))
+			perMsg := func(ns int64) float64 { return float64(ns) / float64(st.MsgsSent) }
+			fmt.Fprintf(w, "; route %.1f ns/msg, route+deliver %.1f ns/msg", perMsg(st.RouteNS), perMsg(st.RouteNS+st.DeliverNS))
 		}
 		fmt.Fprintln(w)
 	}

@@ -79,7 +79,8 @@ func TestSummaryEngineColumn(t *testing.T) {
 
 // TestSummaryStages: a schema v2 trace whose engine rounds carry stage
 // times gets the stage line — each stage's share of those rounds' wall
-// time and the route time per message — and a v1 trace does not.
+// time, and the route and route+deliver times per message — and a v1
+// trace does not.
 func TestSummaryStages(t *testing.T) {
 	code, out, errOut := runCmd(t, "summary", "testdata/golden_stages.jsonl")
 	if code != 0 {
@@ -87,7 +88,7 @@ func TestSummaryStages(t *testing.T) {
 	}
 	for _, want := range []string{
 		"schema v2",
-		"engine stages (2 rounds): compose 10.0% route 50.0% deliver 30.0% schedule 10.0%; route 40.0 ns/msg\n",
+		"engine stages (2 rounds): compose 10.0% route 50.0% deliver 30.0% schedule 10.0%; route 40.0 ns/msg, route+deliver 64.0 ns/msg\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary output missing %q\n%s", want, out)

@@ -2,12 +2,12 @@ package energymis
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"github.com/energymis/energymis/internal/core"
 	"github.com/energymis/energymis/internal/dynamic"
 	"github.com/energymis/energymis/internal/obs"
+	"github.com/energymis/energymis/internal/stats"
 	"github.com/energymis/energymis/internal/stream"
 )
 
@@ -336,7 +336,6 @@ func (d *DynamicMIS) Close() error {
 			awake[v] -= base
 		}
 	}
-	sort.Slice(awake, func(i, j int) bool { return awake[i] < awake[j] })
 	sum := obs.SummaryStats{
 		Rounds:      int(st.Rounds),
 		AwakeTotal:  st.AwakeTotal,
@@ -352,9 +351,10 @@ func (d *DynamicMIS) Close() error {
 		SweepWords:    d.eng.Perf().SweepWords,
 	}
 	if n := len(awake); n > 0 {
-		sum.MaxAwake = int(awake[n-1])
+		top, p99 := stats.MaxP99(awake)
+		sum.MaxAwake = int(top)
 		sum.AvgAwake = float64(st.AwakeTotal) / float64(n)
-		sum.P99Awake = int(awake[(n-1)*99/100])
+		sum.P99Awake = int(p99)
 	}
 	tw.Summary(sum)
 	if err := tw.Close(); err != nil {

@@ -161,7 +161,19 @@ type Subgraph struct {
 // writes them into an exact-size adjacency array. An ascending keep (the
 // residual sets every caller passes) relabels monotonically, so its rows
 // come out sorted as written; any other order sorts each row.
+//
+// When keep is exactly 0..g.N()-1, the result shares g's arrays instead
+// of copying them (only Orig is new), in O(g.N()) time. Graphs are
+// immutable, so the share is safe; a FromCSR graph's aliasing contract
+// then extends to the result.
 func InducedSubgraph(g *Graph, keep []int) *Subgraph {
+	if isIota(keep, g.N()) {
+		orig := make([]int32, len(keep))
+		for i := range orig {
+			orig[i] = int32(i)
+		}
+		return &Subgraph{Graph: g, Orig: orig}
+	}
 	local := make([]int32, g.N())
 	for i := range local {
 		local[i] = -1
@@ -203,6 +215,19 @@ func InducedSubgraph(g *Graph, keep []int) *Subgraph {
 		}
 	}
 	return &Subgraph{Graph: &Graph{offsets: offsets, adj: adj}, Orig: orig}
+}
+
+// isIota reports whether keep is exactly 0..n-1.
+func isIota(keep []int, n int) bool {
+	if len(keep) != n {
+		return false
+	}
+	for i, v := range keep {
+		if v != i {
+			return false
+		}
+	}
+	return true
 }
 
 // Components returns the connected components of g, each as a slice of node

@@ -279,6 +279,46 @@ func TestInducedSubgraphMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestInducedSubgraphIdentityShares: keeping every node in order returns
+// the input graph itself with an identity Orig; any other keep — a
+// permutation of every node, or every node but one — still builds a copy
+// that matches the reference.
+func TestInducedSubgraphIdentityShares(t *testing.T) {
+	for _, g := range []*Graph{GNP(300, 0.03, 7), Path(5), FromEdges(1, nil), FromEdges(0, nil)} {
+		n := g.N()
+		all := make([]int, n)
+		for v := range all {
+			all[v] = v
+		}
+		sub := InducedSubgraph(g, all)
+		if sub.Graph != g {
+			t.Fatalf("n=%d: keeping 0..n-1 copied the graph", n)
+		}
+		for i, v := range sub.Orig {
+			if v != int32(i) {
+				t.Fatalf("n=%d: Orig[%d] = %d, want %d", n, i, v, i)
+			}
+		}
+		if len(sub.Orig) != n {
+			t.Fatalf("n=%d: len(Orig) = %d", n, len(sub.Orig))
+		}
+		if n < 2 {
+			continue
+		}
+		swapped := slices.Clone(all)
+		swapped[0], swapped[n-1] = swapped[n-1], swapped[0]
+		for _, keep := range [][]int{swapped, all[:n-1], all[1:]} {
+			got, want := InducedSubgraph(g, keep), naiveInducedSubgraph(g, keep)
+			if got.Graph == g {
+				t.Fatalf("n=%d: keep %v... shared the input graph", n, keep[:2])
+			}
+			if !slices.Equal(got.Orig, want.Orig) || !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.adj, want.adj) {
+				t.Fatalf("n=%d: keep %v... differs from the reference", n, keep[:2])
+			}
+		}
+	}
+}
+
 func TestGeneratorsValidate(t *testing.T) {
 	cases := []struct {
 		name string

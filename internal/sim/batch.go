@@ -35,10 +35,11 @@ type BatchEnv struct {
 // and then DeliverAll with the sorted awake set. ComposeAll must emit
 // messages only from nodes in `awake`, grouped by sender, in the order
 // senders appear in `awake` (the natural shape of a `for _, v := range
-// awake` loop); RunBatch fails the run otherwise. DeliverAll reads each
-// awake node's inbox via in.At(i) — i indexes into the `awake` slice it was
-// given — and writes the node's next wake round (must be > round, or Never)
-// into next[i]. Neither may modify `awake`: the engine reschedules from it.
+// awake` loop); RunBatch fails the run otherwise. DeliverAll reads
+// awake node awake[i]'s inbox via in.At(i) — once, several times or not
+// at all; in a pulled round the slice is valid until the next At call —
+// and writes the node's next wake round (must be > round, or Never) into
+// next[i]. Neither may modify `awake`: the engine reschedules from it.
 type BatchMachine interface {
 	InitAll(env *BatchEnv) []int
 	ComposeAll(round int, awake []int32, out *BatchOutbox)
@@ -92,20 +93,98 @@ func (o *BatchOutbox) group(bi, ui int) (s int32, be, ue int) {
 	return s, be, ue
 }
 
-// Inboxes serves every awake node's inbox as a segment of one pooled
-// buffer: node awake[i]'s messages are At(i), in routing order
-// (ascending sender; per sender, broadcasts before unicasts, each in call
-// order).
+// Inboxes serves every awake node's inbox: node awake[i]'s messages are
+// At(i), in routing order (ascending sender; per sender, broadcasts before
+// unicasts, each in call order). In a pushed round each inbox is a segment
+// of one pooled buffer; in a pulled round At gathers it on demand (see
+// RunBatch's route). Any inbox may be read once, several times or not at
+// all.
 type Inboxes struct {
 	buf []Msg
-	off []int32 // len = awake set + 1
+	off []int32    // len = awake set + 1
+	p   *pullState // non-nil in a pulled round
 }
 
 // At returns the inbox of the i-th node of the awake slice this view was
-// delivered with. The returned slice aliases the round's shared buffer and
-// must not be retained across rounds.
+// delivered with. The returned slice must not be modified or retained
+// across rounds: in a pushed round it aliases the round's shared buffer,
+// and in a pulled round it is a scratch slice valid until the next At
+// call.
 func (in Inboxes) At(i int) []Msg {
+	if in.p != nil {
+		return in.gather(i)
+	}
 	return in.buf[in.off[i]:in.off[i+1]]
+}
+
+// pullState is a pulled round's routing state. The round's senders each
+// broadcast exactly once, in ascending order, so sender u's broadcast is
+// bc[rank[w] + popcount(senders[w] & (1<<(u&63) - 1))] for w = u>>6: the
+// number of senders below u. Between pulled rounds every senders word is
+// zero and every read flag false.
+type pullState struct {
+	g       *graph.Graph
+	awake   []int32
+	bc      []Msg    // the round's broadcasts, one per sender
+	senders []uint64 // bitmap over node IDs; bits are set only in words [lo, hi)
+	rank    []int32  // rank[w], for w in [lo, hi): senders in words lo..w-1
+	lo, hi  int32    // the senders' span, in words
+	read    []bool   // read[i]: awake[i]'s deliveries are counted
+	sent    int64    // copies sent
+	got     int64    // copies delivered to the inboxes counted so far
+	inbox   []Msg    // gather's scratch
+}
+
+// gather collects awake[i]'s inbox in a pulled round from its sorted
+// neighbor row — ascending sender, the routing order — into the scratch
+// inbox, and counts its deliveries on the first read. The walk has no
+// data-dependent branch: it stores a broadcast for every neighbor (a
+// clamped index keeps a non-sender's read in range) and advances past it
+// only by the sender bit. Its receiver is the whole view, not in.p, which
+// keeps At within the inlining budget.
+func (in Inboxes) gather(i int) []Msg {
+	p := in.p
+	row := p.g.Neighbors(int(p.awake[i]))
+	if cap(p.inbox) < len(row) {
+		p.inbox = make([]Msg, len(row))
+	}
+	box := p.inbox[:len(row)]
+	bc, senders, rank := p.bc, p.senders, p.rank
+	last := len(bc) - 1
+	k := 0
+	for _, u := range row {
+		w, b := uint32(u)>>6, uint32(u)&63
+		word := senders[w]
+		box[k] = bc[min(int(rank[w])+bits.OnesCount64(word&(1<<b-1)), last)]
+		k += int(word >> b & 1)
+	}
+	if !p.read[i] {
+		p.read[i] = true
+		p.got += int64(k)
+	}
+	return box[:k]
+}
+
+// settle counts the deliveries to the inboxes DeliverAll never read, by a
+// row walk that only tests the bitmap, and returns the copies dropped:
+// those sent minus those delivered.
+func (p *pullState) settle() int64 {
+	for i, read := range p.read[:len(p.awake)] {
+		if read {
+			continue
+		}
+		for _, u := range p.g.Neighbors(int(p.awake[i])) {
+			p.got += int64(p.senders[uint32(u)>>6] >> (uint32(u) & 63) & 1)
+		}
+	}
+	return p.sent - p.got
+}
+
+// reset clears the round's bits and read flags, ending the pulled round.
+func (p *pullState) reset() {
+	clear(p.senders[p.lo:p.hi])
+	clear(p.read[:len(p.awake)])
+	*p = pullState{senders: p.senders, rank: p.rank, read: p.read, inbox: p.inbox}
 }
 
 // calSize is the number of rounds the wake calendar's ring spans. A power
@@ -121,10 +200,10 @@ const maxRound = math.MaxInt32
 // Mem holds the engine's reusable buffers, so a caller executing many runs
 // can amortize all engine allocations across runs instead of paying them
 // per run: the wake calendar, the awake positions, the round's outbox,
-// and the inbox buffer the router fills in place (there is no staging
-// area). A Mem may be reused across runs of different sizes
-// (buffers grow to the maximum) but must not be shared by concurrent runs.
-// The zero value is ready to use.
+// the inbox buffer push fills in place (there is no staging area), and
+// pull's sender bitmap, ranks and gather scratch. A Mem may be reused
+// across runs of different sizes (buffers grow to the maximum) but must
+// not be shared by concurrent runs. The zero value is ready to use.
 type Mem struct {
 	// pos[v] is 1 + v's index in the round's awake set while the round
 	// routes, and 0 for a sleeping node and at every other time: each
@@ -132,9 +211,10 @@ type Mem struct {
 	pos   []int32
 	awake []int32 // this round's awake set
 	next  []int
-	inbuf []Msg
-	inoff []int32
-	cnt   []int32 // by pos; push: per-receiver counts, then write cursors; pull: per-sender broadcast offsets
+	inbuf []Msg   // push's inboxes, one segment per receiver
+	inoff []int32 // push's segment offsets
+	cnt   []int32 // push's per-receiver counts, then write cursors, by pos
+	pull  pullState
 
 	// The wake calendar. Ring slot r&(calSize-1) lists the nodes waking in
 	// round r, for the calSize-1 rounds after the engine's current one,
@@ -323,17 +403,19 @@ func (e *batchEngine) run() (*Result, error) {
 	m.grow(n)
 	e.res.Awake = make([]int32, n) // escapes into the Result; never pooled
 
-	// Leave the Mem reusable on every exit, including error paths and a
-	// Strict panic: drop pending wakes (a retry on the same pool must not
-	// see phantom scheduled nodes, possibly from a different graph) and
-	// clear the positions of the last round's awake set, which a failed
-	// route may have left set, so no node of the next run looks awake.
+	// Leave the Mem reusable on every exit, including error paths, a
+	// Strict panic and a panicking DeliverAll: drop pending wakes (a retry
+	// on the same pool must not see phantom scheduled nodes, possibly from
+	// a different graph), clear the positions of the last round's awake
+	// set, which a failed route may have left set, so no node of the next
+	// run looks awake, and end a pulled round's state.
 	defer func() {
 		m.clearCalendar()
 		for _, v := range m.awake {
 			m.pos[v] = 0
 		}
 		m.awake = m.awake[:0]
+		m.pull.reset()
 	}()
 
 	env := BatchEnv{G: e.g, N: n, B: e.cfg.B, Seed: e.cfg.Seed}
@@ -382,12 +464,12 @@ func (e *batchEngine) run() (*Result, error) {
 			t2 = time.Now()
 		}
 
-		// Stage 2: route the outbox (senders ascending) into one
-		// receiver-grouped inbox buffer.
+		// Stage 2: route the outbox (senders ascending): push fills one
+		// receiver-grouped inbox buffer, pull only marks the senders.
 		for i, v := range awake {
 			m.pos[v] = int32(i) + 1
 		}
-		err := e.route(round, awake)
+		pulled, err := e.route(round, awake)
 		for _, v := range awake {
 			m.pos[v] = 0
 		}
@@ -398,12 +480,22 @@ func (e *batchEngine) run() (*Result, error) {
 			t3 = time.Now()
 		}
 
-		// Stage 3: deliver, then apply the scheduling decisions.
+		// Stage 3: deliver (a pulled round's inboxes are gathered as
+		// DeliverAll reads them, and its drops settled after), then apply
+		// the scheduling decisions.
 		if cap(m.next) < len(awake) {
 			m.next = make([]int, len(awake))
 		}
 		next := m.next[:len(awake)]
-		e.bm.DeliverAll(round, awake, Inboxes{buf: m.inbuf, off: m.inoff}, next)
+		in := Inboxes{buf: m.inbuf, off: m.inoff}
+		if pulled {
+			in = Inboxes{p: &m.pull}
+		}
+		e.bm.DeliverAll(round, awake, in, next)
+		if pulled {
+			e.res.MsgsDropped += m.pull.settle()
+			m.pull.reset()
+		}
 		if tr != nil {
 			t4 = time.Now()
 		}
@@ -437,24 +529,18 @@ func (e *batchEngine) run() (*Result, error) {
 	return &e.res, nil
 }
 
-// route moves the round's outbox into its inbox buffer, in routing order:
-// ascending sender; per sender, broadcasts then unicasts, each in call
-// order. A round with no unicasts and at least half as many broadcasts as
-// awake nodes is routed by pull, every other round by push; both write
-// straight into the inbox buffer, with no staging copy. Counts and
-// offsets are indexed by pos, whose 0 is a sink for sleeping receivers.
-func (e *batchEngine) route(round int, awake []int32) error {
-	m := e.mem
-	if cap(m.cnt) < len(awake)+2 {
-		m.cnt = make([]int32, len(awake)+2)
+// route validates and accounts the round's outbox and readies its inboxes
+// in routing order: ascending sender; per sender, broadcasts then
+// unicasts, each in call order. A round with no unicasts, at least half as
+// many broadcasts as awake nodes and exactly one broadcast per sender is
+// pulled (route reports true): it only marks the senders, and Inboxes.At
+// gathers each inbox from the receiver's row. Every other round is pushed
+// into the inbox buffer, with no staging copy.
+func (e *batchEngine) route(round int, awake []int32) (pulled bool, err error) {
+	if len(e.mem.out.uni) == 0 && 2*len(e.mem.out.bcast) >= len(awake) && e.pull(awake) {
+		return true, nil
 	}
-	if cap(m.inoff) < len(awake)+1 {
-		m.inoff = make([]int32, len(awake)+1)
-	}
-	if len(m.out.uni) == 0 && 2*len(m.out.bcast) >= len(awake) {
-		return e.pull(round, awake)
-	}
-	return e.push(round, awake)
+	return false, e.push(round, awake)
 }
 
 // sender validates the next sender group of the round's outbox: s must be
@@ -475,10 +561,15 @@ func (e *batchEngine) sender(s, prev int32, round int) error {
 // and counts each receiver's deliveries (sleeping receivers count into
 // the sink, as drops). Pass 2 walks the same order again and writes each
 // copy at its receiver's cursor, so each receiver's segment is in routing
-// order.
+// order. Counts and offsets are indexed by pos, whose 0 is a sink for
+// sleeping receivers.
 func (e *batchEngine) push(round int, awake []int32) error {
 	m := e.mem
 	k := len(awake)
+	if cap(m.cnt) < k+1 {
+		m.cnt = make([]int32, k+1)
+		m.inoff = make([]int32, k+1)
+	}
 	cnt := m.cnt[:k+1]
 	clear(cnt)
 	pos := m.pos
@@ -551,66 +642,56 @@ func (e *batchEngine) push(round int, awake []int32) error {
 	return nil
 }
 
-// pull routes a round of broadcasts only by receiver: it indexes each
-// awake sender's broadcasts by pos, accounting them in outbox order, and
-// then each awake receiver walks its sorted neighbor row and appends its
-// awake neighbors' broadcasts to its own segment. Messages dropped are
-// those sent minus those delivered.
-func (e *batchEngine) pull(round int, awake []int32) error {
+// pull routes a round of broadcasts by receiver without copying them. In
+// one pass over the outbox it validates each sender (awake, and above the
+// previous one, so each sends exactly once), accounts its copies and sets
+// its bit in the senders bitmap; the ranks of the bitmap's words follow.
+// Each inbox is then gathered when DeliverAll reads it (Inboxes.gather),
+// and the copies dropped are settled after DeliverAll (pullState.settle).
+// pull reports false, with the counters restored and no bit left set, when
+// a sender is asleep, out of order or broadcasts twice: push then routes
+// the round, or names the error.
+func (e *batchEngine) pull(awake []int32) bool {
 	m := e.mem
-	k := len(awake)
-	// The node at pos r broadcast bc[from[r]:from[r+1]]; the sink, pos 0,
-	// broadcast nothing.
-	from := m.cnt[:k+2]
-	from[0] = 0
+	p := &m.pull
 	pos := m.pos
-
 	bc := m.out.bcast
+	first, last := bc[0].From, bc[len(bc)-1].From
+	if first < 0 || last < first || int(last) >= len(pos) {
+		return false
+	}
+	if words := (len(pos) + 63) >> 6; len(p.senders) < words {
+		p.senders = make([]uint64, words)
+		p.rank = make([]int32, words)
+	}
+	p.lo, p.hi = first>>6, last>>6+1
+	saved := e.res
 	var sent int64
 	prev := int32(-1)
-	r := int32(1)
-	for j := 0; j < len(bc); {
-		s := bc[j].From
-		if err := e.sender(s, prev, round); err != nil {
-			return err
+	for _, mm := range bc {
+		s := mm.From
+		if s <= prev || s > last || pos[s] == 0 {
+			e.res = saved
+			p.reset()
+			return false
 		}
 		prev = s
-		for ; r <= pos[s]; r++ {
-			from[r] = int32(j)
-		}
-		d := e.g.Degree(int(s))
-		for ; j < len(bc) && bc[j].From == s; j++ {
-			if d > 0 {
-				e.account(bc[j], d)
-				sent += int64(d)
-			}
+		p.senders[s>>6] |= 1 << (s & 63)
+		if d := e.g.Degree(int(s)); d > 0 {
+			e.account(mm, d)
+			sent += int64(d)
 		}
 	}
-	for ; r <= int32(k)+1; r++ {
-		from[r] = int32(len(bc))
+	r := int32(0)
+	for w := p.lo; w < p.hi; w++ {
+		p.rank[w] = r
+		r += int32(bits.OnesCount64(p.senders[w]))
 	}
-
-	off := m.inoff[:k+1]
-	if cap(m.inbuf) < int(sent) {
-		m.inbuf = make([]Msg, sent)
+	if cap(p.read) < len(awake) {
+		p.read = make([]bool, len(awake))
 	}
-	buf := m.inbuf[:sent] // deliveries never exceed copies sent
-	w := int32(0)
-	for i, v := range awake {
-		off[i] = w
-		for _, u := range e.g.Neighbors(int(v)) {
-			r := pos[u]
-			for j := from[r]; j < from[r+1]; j++ {
-				buf[w] = bc[j]
-				w++
-			}
-		}
-	}
-	off[k] = w
-	e.res.MsgsDropped += sent - int64(w)
-	m.inbuf = buf[:w]
-	m.inoff = off
-	return nil
+	p.g, p.awake, p.bc, p.sent = e.g, awake, bc, sent
+	return true
 }
 
 func (e *batchEngine) account(m Msg, copies int) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -168,10 +169,11 @@ func (m *wakeMachine) Deliver(round int, inbox []Msg) int {
 func (m *wakeMachine) Digest() uint64 { return m.digest }
 
 // bcastMachine only broadcasts, so its rounds have no unicasts: in even
-// rounds every awake node broadcasts (the router pulls), in odd rounds
-// only nodes 0 mod 5 do (it pushes). Nodes 0 mod 3 broadcast twice, and
-// random sleep gaps leave some receivers asleep. It records the rounds it
-// was awake in.
+// rounds every awake node broadcasts, in odd rounds only nodes 0 mod 5 do
+// (the router pushes). Nodes 0 mod 3 broadcast twice, except in rounds 0
+// mod 4, where every sender broadcasts once and the router pulls; in
+// rounds 2 mod 4 the doubles send it back to push. Random sleep gaps
+// leave some receivers asleep. It records the rounds it was awake in.
 type bcastMachine struct {
 	env    *Env
 	left   int
@@ -185,7 +187,7 @@ func bcastSends(v, r int) int {
 	if r%2 == 1 && v%5 != 0 {
 		return 0
 	}
-	if v%3 == 0 {
+	if v%3 == 0 && r%4 != 0 {
 		return 2
 	}
 	return 1
@@ -365,8 +367,9 @@ func TestCalendarOrdersMixedBuckets(t *testing.T) {
 // TestPullAndPushRoundsInOneRun checks that bcastMachine, which the engine
 // differential above holds to runPerNode, really mixes the two routers in
 // one run: some rounds have at least half as many broadcasts as awake
-// nodes (the router pulls), and others have fewer, but at least one,
-// broadcast (it pushes).
+// nodes and one per sender (the router pulls), some as many but with a
+// sender broadcasting twice (pull hands them to push), and others have
+// fewer, but at least one, broadcast (push).
 func TestPullAndPushRoundsInOneRun(t *testing.T) {
 	g := graph.GNP(200, 0.05, 9)
 	nodes := make([]*bcastMachine, g.N())
@@ -380,23 +383,27 @@ func TestPullAndPushRoundsInOneRun(t *testing.T) {
 	}
 	awake := map[int]int{}
 	sending := map[int]int{}
+	doubles := map[int]bool{}
 	for v, m := range nodes {
 		for _, r := range m.rounds {
 			awake[r]++
 			sending[r] += bcastSends(v, r)
+			doubles[r] = doubles[r] || bcastSends(v, r) == 2
 		}
 	}
-	var pull, push int
+	var pull, dense, sparse int
 	for r, a := range awake {
 		switch b := sending[r]; {
-		case 2*b >= a:
+		case 2*b >= a && !doubles[r]:
 			pull++
+		case 2*b >= a:
+			dense++
 		case b > 0:
-			push++
+			sparse++
 		}
 	}
-	if pull == 0 || push == 0 {
-		t.Fatalf("%d pulled and %d pushed rounds, want both", pull, push)
+	if pull == 0 || dense == 0 || sparse == 0 {
+		t.Fatalf("%d pulled rounds, %d dense rounds with a double broadcast and %d sparse rounds; want each", pull, dense, sparse)
 	}
 }
 
@@ -634,7 +641,8 @@ func (s *scriptBatch) DeliverAll(round int, awake []int32, in Inboxes, next []in
 // 0-1-2 with node 2 asleep, RunBatch fails the run with a named error when
 // node 2 (or a node that does not exist) sends, or when node 1's messages
 // come before node 0's — in a broadcast-only round, which the router
-// pulls, and in a round with a unicast, which it pushes.
+// tries to pull (pull hands a round it cannot take to push, which names
+// the error), and in a round with a unicast, which it pushes.
 func TestBatchRejectsRogueSenders(t *testing.T) {
 	g := graph.Path(3)
 	msg := Msg{Kind: 1, Bits: 8}
@@ -691,12 +699,14 @@ func TestBatchRejectsRogueSenders(t *testing.T) {
 // cap, with or without wakes pending in the far heap, a unicast to a
 // non-neighbor, or a message from a sleeping or misordered sender),
 // through RunBatch or through Run's per-node machines, must leave a pooled
-// Mem clean — no phantom scheduled nodes, no stale awake positions — so
-// a subsequent run on a different (smaller) graph behaves exactly like
-// one on fresh buffers. The clean run lets nodes sleep while neighbors
-// send, so a stale awake position would deliver a message that must be
-// dropped. A Strict panic, recovered by the caller, must leave it clean
-// too.
+// Mem clean — no phantom scheduled nodes, no stale awake positions, no
+// pulled-round sender bits or read flags — so a subsequent run on a
+// different (smaller) graph behaves exactly like one on fresh buffers.
+// The clean runs let nodes sleep while neighbors send, so a stale awake
+// position would deliver a message that must be dropped, and one of them
+// reads part of its inboxes in pulled rounds. A Strict panic in a pulled
+// round's routing and a panicking DeliverAll in a pulled round, both
+// recovered by the caller, must leave it clean too.
 func TestBatchMemReuseAfterError(t *testing.T) {
 	big := graph.GNP(300, 0.05, 1)
 	stray := int32(1) // the first node that is not node 0's neighbor
@@ -752,6 +762,17 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 			}}, Config{Mem: mem, B: 16, Strict: true})
 			return err
 		}},
+		{"deliver-panic", func(mem *Mem) (err error) {
+			// Round 3 is pulled, and DeliverAll panics after reading a
+			// few inboxes: the senders bitmap and read flags are set.
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("recovered: %v", r)
+				}
+			}()
+			_, err = RunBatch(big, &panicBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3}, Config{Mem: mem})
+			return err
+		}},
 		{"misordered-sender", func(mem *Mem) error {
 			_, err := RunBatch(big, &scriptBatch{wake: farFirst, last: 50, compose: func(round int, awake []int32, out *BatchOutbox) {
 				if round != 3 {
@@ -780,6 +801,12 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 	freshPings, freshPingRes := runDigests(t, small, pings, Run, Config{Seed: 5})
 	chatter := func(int) digestMachine { return &chatterMachine{rounds: 6} }
 	freshDig, fresh := runDigests(t, small, chatter, Run, Config{Seed: 5})
+	partial := partialRule{pb: 0.9, pskip: 0.3, preread: 0.3, rounds: 8}
+	freshPartial := &partialBatch{partialRule: partial}
+	freshPartialRes, err := RunBatch(small, freshPartial, Config{Seed: 5})
+	if err != nil || freshPartial.pulled == 0 {
+		t.Fatalf("fresh partial-read run: %d pulled rounds, err %v", freshPartial.pulled, err)
+	}
 	for _, f := range failing {
 		mem := NewMem()
 		if err := f.run(mem); err == nil {
@@ -805,6 +832,18 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 			if dig[v] != freshPings[v] {
 				t.Fatalf("%s: post-error pooled far-wake run: node %d digest %x, fresh %x", f.name, v, dig[v], freshPings[v])
 			}
+		}
+		// A third, native and mostly pulled, that reads part of its inboxes.
+		pb := &partialBatch{partialRule: partial}
+		pooled, err := RunBatch(small, pb, Config{Seed: 5, Mem: mem})
+		if err != nil {
+			t.Fatalf("%s: post-error pooled partial-read run: %v", f.name, err)
+		}
+		if err := sameResult(pooled, freshPartialRes); err != nil {
+			t.Fatalf("%s: post-error pooled partial-read run: %v", f.name, err)
+		}
+		if !slices.Equal(pb.digest, freshPartial.digest) {
+			t.Fatalf("%s: post-error pooled partial-read run: digests %x, fresh %x", f.name, pb.digest, freshPartial.digest)
 		}
 	}
 }

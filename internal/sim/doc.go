@@ -30,9 +30,9 @@
 //   - BatchMachine, run with RunBatch: one automaton per protocol, driven
 //     with whole awake sets per call over flat struct-of-arrays state.
 //     The engine makes O(1) interface calls per round regardless of how
-//     many nodes are awake, routes every message through one pooled
-//     buffer, and — with a warm Mem pool — reaches zero steady-state
-//     allocations per round. The hot protocols (luby, phase1, ghaffari,
+//     many nodes are awake, serves every inbox from pooled buffers, and —
+//     with a warm Mem pool — reaches zero steady-state allocations per
+//     round. The hot protocols (luby, phase1, ghaffari,
 //     degreduce, shatter) execute this way.
 //
 // Both forms see the same semantics, delivery order and counters: for any
@@ -58,13 +58,22 @@
 // rounds ahead that drains into the ring as the round advances. A bucket
 // filled in ascending order is taken as it is; one that an insertion
 // left out of order is ordered through a bitmap over its span [lo, hi],
-// in O(k + (hi-lo)/64) for k nodes. The router pushes — one pass
-// counts each receiver's deliveries, a second writes each copy at its
-// receiver's cursor — except in a round with no unicasts and at least
-// half as many broadcasts as awake nodes, which it pulls: each receiver
-// walks its sorted neighbor row and appends its awake neighbors'
-// broadcasts.
-// Both build the same inboxes and counters. With a tracer attached, each
-// round's wall time is split into compose, route, deliver and schedule
-// stages (obs.RoundStats).
+// in O(k + (hi-lo)/64) for k nodes.
+//
+// The router pulls a round with no unicasts, at least half as many
+// broadcasts as awake nodes and one broadcast per sender, and pushes
+// every other round. Pull copies no message while routing: it sets each
+// sender's bit in a bitmap over node IDs and ranks the bitmap's words,
+// and Inboxes.At gathers a receiver's inbox when DeliverAll asks for it,
+// by walking the receiver's sorted neighbor row and taking each sending
+// neighbor's broadcast at its bit's rank, with no data-dependent branch.
+// So a pulled round costs O(senders + n/64) to route plus the rows of the
+// inboxes read, and needs no O(m) buffer; the copies dropped are settled
+// after DeliverAll, counting the inboxes it never read from the bitmap
+// alone. Push copies into one pooled buffer: one pass counts each
+// receiver's deliveries, a second writes each copy at its receiver's
+// cursor. Both give the same inboxes and counters. With a tracer
+// attached, each round's wall time is split into compose, route, deliver
+// and schedule stages (obs.RoundStats); a pulled round's gather falls in
+// deliver.
 package sim

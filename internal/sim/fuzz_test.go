@@ -8,11 +8,12 @@ import (
 )
 
 // fuzzMachine sends and sleeps at rates set by FuzzEngineMatchesPerNode's
-// inputs: it broadcasts (sometimes twice) with probability pb, unicasts
-// to each neighbor with probability pu, and sleeps far — around the wake
-// calendar's ring size or past it — with probability pfar, near (1 to 3
-// rounds) otherwise. Message sizes straddle the CONGEST budget of 16 bits.
-// Its digest folds every inbox, in order.
+// inputs: it broadcasts with probability pb (in rounds 3 mod 4 sometimes
+// twice, which sends a dense round to push), unicasts to each neighbor
+// with probability pu, and sleeps far — around the wake calendar's ring
+// size or past it — with probability pfar, near (1 to 3 rounds)
+// otherwise. Message sizes straddle the CONGEST budget of 16 bits. Its
+// digest folds every inbox, in order.
 type fuzzMachine struct {
 	env          *Env
 	pb, pu, pfar float64
@@ -42,7 +43,7 @@ func (m *fuzzMachine) Compose(round int, out *Outbox) {
 	r := m.env.Rand
 	if r.Bernoulli(m.pb) {
 		out.Broadcast(Msg{Kind: 1, A: uint64(round), Bits: int32(4 + r.Intn(16))})
-		if r.Bernoulli(m.pb / 2) {
+		if round%4 == 3 && r.Bernoulli(m.pb/2) {
 			out.Broadcast(Msg{Kind: 2, A: r.Uint64(), Bits: 8})
 		}
 	}

@@ -1,0 +1,366 @@
+package sim
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"github.com/energymis/energymis/internal/graph"
+	"github.com/energymis/energymis/internal/rng"
+)
+
+// partialRule is the partial-read protocol's per-node behavior, shared by
+// its per-node form (partialMachine, run on runPerNode) and its native
+// batch form (partialBatch, run on RunBatch), so both draw the same random
+// numbers in the same order. In each awake round a node broadcasts with
+// probability pb — twice with probability pdup in rounds 3 mod 4 —, then
+// skips its inbox with probability pskip, reads it twice with probability
+// preread and once otherwise, and sleeps 1 to 3 rounds.
+type partialRule struct {
+	pb, pdup, pskip, preread float64
+	rounds                   int // awake rounds per node
+}
+
+func (p partialRule) sends(r *rng.Stream, round int) int {
+	switch {
+	case !r.Bernoulli(p.pb):
+		return 0
+	case round%4 == 3 && r.Bernoulli(p.pdup):
+		return 2
+	}
+	return 1
+}
+
+func (p partialRule) reads(r *rng.Stream) int {
+	switch {
+	case r.Bernoulli(p.pskip):
+		return 0
+	case r.Bernoulli(p.preread):
+		return 2
+	}
+	return 1
+}
+
+func partialMsg(v int32, round, i int) Msg {
+	return Msg{Kind: uint8(1 + i), A: uint64(round)<<32 | uint64(v), Bits: 8}
+}
+
+// partialMachine is partialRule as a per-node Machine. Its digest folds
+// every inbox read, as often as it is read.
+type partialMachine struct {
+	partialRule
+	env    *Env
+	left   int
+	digest uint64
+}
+
+func (m *partialMachine) Init(env *Env) int {
+	m.env, m.left = env, m.rounds
+	return env.Node % 3
+}
+
+func (m *partialMachine) Compose(round int, out *Outbox) {
+	for i, k := 0, m.sends(m.env.Rand, round); i < k; i++ {
+		out.Broadcast(partialMsg(int32(m.env.Node), round, i))
+	}
+}
+
+func (m *partialMachine) Deliver(round int, inbox []Msg) int {
+	for k := m.reads(m.env.Rand); k > 0; k-- {
+		m.digest = foldInbox(m.digest, inbox)
+	}
+	if m.left--; m.left <= 0 {
+		return Never
+	}
+	return round + 1 + m.env.Rand.Intn(3)
+}
+
+func (m *partialMachine) Digest() uint64 { return m.digest }
+
+// partialBatch is partialRule as a native BatchMachine: DeliverAll reads
+// only the inboxes the rule picks, and takes every second read after all
+// first reads, so it re-gathers an inbox whose scratch other reads have
+// reused since. It counts the rounds delivered pulled and pushed.
+type partialBatch struct {
+	partialRule
+	rands          []rng.Stream
+	left           []int
+	digest         []uint64
+	again          []int // awake indices read a second time this round
+	pulled, pushed int
+}
+
+func (b *partialBatch) InitAll(env *BatchEnv) []int {
+	b.rands = make([]rng.Stream, env.N)
+	b.left = make([]int, env.N)
+	b.digest = make([]uint64, env.N)
+	first := make([]int, env.N)
+	for v := range first {
+		b.rands[v] = rng.ForNode(env.Seed, v)
+		b.left[v] = b.rounds
+		first[v] = v % 3
+	}
+	return first
+}
+
+func (b *partialBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
+	for _, v := range awake {
+		for i, k := 0, b.sends(&b.rands[v], round); i < k; i++ {
+			out.Broadcast(v, partialMsg(v, round, i))
+		}
+	}
+}
+
+func (b *partialBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
+	if in.p != nil {
+		b.pulled++
+	} else {
+		b.pushed++
+	}
+	again := b.again[:0]
+	for i, v := range awake {
+		r := &b.rands[v]
+		switch b.reads(r) {
+		case 2:
+			again = append(again, i)
+			fallthrough
+		case 1:
+			b.digest[v] = foldInbox(b.digest[v], in.At(i))
+		}
+		next[i] = Never
+		if b.left[v]--; b.left[v] > 0 {
+			next[i] = round + 1 + r.Intn(3)
+		}
+	}
+	for _, i := range again {
+		b.digest[awake[i]] = foldInbox(b.digest[awake[i]], in.At(i))
+	}
+	b.again = again
+}
+
+// checkPartial runs rule natively on RunBatch and per node on runPerNode,
+// and requires the same digest of the inboxes each node read and the
+// same Result, MsgsDropped included. It returns the batch protocol.
+func checkPartial(t *testing.T, g *graph.Graph, rule partialRule, cfg Config) *partialBatch {
+	t.Helper()
+	mk := func(int) digestMachine { return &partialMachine{partialRule: rule} }
+	refDig, ref := runDigests(t, g, mk, runPerNode, cfg)
+	b := &partialBatch{partialRule: rule}
+	res, err := RunBatch(g, b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range refDig {
+		if b.digest[v] != refDig[v] {
+			t.Fatalf("node %d read-inbox digest %x, runPerNode %x", v, b.digest[v], refDig[v])
+		}
+	}
+	if err := sameResult(res, ref); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestPartialReadsMatchPerNode holds a native batch protocol that reads a
+// random subset of inboxes — re-reading some, skipping others — to
+// runPerNode, on graphs with hubs, long ID spans and isolated nodes. The
+// dense rules are pulled in most rounds; with pdup, rounds 3 mod 4 have a
+// sender that broadcasts twice, which the router pushes.
+func TestPartialReadsMatchPerNode(t *testing.T) {
+	rules := []struct {
+		name         string
+		rule         partialRule
+		pulls, pushs bool // the run must have rounds of each kind
+	}{
+		{"dense/read-all", partialRule{pb: 1, rounds: 6}, true, false},
+		{"dense/partial", partialRule{pb: 0.9, pskip: 0.3, preread: 0.3, rounds: 8}, true, false},
+		{"dense/skip-all", partialRule{pb: 1, pskip: 1, rounds: 6}, true, false},
+		{"dense/doubles", partialRule{pb: 0.9, pdup: 0.5, pskip: 0.3, preread: 0.3, rounds: 12}, true, true},
+		{"sparse", partialRule{pb: 0.3, pdup: 0.3, pskip: 0.3, preread: 0.3, rounds: 8}, false, true},
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp", graph.GNP(300, 0.03, 1)},
+		{"gnp-dense", graph.GNP(150, 0.1, 2)},
+		{"gnp-wide", graph.GNP(1000, 0.004, 3)},
+		{"star", graph.Star(70)},
+		{"cycle", graph.Cycle(130)},
+		{"isolated", graph.FromEdges(6, [][2]int{{0, 1}})},
+	}
+	for _, rc := range rules {
+		for _, gc := range graphs {
+			t.Run(rc.name+"/"+gc.name, func(t *testing.T) {
+				b := checkPartial(t, gc.g, rc.rule, Config{Seed: 11})
+				if rc.pulls && b.pulled == 0 || rc.pushs && b.pushed == 0 {
+					t.Fatalf("%d pulled and %d pushed rounds", b.pulled, b.pushed)
+				}
+			})
+		}
+	}
+}
+
+// FuzzPartialReadsMatchPerNode is TestPartialReadsMatchPerNode over random
+// graphs, seeds and rates.
+func FuzzPartialReadsMatchPerNode(f *testing.F) {
+	f.Add(uint8(60), uint8(30), uint64(1), uint8(230), uint8(0), uint8(80), uint8(80))
+	f.Add(uint8(90), uint8(10), uint64(2), uint8(255), uint8(128), uint8(128), uint8(128))
+	f.Add(uint8(40), uint8(60), uint64(3), uint8(255), uint8(0), uint8(255), uint8(0))
+	f.Add(uint8(95), uint8(4), uint64(4), uint8(100), uint8(60), uint8(40), uint8(200))
+	f.Add(uint8(1), uint8(0), uint64(5), uint8(255), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, n, p uint8, seed uint64, pb, pdup, pskip, preread uint8) {
+		g := graph.GNP(int(n%96)+1, float64(p)/255, seed)
+		rule := partialRule{
+			pb:      float64(pb) / 255,
+			pdup:    float64(pdup) / 255,
+			pskip:   float64(pskip) / 255,
+			preread: float64(preread) / 255,
+			rounds:  6,
+		}
+		checkPartial(t, g, rule, Config{Seed: seed, B: 16})
+	})
+}
+
+// recordBatch wakes the nodes in awake in round 0, broadcasts once from
+// those in send, and records every inbox and whether the round was
+// pulled.
+type recordBatch struct {
+	awake, send []bool
+	got         [][]Msg
+	pulled      bool
+}
+
+func (b *recordBatch) InitAll(env *BatchEnv) []int {
+	b.got = make([][]Msg, env.N)
+	first := make([]int, env.N)
+	for v := range first {
+		first[v] = Never
+		if b.awake[v] {
+			first[v] = 0
+		}
+	}
+	return first
+}
+
+func (b *recordBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
+	for _, v := range awake {
+		if b.send[v] {
+			out.Broadcast(v, Msg{Kind: 1, A: uint64(v), Bits: 8})
+		}
+	}
+}
+
+func (b *recordBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
+	b.pulled = in.p != nil
+	for i, v := range awake {
+		b.got[v] = slices.Clone(in.At(i))
+		next[i] = Never
+	}
+}
+
+// TestPullBitmapEdges routes one pulled round on a clique of chosen nodes
+// — senders, silent awake receivers and sleepers, every other node
+// isolated — and checks every inbox and counter against the clique
+// directly. The senders sit at the edges of the bitmap's words (nodes 0,
+// 63, 64, 127 and n−1), or span words that do not start at word 0 and
+// leave the receivers' outer neighbors outside the span. The cases share
+// one Mem, so words outside a span hold earlier rounds' ranks.
+func TestPullBitmapEdges(t *testing.T) {
+	cases := []struct {
+		name              string
+		n                 int
+		send, recv, sleep []int
+	}{
+		{"word-edges", 200, []int{0, 63, 64, 127, 199}, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}},
+		{"inner-span", 300, []int{70, 100, 130, 191, 192, 255}, []int{66, 260}, []int{0, 64, 69, 71, 299}},
+		{"one-word", 300, []int{129, 130}, []int{128}, []int{0, 127, 131, 299}},
+		{"word-edges-again", 200, []int{0, 63, 64, 127, 199}, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}},
+	}
+	mem := NewMem()
+	for _, c := range cases {
+		clique := slices.Concat(c.send, c.recv, c.sleep)
+		var edges [][2]int
+		for i, u := range clique {
+			for _, v := range clique[i+1:] {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		g := graph.FromEdges(c.n, edges)
+		b := &recordBatch{awake: make([]bool, c.n), send: make([]bool, c.n)}
+		for _, v := range c.send {
+			b.awake[v], b.send[v] = true, true
+		}
+		for _, v := range c.recv {
+			b.awake[v] = true
+		}
+		res, err := RunBatch(g, b, Config{Mem: mem})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !b.pulled {
+			t.Fatalf("%s: the round was pushed, want pulled", c.name)
+		}
+		senders := slices.Clone(c.send)
+		slices.Sort(senders)
+		var delivered int64
+		for _, v := range slices.Concat(c.send, c.recv) {
+			var want []int32
+			for _, s := range senders {
+				if s != v {
+					want = append(want, int32(s))
+				}
+			}
+			var got []int32
+			for _, m := range b.got[v] {
+				if m.A != uint64(m.From) || m.Kind != 1 {
+					t.Fatalf("%s: node %d received %+v, not its sender's broadcast", c.name, v, m)
+				}
+				got = append(got, m.From)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: node %d received from %v, want %v", c.name, v, got, want)
+			}
+			delivered += int64(len(want))
+		}
+		sent := int64(len(c.send) * (len(clique) - 1))
+		if res.MsgsSent != sent || res.MsgsDropped != sent-delivered {
+			t.Fatalf("%s: sent %d, dropped %d; want %d, %d", c.name, res.MsgsSent, res.MsgsDropped, sent, sent-delivered)
+		}
+	}
+}
+
+// TestPulledRunsLeaveNoInboxBuffer: a run whose rounds are all pulled
+// (pingBatch on GNP: every awake node broadcasts once) never allocates
+// push's O(m) inbox buffer or its offsets.
+func TestPulledRunsLeaveNoInboxBuffer(t *testing.T) {
+	g := graph.GNP(400, 10.0/400, 3)
+	mem := NewMem()
+	res, err := RunBatch(g, &pingBatch{g: g, rounds: 5}, Config{Mem: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MsgsSent == 0 {
+		t.Fatal("no messages sent")
+	}
+	if mem.inbuf != nil || mem.inoff != nil {
+		t.Fatalf("pulled run allocated push's buffers: %d inbox slots, %d offsets", cap(mem.inbuf), cap(mem.inoff))
+	}
+}
+
+// panicBatch is pingBatch whose DeliverAll, in round at, reads a few
+// inboxes — one of them twice — and then panics.
+type panicBatch struct {
+	pingBatch
+	at int
+}
+
+func (p *panicBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
+	if round == p.at {
+		in.At(0)
+		in.At(len(awake) - 1)
+		in.At(0)
+		panic(fmt.Sprintf("sim test: DeliverAll panics in round %d", round))
+	}
+	p.pingBatch.DeliverAll(round, awake, in, next)
+}

@@ -2,7 +2,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/energymis/energymis/internal/sim"
@@ -115,17 +115,15 @@ type Summary struct {
 func (a *Accumulator) Summarize() Summary {
 	s := Summary{N: a.n, Phases: a.phases}
 	var sum int64
-	sorted := make([]int64, a.n)
-	copy(sorted, a.awake)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for _, c := range a.awake {
 		sum += c
 	}
 	s.AwakeTotal = sum
 	if a.n > 0 {
-		s.MaxAwake = int(sorted[a.n-1])
+		top, p99 := MaxP99(a.awake)
+		s.MaxAwake = int(top)
 		s.AvgAwake = float64(sum) / float64(a.n)
-		s.P99Awake = int(sorted[(a.n-1)*99/100])
+		s.P99Awake = int(p99)
 	}
 	for _, p := range a.phases {
 		s.Rounds += p.Rounds
@@ -164,4 +162,35 @@ func (s Summary) String() string {
 			p.Name, p.Rounds, p.MaxAwake, p.AvgAwake, p.MsgsSent)
 	}
 	return b.String()
+}
+
+// MaxP99 returns the largest value of xs and its 99th percentile: the
+// value at index ⌊(len(xs)−1)·99/100⌋ of xs sorted ascending. It returns
+// 0, 0 for an empty xs and does not modify xs. Values in [0, len(xs)) —
+// awake counts, which stay far below the node count — are counted into a
+// histogram in linear time; any other input sorts a copy.
+func MaxP99(xs []int64) (top, p99 int64) {
+	n := len(xs)
+	if n == 0 {
+		return 0, 0
+	}
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	rank := (n - 1) * 99 / 100
+	if lo < 0 || hi >= int64(n) {
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		return sorted[n-1], sorted[rank]
+	}
+	count := make([]int, hi+1)
+	for _, x := range xs {
+		count[x]++
+	}
+	v := 0
+	for ; rank >= count[v]; v++ {
+		rank -= count[v]
+	}
+	return hi, int64(v)
 }

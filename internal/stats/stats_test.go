@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,6 +107,53 @@ func TestEmptyAccumulator(t *testing.T) {
 	for _, p := range s.Phases {
 		if p.AvgAwake != 0 {
 			t.Fatalf("phase %s on the empty network: AvgAwake = %v, want 0", p.Name, p.AvgAwake)
+		}
+	}
+}
+
+// TestMaxP99MatchesSort holds MaxP99 to its definition, the maximum and
+// index ⌊(n−1)·99/100⌋ of a sorted copy, on edge cases and random inputs
+// that take the counting path (values below n) and the sorting path (a
+// negative value, or a maximum of n or more).
+func TestMaxP99MatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	random := func(n, hi int) []int64 {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = int64(r.Intn(hi))
+		}
+		return xs
+	}
+	cases := []struct {
+		name string
+		xs   []int64
+	}{
+		{"empty", nil},
+		{"one", []int64{0}},
+		{"one-large", []int64{7}},
+		{"two", []int64{1, 0}},
+		{"ties", []int64{3, 1, 3, 3, 1, 2, 3, 3}},
+		{"all-zeros", make([]int64, 500)},
+		{"counting", random(1000, 40)},
+		{"counting-top-at-bound", append(random(999, 40), 999)},
+		{"outlier", append(random(1000, 40), 1_000_000)},
+		{"negative", append(random(300, 40), -5)},
+		{"wide", random(5000, 1<<40)},
+	}
+	for _, c := range cases {
+		before := slices.Clone(c.xs)
+		top, p99 := MaxP99(c.xs)
+		if !slices.Equal(c.xs, before) {
+			t.Fatalf("%s: MaxP99 modified its input", c.name)
+		}
+		var wantTop, wantP99 int64
+		if n := len(c.xs); n > 0 {
+			sorted := slices.Clone(c.xs)
+			slices.Sort(sorted)
+			wantTop, wantP99 = sorted[n-1], sorted[(n-1)*99/100]
+		}
+		if top != wantTop || p99 != wantP99 {
+			t.Errorf("%s: MaxP99 = %d, %d; want %d, %d", c.name, top, p99, wantTop, wantP99)
 		}
 	}
 }
