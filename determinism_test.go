@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/luby"
 	"github.com/energymis/energymis/internal/sim"
 )
@@ -66,6 +67,25 @@ func TestStaticExecutorDeterminism(t *testing.T) {
 	}
 }
 
+// lubyPerNode runs Luby as one luby.Machine per node through sim.Run: the
+// per-node specification of what luby.Run executes.
+func lubyPerNode(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
+	nodes := make([]luby.Machine, g.N())
+	machines := make([]sim.Machine, g.N())
+	for v := range machines {
+		machines[v] = &nodes[v]
+	}
+	res, err := sim.Run(g, machines, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	inSet := make([]bool, g.N())
+	for v := range nodes {
+		inSet[v] = nodes[v].InMIS
+	}
+	return inSet, res, nil
+}
+
 // TestBatchVsLegacyLubyDeterminism cross-checks the two forms of Luby: the
 // struct-of-arrays automaton (what energymis.Luby runs) against the
 // per-node Machine through sim.Run. Output sets, all counters, and
@@ -74,7 +94,7 @@ func TestStaticExecutorDeterminism(t *testing.T) {
 func TestBatchVsLegacyLubyDeterminism(t *testing.T) {
 	for _, n := range []int{300, 1000} {
 		g := GNP(n, 10.0/float64(n), uint64(n)+17)
-		refSet, refRes, err := luby.RunLegacy(g, sim.Config{Seed: 9})
+		refSet, refRes, err := lubyPerNode(g, sim.Config{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,7 +66,8 @@ type DynamicOptions struct {
 	Seed uint64
 	// B overrides the CONGEST budget in bits (0 = default).
 	B int
-	// Repair selects the re-election protocol (default RepairLuby).
+	// Repair selects the re-election protocol: RepairLuby (the default
+	// for 0) or RepairGhaffari. Any other value is an error.
 	Repair RepairAlgo
 	// SelfCheck validates the MIS invariant after every batch (O(n+m);
 	// meant for tests).

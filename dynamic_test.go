@@ -2,6 +2,7 @@ package energymis
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -149,6 +150,10 @@ func TestDynamicPublicSurface(t *testing.T) {
 	}
 	if _, err := NewDynamic(g, Algorithm(0), DynamicOptions{}); err == nil {
 		t.Fatal("unknown bootstrap algorithm accepted")
+	}
+	_, err = NewDynamic(g, Luby, DynamicOptions{Repair: 7})
+	if err == nil || !strings.Contains(err.Error(), "RepairAlgo(7)") {
+		t.Fatalf("unknown repair protocol: got error %v, want one naming RepairAlgo(7)", err)
 	}
 }
 

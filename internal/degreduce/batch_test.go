@@ -7,6 +7,41 @@ import (
 	"github.com/energymis/energymis/internal/sim"
 )
 
+// runIterLegacy executes one iteration with per-node machines through
+// sim.Run.
+func runIterLegacy(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterOut, error) {
+	machines := make([]sim.Machine, cur.N())
+	nodes := make([]*Machine, cur.N())
+	for v := range machines {
+		nodes[v] = &Machine{
+			plan: plan,
+			damp: p.ResampleDamp,
+			pmd:  p.PreMarkDamp,
+			pexp: p.PreMarkExp,
+			rv:   -1,
+		}
+		machines[v] = nodes[v]
+	}
+	res, err := sim.Run(cur, machines, cfg)
+	if err != nil {
+		return iterOut{}, err
+	}
+	it := iterOut{inSet: make([]bool, cur.N()), res: res}
+	for v, nm := range nodes {
+		it.inSet[v] = nm.InMIS
+		if nm.Sampled() {
+			it.sampled++
+		}
+	}
+	return it, nil
+}
+
+// runLegacy executes the reduction with per-node machines through
+// sim.Run: the reference the batch path is differentially tested against.
+func runLegacy(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
+	return runLoop(g, p, cfg, runIterLegacy)
+}
+
 // TestBatchMatchesLegacy is the differential gate of the batch port: the
 // full iterated reduction on the batch runtime must produce byte-identical
 // Outcomes — set, residual, per-iteration stats, complexity counters — to
@@ -25,7 +60,7 @@ func TestBatchMatchesLegacy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 2; seed++ {
-			ref, err := RunLegacy(tc.g, DefaultParams(), sim.Config{Seed: seed})
+			ref, err := runLegacy(tc.g, DefaultParams(), sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d legacy: %v", tc.name, seed, err)
 			}

@@ -385,35 +385,6 @@ type iterOut struct {
 	res     *sim.Result
 }
 
-// runIterLegacy executes one iteration with per-node machines through
-// sim.Run.
-func runIterLegacy(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterOut, error) {
-	machines := make([]sim.Machine, cur.N())
-	nodes := make([]*Machine, cur.N())
-	for v := range machines {
-		nodes[v] = &Machine{
-			plan: plan,
-			damp: p.ResampleDamp,
-			pmd:  p.PreMarkDamp,
-			pexp: p.PreMarkExp,
-			rv:   -1,
-		}
-		machines[v] = nodes[v]
-	}
-	res, err := sim.Run(cur, machines, cfg)
-	if err != nil {
-		return iterOut{}, err
-	}
-	it := iterOut{inSet: make([]bool, cur.N()), res: res}
-	for v, nm := range nodes {
-		it.inSet[v] = nm.InMIS
-		if nm.Sampled() {
-			it.sampled++
-		}
-	}
-	return it, nil
-}
-
 // runIterBatch executes one iteration with the struct-of-arrays automaton
 // on the batch runtime.
 func runIterBatch(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterOut, error) {
@@ -427,16 +398,11 @@ func runIterBatch(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterOu
 
 // Run executes the iterated reduction on g until the degree bound falls
 // under the stopping threshold. Each iteration runs the struct-of-arrays
-// automaton on the batch runtime; results are byte-identical to RunLegacy
-// (the per-node reference, enforced by TestBatchMatchesLegacy).
+// automaton on the batch runtime; results are byte-identical to the
+// per-node machines through sim.Run (the reference, whose iteration
+// runner lives in batch_test.go and runs through the same runLoop).
 func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 	return runLoop(g, p, cfg, runIterBatch)
-}
-
-// RunLegacy executes the reduction with per-node machines on the per-node
-// engine: the reference the batch path is differentially tested against.
-func RunLegacy(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
-	return runLoop(g, p, cfg, runIterLegacy)
 }
 
 func runLoop(g *graph.Graph, p Params, cfg sim.Config,

@@ -29,22 +29,27 @@
 // G[U] and adding it keeps independence and restores maximality. Every
 // woken node is within two hops of an update endpoint.
 //
-// Engine paths. The default repair path runs on the SoA batch runtime:
-// the affected region is tracked in epoch-stamped bitvec.Stamped sets,
-// and the uncovered region is split into connected components by a
-// union-find partitioner (partition.go). Each component is an independent
-// election: singletons join analytically without an engine run, and the
-// rest are composed as internal/pipeline runs (batch luby / batch
-// ghaffari with a Luby finisher), one after another in component order on
-// the engine's one sim.Mem. An ordered merge then folds the per-component
-// counters and set joins. Params.Tracer receives a phase span per
-// election stage (in component order), a "repair/singleton" span for the
-// analytic joins, and a synthetic one-round "repair/detect" span per
-// batch. Params.Legacy selects the frozen per-node reference path
-// (repair_legacy.go), which shares the partition, seed derivation, and
-// merge — identical sets and identical deterministic counters, proven by
-// this package's differential tests, the only code that sets it. Repairs
-// run on the calling goroutine; the package starts no goroutine.
+// Execution. Repairs run on the SoA batch runtime: the affected region
+// is tracked in epoch-stamped bitvec.Stamped sets, and the uncovered
+// region is split into connected components by a union-find partitioner
+// (partition.go). Each component is an independent election: singletons
+// join analytically without an engine run, and the rest are composed as
+// internal/pipeline runs (batch luby / batch ghaffari with a Luby
+// finisher), one after another in component order on the engine's one
+// sim.Mem. An ordered merge then folds the per-component counters and set
+// joins. Params.Tracer receives a phase span per election stage (in
+// component order), a "repair/singleton" span for the analytic joins, and
+// a synthetic one-round "repair/detect" span per batch. Repairs run on
+// the calling goroutine; the package starts no goroutine.
+//
+// Testing. This package's tests hold every Apply to oracles that read
+// only the public accessors and share no repair code: the MIS invariant
+// (Check); locality (every node charged awake lies within two hops of an
+// update endpoint, in the graph before or after the window); stability
+// (a live node that was not charged keeps its membership); and a naive
+// map-based replay of the window's eviction, probe, and component split,
+// which must reproduce the batch's counters, its charged nodes, and its
+// detection-round messages.
 //
 // One Apply call is one coalesced window: overlapping repair regions of
 // its updates merge and are re-elected once, which is what turns the unit

@@ -2,7 +2,6 @@ package dynamic
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/obs"
@@ -107,14 +106,6 @@ type Params struct {
 	// SelfCheck validates the full MIS invariant after every batch
 	// (O(n+m); for tests).
 	SelfCheck bool
-	// Legacy selects the per-node reference repair path (RepairLegacy):
-	// map-based region tracking and elections with per-node machines
-	// through sim.Run. The default batch path — epoch-stamped region
-	// scratch, pipeline-composed elections on the SoA batch runtime, one
-	// pooled sim.Mem — produces identical sets and identical deterministic
-	// counters; Legacy exists only as the reference of this package's
-	// differential tests.
-	Legacy bool
 	// Tracer, when non-nil, receives phase spans for every repair
 	// (election spans from the pipeline, a synthetic "repair/singleton"
 	// span aggregating the analytic singleton-component decisions, plus
@@ -124,7 +115,7 @@ type Params struct {
 	// is deterministic up to wall times. When an election fails, the
 	// events the batch's elections emitted before the failure stay in the
 	// trace; the engine's set is not a valid MIS after a repair error
-	// anyway. Only the batch path is traced; Legacy ignores it.
+	// anyway.
 	Tracer obs.Tracer
 }
 
@@ -151,18 +142,17 @@ type Engine struct {
 	stats   Stats
 	batchNo uint64
 
-	// Batch-path resources: the pooled engine buffers every election
-	// runs on, the epoch-stamped region scratch, and the tracer. simMsgs
-	// counts the engine messages of the current batch's elections, so the
-	// analytic detection-round messages can be split out for the trace.
+	// Repair resources: the pooled engine buffers every election runs on
+	// and the epoch-stamped region scratch. simMsgs counts the engine
+	// messages of the current batch's elections, so the analytic
+	// detection-round messages can be split out for the trace.
 	mem     sim.Mem
 	scr     scratch
-	tracer  obs.Tracer
 	simMsgs int64
 
-	// Component machinery shared by both repair paths: the union-find
-	// region partitioner, per-component election state, and the reusable
-	// work list of non-singleton component ordinals (partition.go).
+	// Component machinery: the union-find region partitioner,
+	// per-component election state, and the reusable work list of
+	// non-singleton component ordinals (partition.go).
 	part  partitioner
 	comps []compRun
 	work  []int32
@@ -171,8 +161,7 @@ type Engine struct {
 }
 
 // Perf reports engine-internal performance counters. Unlike Stats these
-// are not part of the batch-vs-legacy differential contract — the two
-// paths legitimately differ here.
+// measure the implementation, not the distributed protocol.
 type Perf struct {
 	// SweepWords counts dirty/woken touched words walked by repair sweeps.
 	SweepWords int64
@@ -182,14 +171,19 @@ type Perf struct {
 func (e *Engine) Perf() Perf { return e.perf }
 
 // New wraps an existing valid MIS of g in a dynamic engine. The inSet
-// slice is copied. Use NoteBootstrap to credit the cost of computing the
-// initial set.
+// slice is copied. A zero Repair selects RepairLuby; any other value
+// outside the Repair protocols is an error. Use NoteBootstrap to credit
+// the cost of computing the initial set.
 func New(g *graph.Graph, inSet []bool, p Params) (*Engine, error) {
+	switch p.Repair {
+	case 0:
+		p.Repair = RepairLuby
+	case RepairLuby, RepairGhaffari:
+	default:
+		return nil, fmt.Errorf("dynamic: unknown repair protocol %v", p.Repair)
+	}
 	if err := verify.Check(g, inSet); err != nil {
 		return nil, fmt.Errorf("dynamic: initial set invalid: %w", err)
-	}
-	if p.Repair == 0 {
-		p.Repair = RepairLuby
 	}
 	if p.MaxRetry <= 0 {
 		p.MaxRetry = 2
@@ -204,11 +198,6 @@ func New(g *graph.Graph, inSet []bool, p Params) (*Engine, error) {
 		inSet:      make([]bool, n),
 		inSetW:     make([]uint64, (n+63)>>6),
 		awake:      make([]int64, n),
-	}
-	if !p.Legacy {
-		// Only the batch path is traced (see Params.Tracer); clearing the
-		// field here lets the shared merge treat "tracer set" as "emit".
-		e.tracer = p.Tracer
 	}
 	copy(e.inSet, inSet)
 	for v, in := range e.inSet {
@@ -420,31 +409,16 @@ func (e *Engine) RemoveNode(v int) (BatchStats, error) {
 	return e.Apply([]Update{DelNode(v)})
 }
 
-// regionTracker accumulates the affected region while a batch's structural
-// changes are applied: the map-based legacy repairState, or the batch
-// path's epoch-stamped scratch. unmark removes a node from both sets when
-// its slot dies mid-batch.
-type regionTracker interface {
-	markDirty(v int32)
-	wake(v int32)
-	unmark(v int32)
-}
-
 // Apply applies a batch of updates atomically: all structural changes
 // first, then a single localized repair covering every affected region.
 // Batching amortizes the repair — overlapping regions are re-elected once.
 func (e *Engine) Apply(batch []Update) (BatchStats, error) {
-	var rt regionTracker
-	if e.p.Legacy {
-		rt = newRepairState()
-	} else {
-		rt = e.scr.begin(len(e.adj))
-	}
+	st := e.scr.begin(len(e.adj))
 	var bs BatchStats
 	applied := 0
 	var applyErr error
 	for i := range batch {
-		if err := e.applyStructural(&batch[i], rt); err != nil {
+		if err := e.applyStructural(&batch[i], st); err != nil {
 			// Repair the applied prefix below so the invariant holds even
 			// when the caller passed an invalid update.
 			applyErr = fmt.Errorf("dynamic: update %d (%s): %w", i, batch[i].Op, err)
@@ -454,15 +428,8 @@ func (e *Engine) Apply(batch []Update) (BatchStats, error) {
 	}
 	bs.Updates = applied
 	e.simMsgs = 0
-	var repairErr error
-	switch st := rt.(type) {
-	case *repairState:
-		repairErr = e.repairLegacy(st, &bs)
-	case *scratch:
-		repairErr = e.repairBatch(st, &bs)
-	}
-	if repairErr != nil {
-		return bs, repairErr
+	if err := e.repairBatch(st, &bs); err != nil {
+		return bs, err
 	}
 
 	e.accumulate(&bs, applied)
@@ -511,7 +478,7 @@ func (e *Engine) accumulate(bs *BatchStats, applied int) {
 
 // applyStructural applies one update's structural changes, marking the
 // affected region in st.
-func (e *Engine) applyStructural(up *Update, st regionTracker) error {
+func (e *Engine) applyStructural(up *Update, st *scratch) error {
 	switch up.Op {
 	case OpInsertEdge, OpRemoveEdge:
 		u, v := up.U, up.V
@@ -597,15 +564,6 @@ func (e *Engine) applyStructural(up *Update, st regionTracker) error {
 		return fmt.Errorf("unknown op %d", up.Op)
 	}
 	return nil
-}
-
-func sortedKeys(set map[int32]struct{}) []int32 {
-	out := make([]int32, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // searchInt32 returns the insertion point of x in sorted s: the smallest

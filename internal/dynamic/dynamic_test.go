@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -23,6 +24,19 @@ func TestNewRejectsInvalidSet(t *testing.T) {
 	bad := []bool{true, true, false} // edge (0,1) inside the set
 	if _, err := New(g, bad, DefaultParams()); err == nil {
 		t.Fatal("invalid initial set accepted")
+	}
+}
+
+func TestNewRejectsUnknownRepair(t *testing.T) {
+	g := graph.Path(3)
+	for _, repair := range []RepairAlgo{-1, 3, 7} {
+		_, err := New(g, verify.GreedyMIS(g), Params{Repair: repair})
+		if err == nil {
+			t.Fatalf("repair protocol %d accepted", int(repair))
+		}
+		if want := repair.String(); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
 	}
 }
 

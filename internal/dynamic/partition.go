@@ -15,8 +15,6 @@ import (
 // an ordered merge folds the winners and counters back. Every component
 // derives its election seed from the (batch, component ordinal) pair
 // alone, and per-component counters accumulate in component-local state.
-// Both repair paths (batch and legacy) share the same partition, seeds,
-// and merge, which keeps them counter-identical.
 
 // partitioner splits a region subgraph into connected components with a
 // reusable union-find. Components are ordered by their smallest member
@@ -208,18 +206,12 @@ func compCfg(base sim.Config, c uint64) sim.Config {
 // winners. region is the sorted engine-slot list the subgraph was built
 // from; sub's node i is region[i]. The first failed election is returned
 // before the merge, so the Engine's set and counters stay untouched.
-func (e *Engine) electComponents(sub *graph.Graph, region []int32, st regionTracker, bs *BatchStats) error {
+func (e *Engine) electComponents(sub *graph.Graph, region []int32, st *scratch, bs *BatchStats) error {
 	offs, nodes := e.part.split(sub)
 	work := e.prepComps(offs, nodes)
 	base := e.simCfg()
 	for _, c := range work {
-		var err error
-		if e.p.Legacy {
-			err = e.electComponentLegacy(sub, int(c), base)
-		} else {
-			err = e.electComponent(sub, int(c), base)
-		}
-		if err != nil {
+		if err := e.electComponent(sub, int(c), base); err != nil {
 			return err
 		}
 	}
@@ -254,7 +246,7 @@ func (e *Engine) prepComps(offs, nodes []int32) []int32 {
 // mergeComponents is the region-ordered reduce: fold every component back
 // into the engine in ascending ordinal order — singletons analytically,
 // elected components from their compRun.
-func (e *Engine) mergeComponents(region []int32, offs, nodes []int32, st regionTracker, bs *BatchStats) {
+func (e *Engine) mergeComponents(region []int32, offs, nodes []int32, st *scratch, bs *BatchStats) {
 	k := len(offs) - 1
 	bs.Components = k
 	singles := 0
@@ -298,27 +290,19 @@ func (e *Engine) mergeComponents(region []int32, offs, nodes []int32, st regionT
 	// One synthetic span for all singleton decisions of the batch, so the
 	// trace's phase and round sums still reproduce the engine totals
 	// (singletons charge awake rounds but send nothing).
-	if singles > 0 && e.tracer != nil {
-		e.tracer.PhaseStart("repair/singleton")
-		e.tracer.Round(obs.RoundStats{Round: 0, Awake: singles})
-		e.tracer.PhaseEnd(obs.PhaseStats{
+	if tr := e.p.Tracer; singles > 0 && tr != nil {
+		tr.PhaseStart("repair/singleton")
+		tr.Round(obs.RoundStats{Round: 0, Awake: singles})
+		tr.PhaseEnd(obs.PhaseStats{
 			Name: "repair/singleton", Rounds: singles, Awake: int64(singles),
 		})
 	}
 }
 
 // joinMIS adds v to the maintained set: the joiner notifies its full
-// neighborhood, which wakes for the notification. On the batch path the
-// wake is a word-op row OR.
-func (e *Engine) joinMIS(v int32, st regionTracker, bs *BatchStats) {
+// neighborhood, which wakes for the notification (one word-op row OR).
+func (e *Engine) joinMIS(v int32, st *scratch, bs *BatchStats) {
 	e.setMember(v)
 	bs.Joins++
-	if sc, ok := st.(*scratch); ok {
-		bs.Messages += int64(e.wakeRow(v, sc))
-		return
-	}
-	bs.Messages += int64(len(e.adj[v]))
-	for _, u := range e.adj[v] {
-		st.wake(u)
-	}
+	bs.Messages += int64(e.wakeRow(v, st))
 }

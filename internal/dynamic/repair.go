@@ -14,17 +14,15 @@ import (
 	"github.com/energymis/energymis/internal/sim"
 )
 
-// This file is the default batch-engine repair path: the affected region
-// of a coalesced update window is tracked in epoch-stamped bit vectors
-// (zero steady-state allocation, word-op detection sweeps), and the
-// re-election runs per independent region component as internal/pipeline
-// compositions on the SoA batch runtime (see partition.go). Counters are
-// deterministic and identical to repair_legacy.go — same analytic charges,
-// same seed derivations, the same partition and merge, and the batch
-// election engines are counter-identical to the per-node ones (proven by
-// their own differential tests).
+// This file is the repair of one coalesced update window: the affected
+// region is tracked in epoch-stamped bit vectors (zero steady-state
+// allocation, word-op detection sweeps), and the re-election runs per
+// independent region component as internal/pipeline compositions on the
+// SoA batch runtime (see partition.go). Counters are deterministic in the
+// engine's seed; the analytic charges (detection round, evictions,
+// probes, joins) are what this package's oracle tests replay.
 
-// scratch is the batch path's reusable region tracker. The dirty and
+// scratch is the engine's reusable region tracker. The dirty and
 // woken sets live in epoch-stamped bit vectors: begin bumps the epochs,
 // which empties both sets in O(1), and membership, insertion, and sorted
 // enumeration are word operations over the words the batch touched.
@@ -144,11 +142,11 @@ func (e *Engine) repairBatch(st *scratch, bs *BatchStats) error {
 	// the analytic messages (notifications, probes, replies — everything
 	// not sent through an election engine), so trace round/phase sums
 	// reproduce the engine totals exactly.
-	if e.tracer != nil {
+	if tr := e.p.Tracer; tr != nil {
 		msgs := bs.Messages - e.simMsgs
-		e.tracer.PhaseStart("repair/detect")
-		e.tracer.Round(obs.RoundStats{Round: 0, Awake: bs.Woken, MsgsSent: msgs})
-		e.tracer.PhaseEnd(obs.PhaseStats{
+		tr.PhaseStart("repair/detect")
+		tr.Round(obs.RoundStats{Round: 0, Awake: bs.Woken, MsgsSent: msgs})
+		tr.PhaseEnd(obs.PhaseStats{
 			Name: "repair/detect", Rounds: 1,
 			Awake: int64(bs.Woken), MsgsSent: msgs,
 		})
@@ -157,11 +155,15 @@ func (e *Engine) repairBatch(st *scratch, bs *BatchStats) error {
 }
 
 // resolveConflictsBatch evicts members until no edge has two member
-// endpoints; same visit order and tie-breaks as the legacy path (see the
-// exhaustiveness argument there). The sweep enumerates dirty ∧ members
-// in one word-AND pass: dirty nodes that were not members at sweep start
-// get zero inner iterations on the legacy path too, and eviction only
-// removes members, so skipping them up front changes nothing.
+// endpoints. One sweep over the dirty members at sweep start is
+// exhaustive: the set was independent when the batch began, so a
+// conflict edge can only come from an edge insertion of this batch, and
+// both its endpoints were marked dirty then; evictions only remove
+// members, so they cannot create a conflict.
+// Dirty nodes that are not members have no conflict to resolve, so the
+// sweep enumerates dirty ∧ members in one word-AND pass, ascending. Each
+// conflict evicts the endpoint whose departure uncovers fewer nodes:
+// lower degree, ties toward the higher ID.
 func (e *Engine) resolveConflictsBatch(st *scratch, bs *BatchStats) {
 	st.dirtySnap = st.dirty.AndInto(e.inSetW, st.dirtySnap[:0])
 	for _, v := range st.dirtySnap {
@@ -261,7 +263,7 @@ func (e *Engine) electComponent(sub *graph.Graph, c int, base sim.Config) error 
 	sg := e.part.component(sub, cr.ids)
 	cfg := compCfg(base, uint64(c))
 	cfg.Mem = &e.mem
-	cfg.Tracer = e.tracer
+	cfg.Tracer = e.p.Tracer
 	pl := pipeline.New(sg, cfg)
 	var err error
 	switch e.p.Repair {
@@ -294,8 +296,9 @@ func (e *Engine) electLubyComp(pl *pipeline.Pipeline, cfg sim.Config, cr *compRu
 // electGhaffariComp runs the batch desire-level dynamics for O(log |C|)
 // rounds, retries on stragglers, and finishes any remaining nodes with
 // batch Luby. Residual composition between attempts goes through the
-// pipeline (equivalent to the legacy orig-chain: induced subgraphs of
-// induced subgraphs compose, and survivor lists are ascending).
+// pipeline: induced subgraphs of induced subgraphs compose, survivor
+// lists are ascending, and orig maps each attempt's nodes back to the
+// component.
 func (e *Engine) electGhaffariComp(pl *pipeline.Pipeline, cfg sim.Config, cr *compRun) error {
 	cur := pl.Graph()
 	var orig []int32 // cur's node i is component node orig[i]; nil = identity
@@ -337,8 +340,8 @@ func (e *Engine) electGhaffariComp(pl *pipeline.Pipeline, cfg sim.Config, cr *co
 
 // simCfg returns the base engine configuration of this batch's elections.
 // Each batch gets a fresh deterministic seed; compCfg then splits it per
-// component, and bump per retry attempt. Shared by both repair paths; the
-// batch path adds Mem and Tracer per component on top.
+// component, and bump per retry attempt. electComponent adds Mem and
+// Tracer per component on top.
 func (e *Engine) simCfg() sim.Config {
 	b := e.p.B
 	if b == 0 {
@@ -363,12 +366,4 @@ func ghaffariRounds(n int) int {
 func bump(cfg sim.Config, k uint64) sim.Config {
 	cfg.Seed ^= (k + 1) * 0xd1342543de82ef95
 	return cfg
-}
-
-func identity32(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
-	return out
 }

@@ -27,7 +27,7 @@ type BatchStats struct {
 	Retries   int // Ghaffari stages that left stragglers
 }
 
-// add accumulates other into s: counters sum, Region and BitsMax take the
+// Add accumulates other into s: counters sum, Region and BitsMax take the
 // maximum over the aggregated batches. Used by window-coalescing callers
 // (energymis.DynamicMIS.ApplyBatch) to report one aggregate per call.
 func (s *BatchStats) Add(other BatchStats) {

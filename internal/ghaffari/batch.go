@@ -14,8 +14,9 @@ import (
 // in/out decisions) is held as two uint64 words — the same two payload words
 // a CONGEST message carries, so K <= 128 exactly as in the per-node path.
 // Random draws, desire-level updates, and wake decisions replicate the
-// per-node Machine bit for bit, so runs are byte-identical to the legacy
-// path (enforced by TestBatchMatchesLegacy).
+// per-node Machine bit for bit, so runs are byte-identical to the
+// Machine's through sim.Run (enforced by this package's differential
+// tests).
 type Batch struct {
 	g      *graph.Graph
 	n      int

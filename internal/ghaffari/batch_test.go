@@ -1,11 +1,35 @@
 package ghaffari
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/sim"
 )
+
+// runShatterLegacy executes one (K=1) run of the per-node Machine through
+// sim.Run: the reference RunShatter is differentially tested against.
+func runShatterLegacy(g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool, survivors []int, res *sim.Result, err error) {
+	machines := make([]sim.Machine, g.N())
+	nodes := make([]*Machine, g.N())
+	for v := range machines {
+		nodes[v] = NewMachine(1, rounds)
+		machines[v] = nodes[v]
+	}
+	res, err = sim.Run(g, machines, cfg)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("ghaffari: %w", err)
+	}
+	inSet = make([]bool, g.N())
+	for v, nm := range nodes {
+		inSet[v] = nm.proto.InMIS[0]
+		if nm.proto.Undecided(0) {
+			survivors = append(survivors, v)
+		}
+	}
+	return inSet, survivors, res, nil
+}
 
 // runLegacyK executes K packed executions with the per-node Machine
 // through sim.Run and extracts the per-execution decisions.
@@ -98,7 +122,7 @@ func TestRunShatterMatchesLegacy(t *testing.T) {
 	g := graph.GNP(500, 12.0/500, 7)
 	for _, rounds := range []int{0, 1, 9} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			refSet, refSurv, refRes, err := RunShatterLegacy(g, rounds, sim.Config{Seed: seed})
+			refSet, refSurv, refRes, err := runShatterLegacy(g, rounds, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}

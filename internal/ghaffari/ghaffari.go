@@ -251,8 +251,8 @@ func anySet(words []uint64) bool {
 // RunShatter executes one (K=1) run of the dynamics for `rounds` logical
 // rounds on g and returns the independent set found, the undecided
 // survivors, and the engine result. It runs the struct-of-arrays automaton
-// on the batch runtime; results are byte-identical to RunShatterLegacy
-// (the per-node reference).
+// on the batch runtime; results are byte-identical to the per-node
+// Machine through sim.Run (the reference, driven from batch_test.go).
 func RunShatter(g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool, survivors []int, res *sim.Result, err error) {
 	b := NewBatch(g, 1, rounds)
 	res, err = sim.RunBatch(g, b, cfg)
@@ -260,28 +260,4 @@ func RunShatter(g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool, survi
 		return nil, nil, nil, fmt.Errorf("ghaffari: %w", err)
 	}
 	return b.InMISExec(0), b.UndecidedExec(0), res, nil
-}
-
-// RunShatterLegacy executes the per-node Machine implementation through
-// sim.Run: the reference the batch automaton is differentially tested
-// against.
-func RunShatterLegacy(g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool, survivors []int, res *sim.Result, err error) {
-	machines := make([]sim.Machine, g.N())
-	nodes := make([]*Machine, g.N())
-	for v := range machines {
-		nodes[v] = NewMachine(1, rounds)
-		machines[v] = nodes[v]
-	}
-	res, err = sim.Run(g, machines, cfg)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("ghaffari: %w", err)
-	}
-	inSet = make([]bool, g.N())
-	for v, nm := range nodes {
-		inSet[v] = nm.proto.InMIS[0]
-		if nm.proto.Undecided(0) {
-			survivors = append(survivors, v)
-		}
-	}
-	return inSet, survivors, res, nil
 }

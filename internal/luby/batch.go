@@ -21,7 +21,8 @@ const (
 // in three flat arrays, driven whole-awake-sets at a time by the batch
 // runtime. State transitions, message contents, and random draws are
 // identical to the per-node Machine, so runs are byte-identical to the
-// legacy path (enforced by TestBatchMatchesLegacy).
+// Machine's through sim.Run (enforced by this package's differential
+// test, whose per-node runner lives in batch_test.go).
 type Batch struct {
 	g         *graph.Graph
 	n         int
@@ -155,9 +156,9 @@ func (b *Batch) InSet() []bool {
 }
 
 // Run executes Luby's algorithm on g through the batch runtime and returns
-// the MIS and the engine result. It is byte-identical to RunLegacy for
-// every (graph, Config) — the batch form only removes per-node dispatch and
-// allocation from the hot path.
+// the MIS and the engine result. It is byte-identical to the per-node
+// Machine through sim.Run for every (graph, Config) — the batch form only
+// removes per-node dispatch and allocation from the hot path.
 func Run(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
 	b := NewBatch(g)
 	res, err := sim.RunBatch(g, b, cfg)
@@ -165,23 +166,4 @@ func Run(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
 		return nil, nil, fmt.Errorf("luby: %w", err)
 	}
 	return b.InSet(), res, nil
-}
-
-// RunLegacy executes the per-node Machine implementation through sim.Run:
-// the reference the batch automaton is differentially tested against.
-func RunLegacy(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
-	machines := make([]sim.Machine, g.N())
-	nodes := make([]Machine, g.N())
-	for v := range machines {
-		machines[v] = &nodes[v]
-	}
-	res, err := sim.Run(g, machines, cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("luby: %w", err)
-	}
-	inSet := make([]bool, g.N())
-	for v := range nodes {
-		inSet[v] = nodes[v].InMIS
-	}
-	return inSet, res, nil
 }

@@ -1,11 +1,31 @@
 package luby
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/sim"
 )
+
+// runLegacy executes the per-node Machine implementation through sim.Run:
+// the reference the batch automaton is differentially tested against.
+func runLegacy(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
+	machines := make([]sim.Machine, g.N())
+	nodes := make([]Machine, g.N())
+	for v := range machines {
+		machines[v] = &nodes[v]
+	}
+	res, err := sim.Run(g, machines, cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("luby: %w", err)
+	}
+	inSet := make([]bool, g.N())
+	for v := range nodes {
+		inSet[v] = nodes[v].InMIS
+	}
+	return inSet, res, nil
+}
 
 // TestBatchMatchesLegacy is the differential gate of the batch port: for
 // every graph shape and seed, the struct-of-arrays batch
@@ -26,7 +46,7 @@ func TestBatchMatchesLegacy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 3; seed++ {
-			refSet, refRes, err := RunLegacy(tc.g, sim.Config{Seed: seed})
+			refSet, refRes, err := runLegacy(tc.g, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d legacy: %v", tc.name, seed, err)
 			}
@@ -101,7 +121,7 @@ func benchLuby(b *testing.B, n int, batch bool) {
 		if batch {
 			_, res, err = Run(g, sim.Config{Seed: 1})
 		} else {
-			_, res, err = RunLegacy(g, sim.Config{Seed: 1})
+			_, res, err = runLegacy(g, sim.Config{Seed: 1})
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -1,7 +1,6 @@
 package phase1
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -24,8 +23,8 @@ const (
 // arena with per-node offsets, with no sort and no per-node allocation),
 // and the protocol flags, all in flat arrays driven whole-awake-sets at a
 // time. Random draws, wake schedules, and state transitions replicate the
-// per-node Machine exactly, so runs are byte-identical to the legacy path
-// (enforced by TestBatchMatchesLegacy).
+// per-node Machine exactly, so runs are byte-identical to the Machine's
+// through sim.Run (enforced by this package's differential test).
 type Batch struct {
 	g    *graph.Graph
 	plan Plan
@@ -206,27 +205,4 @@ func (b *Batch) outcome(res *sim.Result) *Outcome {
 	}
 	out.Residual = verify.Residual(b.g, out.InSet)
 	return out
-}
-
-// RunWithPlanLegacy executes the phase with the per-node Machine through
-// sim.Run: the reference the batch automaton is differentially tested
-// against.
-func RunWithPlanLegacy(g *graph.Graph, plan Plan, p Params, cfg sim.Config) (*Outcome, error) {
-	machines, nodes := NewMachines(g, plan, p)
-	res, err := sim.Run(g, machines, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("phase1: %w", err)
-	}
-	out := &Outcome{InSet: make([]bool, g.N()), Plan: plan, Res: res}
-	for v, nm := range nodes {
-		out.InSet[v] = nm.InMIS
-		if nm.Sampled() {
-			out.Sampled++
-		}
-		if nm.Spoiled() {
-			out.Spoiled++
-		}
-	}
-	out.Residual = verify.Residual(g, out.InSet)
-	return out, nil
 }

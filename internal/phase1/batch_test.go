@@ -1,11 +1,36 @@
 package phase1
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/sim"
+	"github.com/energymis/energymis/internal/verify"
 )
+
+// runWithPlanLegacy executes the phase with the per-node Machine through
+// sim.Run: the reference the batch automaton is differentially tested
+// against.
+func runWithPlanLegacy(g *graph.Graph, plan Plan, p Params, cfg sim.Config) (*Outcome, error) {
+	machines, nodes := NewMachines(g, plan, p)
+	res, err := sim.Run(g, machines, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("phase1: %w", err)
+	}
+	out := &Outcome{InSet: make([]bool, g.N()), Plan: plan, Res: res}
+	for v, nm := range nodes {
+		out.InSet[v] = nm.InMIS
+		if nm.Sampled() {
+			out.Sampled++
+		}
+		if nm.Spoiled() {
+			out.Spoiled++
+		}
+	}
+	out.Residual = verify.Residual(g, out.InSet)
+	return out, nil
+}
 
 // TestBatchMatchesLegacy differentially tests the struct-of-arrays batch
 // automaton against the per-node reference: identical marking rounds, wake
@@ -25,7 +50,7 @@ func TestBatchMatchesLegacy(t *testing.T) {
 	for _, tc := range cases {
 		plan := MakePlan(tc.g.N(), tc.g.MaxDegree(), p)
 		for seed := uint64(1); seed <= 3; seed++ {
-			ref, err := RunWithPlanLegacy(tc.g, plan, p, sim.Config{Seed: seed})
+			ref, err := runWithPlanLegacy(tc.g, plan, p, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d legacy: %v", tc.name, seed, err)
 			}

@@ -64,7 +64,8 @@ func PlanExplicit(iters, roundsPerIter, maxDeg int) Plan {
 
 // RunWithPlan executes the phase on g under an explicit timetable. It runs
 // the struct-of-arrays automaton on the batch runtime; results are
-// byte-identical to RunWithPlanLegacy (the per-node reference).
+// byte-identical to the per-node Machines through sim.Run (the reference,
+// driven from batch_test.go).
 func RunWithPlan(g *graph.Graph, plan Plan, p Params, cfg sim.Config) (*Outcome, error) {
 	b := NewBatch(g, plan, p)
 	res, err := sim.RunBatch(g, b, cfg)

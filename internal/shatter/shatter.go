@@ -40,23 +40,11 @@ type Outcome struct {
 }
 
 // Run executes the phase on g. The dynamics run as a struct-of-arrays
-// automaton on the batch runtime (ghaffari.Batch); results are
-// byte-identical to RunLegacy (the per-node reference).
+// automaton on the batch runtime (ghaffari.RunShatter, held to the
+// per-node machines by ghaffari's differential tests).
 func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
-	return run(g, p, cfg, ghaffari.RunShatter)
-}
-
-// RunLegacy executes the phase with the per-node machines through
-// sim.Run: the reference the batch automaton is differentially tested
-// against.
-func RunLegacy(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
-	return run(g, p, cfg, ghaffari.RunShatterLegacy)
-}
-
-func run(g *graph.Graph, p Params, cfg sim.Config,
-	shatter func(*graph.Graph, int, sim.Config) ([]bool, []int, *sim.Result, error)) (*Outcome, error) {
 	rounds := p.Rounds(g.MaxDegree())
-	inSet, survivors, res, err := shatter(g, rounds, cfg)
+	inSet, survivors, res, err := ghaffari.RunShatter(g, rounds, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("shatter: %w", err)
 	}
