@@ -164,12 +164,3 @@ func BitsForRange(n int) int {
 	}
 	return bits.Len64(uint64(n - 1))
 }
-
-// BitsForValue returns the number of bits needed to express v itself
-// (minimum 1).
-func BitsForValue(v uint64) int {
-	if v == 0 {
-		return 1
-	}
-	return bits.Len64(v)
-}

@@ -156,20 +156,6 @@ func TestBitsForRange(t *testing.T) {
 	}
 }
 
-func TestBitsForValue(t *testing.T) {
-	cases := []struct {
-		v    uint64
-		want int
-	}{
-		{0, 1}, {1, 1}, {2, 2}, {3, 2}, {255, 8}, {256, 9},
-	}
-	for _, c := range cases {
-		if got := BitsForValue(c.v); got != c.want {
-			t.Errorf("BitsForValue(%d) = %d, want %d", c.v, got, c.want)
-		}
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	v := New(8)
 	for _, i := range []int{-1, 8, 100} {

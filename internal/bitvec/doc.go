@@ -1,15 +1,15 @@
 // Package bitvec provides compact bit vectors and bit-size accounting
-// helpers used to express CONGEST messages, plus the epoch-stamped sets
-// the frontier-style engine paths are built on.
+// helpers used to express CONGEST messages, plus the sparse word-packed
+// sets and row kernels the dynamic repair sweeps are built on.
 //
 // The CONGEST model limits each message to B = O(log n) bits. Protocols in
 // this repository build their payloads from integers and bit vectors and
 // declare the exact bit count of every message; this package centralizes
 // those size computations so tests can assert model compliance.
 //
-// Stamped is a reusable word-packed set with O(1) clearing (epoch stamps
-// instead of eager zeroing) and enumeration proportional to the words an
-// epoch actually touched. The dynamic repair path tracks its dirty,
-// woken, and region sets in Stamped vectors — the first slice of the
-// planned engine-wide bit-packed frontier representation (ROADMAP item 3).
+// Sparse is a reusable word-packed set that lists the words it writes,
+// so enumeration, counting and Reset cost time proportional to the words
+// in use, not to the key space. The dynamic repair path tracks its
+// dirty, woken, and region sets in Sparse sets and ORs whole adjacency
+// rows into them one 64-key word at a time.
 package bitvec

@@ -77,17 +77,11 @@ func FuzzRowKernels(f *testing.F) {
 		if got, want := FirstAndRow(words, row), naiveFirstAnd(words, row); got != want {
 			t.Fatalf("FirstAndRow = %d, want %d (row %v)", got, want, row)
 		}
-		if got, want := CountAndRow(words, row), naiveCountAnd(words, row); got != want {
-			t.Fatalf("CountAndRow = %d, want %d (row %v)", got, want, row)
-		}
-		if got, want := IntersectsRow(words, row), naiveFirstAnd(words, row) >= 0; got != want {
-			t.Fatalf("IntersectsRow = %v, want %v (row %v)", got, want, row)
-		}
 
-		// OrRowCount must count like CountAndRow and mark like OrRow.
+		// OrRowCount must count like the naive walk and mark like OrRow.
 		if len(row) > 0 {
 			dedup := slices.Compact(slices.Clone(row))
-			var s Stamped
+			var s Sparse
 			s.Grow(int(row[len(row)-1]) + 1)
 			if got, want := s.OrRowCount(row, words), naiveCountAnd(words, row); got != want {
 				t.Fatalf("OrRowCount = %d, want %d (row %v)", got, want, row)
@@ -99,21 +93,28 @@ func FuzzRowKernels(f *testing.F) {
 	})
 }
 
-// FuzzStampedOps drives a Stamped through a random op sequence —
-// including Reset epoch boundaries mid-stream — mirrored against a map
-// reference, then checks every view the repair sweeps rely on:
-// AppendAscending, AndInto, AndNotInto, Word, OrRow, Count.
+// FuzzStampedOps drives a Sparse through a random op sequence —
+// including Resets mid-stream — mirrored against a map reference, then
+// checks every view the repair sweeps rely on: AppendAscending, AndInto,
+// AndNotInto, Word, OrRow, Count, and a touched list that names every
+// non-zero word exactly once. Ops are byte pairs: the first picks the
+// kind (and the key's ninth bit), the second the key, so any kind can
+// hit any key.
 func FuzzStampedOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4}, int64(1))
 	f.Add([]byte{63, 64, 65, 127, 128, 255, 254}, int64(2))
 	f.Add([]byte{10, 10, 10}, int64(3))
+	// Clear-then-set on one word: word 1 goes non-zero, back to zero,
+	// and non-zero again, so the summary bit alone keeps it from being
+	// listed twice; then the same across a Reset.
+	f.Add([]byte{0, 70, 2, 70, 0, 71, 4, 0, 0, 72, 2, 72, 1, 72}, int64(4))
 	f.Fuzz(func(t *testing.T, ops []byte, seed int64) {
-		if len(ops) > 512 {
+		if len(ops) > 1024 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
 		const n = 300 // not a multiple of 64: the last word is partial
-		var s Stamped
+		var s Sparse
 		s.Grow(n)
 		ref := map[int32]bool{}
 		member := make([]uint64, (n+63)>>6)
@@ -121,8 +122,9 @@ func FuzzStampedOps(f *testing.F) {
 			member[i] = rng.Uint64()
 		}
 
-		for _, op := range ops {
-			k := int32(op) % n
+		for i := 0; i+1 < len(ops); i += 2 {
+			op := ops[i]
+			k := (int32(op&0x80)<<1 | int32(ops[i+1])) % n
 			switch op % 5 {
 			case 0, 1:
 				s.Set(k)
@@ -164,6 +166,21 @@ func FuzzStampedOps(f *testing.F) {
 		if got := s.Count(); got != len(want) {
 			t.Fatalf("Count = %d, want %d", got, len(want))
 		}
+		if s.Any() != (len(want) > 0) {
+			t.Fatalf("Any = %v with %d keys", s.Any(), len(want))
+		}
+		listed := map[int32]bool{}
+		for _, w := range s.TouchedWords() {
+			if listed[w] {
+				t.Fatalf("word %d listed twice in %v", w, s.TouchedWords())
+			}
+			listed[w] = true
+		}
+		for _, k := range want {
+			if !listed[k>>6] {
+				t.Fatalf("key %d set but word %d not listed in %v", k, k>>6, s.TouchedWords())
+			}
+		}
 
 		var andWant, andNotWant []int32
 		for _, k := range want {
@@ -180,8 +197,8 @@ func FuzzStampedOps(f *testing.F) {
 			t.Fatalf("AndNotInto = %v, want %v", got, andNotWant)
 		}
 
-		// Word must agree with Has for every word, including ones never
-		// touched this epoch (stale stamps read as zero).
+		// Word must agree with the reference for every word, including
+		// ones never touched since the last Reset.
 		for w := int32(0); w < int32(len(member)); w++ {
 			got := s.Word(w)
 			var wantWord uint64
@@ -214,29 +231,28 @@ func TestKernelsBoundary(t *testing.T) {
 	if got := FirstAndRow(words, row); got != 63 {
 		t.Fatalf("FirstAndRow = %d, want 63", got)
 	}
-	if got := CountAndRow(words, row); got != 3 {
-		t.Fatalf("CountAndRow = %d, want 3", got)
-	}
-	if !IntersectsRow(words, row) {
-		t.Fatal("IntersectsRow = false")
+	var s Sparse
+	s.Grow(256)
+	if got := s.OrRowCount(row, words); got != 3 {
+		t.Fatalf("OrRowCount = %d, want 3", got)
 	}
 	// Row id 191 indexes word 2 — present; 192 would index word 3 — absent.
 	if FirstAndRow(words, []int32{192, 200}) != -1 {
 		t.Fatal("ids past the word array must read as non-members")
 	}
-	if CountAndRow(words, []int32{192}) != 0 || IntersectsRow(words, []int32{250}) {
+	if s.OrRowCount([]int32{192, 250}, words) != 0 {
 		t.Fatal("ids past the word array must read as non-members")
 	}
 }
 
-// TestStampedEpochBoundaryViews pins that the new word views respect the
-// epoch stamps: a word written last epoch reads as zero this epoch, and
-// AndInto/AndNotInto skip stale words entirely.
+// TestStampedEpochBoundaryViews pins that the word views respect Reset:
+// a word written before it reads as zero after it, and
+// AndInto/AndNotInto skip it entirely.
 func TestStampedEpochBoundaryViews(t *testing.T) {
-	var s Stamped
+	var s Sparse
 	s.Grow(256)
 	s.Set(5)
-	s.OrWord(3, 0xff)
+	s.OrRow([]int32{192, 193, 200})
 	s.Reset()
 	if s.Word(0) != 0 || s.Word(3) != 0 {
 		t.Fatal("stale word visible after Reset")

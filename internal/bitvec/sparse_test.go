@@ -1,5 +1,8 @@
 package bitvec
 
+// The test names keep the type's former name, Stamped, and its epoch
+// vocabulary: an epoch is the span between two Resets.
+
 import (
 	"math/rand"
 	"slices"
@@ -7,7 +10,7 @@ import (
 )
 
 func TestStampedZeroValue(t *testing.T) {
-	var s Stamped
+	var s Sparse
 	if s.Any() || s.Count() != 0 {
 		t.Fatal("zero value not empty")
 	}
@@ -21,7 +24,7 @@ func TestStampedZeroValue(t *testing.T) {
 }
 
 func TestStampedSetHasClear(t *testing.T) {
-	var s Stamped
+	var s Sparse
 	s.Grow(200)
 	keys := []int32{0, 1, 63, 64, 65, 127, 128, 199}
 	for _, k := range keys {
@@ -53,7 +56,7 @@ func TestStampedSetHasClear(t *testing.T) {
 }
 
 func TestStampedResetIsEmpty(t *testing.T) {
-	var s Stamped
+	var s Sparse
 	s.Grow(500)
 	for i := int32(0); i < 500; i += 7 {
 		s.Set(i)
@@ -67,7 +70,11 @@ func TestStampedResetIsEmpty(t *testing.T) {
 			t.Fatalf("Has(%d) after Reset", i)
 		}
 	}
-	// The next epoch must behave like a fresh set on the same storage.
+	// The next epoch must behave like a fresh set on the same storage,
+	// with nothing left listed from the last one.
+	if len(s.TouchedWords()) != 0 {
+		t.Fatalf("TouchedWords after Reset = %v", s.TouchedWords())
+	}
 	if !s.Set(42) || !s.Has(42) || s.Has(49) {
 		t.Fatal("set corrupted after Reset")
 	}
@@ -77,7 +84,7 @@ func TestStampedResetIsEmpty(t *testing.T) {
 }
 
 func TestStampedGrowPreservesMembers(t *testing.T) {
-	var s Stamped
+	var s Sparse
 	s.Grow(10)
 	s.Set(3)
 	s.Grow(10000)
@@ -91,7 +98,7 @@ func TestStampedGrowPreservesMembers(t *testing.T) {
 }
 
 func TestStampedAppendAscendingSorted(t *testing.T) {
-	var s Stamped
+	var s Sparse
 	rng := rand.New(rand.NewSource(7))
 	ref := map[int32]bool{}
 	s.Grow(4096)
@@ -128,7 +135,7 @@ func TestStampedAppendAscendingSorted(t *testing.T) {
 }
 
 func TestStampedManyEpochs(t *testing.T) {
-	var s Stamped
+	var s Sparse
 	s.Grow(128)
 	for epoch := 0; epoch < 100; epoch++ {
 		k := int32(epoch % 128)
@@ -138,6 +145,9 @@ func TestStampedManyEpochs(t *testing.T) {
 		}
 		if !slices.Equal(s.AppendAscending(nil), []int32{k}) {
 			t.Fatalf("epoch %d: wrong members", epoch)
+		}
+		if got := s.TouchedWords(); len(got) != 1 || got[0] != k>>6 {
+			t.Fatalf("epoch %d: TouchedWords = %v, want [%d]", epoch, got, k>>6)
 		}
 		s.Reset()
 	}

@@ -30,7 +30,11 @@
 // woken node is within two hops of an update endpoint.
 //
 // Execution. Repairs run on the SoA batch runtime: the affected region
-// is tracked in epoch-stamped bitvec.Stamped sets, and the uncovered
+// is tracked in bitvec.Sparse sets, whose row sweeps are call-free word
+// loops and whose reset zeroes only the words a batch wrote. Adjacency
+// rows are sorted and start in one arena with a few free slots behind
+// each row, so an edge insert rarely reallocates, and an edit at a row's
+// end (every edge of the newest node) skips the search. The uncovered
 // region is split into connected components by a union-find partitioner
 // (partition.go). Each component is an independent election: singletons
 // join analytically without an engine run, and the rest are composed as

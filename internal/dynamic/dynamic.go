@@ -143,9 +143,9 @@ type Engine struct {
 	batchNo uint64
 
 	// Repair resources: the pooled engine buffers every election runs on
-	// and the epoch-stamped region scratch. simMsgs counts the engine
-	// messages of the current batch's elections, so the analytic
-	// detection-round messages can be split out for the trace.
+	// and the region scratch. simMsgs counts the engine messages of the
+	// current batch's elections, so the analytic detection-round messages
+	// can be split out for the trace.
 	mem     sim.Mem
 	scr     scratch
 	simMsgs int64
@@ -205,21 +205,29 @@ func New(g *graph.Graph, inSet []bool, p Params) (*Engine, error) {
 			e.inSetW[v>>6] |= 1 << (uint(v) & 63)
 		}
 	}
-	// One arena allocation backs every initial adjacency row. Rows are
-	// capped at their initial length, so an insert that outgrows a row
-	// reallocates just that row and leaves its arena neighbors intact.
-	arena := make([]int32, 2*g.M())
+	// One arena allocation backs every initial adjacency row, each
+	// followed by rowSlack free slots, so an insert rarely reallocates.
+	// Every row's capacity ends where the next row begins: an insert that
+	// outgrows its slack reallocates just that row and leaves its arena
+	// neighbors intact.
+	arena := make([]int32, 2*g.M()+rowSlack*n)
 	off := 0
 	for v := 0; v < n; v++ {
 		e.alive[v] = true
 		nb := g.Neighbors(v)
-		row := arena[off : off+len(nb) : off+len(nb)]
-		copy(row, nb)
-		e.adj[v] = row
-		off += len(nb)
+		end := off + len(nb) + rowSlack
+		e.adj[v] = append(arena[off:off:end], nb...)
+		off = end
 	}
 	return e, nil
 }
+
+// rowSlack is the number of free slots behind each initial adjacency row
+// in New's arena. Against 4 on misbench's dyn-churn (2-core x86-64, Go
+// 1.24), 2 made repairs 2.3% slower and held 1.4 MB more live heap, as
+// more rows outgrew their slack; 8 was within the runs' spread and held
+// 1.0 MB more.
+const rowSlack = 4
 
 // setMember and clearMember are the only writers of set membership: they
 // keep the bool vector and its word-packed mirror in lockstep, so the
@@ -524,6 +532,7 @@ func (e *Engine) applyStructural(up *Update, st *scratch) error {
 		e.adj = append(e.adj, nil)
 		e.alive = append(e.alive, true)
 		e.growMembership()
+		st.grow(len(e.adj))
 		e.aliveCount++
 		for _, nb := range up.Neighbors {
 			var added bool
@@ -593,8 +602,12 @@ func searchInt32(s []int32, x int32) int {
 }
 
 // insertSorted inserts x into sorted slice s, reporting whether it was
-// absent.
+// absent. An x past the last element appends without a search: a new
+// node takes the largest slot, so every edge to it lands at a row's end.
 func insertSorted(s []int32, x int32) ([]int32, bool) {
+	if len(s) == 0 || s[len(s)-1] < x {
+		return append(s, x), true
+	}
 	i := searchInt32(s, x)
 	if i < len(s) && s[i] == x {
 		return s, false
@@ -606,8 +619,12 @@ func insertSorted(s []int32, x int32) ([]int32, bool) {
 }
 
 // removeSorted removes x from sorted slice s, reporting whether it was
-// present.
+// present. Removing the last element (the newest node's edge) truncates
+// without a search.
 func removeSorted(s []int32, x int32) ([]int32, bool) {
+	if n := len(s); n > 0 && s[n-1] == x {
+		return s[:n-1], true
+	}
 	i := searchInt32(s, x)
 	if i >= len(s) || s[i] != x {
 		return s, false

@@ -4,7 +4,9 @@ package dynamic_test
 // (the package under test is imported like any client's) and share no
 // code with the repair: each Apply is held to
 //
-//	(a) validity: Check passes;
+//	(a) validity: Check passes, and every Neighbors row is strictly
+//	    ascending (the row edits' tail fast paths and HasEdge's search
+//	    rely on it);
 //	(b) locality: every node whose AwakePerNode entry grew lies within two
 //	    hops of an update endpoint, in the graph before or after the
 //	    window (a naive BFS);
@@ -40,10 +42,11 @@ import (
 
 // view is a plain-map copy of an engine's observable state.
 type view struct {
-	n      int                  // node slots, dead ones included
-	adj    map[int]map[int]bool // live nodes only
-	member map[int]bool
-	awake  []int64 // AwakePerNode
+	n        int                  // node slots, dead ones included
+	adj      map[int]map[int]bool // live nodes only
+	member   map[int]bool
+	awake    []int64 // AwakePerNode
+	unsorted []int   // live nodes whose Neighbors row is not strictly ascending
 }
 
 func capture(e *dynamic.Engine) view {
@@ -52,8 +55,15 @@ func capture(e *dynamic.Engine) view {
 		if !e.Alive(v) {
 			continue
 		}
+		nb := e.Neighbors(v)
+		for i := 1; i < len(nb); i++ {
+			if nb[i-1] >= nb[i] {
+				s.unsorted = append(s.unsorted, v)
+				break
+			}
+		}
 		row := map[int]bool{}
-		for _, u := range e.Neighbors(v) {
+		for _, u := range nb {
 			row[int(u)] = true
 		}
 		s.adj[v] = row
@@ -343,6 +353,9 @@ func (c *checked) apply(tb testing.TB, batch []dynamic.Update) (dynamic.BatchSta
 	if bs.Violations != 0 {
 		fails.add("(a) validity", "%d CONGEST violations", bs.Violations)
 	}
+	for _, v := range after.unsorted {
+		fails.add("(a) validity", "Neighbors(%d) = %v is not strictly ascending", v, c.e.Neighbors(v))
+	}
 
 	// (d), the applied prefix: the replay accepts exactly the updates
 	// the engine applied, and rejects the one it refused.
@@ -613,5 +626,46 @@ func TestOraclesAcrossStreams(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestOraclesRowPastSlack grows one adjacency row of New's arena past its
+// slack, one edge per Apply, while the rows on either side of it in the
+// arena stay live, and holds every Apply to the oracles. An insert that
+// wrote past its row's capacity would overwrite the next row, which (a)
+// and the replay's graph comparison (d) both see. The edits hit the
+// row's head, middle and tail, and a new node's edges land at the tail
+// of its neighbors' rows.
+func TestOraclesRowPastSlack(t *testing.T) {
+	const v = 20 // rows 19 and 21 are its arena neighbors
+	c := newChecked(t, graph.Path(40), dynamic.Params{Seed: 5})
+	var grown []int
+	for i := 0; len(grown) < dynamic.RowSlack+3; i++ {
+		grown = append(grown, 30+i, 10+i) // alternately the tail and the head
+	}
+	edits := make([][]dynamic.Update, 0, len(grown)+6)
+	for _, u := range grown {
+		edits = append(edits, []dynamic.Update{dynamic.InsEdge(v, u)})
+	}
+	edits = append(edits,
+		[]dynamic.Update{dynamic.DelEdge(v, 33)},     // tail
+		[]dynamic.Update{dynamic.DelEdge(v, 12)},     // middle
+		[]dynamic.Update{dynamic.DelEdge(v, 10)},     // head
+		[]dynamic.Update{dynamic.InsNode(19, v, 21)}, // node 40
+		[]dynamic.Update{dynamic.InsEdge(40, 39)},
+		[]dynamic.Update{dynamic.DelNode(40)},
+	)
+	for i, batch := range edits {
+		if _, err := c.apply(t, batch); err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		if i == dynamic.RowSlack && c.e.Degree(v) != 2+dynamic.RowSlack+1 {
+			t.Fatalf("degree %d after %d inserts: the row did not outgrow its slack", c.e.Degree(v), i+1)
+		}
+	}
+	for _, u := range []int{19, 21} {
+		if c.e.Degree(u) != 2 || !c.e.HasEdge(u, u-1) || !c.e.HasEdge(u, u+1) {
+			t.Fatalf("arena neighbor %d: row %v, want [%d %d]", u, c.e.Neighbors(u), u-1, u+1)
+		}
 	}
 }

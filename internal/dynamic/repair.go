@@ -15,26 +15,28 @@ import (
 )
 
 // This file is the repair of one coalesced update window: the affected
-// region is tracked in epoch-stamped bit vectors (zero steady-state
-// allocation, word-op detection sweeps), and the re-election runs per
-// independent region component as internal/pipeline compositions on the
-// SoA batch runtime (see partition.go). Counters are deterministic in the
-// engine's seed; the analytic charges (detection round, evictions,
+// region is tracked in sparse bit sets (zero steady-state allocation,
+// call-free word loops in the detection sweeps), and the re-election runs
+// per independent region component as internal/pipeline compositions on
+// the SoA batch runtime (see partition.go). Counters are deterministic in
+// the engine's seed; the analytic charges (detection round, evictions,
 // probes, joins) are what this package's oracle tests replay.
 
-// scratch is the engine's reusable region tracker. The dirty and
-// woken sets live in epoch-stamped bit vectors: begin bumps the epochs,
-// which empties both sets in O(1), and membership, insertion, and sorted
-// enumeration are word operations over the words the batch touched.
+// scratch is the engine's reusable region tracker. The dirty and woken
+// sets live in bitvec.Sparse sets: begin resets them, zeroing only the
+// words the last batch wrote, and membership, insertion, and sorted
+// enumeration are word operations over the words the batch touched. The
+// sets always cover every node slot: begin grows them to the slot count,
+// and a node insert grows them by its new slot.
 type scratch struct {
-	dirty bitvec.Stamped
-	woken bitvec.Stamped
+	dirty bitvec.Sparse
+	woken bitvec.Sparse
 
 	// Election scratch: region membership + local index for the region
 	// subgraph build, the region buffer, one snapshot buffer for the
 	// sweep AND/ANDNOT enumerations, and the region subgraph's reusable
 	// CSR arrays.
-	local     bitvec.Stamped
+	local     bitvec.Sparse
 	localIdx  []int32
 	dirtySnap []int32
 	region    []int32
@@ -50,8 +52,8 @@ func (s *scratch) begin(n int) *scratch {
 	return s
 }
 
-// grow extends the trackers to cover n slots (node inserts mid-batch
-// extend the slot space past what begin saw). Missing runs are appended
+// grow extends the trackers to cover n slots (a node insert mid-batch
+// extends the slot space past what begin saw). Missing runs are appended
 // in one allocation per array.
 func (s *scratch) grow(n int) {
 	if len(s.localIdx) < n {
@@ -62,15 +64,9 @@ func (s *scratch) grow(n int) {
 	s.local.Grow(n)
 }
 
-func (s *scratch) markDirty(v int32) {
-	s.grow(int(v) + 1)
-	s.dirty.Set(v)
-}
+func (s *scratch) markDirty(v int32) { s.dirty.Set(v) }
 
-func (s *scratch) wake(v int32) {
-	s.grow(int(v) + 1)
-	s.woken.Set(v)
-}
+func (s *scratch) wake(v int32) { s.woken.Set(v) }
 
 // unmark removes v from both sets (its slot died mid-batch). Dead slots
 // are never re-marked.
@@ -92,7 +88,6 @@ func (e *Engine) repairBatch(st *scratch, bs *BatchStats) error {
 	if st.empty() {
 		return nil // nothing changed (no-op updates only)
 	}
-	st.grow(len(e.adj))
 	e.resolveConflictsBatch(st, bs)
 
 	// Coverage probe: every dirty non-member broadcasts a probe; member
