@@ -1,5 +1,5 @@
 // Command mistrace analyzes versioned JSONL run traces produced by the
-// library's Options.TracePath (and the -trace flags of mislab and sweep).
+// library's Options.TracePath (and mislab's -trace flag).
 //
 // Usage:
 //

@@ -1,9 +1,12 @@
 package energymis_test
 
-// Dynamic-workload benchmarks (experiment D1/D2 of cmd/sweep): repair cost
-// under churn vs. re-running the static algorithm after every update. The
-// headline metric is awake/update — total node-awake-rounds per update —
-// which is where the sleeping model's locality pays off.
+// Dynamic-workload benchmarks: repair cost under churn vs. re-running the
+// static algorithm after every update, repair under the hub attack, and
+// throughput against the coalescing window. The headline metric is
+// awake/update — total node-awake-rounds per update — which is where the
+// sleeping model's locality pays off. The claims behind the README's
+// repair saving and docs/DYNAMIC.md's window guidance are tests
+// (TestDynamicAcceptance10k, TestWindowCoalescesHubAttack).
 
 import (
 	"fmt"
@@ -98,4 +101,52 @@ func BenchmarkDynamicHubAttack(b *testing.B) {
 	b.ReportMetric(float64(st.AwakeTotal)/float64(st.Batches), "awake/batch")
 	b.ReportMetric(float64(st.MaxRegion), "maxRegion")
 	b.ReportMetric(float64(st.Evictions), "evictions")
+}
+
+// BenchmarkDynamicWindow replays three stream classes through ApplyBatch
+// at windows 1, 8, 64 and 256: uniform churn on GNP n=50,000 (12,800
+// updates), sliding-window arrivals on an empty graph of n=20,000 (6,400
+// steps), and the hub attack on BA n=10,000 m=4 (200 kills). Each engine
+// starts from GreedyMIS, so the timer sees repairs only. It reports
+// updates/s and awake/update, the surface docs/DYNAMIC.md's window
+// guidance reads:
+//
+//	go test -run '^$' -bench DynamicWindow -benchtime 5x .
+func BenchmarkDynamicWindow(b *testing.B) {
+	churn := energymis.GNP(50000, 8.0/50000, 5)
+	ba := energymis.BarabasiAlbert(10000, 4, 6)
+	for _, c := range []struct {
+		name string
+		g    *energymis.Graph
+		flat []energymis.Update
+	}{
+		{"churn", churn, energymis.FlattenStream(energymis.ChurnStream(churn, 12800, 1, 6))},
+		{"window", energymis.NewBuilder(20000).Build(), energymis.FlattenStream(energymis.WindowStream(20000, 500, 6400, 6))},
+		{"hub", ba, energymis.FlattenStream(energymis.HubAttackStream(ba, 200, 6))},
+	} {
+		inSet := energymis.GreedyMIS(c.g)
+		for _, w := range []int{1, 8, 64, 256} {
+			b.Run(fmt.Sprintf("%s/w=%d", c.name, w), func(b *testing.B) {
+				var st energymis.DynamicStats
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					d, err := energymis.NewDynamicFrom(c.g, inSet, energymis.DynamicOptions{Seed: 9, Window: w})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := d.ApplyBatch(c.flat); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					if err := d.Check(); err != nil {
+						b.Fatal(err)
+					}
+					st = d.Stats()
+				}
+				b.ReportMetric(float64(len(c.flat)*b.N)/b.Elapsed().Seconds(), "updates/s")
+				b.ReportMetric(float64(st.AwakeTotal)/float64(max(st.Updates, 1)), "awake/update")
+			})
+		}
+	}
 }

@@ -24,6 +24,6 @@
 //     all but a small fraction of nodes removed, in O(k·log d) rounds —
 //     with O(log d + log k) awake rounds per participant instead of
 //     [GP22]'s O(1) average (their machinery is out of scope; the
-//     end-to-end node-averaged energy remains flat, which experiment E9
-//     verifies).
+//     end-to-end node-averaged energy remains flat, which
+//     core.TestAverageEnergyVariants asserts).
 package avgenergy

@@ -37,7 +37,7 @@ const (
 	Algorithm2Avg
 	// RegularizedLuby is the slowed-down Luby of Section 2.1 run to
 	// completion without the one-shot restriction: O(log Δ·log n) time
-	// and energy (the second baseline, used by ablation A1).
+	// and energy (the second baseline).
 	RegularizedLuby
 )
 

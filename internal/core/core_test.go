@@ -62,26 +62,38 @@ func TestEnergySeparation(t *testing.T) {
 	// Θ(log n) while Algorithm 1's is O(log log n). The robustly
 	// measurable form at feasible scale: in Luby every node's energy is
 	// its decision time, so the awake count grows with log n across a
-	// 64x size range, while Algorithm 1's 99th-percentile awake count
-	// stays essentially flat (only the largest shattered component pays
-	// the Phase III constants).
-	gSmall := graph.GNP(1000, 12.0/1000, 13)
-	gBig := graph.GNP(64000, 12.0/64000, 14)
-	luS := run(t, gSmall, Luby, 1)
-	luB := run(t, gBig, Luby, 1)
-	a1S := run(t, gSmall, Algorithm1, 1)
-	a1B := run(t, gBig, Algorithm1, 1)
-	lubyGrowth := luB.Summary.MaxAwake - luS.Summary.MaxAwake
-	alg1P99Growth := a1B.Summary.P99Awake - a1S.Summary.P99Awake
-	t.Logf("luby maxAwake %d->%d; alg1 p99 %d->%d maxAwake %d->%d",
-		luS.Summary.MaxAwake, luB.Summary.MaxAwake,
-		a1S.Summary.P99Awake, a1B.Summary.P99Awake,
-		a1S.Summary.MaxAwake, a1B.Summary.MaxAwake)
-	if lubyGrowth < 3 {
-		t.Fatalf("Luby energy growth %d across 64x; expected Θ(log n) growth", lubyGrowth)
-	}
-	if alg1P99Growth >= lubyGrowth {
-		t.Fatalf("Algorithm1 p99 energy growth %d not below Luby growth %d", alg1P99Growth, lubyGrowth)
+	// size range, while Algorithm 1's 99th-percentile awake count stays
+	// essentially flat (only the largest shattered component pays the
+	// Phase III constants). Two ranges: GNP with average degree 12 over
+	// 64x, and a unit-disk sensor field of fixed radius 0.025 whose
+	// density grows 4x, the paper's sensor-network setting. On the field,
+	// averaged over seeds 1–3, only Algorithm 1's p99 stays flat (31.7 at
+	// both sizes): from n = 4,000 to 16,000 its average rises 9.5 -> 13.6
+	// and its maximum 85 -> 111, Luby's average 6.4 -> 7.7 and its
+	// maximum 31 -> 49.
+	for _, tc := range []struct {
+		name       string
+		small, big *graph.Graph
+	}{
+		{"gnp", graph.GNP(1000, 12.0/1000, 13), graph.GNP(64000, 12.0/64000, 14)},
+		{"unit-disk", graph.RandomGeometric(4000, 0.025, 4000), graph.RandomGeometric(16000, 0.025, 16000)},
+	} {
+		luS := run(t, tc.small, Luby, 1)
+		luB := run(t, tc.big, Luby, 1)
+		a1S := run(t, tc.small, Algorithm1, 1)
+		a1B := run(t, tc.big, Algorithm1, 1)
+		lubyGrowth := luB.Summary.MaxAwake - luS.Summary.MaxAwake
+		alg1P99Growth := a1B.Summary.P99Awake - a1S.Summary.P99Awake
+		t.Logf("%s: luby maxAwake %d->%d; alg1 p99 %d->%d maxAwake %d->%d", tc.name,
+			luS.Summary.MaxAwake, luB.Summary.MaxAwake,
+			a1S.Summary.P99Awake, a1B.Summary.P99Awake,
+			a1S.Summary.MaxAwake, a1B.Summary.MaxAwake)
+		if lubyGrowth < 3 {
+			t.Fatalf("%s: Luby energy growth %d; expected Θ(log n) growth", tc.name, lubyGrowth)
+		}
+		if alg1P99Growth >= lubyGrowth {
+			t.Fatalf("%s: Algorithm1 p99 energy growth %d not below Luby growth %d", tc.name, alg1P99Growth, lubyGrowth)
+		}
 	}
 }
 
@@ -98,12 +110,16 @@ func TestEnergyScalesPolyLogLog(t *testing.T) {
 	}
 }
 
+// TestCongestComplianceEndToEnd checks the CONGEST budget for every
+// algorithm: no message exceeds B = sim.DefaultB(n) bits, and the engine
+// counts no violation.
 func TestCongestComplianceEndToEnd(t *testing.T) {
-	for _, algo := range []Algorithm{Luby, Algorithm1, Algorithm2} {
-		g := graph.GNP(1500, 0.01, 17)
+	g := graph.GNP(1500, 0.01, 17)
+	b := sim.DefaultB(g.N())
+	for _, algo := range []Algorithm{Luby, Algorithm1, Algorithm2, Algorithm1Avg, Algorithm2Avg, RegularizedLuby} {
 		res := run(t, g, algo, 19)
-		if res.Summary.Violations != 0 {
-			t.Fatalf("%s: %d CONGEST violations (bitsMax=%d)", algo, res.Summary.Violations, res.Summary.BitsMax)
+		if res.Summary.Violations != 0 || res.Summary.BitsMax > b {
+			t.Fatalf("%s: %d CONGEST violations, bitsMax=%d (B=%d)", algo, res.Summary.Violations, res.Summary.BitsMax, b)
 		}
 	}
 }
@@ -152,16 +168,37 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+// TestAverageEnergyVariants checks Section 4's claim, the O(1)
+// node-averaged energy target of Chatterjee–Gmyr–Pandurangan: the avg
+// variants' average awake rounds stay below a constant c, fixed at 3,
+// while n grows, and never exceed Algorithm 1's own average by more
+// than 2. Inputs: NearRegular(4000, 24) on graph seed 41, and
+// NearRegular(n, 24) at n = 4,000 and 16,000. Measured: 2.38–2.48 on
+// these, and 2.30–2.52 per seed at n = 2,000, 8,000, 32,000 and 64,000
+// on seeds 1–3.
 func TestAverageEnergyVariants(t *testing.T) {
-	g := graph.NearRegular(4000, 24, 41)
-	for _, algo := range []Algorithm{Algorithm1Avg, Algorithm2Avg} {
-		res := run(t, g, algo, 43)
-		base := run(t, g, Algorithm1, 43)
-		t.Logf("%s: avg=%.2f max=%d (base avg=%.2f max=%d) failed=%d",
-			algo, res.Summary.AvgAwake, res.Summary.MaxAwake,
-			base.Summary.AvgAwake, base.Summary.MaxAwake, res.Diag.FailedNodes)
-		if res.Summary.AvgAwake > base.Summary.AvgAwake+2 {
-			t.Fatalf("%s average energy %v above base %v", algo, res.Summary.AvgAwake, base.Summary.AvgAwake)
+	const c = 3.0
+	for _, tc := range []struct {
+		g    *graph.Graph
+		seed uint64
+	}{
+		{graph.NearRegular(4000, 24, 41), 43},
+		{graph.NearRegular(4000, 24, 4000), 1},
+		{graph.NearRegular(16000, 24, 16000), 1},
+	} {
+		g := tc.g
+		base := run(t, g, Algorithm1, tc.seed)
+		for _, algo := range []Algorithm{Algorithm1Avg, Algorithm2Avg} {
+			res := run(t, g, algo, tc.seed)
+			t.Logf("n=%d %s: avg=%.2f max=%d (base avg=%.2f max=%d) failed=%d",
+				g.N(), algo, res.Summary.AvgAwake, res.Summary.MaxAwake,
+				base.Summary.AvgAwake, base.Summary.MaxAwake, res.Diag.FailedNodes)
+			if res.Summary.AvgAwake > c {
+				t.Fatalf("n=%d %s: average energy %.2f above the constant %g", g.N(), algo, res.Summary.AvgAwake, c)
+			}
+			if res.Summary.AvgAwake > base.Summary.AvgAwake+2 {
+				t.Fatalf("n=%d %s: average energy %v above base %v", g.N(), algo, res.Summary.AvgAwake, base.Summary.AvgAwake)
+			}
 		}
 	}
 }

@@ -108,7 +108,7 @@ func TestLemma36GoodEdges(t *testing.T) {
 			if total == 0 {
 				t.Skip("no high-high edges")
 			}
-			// Reproduction note (see also sweep -e E8): the paper
+			// Reproduction note (see also TestMultipleIterations): the paper
 			// claims at least half; measured fractions sit at 0.43–0.45
 			// on these families — still the constant fraction the
 			// progress argument (Lemma 3.8) needs, but below the stated

@@ -15,7 +15,7 @@ import (
 // iteration i the maximum undecided degree is Δ/2^i w.h.p.; after
 // ⌈log Δ⌉ iterations all remaining nodes are isolated and join. Nodes may
 // be marked many times, so every undecided node must stay awake —
-// the energy blow-up that motivates Phase I's modifications (ablation A1).
+// the energy blow-up that motivates Phase I's modifications.
 
 // RegularizedParams are the constants of the basic regularized Luby.
 type RegularizedParams struct {

@@ -33,7 +33,7 @@ func TestRegularizedComputesMIS(t *testing.T) {
 }
 
 func TestRegularizedEnergyIsHigh(t *testing.T) {
-	// The ablation's point (A1): without one-shot marking, undecided
+	// The baseline's point: without one-shot marking, undecided
 	// nodes stay awake through the iteration schedule, so energy tracks
 	// Θ(log Δ · log n) rather than Phase I's O(log log n).
 	g := graph.GNP(1500, 0.3, 5)

@@ -47,6 +47,10 @@ const (
 	noStage = 4
 )
 
+// indegreeThresh is Lemma 2.8's high-indegree cutoff: a cluster with at
+// least this many in-edges is high. The paper uses 10.
+const indegreeThresh = 10
+
 func packEdge(a, b int32) uint64 {
 	if a > b {
 		a, b = b, a
@@ -109,7 +113,6 @@ type Machine struct {
 
 	nbrStatus []uint8 // per-neighbor cluster status bits from X2a
 	cc3Agg    uint64  // role bits aggregated from children
-	threshVal int     // high-indegree threshold
 	idb       int32   // bits per node identifier = ceil(log2 N)
 	anomalies int     // protocol invariant violations (diagnostics)
 
@@ -314,7 +317,7 @@ func (m *Machine) Compose(round int, out *sim.Outbox) {
 		if off-l.bc2 == cluster.BroadcastSendRound(d) {
 			if m.tree.IsRoot() {
 				cnt := m.cc2Cnt + len(m.inEdges)
-				m.isHigh = cnt >= m.threshVal
+				m.isHigh = cnt >= indegreeThresh
 				m.hasIn = cnt > 0
 				if m.cc2M || m.mPartner >= 0 {
 					m.hasM = true

@@ -32,7 +32,7 @@ func TestStressTreeIntegrity(t *testing.T) {
 					machines := make([]sim.Machine, g.N())
 					nodes := make([]*Machine, g.N())
 					for v := range machines {
-						nodes[v] = &Machine{tt: tt, threshVal: p.IndegreeThresh}
+						nodes[v] = &Machine{tt: tt}
 						machines[v] = nodes[v]
 					}
 					if _, err := sim.Run(g, machines, sim.Config{Seed: 1, MaxRounds: tt.TotalLen + 2}); err != nil {

@@ -42,14 +42,10 @@ func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 		}
 	}
 	tt := NewTimetable(n, maxComp, p)
-	thresh := p.IndegreeThresh
-	if thresh < 2 {
-		thresh = 2
-	}
 	nodes := make([]Machine, n)
 	machines := make([]sim.Machine, n)
 	for v := range nodes {
-		nodes[v] = Machine{tt: tt, threshVal: thresh}
+		nodes[v] = Machine{tt: tt}
 		machines[v] = &nodes[v]
 	}
 	if cfg.MaxRounds == 0 {

@@ -21,8 +21,6 @@ const (
 // Params configures Phase III.
 type Params struct {
 	Mode Mode
-	// IndegreeThresh is the high-indegree cutoff; the paper uses 10.
-	IndegreeThresh int
 	// GhaffariC scales the finisher's logical round count:
 	// GRounds = ceil(GhaffariC * log2(maxComp+2)) + GhaffariFloor.
 	GhaffariC     float64
@@ -32,19 +30,15 @@ type Params struct {
 	K int
 	// Attempts bounds finisher retries per component.
 	Attempts int
-	// DepthCap overrides the tree-depth bound D (0 = maxComp+1). The
-	// paper's analysis uses O(log n) here.
-	DepthCap int
 }
 
 // DefaultParams returns paper-faithful constants for the given mode.
 func DefaultParams(mode Mode) Params {
 	return Params{
-		Mode:           mode,
-		IndegreeThresh: 10,
-		GhaffariC:      2.5,
-		GhaffariFloor:  8,
-		Attempts:       3,
+		Mode:          mode,
+		GhaffariC:     2.5,
+		GhaffariFloor: 8,
+		Attempts:      3,
 	}
 }
 
@@ -157,9 +151,6 @@ func NewTimetable(n, maxComp int, p Params) *Timetable {
 		maxComp = 1
 	}
 	d := maxComp + 1
-	if p.DepthCap > 0 && p.DepthCap < d {
-		d = p.DepthCap
-	}
 	if d < 2 {
 		d = 2
 	}

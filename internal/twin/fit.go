@@ -79,7 +79,7 @@ func FitAll(spec SweepSpec, ms Measurements) (*Baseline, error) {
 }
 
 // CollectAndFit runs the sweep and fits the registry — the one-call path
-// used by `mistrace fit` and the F1 experiment.
+// used by `mistrace fit`.
 func CollectAndFit(spec SweepSpec, progress func(string)) (*Baseline, error) {
 	ms, err := Collect(spec, progress)
 	if err != nil {
