@@ -15,6 +15,9 @@ func runDynamic(g *energymis.Graph, algoName, streamKind, tracePath string, upda
 	if updates < 0 {
 		return fmt.Errorf("-updates must not be negative, got %d", updates)
 	}
+	if batch < 1 {
+		return fmt.Errorf("-batch must be at least 1, got %d", batch)
+	}
 	if window < 0 {
 		return fmt.Errorf("-window must not be negative, got %d", window)
 	}

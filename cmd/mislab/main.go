@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -135,8 +136,11 @@ func makeGraph(name string, n int, deg, radius float64, seed uint64) (*energymis
 	if n < 0 {
 		return nil, fmt.Errorf("-n must not be negative, got %d", n)
 	}
-	if deg < 0 {
-		return nil, fmt.Errorf("-deg must not be negative, got %g", deg)
+	if !finiteNonNegative(deg) {
+		return nil, fmt.Errorf("-deg must be finite and non-negative, got %g", deg)
+	}
+	if !finiteNonNegative(radius) {
+		return nil, fmt.Errorf("-radius must be finite and non-negative, got %g", radius)
 	}
 	switch name {
 	case "gnp":
@@ -144,7 +148,7 @@ func makeGraph(name string, n int, deg, radius float64, seed uint64) (*energymis
 	case "rgg":
 		return energymis.RGG(n, deg, seed), nil
 	case "udg":
-		if radius <= 0 {
+		if radius == 0 {
 			radius = energymis.RadiusForAvgDegree(n, deg)
 		}
 		return energymis.RandomGeometric(n, radius, seed), nil
@@ -173,6 +177,12 @@ func makeGraph(name string, n int, deg, radius float64, seed uint64) (*energymis
 	default:
 		return nil, fmt.Errorf("unknown graph family %q", name)
 	}
+}
+
+// finiteNonNegative reports whether x is a number in [0, +Inf); NaN fails
+// every comparison, so it is rejected too.
+func finiteNonNegative(x float64) bool {
+	return x >= 0 && !math.IsInf(x, 1)
 }
 
 func max(a, b int) int {

@@ -3,15 +3,14 @@ package energymis
 // Determinism regression tests for the executors. Every run executes on
 // one goroutine, so the only state that carries from one run to the next
 // is a shared Mem: a run on a Mem already used on a different graph must
-// be byte-identical to a run on fresh buffers. Also cross-checks the
-// struct-of-arrays Luby against its per-node Machine, and the dynamic
-// engine against an identical replay under churn.
+// be byte-identical to a run on fresh buffers. Also pins the public Luby
+// to the struct-of-arrays automaton it runs, and the dynamic engine to an
+// identical replay under churn.
 
 import (
 	"bytes"
 	"testing"
 
-	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/luby"
 	"github.com/energymis/energymis/internal/sim"
 )
@@ -67,52 +66,34 @@ func TestStaticExecutorDeterminism(t *testing.T) {
 	}
 }
 
-// lubyPerNode runs Luby as one luby.Machine per node through sim.Run: the
-// per-node specification of what luby.Run executes.
-func lubyPerNode(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
-	nodes := make([]luby.Machine, g.N())
-	machines := make([]sim.Machine, g.N())
-	for v := range machines {
-		machines[v] = &nodes[v]
-	}
-	res, err := sim.Run(g, machines, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	inSet := make([]bool, g.N())
-	for v := range nodes {
-		inSet[v] = nodes[v].InMIS
-	}
-	return inSet, res, nil
-}
-
-// TestBatchVsLegacyLubyDeterminism cross-checks the two forms of Luby: the
-// struct-of-arrays automaton (what energymis.Luby runs) against the
-// per-node Machine through sim.Run. Output sets, all counters, and
-// per-node energy must be byte-identical — the struct-of-arrays form is an
-// execution strategy, not an algorithm change.
+// TestBatchVsLegacyLubyDeterminism pins energymis.Luby to the
+// struct-of-arrays automaton luby.Run at the engine seed core derives for
+// the run's one phase: same set, counters and per-node energy. The
+// per-node side of the comparison lives in luby.TestBatchMatchesLegacy,
+// which holds luby.Run on these graphs to its per-node specification.
 func TestBatchVsLegacyLubyDeterminism(t *testing.T) {
 	for _, n := range []int{300, 1000} {
 		g := GNP(n, 10.0/float64(n), uint64(n)+17)
-		refSet, refRes, err := lubyPerNode(g, sim.Config{Seed: 9})
+		ref, err := RunVerified(g, Luby, Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, res, err := luby.Run(g, sim.Config{Seed: 9})
+		set, res, err := luby.Run(g, sim.Config{Seed: 9}.ForPhase(1))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !bytes.Equal(insetBytes(set), insetBytes(refSet)) {
-			t.Fatalf("n=%d: batch MIS differs from legacy", n)
+		if !bytes.Equal(insetBytes(set), insetBytes(ref.InSet)) {
+			t.Fatalf("n=%d: luby.Run's MIS differs from energymis.Luby's", n)
 		}
-		if res.Rounds != refRes.Rounds || res.MsgsSent != refRes.MsgsSent ||
-			res.MsgsDropped != refRes.MsgsDropped || res.BitsTotal != refRes.BitsTotal ||
-			res.BitsMax != refRes.BitsMax || res.Violations != refRes.Violations {
-			t.Fatalf("n=%d: counters differ\n legacy: %+v\n batch:  %+v", n, refRes, res)
+		if res.Rounds != ref.Rounds || res.MsgsSent != ref.Messages ||
+			res.MsgsDropped != ref.MessagesDropped || res.BitsTotal != ref.BitsTotal ||
+			res.BitsMax != ref.BitsMax || res.Violations != ref.CongestViolations {
+			t.Fatalf("n=%d: counters differ\n energymis.Luby: rounds=%d msgs=%d dropped=%d bits=%d max=%d violations=%d\n luby.Run:       %+v",
+				n, ref.Rounds, ref.Messages, ref.MessagesDropped, ref.BitsTotal, ref.BitsMax, ref.CongestViolations, res)
 		}
 		for v := range res.Awake {
-			if res.Awake[v] != refRes.Awake[v] {
-				t.Fatalf("n=%d: awake[%d] = %d, legacy %d", n, v, res.Awake[v], refRes.Awake[v])
+			if int64(res.Awake[v]) != ref.AwakePerNode[v] {
+				t.Fatalf("n=%d: awake[%d] = %d, energymis.Luby %d", n, v, res.Awake[v], ref.AwakePerNode[v])
 			}
 		}
 	}

@@ -161,7 +161,7 @@ func runRegularizedLuby(g *graph.Graph, opts Options) (*Result, error) {
 		opts.Tracer.PhaseStart("reg-luby")
 	}
 	start := time.Now()
-	inSet, res, err := luby.RunRegularized(g, luby.DefaultRegularizedParams(), opts.simCfg(1))
+	inSet, res, err := luby.RunRegularized(g, opts.simCfg(1))
 	if err != nil {
 		return nil, err
 	}

@@ -25,8 +25,9 @@ const (
 // per-node allocation), the tagged-neighbor counts, and the protocol
 // flags, all in flat arrays driven whole-awake-sets at a time.
 // Random draws, wake schedules, and state transitions replicate the
-// per-node Machine exactly, so runs are byte-identical to the Machine's
-// through sim.Run (enforced by this package's differential test).
+// per-node specification in batch_test.go exactly, so runs are
+// byte-identical to it through sim.Run (enforced by this package's
+// differential test).
 type Batch struct {
 	g    *graph.Graph
 	plan Plan

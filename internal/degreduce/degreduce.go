@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/energymis/energymis/internal/graph"
-	"github.com/energymis/energymis/internal/schedule"
 	"github.com/energymis/energymis/internal/sim"
 	"github.com/energymis/energymis/internal/verify"
 )
@@ -98,79 +97,10 @@ func MakePlan(n, delta int, p Params) Plan {
 // endRound returns the engine round of end-window step s (0..3).
 func (pl Plan) endRound(s int) int { return 4*pl.T + s }
 
-// Machine is the per-node automaton of one iteration.
-type Machine struct {
-	env  *sim.Env
-	plan Plan
-	damp float64 // ResampleDamp
-	pmd  float64 // PreMarkDamp
-	pexp float64 // PreMarkExp
-
-	rv        int // first sampled logical round; -1 = never sampled
-	tagged    bool
-	premarked bool
-	wake      []int
-	wi        int
-
-	av       int  // tagged-neighbor count observed in r_v
-	marked   bool // survived re-sampling
-	unmarked bool // lost the estimate comparison
-
-	joined   bool
-	inactive bool
-
-	remDeg int  // end window: active non-spoiled neighbor count
-	high   bool // end window: above threshold
-
-	InMIS bool
-}
-
-var _ sim.Machine = (*Machine)(nil)
-
-// Init implements sim.Machine.
-func (m *Machine) Init(env *sim.Env) int {
-	m.env = env
-	tA := env.Rand.FirstSuccess(m.plan.TagProb, m.plan.T)
-	tB := env.Rand.FirstSuccess(m.plan.PreMarkProb, m.plan.T)
-	m.rv = -1
-	switch {
-	case tA >= 0 && (tB < 0 || tA < tB):
-		m.rv, m.tagged = tA, true
-	case tB >= 0 && (tA < 0 || tB < tA):
-		m.rv, m.premarked = tB, true
-	case tA >= 0 && tA == tB:
-		m.rv, m.tagged, m.premarked = tA, true, true
-	}
-	wake := make(map[int]bool)
-	if m.rv >= 0 {
-		for _, l := range schedule.Set(m.plan.T, m.rv) {
-			wake[4*l+3] = true
-		}
-		wake[4*m.rv] = true
-		wake[4*m.rv+1] = true
-		wake[4*m.rv+2] = true
-	}
-	// Every node participates in the end window.
-	for s := 0; s < 4; s++ {
-		wake[m.plan.endRound(s)] = true
-	}
-	m.wake = make([]int, 0, len(wake))
-	for r := range wake {
-		m.wake = append(m.wake, r)
-	}
-	sort.Ints(m.wake)
-	m.wi = 0
-	return m.wake[0]
-}
-
-// markProbFromCount returns the re-sampling probability from a
-// tagged-neighbor count, via the degree estimate deg~ = Δ^{1/2}·A. Since
-// estimates are compared between neighbors and the scale factor is common,
-// comparisons use the raw counts.
-func (m *Machine) markProbFromCount(av int) float64 {
-	return markProb(m.plan, m.damp, m.pmd, m.pexp, av)
-}
-
+// markProb returns the re-sampling probability from a tagged-neighbor
+// count, via the degree estimate deg~ = Δ^{1/2}·A. Since estimates are
+// compared between neighbors and the scale factor is common, comparisons
+// use the raw counts.
 func markProb(plan Plan, damp, pmd, pexp float64, av int) float64 {
 	cap1 := 1 / (pmd * math.Pow(float64(plan.Delta), pexp))
 	if av == 0 {
@@ -185,169 +115,6 @@ func markProb(plan Plan, damp, pmd, pexp float64, av int) float64 {
 	}
 	return p
 }
-
-// Compose implements sim.Machine.
-func (m *Machine) Compose(round int, out *sim.Outbox) {
-	if round >= 4*m.plan.T {
-		m.composeEnd(round-4*m.plan.T, out)
-		return
-	}
-	l, sub := round/4, round%4
-	switch sub {
-	case 0:
-		if l == m.rv && m.tagged && !m.inactive {
-			out.Broadcast(sim.Msg{Kind: kindTag, Bits: 1})
-		}
-	case 1:
-		if l == m.rv && m.premarked && !m.inactive {
-			if m.env.Rand.Bernoulli(m.markProbFromCount(m.av)) {
-				m.marked = true
-				out.Broadcast(sim.Msg{
-					Kind: kindMarked,
-					A:    uint64(m.av),
-					Bits: int32(1 + bitsFor(m.env.N)),
-				})
-			}
-		}
-	case 2:
-		if l == m.rv && m.marked && !m.unmarked && !m.inactive {
-			m.joined = true
-			m.InMIS = true
-			out.Broadcast(sim.Msg{Kind: kindJoin, Bits: 1})
-		}
-	case 3:
-		if m.joined {
-			out.Broadcast(sim.Msg{Kind: kindInMIS, Bits: 1})
-		}
-	}
-}
-
-func (m *Machine) composeEnd(s int, out *sim.Outbox) {
-	switch s {
-	case 0:
-		if m.joined {
-			out.Broadcast(sim.Msg{Kind: kindInMIS, Bits: 1})
-		}
-	case 1:
-		// Active non-spoiled nodes announce themselves for the remaining-
-		// degree count. Spoiled = sampled but did not join.
-		if !m.inactive && !m.joined && m.rv < 0 {
-			out.Broadcast(sim.Msg{Kind: kindAlive, Bits: 1})
-		}
-	case 2:
-		if !m.inactive && !m.joined && float64(m.remDeg) > m.plan.HighThresh {
-			m.high = true
-			out.Broadcast(sim.Msg{Kind: kindHigh, Bits: 1})
-		}
-	case 3:
-		if m.high {
-			m.joined = true
-			m.InMIS = true
-			out.Broadcast(sim.Msg{Kind: kindHiJoin, Bits: 1})
-		}
-	}
-}
-
-// Deliver implements sim.Machine.
-func (m *Machine) Deliver(round int, inbox []sim.Msg) int {
-	if round >= 4*m.plan.T {
-		m.deliverEnd(round-4*m.plan.T, inbox)
-	} else {
-		m.deliverMain(round, inbox)
-	}
-	m.wi++
-	if m.wi >= len(m.wake) {
-		return sim.Never
-	}
-	return m.wake[m.wi]
-}
-
-func (m *Machine) deliverMain(round int, inbox []sim.Msg) {
-	l, sub := round/4, round%4
-	switch sub {
-	case 0:
-		if l == m.rv && !m.inactive {
-			for _, msg := range inbox {
-				if msg.Kind == kindTag {
-					m.av++
-				}
-			}
-		}
-	case 1:
-		if l == m.rv && m.marked {
-			for _, msg := range inbox {
-				// Unmark when a marked neighbor's estimate is at least as
-				// large ("removes its marking if deg~(v) <= deg~(u)").
-				if msg.Kind == kindMarked && int(msg.A) >= m.av {
-					m.unmarked = true
-					break
-				}
-			}
-		}
-	case 2:
-		if l == m.rv && !m.joined {
-			for _, msg := range inbox {
-				if msg.Kind == kindJoin {
-					m.inactive = true
-					break
-				}
-			}
-		}
-	case 3:
-		if l < m.rv && !m.joined {
-			for _, msg := range inbox {
-				if msg.Kind == kindInMIS {
-					m.inactive = true
-					break
-				}
-			}
-		}
-	}
-}
-
-func (m *Machine) deliverEnd(s int, inbox []sim.Msg) {
-	switch s {
-	case 0:
-		if !m.joined {
-			for _, msg := range inbox {
-				if msg.Kind == kindInMIS {
-					m.inactive = true
-					break
-				}
-			}
-		}
-	case 1:
-		if !m.inactive && !m.joined {
-			for _, msg := range inbox {
-				if msg.Kind == kindAlive {
-					m.remDeg++
-				}
-			}
-		}
-	case 2:
-		if m.high {
-			for _, msg := range inbox {
-				if msg.Kind == kindHigh {
-					// A high neighbor exists: do not join.
-					m.high = false
-					break
-				}
-			}
-		}
-	case 3:
-		if !m.joined {
-			for _, msg := range inbox {
-				if msg.Kind == kindHiJoin {
-					m.inactive = true
-					break
-				}
-			}
-		}
-	}
-}
-
-// Sampled reports whether the node was tagged or pre-marked.
-func (m *Machine) Sampled() bool { return m.rv >= 0 }
 
 func bitsFor(n int) int {
 	b := 1
@@ -399,8 +166,8 @@ func runIterBatch(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterOu
 // Run executes the iterated reduction on g until the degree bound falls
 // under the stopping threshold. Each iteration runs the struct-of-arrays
 // automaton on the batch runtime; results are byte-identical to the
-// per-node machines through sim.Run (the reference, whose iteration
-// runner lives in batch_test.go and runs through the same runLoop).
+// per-node specification through sim.Run (the reference in batch_test.go,
+// whose iteration runner runs through the same runLoop).
 func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 	return runLoop(g, p, cfg, runIterBatch)
 }

@@ -100,9 +100,6 @@ type Params struct {
 	Repair RepairAlgo
 	// B overrides the CONGEST budget in bits (0 = 4·ceil(log2 n)).
 	B int
-	// MaxRetry bounds the Ghaffari retry loop before the Luby finisher
-	// takes over.
-	MaxRetry int
 	// SelfCheck validates the full MIS invariant after every batch
 	// (O(n+m); for tests).
 	SelfCheck bool
@@ -121,7 +118,7 @@ type Params struct {
 
 // DefaultParams returns the default engine configuration.
 func DefaultParams() Params {
-	return Params{Repair: RepairLuby, MaxRetry: 2}
+	return Params{Repair: RepairLuby}
 }
 
 // Engine maintains a maximal independent set of a mutable graph. Node
@@ -184,9 +181,6 @@ func New(g *graph.Graph, inSet []bool, p Params) (*Engine, error) {
 	}
 	if err := verify.Check(g, inSet); err != nil {
 		return nil, fmt.Errorf("dynamic: initial set invalid: %w", err)
-	}
-	if p.MaxRetry <= 0 {
-		p.MaxRetry = 2
 	}
 	n := g.N()
 	e := &Engine{

@@ -578,7 +578,7 @@ func TestOraclesMixedWindows(t *testing.T) {
 		for _, w := range []int{1, 2, 8, 16} {
 			t.Run(fmt.Sprintf("%s/w%d", repair, w), func(t *testing.T) {
 				g := graph.GNP(300, 12.0/300, 42)
-				c := newChecked(t, g, dynamic.Params{Seed: 1234, Repair: repair, MaxRetry: 2})
+				c := newChecked(t, g, dynamic.Params{Seed: 1234, Repair: repair})
 				r := rng.New(7)
 				for step := 0; step < 240/w; step++ {
 					if _, err := c.apply(t, mixedBatch(c.e, r, w)); err != nil {

@@ -301,7 +301,7 @@ func (e *Engine) electGhaffariComp(pl *pipeline.Pipeline, cfg sim.Config, cr *co
 		if cur.N() == 0 {
 			return nil
 		}
-		if attempt >= e.p.MaxRetry {
+		if attempt >= maxRetry {
 			// Luby finisher: always terminates.
 			pl.Begin("repair/finisher")
 			inFin, res, err := luby.Run(cur, bump(cfg, uint64(attempt)))
@@ -350,6 +350,12 @@ func (e *Engine) simCfg() sim.Config {
 	return sim.Config{Seed: seed, B: b}
 }
 
+// maxRetry bounds the Ghaffari attempts on a component before the Luby
+// finisher takes over.
+const maxRetry = 2
+
+// ghaffariRounds is the logical round count of one Ghaffari attempt on an
+// n-node component.
 func ghaffariRounds(n int) int {
 	r := 4 * (int(math.Log2(float64(n)+1)) + 1)
 	if r < 8 {

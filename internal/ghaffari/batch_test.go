@@ -2,11 +2,111 @@ package ghaffari
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/sim"
 )
+
+// Machine is the per-node specification of the dynamics: K packed
+// executions of Proto for a fixed number of logical rounds, with every
+// node awake until it is decided in every execution (the regime of
+// Lemma 2.6: the input degree is poly(log n), so the whole run costs
+// O(log Δ) awake rounds). At K = 1 it is what RunShatter's Batch
+// executes; larger K is the parallel-executions form of Lemma 2.7.
+type Machine struct {
+	env    *sim.Env
+	proto  *Proto
+	rounds int
+	k      int
+
+	inbox        [][]uint64 // scratch for this round's vectors
+	pendingJoins []uint64   // join vector carried from mark to join sub-round
+}
+
+var _ sim.Machine = (*Machine)(nil)
+
+// NewMachine returns a machine running k executions for `rounds` logical
+// rounds (2 engine rounds each).
+func NewMachine(k, rounds int) *Machine {
+	return &Machine{k: k, rounds: rounds}
+}
+
+// Init implements sim.Machine.
+func (m *Machine) Init(env *sim.Env) int {
+	m.env = env
+	m.proto = NewProto(m.k, env.Rand)
+	return 0
+}
+
+// Compose implements sim.Machine.
+func (m *Machine) Compose(round int, out *sim.Outbox) {
+	if round/2 >= m.rounds {
+		return
+	}
+	if round%2 == 0 {
+		marks := m.proto.ComposeMarks()
+		out.Broadcast(packMsg(kindMarks, marks, m.proto.Bits()))
+	} else {
+		joins := m.pendingJoins
+		if anySet(joins) {
+			out.Broadcast(packMsg(kindJoins, joins, m.proto.Bits()))
+		}
+	}
+}
+
+// Deliver implements sim.Machine.
+func (m *Machine) Deliver(round int, inbox []sim.Msg) int {
+	m.inbox = m.inbox[:0]
+	for _, msg := range inbox {
+		m.inbox = append(m.inbox, unpackMsg(msg))
+	}
+	if round%2 == 0 {
+		m.pendingJoins = m.proto.AbsorbMarks(m.inbox)
+	} else {
+		m.proto.AbsorbJoins(m.inbox)
+		// A node decided in every execution has nothing left to send or
+		// learn; it sleeps out the remaining rounds. (The paper keeps all
+		// nodes awake in Phase II as an upper bound; sleeping decided
+		// nodes is model-legal and only lowers energy.)
+		if m.proto.AllDecided() {
+			return sim.Never
+		}
+	}
+	if round+1 >= 2*m.rounds {
+		return sim.Never
+	}
+	return round + 1
+}
+
+// packMsg packs up to 128 bits of vector into a Msg (the engine payload
+// carries two words).
+func packMsg(kind uint8, words []uint64, bits int32) sim.Msg {
+	msg := sim.Msg{Kind: kind, Bits: bits}
+	if len(words) > 0 {
+		msg.A = words[0]
+	}
+	if len(words) > 1 {
+		msg.B = words[1]
+	}
+	if len(words) > 2 {
+		panic(fmt.Sprintf("ghaffari: K=%d exceeds 128 packed bits", bits))
+	}
+	return msg
+}
+
+func unpackMsg(m sim.Msg) []uint64 { return []uint64{m.A, m.B} }
+
+func anySet(words []uint64) bool {
+	for _, w := range words {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // runShatterLegacy executes one (K=1) run of the per-node Machine through
 // sim.Run: the reference RunShatter is differentially tested against.
@@ -31,45 +131,40 @@ func runShatterLegacy(g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool,
 	return inSet, survivors, res, nil
 }
 
-// runLegacyK executes K packed executions with the per-node Machine
-// through sim.Run and extracts the per-execution decisions.
-func runLegacyK(t *testing.T, g *graph.Graph, k, rounds int, cfg sim.Config) ([]*Proto, *sim.Result) {
+// matchesPerNode runs RunShatter and the per-node Machines on g and fails
+// unless they agree on the set, the survivors, every sim.Result counter
+// and every node's awake rounds.
+func matchesPerNode(t *testing.T, g *graph.Graph, rounds int, seed uint64) {
 	t.Helper()
-	machines := make([]sim.Machine, g.N())
-	nodes := make([]*Machine, g.N())
-	for v := range machines {
-		nodes[v] = NewMachine(k, rounds)
-		machines[v] = nodes[v]
-	}
-	res, err := sim.Run(g, machines, cfg)
+	ctx := fmt.Sprintf("n=%d rounds=%d seed=%d", g.N(), rounds, seed)
+	refSet, refSurv, ref, err := runShatterLegacy(g, rounds, sim.Config{Seed: seed})
 	if err != nil {
-		t.Fatalf("legacy run: %v", err)
+		t.Fatalf("%s: %v", ctx, err)
 	}
-	protos := make([]*Proto, g.N())
-	for v, nm := range nodes {
-		protos[v] = nm.Proto()
+	set, surv, got, err := RunShatter(g, rounds, sim.Config{Seed: seed})
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
 	}
-	return protos, res
-}
-
-func sameCounters(t *testing.T, ctx string, ref, got *sim.Result) {
-	t.Helper()
+	if !slices.Equal(set, refSet) {
+		t.Fatalf("%s: sets differ\n legacy: %v\n batch:  %v", ctx, refSet, set)
+	}
+	if !slices.Equal(surv, refSurv) {
+		t.Fatalf("%s: survivors differ\n legacy: %v\n batch:  %v", ctx, refSurv, surv)
+	}
 	if got.Rounds != ref.Rounds || got.MsgsSent != ref.MsgsSent ||
 		got.MsgsDropped != ref.MsgsDropped || got.BitsTotal != ref.BitsTotal ||
 		got.BitsMax != ref.BitsMax || got.Violations != ref.Violations {
 		t.Fatalf("%s: counters differ\n legacy: %+v\n batch:  %+v", ctx, ref, got)
 	}
-	for v := range got.Awake {
-		if got.Awake[v] != ref.Awake[v] {
-			t.Fatalf("%s: Awake[%d] = %d, legacy %d", ctx, v, got.Awake[v], ref.Awake[v])
-		}
+	if !slices.Equal(got.Awake, ref.Awake) {
+		t.Fatalf("%s: awake rounds differ\n legacy: %v\n batch:  %v", ctx, ref.Awake, got.Awake)
 	}
 }
 
 // TestBatchMatchesLegacy is the differential gate of the batch port: for
-// every graph shape, K, and seed, the struct-of-arrays batch
-// automaton must produce byte-identical per-execution decisions and
-// identical complexity counters to the per-node reference.
+// every graph shape and seed, the struct-of-arrays batch automaton must
+// produce the per-node reference's set, survivors and complexity
+// counters.
 func TestBatchMatchesLegacy(t *testing.T) {
 	cases := []struct {
 		name string
@@ -83,69 +178,107 @@ func TestBatchMatchesLegacy(t *testing.T) {
 		{"empty", graph.FromEdges(0, nil)},
 	}
 	for _, tc := range cases {
-		for _, k := range []int{1, 5, 64, 100} {
-			rounds := 12
-			for seed := uint64(1); seed <= 2; seed++ {
-				refProtos, refRes := runLegacyK(t, tc.g, k, rounds, sim.Config{Seed: seed})
-				b := NewBatch(tc.g, k, rounds)
-				res, err := sim.RunBatch(tc.g, b, sim.Config{Seed: seed})
-				if err != nil {
-					t.Fatalf("%s k=%d seed=%d: %v", tc.name, k, seed, err)
-				}
-				ctx := tc.name
-				sameCounters(t, ctx, refRes, res)
-				for e := 0; e < k; e++ {
-					in := b.InMISExec(e)
-					und := map[int]bool{}
-					for _, v := range b.UndecidedExec(e) {
-						und[v] = true
-					}
-					for v := 0; v < tc.g.N(); v++ {
-						if in[v] != refProtos[v].InMIS[e] {
-							t.Fatalf("%s k=%d seed=%d: InMIS[%d][exec %d] = %v, legacy %v",
-								tc.name, k, seed, v, e, in[v], refProtos[v].InMIS[e])
-						}
-						if und[v] != refProtos[v].Undecided(e) {
-							t.Fatalf("%s k=%d seed=%d: Undecided[%d][exec %d] = %v, legacy %v",
-								tc.name, k, seed, v, e, und[v], refProtos[v].Undecided(e))
-						}
-					}
-				}
-			}
+		for seed := uint64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
+				matchesPerNode(t, tc.g, 12, seed)
+			})
 		}
 	}
 }
 
-// TestRunShatterMatchesLegacy checks the shattering entry point end to end:
-// same set, same survivors, same counters.
+// shatterRounds is shatter.DefaultParams().Rounds(g.MaxDegree()), the
+// round count Phase II runs on g (this package cannot import shatter).
+func shatterRounds(g *graph.Graph) int {
+	return int(math.Ceil(2*math.Log2(float64(g.MaxDegree()+2)))) + 4
+}
+
+// TestRunShatterMatchesLegacy checks the shattering entry point end to end
+// (same set, same survivors, same counters): on one GNP at 0, 1 and 9
+// rounds, and on the graphs of shatter.TestBatchMatchesLegacy at the
+// rounds Phase II runs on them.
 func TestRunShatterMatchesLegacy(t *testing.T) {
 	g := graph.GNP(500, 12.0/500, 7)
 	for _, rounds := range []int{0, 1, 9} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			refSet, refSurv, refRes, err := runShatterLegacy(g, rounds, sim.Config{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			set, surv, res, err := RunShatter(g, rounds, sim.Config{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range refSet {
-				if set[v] != refSet[v] {
-					t.Fatalf("rounds=%d seed=%d: InSet[%d] differs", rounds, seed, v)
-				}
-			}
-			if len(surv) != len(refSurv) {
-				t.Fatalf("rounds=%d seed=%d: %d survivors, legacy %d",
-					rounds, seed, len(surv), len(refSurv))
-			}
-			for i := range surv {
-				if surv[i] != refSurv[i] {
-					t.Fatalf("rounds=%d seed=%d: survivor[%d] = %d, legacy %d",
-						rounds, seed, i, surv[i], refSurv[i])
-				}
-			}
-			sameCounters(t, "shatter", refRes, res)
+			matchesPerNode(t, g, rounds, seed)
 		}
 	}
+	for _, g := range []*graph.Graph{
+		graph.GNP(600, 10.0/600, 3),
+		graph.RGG(300, 8, 5),
+		graph.Complete(50),
+		graph.FromEdges(10, [][2]int{{0, 1}}),
+		graph.FromEdges(0, nil),
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			matchesPerNode(t, g, shatterRounds(g), seed)
+		}
+	}
+}
+
+// Graph families of FuzzRunShatterMatchesPerNode.
+const (
+	famGNP = iota
+	famPath
+	famStar
+	famClique
+	famBA
+	famTree
+	numFamilies
+)
+
+// fuzzGraph builds an n-node graph of family fam: deg sets GNP's average
+// degree (p = deg/n) and BA's attachment count (1 + deg mod 8).
+func fuzzGraph(fam byte, n int, deg uint8, seed uint64) *graph.Graph {
+	switch fam % numFamilies {
+	case famGNP:
+		return graph.GNP(n, float64(deg%64)/float64(max(n, 1)), seed)
+	case famPath:
+		return graph.Path(n)
+	case famStar:
+		return graph.Star(n)
+	case famClique:
+		return graph.Complete(n)
+	case famBA:
+		return graph.BarabasiAlbert(n, 1+int(deg%8), seed)
+	default:
+		return graph.RandomTree(n, seed)
+	}
+}
+
+// FuzzRunShatterMatchesPerNode holds RunShatter to the per-node Machines
+// on fuzzed graphs (GNP, path, star, clique, BA and random trees of up to
+// 300 nodes), 0 to 40 logical rounds and any seed: same set, survivors,
+// counters and per-node awake rounds. Its seed corpus is the differential
+// tables' inputs in the families it covers, with GNP capped at 300 nodes,
+// plus a BA graph and a random tree.
+func FuzzRunShatterMatchesPerNode(f *testing.F) {
+	for _, c := range []struct {
+		fam    byte
+		n      uint16
+		deg    uint8
+		gseed  uint64
+		rounds uint8
+	}{
+		{famGNP, 300, 10, 3, 12},  // TestBatchMatchesLegacy's gnp
+		{famClique, 40, 0, 0, 12}, // its clique
+		{famPath, 60, 0, 0, 12},   // its path
+		{famStar, 50, 0, 0, 12},   // its star
+		{famPath, 0, 0, 0, 12},    // its empty graph
+		{famGNP, 300, 12, 7, 0},   // TestRunShatterMatchesLegacy's GNP at 0,
+		{famGNP, 300, 12, 7, 1},   // 1
+		{famGNP, 300, 12, 7, 9},   // and 9 rounds
+		{famGNP, 300, 10, 3, 13},  // shatter's gnp, at the rounds Phase II runs on it
+		{famClique, 50, 0, 0, 16}, // shatter's clique, likewise
+		{famBA, 300, 2, 2, 25},    // TestShatterProducesIndependentSet's BA
+		{famTree, 300, 0, 11, 40}, // the most rounds
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			f.Add(c.fam, c.n, c.deg, c.gseed, c.rounds, seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, fam byte, n uint16, deg uint8, gseed uint64, rounds uint8, seed uint64) {
+		g := fuzzGraph(fam, int(n%301), deg, gseed)
+		matchesPerNode(t, g, int(rounds%41), seed)
+	})
 }

@@ -18,4 +18,13 @@
 // running Θ(log log n) rounds with K = Θ(log n) executions on a
 // poly(log n)-size component leaves at least one execution that decided
 // every node, with high probability.
+//
+// The package has one production form per use. RunShatter runs a single
+// execution on the whole graph as Batch, a struct-of-arrays automaton on
+// the batch runtime (Phase II, and the dynamic engine's Ghaffari
+// repair). Proto holds K packed executions of one node, which Phase III's
+// finisher embeds in its per-node machines. The per-node Machine in this
+// package's tests is the specification both follow: at K = 1 the
+// differential tests and FuzzRunShatterMatchesPerNode hold RunShatter to
+// it bit for bit, and at larger K it drives Proto on its own.
 package ghaffari

@@ -1,21 +1,16 @@
 package ghaffari
 
-import (
-	"fmt"
-
-	"github.com/energymis/energymis/internal/graph"
-	"github.com/energymis/energymis/internal/rng"
-	"github.com/energymis/energymis/internal/sim"
-)
+import "github.com/energymis/energymis/internal/rng"
 
 const (
 	pMax = 0.5
 	pMin = 1.0 / (1 << 20)
 )
 
-// Proto is the per-node state of K packed executions. It is embedded in
-// larger machines (the Phase III finisher) and driven by Step/Absorb pairs;
-// the standalone Machine below adapts it to the engine directly.
+// Proto is the per-node state of K packed executions, the form Lemma 2.7's
+// finisher runs on poly(log n)-size components: Phase III's machines
+// embed it and drive it by ComposeMarks/AbsorbMarks/AbsorbJoins. One
+// execution on the whole graph (Lemma 2.6) runs as Batch instead.
 type Proto struct {
 	K    int
 	rand *rng.Stream
@@ -141,123 +136,4 @@ func (p *Proto) SuccessVector() []uint64 {
 		}
 	}
 	return out
-}
-
-// Message kinds for the standalone machine.
-const (
-	kindMarks = 11
-	kindJoins = 12
-)
-
-// Machine runs K packed executions for a fixed number of logical rounds,
-// with every node awake throughout (the regime of Lemma 2.6: the input
-// degree is poly(log n), so the whole run costs O(log Δ) awake rounds).
-type Machine struct {
-	env    *sim.Env
-	proto  *Proto
-	rounds int
-	k      int
-
-	inbox        [][]uint64 // scratch for this round's vectors
-	pendingJoins []uint64   // join vector carried from mark to join sub-round
-}
-
-var _ sim.Machine = (*Machine)(nil)
-
-// NewMachine returns a machine running k executions for `rounds` logical
-// rounds (2 engine rounds each).
-func NewMachine(k, rounds int) *Machine {
-	return &Machine{k: k, rounds: rounds}
-}
-
-// Proto exposes the underlying execution state after a run.
-func (m *Machine) Proto() *Proto { return m.proto }
-
-// Init implements sim.Machine.
-func (m *Machine) Init(env *sim.Env) int {
-	m.env = env
-	m.proto = NewProto(m.k, env.Rand)
-	return 0
-}
-
-// Compose implements sim.Machine.
-func (m *Machine) Compose(round int, out *sim.Outbox) {
-	if round/2 >= m.rounds {
-		return
-	}
-	if round%2 == 0 {
-		marks := m.proto.ComposeMarks()
-		out.Broadcast(packMsg(kindMarks, marks, m.proto.Bits()))
-	} else {
-		joins := m.pendingJoins
-		if anySet(joins) {
-			out.Broadcast(packMsg(kindJoins, joins, m.proto.Bits()))
-		}
-	}
-}
-
-// Deliver implements sim.Machine.
-func (m *Machine) Deliver(round int, inbox []sim.Msg) int {
-	m.inbox = m.inbox[:0]
-	for _, msg := range inbox {
-		m.inbox = append(m.inbox, unpackMsg(msg))
-	}
-	if round%2 == 0 {
-		m.pendingJoins = m.proto.AbsorbMarks(m.inbox)
-	} else {
-		m.proto.AbsorbJoins(m.inbox)
-		// A node decided in every execution has nothing left to send or
-		// learn; it sleeps out the remaining rounds. (The paper keeps all
-		// nodes awake in Phase II as an upper bound; sleeping decided
-		// nodes is model-legal and only lowers energy.)
-		if m.proto.AllDecided() {
-			return sim.Never
-		}
-	}
-	if round+1 >= 2*m.rounds {
-		return sim.Never
-	}
-	return round + 1
-}
-
-// packMsg packs up to 128 bits of vector into a Msg (the engine payload
-// carries two words; K <= 128 covers every feasible configuration since
-// K = Θ(log n)).
-func packMsg(kind uint8, words []uint64, bits int32) sim.Msg {
-	msg := sim.Msg{Kind: kind, Bits: bits}
-	if len(words) > 0 {
-		msg.A = words[0]
-	}
-	if len(words) > 1 {
-		msg.B = words[1]
-	}
-	if len(words) > 2 {
-		panic(fmt.Sprintf("ghaffari: K=%d exceeds 128 packed bits", bits))
-	}
-	return msg
-}
-
-func unpackMsg(m sim.Msg) []uint64 { return []uint64{m.A, m.B} }
-
-func anySet(words []uint64) bool {
-	for _, w := range words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// RunShatter executes one (K=1) run of the dynamics for `rounds` logical
-// rounds on g and returns the independent set found, the undecided
-// survivors, and the engine result. It runs the struct-of-arrays automaton
-// on the batch runtime; results are byte-identical to the per-node
-// Machine through sim.Run (the reference, driven from batch_test.go).
-func RunShatter(g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool, survivors []int, res *sim.Result, err error) {
-	b := NewBatch(g, 1, rounds)
-	res, err = sim.RunBatch(g, b, cfg)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("ghaffari: %w", err)
-	}
-	return b.InMISExec(0), b.UndecidedExec(0), res, nil
 }

@@ -154,7 +154,7 @@ func TestParallelExecutionsDecideComponent(t *testing.T) {
 	// AND the success vectors.
 	and := ^uint64(0)
 	for _, nm := range nodes {
-		and &= nm.Proto().SuccessVector()[0]
+		and &= nm.proto.SuccessVector()[0]
 	}
 	if and == 0 {
 		t.Fatal("no execution decided every node")
@@ -166,7 +166,7 @@ func TestParallelExecutionsDecideComponent(t *testing.T) {
 	}
 	inSet := make([]bool, g.N())
 	for v, nm := range nodes {
-		inSet[v] = nm.Proto().InMIS[e]
+		inSet[v] = nm.proto.InMIS[e]
 	}
 	if err := verify.Check(g, inSet); err != nil {
 		t.Fatal(err)

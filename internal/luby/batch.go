@@ -8,6 +8,13 @@ import (
 	"github.com/energymis/energymis/internal/sim"
 )
 
+// Message kinds.
+const (
+	kindMark    = 1 // A = remaining degree of the sender
+	kindJoin    = 2
+	kindRemoved = 3
+)
+
 // Per-node flag bits of the batch automaton.
 const (
 	fDecided = 1 << iota
@@ -20,9 +27,9 @@ const (
 // Batch is the struct-of-arrays Luby automaton: the whole network's state
 // in three flat arrays, driven whole-awake-sets at a time by the batch
 // runtime. State transitions, message contents, and random draws are
-// identical to the per-node Machine, so runs are byte-identical to the
-// Machine's through sim.Run (enforced by this package's differential
-// test, whose per-node runner lives in batch_test.go).
+// those of the per-node specification in batch_test.go, so runs are
+// byte-identical to it through sim.Run (enforced by this package's
+// differential test).
 type Batch struct {
 	g         *graph.Graph
 	n         int
@@ -55,7 +62,7 @@ func (b *Batch) InitAll(env *sim.BatchEnv) []int {
 }
 
 // ComposeAll implements sim.BatchMachine. Engine round 3r+s is sub-round s
-// of logical round r, exactly as in the per-node machine.
+// of logical round r.
 func (b *Batch) ComposeAll(round int, awake []int32, out *sim.BatchOutbox) {
 	switch round % 3 {
 	case 0: // marking sub-round
@@ -156,9 +163,7 @@ func (b *Batch) InSet() []bool {
 }
 
 // Run executes Luby's algorithm on g through the batch runtime and returns
-// the MIS and the engine result. It is byte-identical to the per-node
-// Machine through sim.Run for every (graph, Config) — the batch form only
-// removes per-node dispatch and allocation from the hot path.
+// the MIS and the engine result.
 func Run(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
 	b := NewBatch(g)
 	res, err := sim.RunBatch(g, b, cfg)
@@ -166,4 +171,12 @@ func Run(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
 		return nil, nil, fmt.Errorf("luby: %w", err)
 	}
 	return b.InSet(), res, nil
+}
+
+func bitsFor(n int) int {
+	b := 1
+	for p := 1; p < n; p <<= 1 {
+		b++
+	}
+	return b
 }

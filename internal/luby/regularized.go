@@ -17,23 +17,17 @@ import (
 // be marked many times, so every undecided node must stay awake —
 // the energy blow-up that motivates Phase I's modifications.
 
-// RegularizedParams are the constants of the basic regularized Luby.
-type RegularizedParams struct {
-	RoundsPerIterC float64 // c in "⌈c·log2 n⌉ rounds per iteration"
-	MarkDamp       float64 // the 10 in 2^i/(10Δ)
-}
-
-// DefaultRegularizedParams returns the paper's structure with a practical
-// round multiplier.
-func DefaultRegularizedParams() RegularizedParams {
-	return RegularizedParams{RoundsPerIterC: 1, MarkDamp: 10}
-}
+// The constants of the basic regularized Luby: the paper's structure with
+// a practical round multiplier.
+const (
+	regRoundsPerIterC = 1  // c in "⌈c·log2 n⌉ rounds per iteration"
+	regMarkDamp       = 10 // the 10 in 2^i/(10Δ)
+)
 
 // regMachine is the per-node automaton. Logical round k occupies engine
 // rounds 2k (mark + conflict) and 2k+1 (join notification).
 type regMachine struct {
 	env  *sim.Env
-	p    RegularizedParams
 	rpi  int // rounds per iteration
 	T    int // total logical rounds
 	dMax int
@@ -52,7 +46,7 @@ func (m *regMachine) Init(env *sim.Env) int {
 
 func (m *regMachine) prob(k int) float64 {
 	i := k / m.rpi
-	p := math.Pow(2, float64(i)) / (m.p.MarkDamp * float64(m.dMax))
+	p := math.Pow(2, float64(i)) / (regMarkDamp * float64(m.dMax))
 	if p > 1 {
 		p = 1
 	}
@@ -126,13 +120,13 @@ func (m *regMachine) Deliver(round int, inbox []sim.Msg) int {
 }
 
 // RunRegularized executes basic regularized Luby on g.
-func RunRegularized(g *graph.Graph, p RegularizedParams, cfg sim.Config) ([]bool, *sim.Result, error) {
+func RunRegularized(g *graph.Graph, cfg sim.Config) ([]bool, *sim.Result, error) {
 	n := g.N()
 	dMax := g.MaxDegree()
 	if dMax < 1 {
 		dMax = 1
 	}
-	rpi := int(math.Ceil(p.RoundsPerIterC * math.Log2(math.Max(2, float64(n)))))
+	rpi := int(math.Ceil(regRoundsPerIterC * math.Log2(math.Max(2, float64(n)))))
 	iters := int(math.Ceil(math.Log2(float64(dMax)))) + 1
 	if iters < 1 {
 		iters = 1
@@ -140,7 +134,7 @@ func RunRegularized(g *graph.Graph, p RegularizedParams, cfg sim.Config) ([]bool
 	machines := make([]sim.Machine, n)
 	nodes := make([]*regMachine, n)
 	for v := range machines {
-		nodes[v] = &regMachine{p: p, rpi: rpi, T: iters * rpi, dMax: dMax}
+		nodes[v] = &regMachine{rpi: rpi, T: iters * rpi, dMax: dMax}
 		machines[v] = nodes[v]
 	}
 	res, err := sim.Run(g, machines, cfg)

@@ -21,7 +21,7 @@ func TestRegularizedComputesMIS(t *testing.T) {
 	}
 	for gi, g := range cases {
 		for seed := uint64(0); seed < 3; seed++ {
-			inSet, _, err := RunRegularized(g, DefaultRegularizedParams(), sim.Config{Seed: seed})
+			inSet, _, err := RunRegularized(g, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +37,7 @@ func TestRegularizedEnergyIsHigh(t *testing.T) {
 	// nodes stay awake through the iteration schedule, so energy tracks
 	// Θ(log Δ · log n) rather than Phase I's O(log log n).
 	g := graph.GNP(1500, 0.3, 5)
-	inSet, res, err := RunRegularized(g, DefaultRegularizedParams(), sim.Config{Seed: 1})
+	inSet, res, err := RunRegularized(g, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestRegularizedEnergyIsHigh(t *testing.T) {
 
 func TestRegularizedDeterministic(t *testing.T) {
 	g := graph.GNP(300, 0.05, 7)
-	a, _, err := RunRegularized(g, DefaultRegularizedParams(), sim.Config{Seed: 9})
+	a, _, err := RunRegularized(g, sim.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunRegularized(g, DefaultRegularizedParams(), sim.Config{Seed: 9})
+	b, _, err := RunRegularized(g, sim.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRegularizedDeterministic(t *testing.T) {
 
 func TestRegularizedCongest(t *testing.T) {
 	g := graph.GNP(800, 0.1, 11)
-	_, res, err := RunRegularized(g, DefaultRegularizedParams(), sim.Config{Seed: 3})
+	_, res, err := RunRegularized(g, sim.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

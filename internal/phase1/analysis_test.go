@@ -103,15 +103,15 @@ func TestSection41SampledBound(t *testing.T) {
 // TestMarkProbSchedule checks the per-round marking probabilities follow
 // the paper's 2^i/(damp·Δ) schedule with the cap at 1.
 func TestMarkProbSchedule(t *testing.T) {
-	m := &Machine{plan: Plan{Iterations: 40, RoundsPerIter: 4, T: 160, MaxDegree: 64}, damp: 10}
-	if got := m.markProb(0); math.Abs(got-1.0/640) > 1e-12 {
+	plan := Plan{Iterations: 40, RoundsPerIter: 4, T: 160, MaxDegree: 64}
+	if got := markProbAt(plan, 10, 0); math.Abs(got-1.0/640) > 1e-12 {
 		t.Fatalf("markProb(0) = %v", got)
 	}
-	if got := m.markProb(4); math.Abs(got-2.0/640) > 1e-12 {
+	if got := markProbAt(plan, 10, 4); math.Abs(got-2.0/640) > 1e-12 {
 		t.Fatalf("markProb(iter1) = %v", got)
 	}
 	// Deep iterations saturate at probability 1.
-	if got := m.markProb(159); got != 1 {
+	if got := markProbAt(plan, 10, 159); got != 1 {
 		t.Fatalf("markProb cap = %v", got)
 	}
 }

@@ -8,30 +8,25 @@ import (
 	"github.com/energymis/energymis/internal/sim"
 )
 
-// perNode runs the phase with one ghaffari.Machine per node through
-// sim.Run, and labels the survivor components by a plain BFS: the
-// reference Run is differentially tested against. comp[v] is the
-// smallest survivor id in v's component, or -1 when v decided.
-func perNode(t *testing.T, g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool, survivors, comp []int, res *sim.Result) {
+// reference runs the dynamics through ghaffari.RunShatter, which
+// ghaffari.TestRunShatterMatchesLegacy holds to the per-node machines on
+// these graphs, seeds and round counts, and labels the survivor
+// components by a plain BFS: the reference Run is tested against.
+// comp[v] is the smallest survivor id in v's component, or -1 when v
+// decided.
+func reference(t *testing.T, g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool, survivors, comp []int, res *sim.Result) {
 	t.Helper()
-	nodes := make([]*ghaffari.Machine, g.N())
-	machines := make([]sim.Machine, g.N())
-	for v := range machines {
-		nodes[v] = ghaffari.NewMachine(1, rounds)
-		machines[v] = nodes[v]
-	}
-	res, err := sim.Run(g, machines, cfg)
+	inSet, survivors, res, err := ghaffari.RunShatter(g, rounds, cfg)
 	if err != nil {
-		t.Fatalf("per-node run: %v", err)
+		t.Fatalf("reference run: %v", err)
 	}
-	inSet = make([]bool, g.N())
+	undecided := make([]bool, g.N())
+	for _, s := range survivors {
+		undecided[s] = true
+	}
 	comp = make([]int, g.N())
-	for v, nm := range nodes {
-		inSet[v] = nm.Proto().InMIS[0]
+	for v := range comp {
 		comp[v] = -1
-		if nm.Proto().Undecided(0) {
-			survivors = append(survivors, v)
-		}
 	}
 	for _, s := range survivors {
 		if comp[s] >= 0 {
@@ -40,7 +35,7 @@ func perNode(t *testing.T, g *graph.Graph, rounds int, cfg sim.Config) (inSet []
 		comp[s] = s
 		for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
 			for _, w := range g.Neighbors(queue[0]) {
-				if u := int(w); nodes[u].Proto().Undecided(0) && comp[u] < 0 {
+				if u := int(w); undecided[u] && comp[u] < 0 {
 					comp[u] = s
 					queue = append(queue, u)
 				}
@@ -50,10 +45,10 @@ func perNode(t *testing.T, g *graph.Graph, rounds int, cfg sim.Config) (inSet []
 	return inSet, survivors, comp, res
 }
 
-// TestBatchMatchesLegacy is the differential gate of the phase's batch
-// path: Run (ghaffari.RunShatter on the batch runtime) must produce the
-// same Outcome — set, survivors, components — and identical complexity
-// counters as the per-node machines through sim.Run.
+// TestBatchMatchesLegacy is the differential gate of the phase: Run must
+// produce the Outcome of the reference above (the dynamics' set and
+// survivors, at the phase's round count, and the BFS components) and its
+// complexity counters.
 func TestBatchMatchesLegacy(t *testing.T) {
 	cases := []struct {
 		name string
@@ -68,7 +63,7 @@ func TestBatchMatchesLegacy(t *testing.T) {
 	for _, tc := range cases {
 		rounds := DefaultParams().Rounds(tc.g.MaxDegree())
 		for seed := uint64(1); seed <= 3; seed++ {
-			refSet, refSurv, refComp, r := perNode(t, tc.g, rounds, sim.Config{Seed: seed})
+			refSet, refSurv, refComp, r := reference(t, tc.g, rounds, sim.Config{Seed: seed})
 			got, err := Run(tc.g, DefaultParams(), sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d batch: %v", tc.name, seed, err)
@@ -79,7 +74,7 @@ func TestBatchMatchesLegacy(t *testing.T) {
 				}
 			}
 			if len(got.Survivors) != len(refSurv) || got.Rounds != rounds {
-				t.Fatalf("%s seed=%d: %d survivors in %d rounds, per-node %d in %d",
+				t.Fatalf("%s seed=%d: %d survivors in %d rounds, reference %d in %d",
 					tc.name, seed, len(got.Survivors), got.Rounds, len(refSurv), rounds)
 			}
 			for i := range got.Survivors {
@@ -88,7 +83,7 @@ func TestBatchMatchesLegacy(t *testing.T) {
 				}
 			}
 			// Components must partition the survivors exactly as the
-			// per-node BFS does: label each by its smallest member.
+			// BFS does: label each by its smallest member.
 			label := make([]int, tc.g.N())
 			for v := range label {
 				label[v] = -1
@@ -108,7 +103,7 @@ func TestBatchMatchesLegacy(t *testing.T) {
 			}
 			for v := range label {
 				if label[v] != refComp[v] {
-					t.Fatalf("%s seed=%d: node %d labelled %d, per-node BFS %d",
+					t.Fatalf("%s seed=%d: node %d labelled %d, BFS %d",
 						tc.name, seed, v, label[v], refComp[v])
 				}
 				if refComp[v] >= 0 {
@@ -120,13 +115,13 @@ func TestBatchMatchesLegacy(t *testing.T) {
 				refMax = max(refMax, size)
 			}
 			if got.MaxComponent != refMax {
-				t.Fatalf("%s seed=%d: MaxComponent %d, per-node BFS %d",
+				t.Fatalf("%s seed=%d: MaxComponent %d, BFS %d",
 					tc.name, seed, got.MaxComponent, refMax)
 			}
 			gr := got.Res
 			if gr.Rounds != r.Rounds || gr.MsgsSent != r.MsgsSent || gr.MsgsDropped != r.MsgsDropped ||
 				gr.BitsTotal != r.BitsTotal || gr.BitsMax != r.BitsMax || gr.Violations != r.Violations {
-				t.Fatalf("%s seed=%d: counters differ\n per-node: %+v\n batch:    %+v",
+				t.Fatalf("%s seed=%d: counters differ\n reference: %+v\n Run:       %+v",
 					tc.name, seed, r, gr)
 			}
 			for v := range gr.Awake {

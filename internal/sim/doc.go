@@ -23,10 +23,11 @@
 //   - Machine, run with Run: one automaton per node, driven with
 //     Init/Compose/Deliver calls. Easiest to write and read; Run adapts
 //     the machines to the engine, which costs one Compose and one Deliver
-//     call per awake node per round. The per-node machines of every
-//     protocol package are the executable specification; Phase III
-//     (internal/phase3), regularized Luby and the Section 4 slotted
-//     stages (internal/avgenergy) run this way in production.
+//     call per awake node per round. Per-node machines are the executable
+//     specification of every protocol: for the hot protocols they live in
+//     the packages' test files, while Phase III (internal/phase3),
+//     regularized Luby and the Section 4 slotted stages
+//     (internal/avgenergy) run this way in production.
 //   - BatchMachine, run with RunBatch: one automaton per protocol, driven
 //     with whole awake sets per call over flat struct-of-arrays state.
 //     The engine makes O(1) interface calls per round regardless of how
@@ -37,10 +38,9 @@
 //
 // Both forms see the same semantics, delivery order and counters: for any
 // protocol written both ways, Run and RunBatch produce byte-identical
-// Results (enforced by the differential tests in the protocol packages and
-// by determinism_test.go at the repo root). The engine itself is checked
-// against runPerNode, an independent per-node round loop kept in this
-// package's tests.
+// Results (enforced by the differential tests in the protocol packages).
+// The engine itself is checked against runPerNode, an independent
+// per-node round loop kept in this package's tests.
 //
 // The engine executes a run on the calling goroutine: compose, route, and
 // deliver walk the sorted awake set in order, and nothing in the package
