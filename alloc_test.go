@@ -34,9 +34,11 @@ func TestWarmRunAllocs(t *testing.T) {
 		measured float64 // allocs per run when the bound was set
 	}{
 		{"gnp", gnp, energymis.Luby, 18},
-		{"gnp", gnp, energymis.Algorithm1, 1978},
-		{"gnp", gnp, energymis.Algorithm2, 1950},
-		{"ba", ba, energymis.Algorithm2, 531}, // 14,385 before the in-order schedules
+		// Algorithms 1 and 2 were 1,978, 1,950 and 531 (measured 1,956,
+		// 1,928 and 523) before Phase III's finisher sent one-word vectors.
+		{"gnp", gnp, energymis.Algorithm1, 970},
+		{"gnp", gnp, energymis.Algorithm2, 942},
+		{"ba", ba, energymis.Algorithm2, 337}, // 14,385 before the in-order schedules
 	} {
 		mem := energymis.NewMem()
 		// AllocsPerRun makes one untimed call first, which fills the pool.

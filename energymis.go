@@ -108,7 +108,9 @@ type Options struct {
 	// and are analyzed with cmd/mistrace; see docs/OBSERVABILITY.md.
 	// Tracing is off (and free) when empty.
 	TracePath string
-	// Advanced exposes each phase's constants; nil uses defaults.
+	// Advanced sets the constants of Phases II and III (Shatter, Phase3)
+	// and an engine Tracer; nil uses core.DefaultOptions. Seed, B and a
+	// non-nil Mem above override its fields of the same name.
 	Advanced *core.Options
 }
 

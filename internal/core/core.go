@@ -77,23 +77,21 @@ type Options struct {
 	// cost. A Tracer must not be shared by concurrent runs.
 	Tracer obs.Tracer
 
-	Phase1   phase1.Params
-	DegRed   degreduce.Params
-	Shatter  shatter.Params
-	Phase3   phase3.Params // Mode is forced per algorithm
-	AvgEn    avgenergy.Params
-	MaxRetry int // outer retries for undecided Phase III leftovers
+	// Shatter and Phase3 set the constants of Phases II and III; the
+	// other phases run their packages' DefaultParams.
+	Shatter shatter.Params
+	Phase3  phase3.Params // Mode is forced per algorithm
 }
+
+// maxPhase3Retries bounds the reruns of Phase III on the nodes a run of it
+// left undecided.
+const maxPhase3Retries = 3
 
 // DefaultOptions returns the paper-faithful defaults.
 func DefaultOptions() Options {
 	return Options{
-		Phase1:   phase1.DefaultParams(),
-		DegRed:   degreduce.DefaultParams(),
-		Shatter:  shatter.DefaultParams(),
-		Phase3:   phase3.DefaultParams(phase3.ModeAlg1),
-		AvgEn:    avgenergy.DefaultParams(),
-		MaxRetry: 3,
+		Shatter: shatter.DefaultParams(),
+		Phase3:  phase3.DefaultParams(phase3.ModeAlg1),
 	}
 }
 
@@ -223,7 +221,7 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 	// Record closes the span — so the span reports the post-phase residual.
 	if algo == Algorithm1 || algo == Algorithm1Avg {
 		pl.Begin("phase-i")
-		out, err := phase1.Run(g, opts.Phase1, pl.Cfg(1))
+		out, err := phase1.Run(g, phase1.DefaultParams(), pl.Cfg(1))
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +231,7 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 		diag.Phase1Iterations = out.Plan.Iterations
 	} else {
 		pl.Begin("phase-i")
-		out, err := degreduce.Run(g, opts.DegRed, pl.Cfg(1))
+		out, err := degreduce.Run(g, degreduce.DefaultParams(), pl.Cfg(1))
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +251,7 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 	if algo == Algorithm1Avg || algo == Algorithm2Avg {
 		subA := pl.Subgraph()
 		pl.Begin("phase-i/ii")
-		ae, err := avgenergy.Run(subA.Graph, opts.AvgEn, pl.Cfg(7))
+		ae, err := avgenergy.Run(subA.Graph, avgenergy.DefaultParams(), pl.Cfg(7))
 		if err != nil {
 			return nil, err
 		}
@@ -297,8 +295,8 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 		p3params.Mode = phase3.ModeAlg1
 	}
 	for attempt := 0; len(pl.Residual()) > 0; attempt++ {
-		if attempt > opts.MaxRetry {
-			return nil, fmt.Errorf("core: %d nodes undecided after %d Phase III retries", len(pl.Residual()), opts.MaxRetry)
+		if attempt > maxPhase3Retries {
+			return nil, fmt.Errorf("core: %d nodes undecided after %d Phase III retries", len(pl.Residual()), maxPhase3Retries)
 		}
 		name := "phase-iii"
 		if attempt > 0 {

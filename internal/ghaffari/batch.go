@@ -86,9 +86,8 @@ func (b *Batch) ComposeAll(round int, awake []int32, out *sim.BatchOutbox) {
 }
 
 // DeliverAll implements sim.BatchMachine. A marked node with no marked
-// neighbor joins; the desire level halves after a marked neighbor and
-// otherwise doubles, within [pMin, pMax]. A decided node sleeps after the
-// join round.
+// neighbor joins, and the desire level follows nextDesire. A decided node
+// sleeps after the join round.
 func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int) {
 	if round%2 == 0 {
 		for i, v := range awake {
@@ -100,14 +99,10 @@ func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int)
 				}
 			}
 			f := b.flags[v]
-			if nbrMarked {
-				b.p[v] = max(b.p[v]/2, pMin)
-			} else {
-				if f&fMarked != 0 {
-					f |= fInMIS
-				}
-				b.p[v] = min(b.p[v]*2, pMax)
+			if !nbrMarked && f&fMarked != 0 {
+				f |= fInMIS
 			}
+			b.p[v] = nextDesire(b.p[v], nbrMarked)
 			b.flags[v] = f &^ fMarked
 			next[i] = b.nextRound(round)
 		}

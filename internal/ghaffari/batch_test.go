@@ -10,7 +10,7 @@ import (
 	"github.com/energymis/energymis/internal/sim"
 )
 
-// Machine is the per-node specification of the dynamics: K packed
+// Machine is the per-node specification of the dynamics: K ≤ MaxK packed
 // executions of Proto for a fixed number of logical rounds, with every
 // node awake until it is decided in every execution (the regime of
 // Lemma 2.6: the input degree is poly(log n), so the whole run costs
@@ -22,8 +22,7 @@ type Machine struct {
 	rounds int
 	k      int
 
-	inbox        [][]uint64 // scratch for this round's vectors
-	pendingJoins []uint64   // join vector carried from mark to join sub-round
+	pendingJoins uint64 // join vector carried from mark to join sub-round
 }
 
 var _ sim.Machine = (*Machine)(nil)
@@ -47,26 +46,22 @@ func (m *Machine) Compose(round int, out *sim.Outbox) {
 		return
 	}
 	if round%2 == 0 {
-		marks := m.proto.ComposeMarks()
-		out.Broadcast(packMsg(kindMarks, marks, m.proto.Bits()))
-	} else {
-		joins := m.pendingJoins
-		if anySet(joins) {
-			out.Broadcast(packMsg(kindJoins, joins, m.proto.Bits()))
-		}
+		out.Broadcast(sim.Msg{Kind: kindMarks, A: m.proto.ComposeMarks(), Bits: m.proto.Bits()})
+	} else if m.pendingJoins != 0 {
+		out.Broadcast(sim.Msg{Kind: kindJoins, A: m.pendingJoins, Bits: m.proto.Bits()})
 	}
 }
 
 // Deliver implements sim.Machine.
 func (m *Machine) Deliver(round int, inbox []sim.Msg) int {
-	m.inbox = m.inbox[:0]
+	var nbr uint64 // the OR of the neighbors' vectors
 	for _, msg := range inbox {
-		m.inbox = append(m.inbox, unpackMsg(msg))
+		nbr |= msg.A
 	}
 	if round%2 == 0 {
-		m.pendingJoins = m.proto.AbsorbMarks(m.inbox)
+		m.pendingJoins = m.proto.AbsorbMarks(nbr)
 	} else {
-		m.proto.AbsorbJoins(m.inbox)
+		m.proto.AbsorbJoins(nbr)
 		// A node decided in every execution has nothing left to send or
 		// learn; it sleeps out the remaining rounds. (The paper keeps all
 		// nodes awake in Phase II as an upper bound; sleeping decided
@@ -79,33 +74,6 @@ func (m *Machine) Deliver(round int, inbox []sim.Msg) int {
 		return sim.Never
 	}
 	return round + 1
-}
-
-// packMsg packs up to 128 bits of vector into a Msg (the engine payload
-// carries two words).
-func packMsg(kind uint8, words []uint64, bits int32) sim.Msg {
-	msg := sim.Msg{Kind: kind, Bits: bits}
-	if len(words) > 0 {
-		msg.A = words[0]
-	}
-	if len(words) > 1 {
-		msg.B = words[1]
-	}
-	if len(words) > 2 {
-		panic(fmt.Sprintf("ghaffari: K=%d exceeds 128 packed bits", bits))
-	}
-	return msg
-}
-
-func unpackMsg(m sim.Msg) []uint64 { return []uint64{m.A, m.B} }
-
-func anySet(words []uint64) bool {
-	for _, w := range words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // runShatterLegacy executes one (K=1) run of the per-node Machine through
@@ -123,8 +91,8 @@ func runShatterLegacy(g *graph.Graph, rounds int, cfg sim.Config) (inSet []bool,
 	}
 	inSet = make([]bool, g.N())
 	for v, nm := range nodes {
-		inSet[v] = nm.proto.InMIS[0]
-		if nm.proto.Undecided(0) {
+		inSet[v] = nm.proto.InMIS(0)
+		if !nm.proto.AllDecided() {
 			survivors = append(survivors, v)
 		}
 	}

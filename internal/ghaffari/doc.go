@@ -7,10 +7,11 @@
 // logical round, v marks itself with probability p(v) and announces the
 // mark with a single bit; v joins the MIS when it is marked and no
 // neighbor is marked. The desire level halves when some neighbor was
-// marked this round and otherwise doubles (capped at 1/2) — the 1-bit
-// feedback variant of the effective-degree rule, so that a full execution
-// costs one bit per round per edge and K independent executions can be
-// packed into K-bit CONGEST messages (used by Lemma 2.7).
+// marked this round and otherwise doubles, within [2⁻²⁰, 1/2] (one
+// rule, nextDesire, for both forms below) — the 1-bit feedback variant of
+// the effective-degree rule, so that a full execution costs one bit per
+// round per edge and K independent executions can be packed into K-bit
+// CONGEST messages (used by Lemma 2.7).
 //
 // The guarantee used by the paper: after O(log deg + log 1/eps) rounds a
 // node is undecided with probability at most eps; running Θ(log Δ) rounds
@@ -22,9 +23,12 @@
 // The package has one production form per use. RunShatter runs a single
 // execution on the whole graph as Batch, a struct-of-arrays automaton on
 // the batch runtime (Phase II, and the dynamic engine's Ghaffari
-// repair). Proto holds K packed executions of one node, which Phase III's
-// finisher embeds in its per-node machines. The per-node Machine in this
-// package's tests is the specification both follow: at K = 1 the
-// differential tests and FuzzRunShatterMatchesPerNode hold RunShatter to
-// it bit for bit, and at larger K it drives Proto on its own.
+// repair). Proto holds up to MaxK = 64 executions of one node, one bit
+// each of a uint64, which Phase III's finisher embeds in its per-node
+// machines; its default K = 2⌈log₂(n+2)⌉ never exceeds 64 for an int32
+// node count. The
+// per-node Machine in this package's tests is the specification both
+// follow: at K = 1 the differential tests and
+// FuzzRunShatterMatchesPerNode hold RunShatter to it bit for bit, and at
+// larger K it drives Proto on its own.
 package ghaffari

@@ -1,139 +1,110 @@
 package ghaffari
 
-import "github.com/energymis/energymis/internal/rng"
+import (
+	"fmt"
+	"math/bits"
+
+	"github.com/energymis/energymis/internal/rng"
+)
 
 const (
 	pMax = 0.5
 	pMin = 1.0 / (1 << 20)
 )
 
-// Proto is the per-node state of K packed executions, the form Lemma 2.7's
-// finisher runs on poly(log n)-size components: Phase III's machines
-// embed it and drive it by ComposeMarks/AbsorbMarks/AbsorbJoins. One
-// execution on the whole graph (Lemma 2.6) runs as Batch instead.
-type Proto struct {
-	K    int
-	rand *rng.Stream
+// MaxK is the most executions a Proto packs: one bit each of a uint64.
+// Lemma 2.7 needs K = Θ(log n), and Phase III's default
+// 2⌈log₂(n+2)⌉ never exceeds it for an int32 node count.
+const MaxK = 64
 
-	p         []float64 // desire level per execution
-	InMIS     []bool    // joined in execution e
-	Out       []bool    // a neighbor joined in execution e
-	markedNow []uint64  // scratch: this round's own marks, packed
+// nextDesire is the desire-level rule of the dynamics: after a round with
+// a marked neighbor the level halves, but not below pMin; otherwise it
+// doubles, but not above pMax.
+func nextDesire(p float64, nbrMarked bool) float64 {
+	if nbrMarked {
+		return max(p/2, pMin)
+	}
+	return min(2*p, pMax)
 }
 
-// NewProto returns a fresh protocol state for k executions.
+// Proto is the per-node state of K ≤ MaxK packed executions, the form
+// Lemma 2.7's finisher runs on poly(log n)-size components: Phase III's
+// machines embed it and drive it by ComposeMarks/AbsorbMarks/AbsorbJoins.
+// Bit e of every word is execution e; a mark, join or success vector is
+// one word and so one message. One execution on the whole graph
+// (Lemma 2.6) runs as Batch instead.
+type Proto struct {
+	k    int
+	rand *rng.Stream
+
+	p      []float64 // desire level per execution
+	in     uint64    // joined in execution e
+	out    uint64    // a neighbor joined in execution e
+	marked uint64    // this round's own marks
+}
+
+// NewProto returns a fresh protocol state for k ≤ MaxK executions.
 func NewProto(k int, rand *rng.Stream) *Proto {
-	p := &Proto{
-		K:         k,
-		rand:      rand,
-		p:         make([]float64, k),
-		InMIS:     make([]bool, k),
-		Out:       make([]bool, k),
-		markedNow: make([]uint64, (k+63)/64),
+	if k < 0 || k > MaxK {
+		panic(fmt.Sprintf("ghaffari: K=%d outside [0, %d]", k, MaxK))
 	}
+	p := &Proto{k: k, rand: rand, p: make([]float64, k)}
 	for i := range p.p {
 		p.p[i] = pMax
 	}
 	return p
 }
 
-// Words returns the number of 64-bit words a K-bit vector occupies.
-func (p *Proto) Words() int { return (p.K + 63) / 64 }
-
 // Bits returns the message size of one packed vector.
-func (p *Proto) Bits() int32 { return int32(p.K) }
+func (p *Proto) Bits() int32 { return int32(p.k) }
 
-// ComposeMarks draws this round's marks and returns them packed. A node
-// that is decided (in or out) in execution e never marks in e.
-func (p *Proto) ComposeMarks() []uint64 {
-	for i := range p.markedNow {
-		p.markedNow[i] = 0
-	}
-	for e := 0; e < p.K; e++ {
-		if p.InMIS[e] || p.Out[e] {
-			continue
-		}
+// all returns the word with one bit per execution.
+func (p *Proto) all() uint64 { return ^uint64(0) >> (MaxK - p.k) }
+
+// undecided returns the executions in which the node is still undecided.
+func (p *Proto) undecided() uint64 { return p.all() &^ (p.in | p.out) }
+
+// ComposeMarks draws this round's marks, in execution order. A node that
+// is decided (in or out) in execution e never marks in e.
+func (p *Proto) ComposeMarks() uint64 {
+	p.marked = 0
+	for u := p.undecided(); u != 0; u &= u - 1 {
+		e := bits.TrailingZeros64(u)
 		if p.rand.Bernoulli(p.p[e]) {
-			p.markedNow[e>>6] |= 1 << (uint(e) & 63)
+			p.marked |= 1 << e
 		}
 	}
-	return p.markedNow
+	return p.marked
 }
 
-// AbsorbMarks processes the packed mark vectors received from neighbors:
-// it decides joins (marked with no marked neighbor) and updates desire
-// levels (halve on >=1 marked neighbor, else double, capped). It returns
-// the packed join vector to announce.
-func (p *Proto) AbsorbMarks(neighborMarks [][]uint64) []uint64 {
-	nbrAny := make([]uint64, p.Words())
-	for _, v := range neighborMarks {
-		for i := range nbrAny {
-			if i < len(v) {
-				nbrAny[i] |= v[i]
-			}
-		}
+// AbsorbMarks takes the OR of the neighbors' mark vectors: in every
+// undecided execution the node joins when it marked and no neighbor did,
+// and its desire level follows nextDesire. It returns the join vector to
+// announce.
+func (p *Proto) AbsorbMarks(nbrMarks uint64) uint64 {
+	u := p.undecided()
+	joins := p.marked &^ nbrMarks & u
+	for ; u != 0; u &= u - 1 {
+		e := bits.TrailingZeros64(u)
+		p.p[e] = nextDesire(p.p[e], nbrMarks&(1<<e) != 0)
 	}
-	joins := make([]uint64, p.Words())
-	for e := 0; e < p.K; e++ {
-		if p.InMIS[e] || p.Out[e] {
-			continue
-		}
-		w, b := e>>6, uint64(1)<<(uint(e)&63)
-		nbrMarked := nbrAny[w]&b != 0
-		selfMarked := p.markedNow[w]&b != 0
-		if selfMarked && !nbrMarked {
-			p.InMIS[e] = true
-			joins[w] |= b
-		}
-		if nbrMarked {
-			p.p[e] /= 2
-			if p.p[e] < pMin {
-				p.p[e] = pMin
-			}
-		} else {
-			p.p[e] *= 2
-			if p.p[e] > pMax {
-				p.p[e] = pMax
-			}
-		}
-	}
+	p.in |= joins
 	return joins
 }
 
-// AbsorbJoins processes neighbors' packed join vectors: any join in
+// AbsorbJoins takes the OR of the neighbors' join vectors: a join in
 // execution e knocks this node out of e (unless it joined itself, which
 // cannot coincide with a neighbor join in a correct run).
-func (p *Proto) AbsorbJoins(neighborJoins [][]uint64) {
-	for _, v := range neighborJoins {
-		for e := 0; e < p.K; e++ {
-			if e>>6 < len(v) && v[e>>6]&(1<<(uint(e)&63)) != 0 && !p.InMIS[e] {
-				p.Out[e] = true
-			}
-		}
-	}
+func (p *Proto) AbsorbJoins(nbrJoins uint64) {
+	p.out |= nbrJoins & p.all() &^ p.in
 }
 
-// Undecided reports whether the node is undecided in execution e.
-func (p *Proto) Undecided(e int) bool { return !p.InMIS[e] && !p.Out[e] }
+// Decided returns the executions in which the node is decided (joined or
+// knocked out): its success vector.
+func (p *Proto) Decided() uint64 { return p.in | p.out }
 
 // AllDecided reports whether the node is decided in every execution.
-func (p *Proto) AllDecided() bool {
-	for e := 0; e < p.K; e++ {
-		if p.Undecided(e) {
-			return false
-		}
-	}
-	return true
-}
+func (p *Proto) AllDecided() bool { return p.undecided() == 0 }
 
-// SuccessVector returns the packed per-execution success bits for this
-// node: success in e means the node is decided in e.
-func (p *Proto) SuccessVector() []uint64 {
-	out := make([]uint64, p.Words())
-	for e := 0; e < p.K; e++ {
-		if !p.Undecided(e) {
-			out[e>>6] |= 1 << (uint(e) & 63)
-		}
-	}
-	return out
-}
+// InMIS reports whether the node joined in execution e.
+func (p *Proto) InMIS(e int) bool { return p.in&(1<<e) != 0 }

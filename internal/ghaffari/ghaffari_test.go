@@ -1,6 +1,9 @@
 package ghaffari
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -15,17 +18,17 @@ func TestProtoJoinsAreIndependent(t *testing.T) {
 	b := NewProto(1, rng.New(2))
 	// Force both marked by setting p = 1 via repeated attempts.
 	a.p[0], b.p[0] = 1, 1
-	am := append([]uint64(nil), a.ComposeMarks()...)
-	bm := append([]uint64(nil), b.ComposeMarks()...)
-	if am[0]&1 == 0 || bm[0]&1 == 0 {
+	am := a.ComposeMarks()
+	bm := b.ComposeMarks()
+	if am&1 == 0 || bm&1 == 0 {
 		t.Fatal("p=1 nodes did not mark")
 	}
-	aj := a.AbsorbMarks([][]uint64{bm})
-	bj := b.AbsorbMarks([][]uint64{am})
-	if aj[0]&1 != 0 || bj[0]&1 != 0 {
+	aj := a.AbsorbMarks(bm)
+	bj := b.AbsorbMarks(am)
+	if aj&1 != 0 || bj&1 != 0 {
 		t.Fatal("both-marked neighbors joined")
 	}
-	if a.InMIS[0] || b.InMIS[0] {
+	if a.InMIS(0) || b.InMIS(0) {
 		t.Fatal("InMIS set despite conflict")
 	}
 }
@@ -34,8 +37,8 @@ func TestProtoLoneMarkJoins(t *testing.T) {
 	a := NewProto(1, rng.New(1))
 	a.p[0] = 1
 	a.ComposeMarks()
-	joins := a.AbsorbMarks(nil)
-	if joins[0]&1 == 0 || !a.InMIS[0] {
+	joins := a.AbsorbMarks(0)
+	if joins&1 == 0 || !a.InMIS(0) {
 		t.Fatal("lone marked node did not join")
 	}
 }
@@ -45,43 +48,72 @@ func TestDesireLevelDynamics(t *testing.T) {
 	start := a.p[0]
 	// A marked neighbor halves p.
 	a.ComposeMarks()
-	a.AbsorbMarks([][]uint64{{1}})
+	a.AbsorbMarks(1)
 	if a.p[0] != start/2 {
 		t.Fatalf("p = %v after marked neighbor, want %v", a.p[0], start/2)
 	}
 	// No marked neighbor doubles p (capped at 1/2).
 	a.ComposeMarks()
-	if a.InMIS[0] {
+	if a.InMIS(0) {
 		// The node may have joined; restart with a fresh proto and a seed
 		// that does not mark.
 		a = NewProto(1, rng.New(3))
 		a.p[0] = start / 2
-		a.markedNow[0] = 0
 	}
-	a.markedNow[0] = 0 // treat as unmarked this round
-	a.AbsorbMarks(nil)
+	a.marked = 0 // treat as unmarked this round
+	a.AbsorbMarks(0)
 	if a.p[0] != start {
 		t.Fatalf("p = %v after quiet round, want %v", a.p[0], start)
 	}
-	a.markedNow[0] = 0
-	a.AbsorbMarks(nil)
+	a.marked = 0
+	a.AbsorbMarks(0)
 	if a.p[0] != pMax {
 		t.Fatalf("p = %v exceeded cap", a.p[0])
 	}
 }
 
+// TestDesireLevelFloorAndCap drives one desire level through nextDesire,
+// and the same rounds through Proto.AbsorbMarks (the node never marks, so
+// it stays undecided): from 1/2, 25 rounds with a marked neighbor reach
+// the floor pMin = 2⁻²⁰ after exactly 19 and leave it there, and 25 quiet
+// rounds double it back to the cap 1/2 after 19 and keep it there.
+func TestDesireLevelFloorAndCap(t *testing.T) {
+	proto := NewProto(1, rng.New(1))
+	p := pMax
+	step := func(nbrMarked bool, want float64, what string) {
+		t.Helper()
+		p = nextDesire(p, nbrMarked)
+		var marks uint64
+		if nbrMarked {
+			marks = 1
+		}
+		proto.AbsorbMarks(marks)
+		if p != want || proto.p[0] != want {
+			t.Fatalf("%s: nextDesire gives %g and AbsorbMarks %g, want %g", what, p, proto.p[0], want)
+		}
+	}
+	for i := 1; i <= 25; i++ {
+		step(true, math.Ldexp(1, -1-min(i, 19)), fmt.Sprintf("marked round %d", i))
+	}
+	if p != pMin {
+		t.Fatalf("floor %g, want pMin = %g", p, pMin)
+	}
+	for i := 1; i <= 25; i++ {
+		step(false, math.Ldexp(1, -20+min(i, 19)), fmt.Sprintf("quiet round %d", i))
+	}
+	if p != pMax || proto.AllDecided() {
+		t.Fatalf("cap %g (want pMax = %g), decided %v", p, pMax, proto.AllDecided())
+	}
+}
+
 func TestAbsorbJoinsKnocksOut(t *testing.T) {
 	a := NewProto(2, rng.New(1))
-	a.AbsorbJoins([][]uint64{{0b10}}) // neighbor joined execution 1
-	if a.Out[0] || !a.Out[1] {
-		t.Fatalf("Out = %v", a.Out)
+	a.AbsorbJoins(0b110) // neighbor joined executions 1 and 2 (2 >= K)
+	if a.Decided() != 0b10 {
+		t.Fatalf("Decided = %b, want 10", a.Decided())
 	}
-	if a.Undecided(1) || !a.Undecided(0) {
-		t.Fatal("Undecided wrong")
-	}
-	sv := a.SuccessVector()
-	if sv[0] != 0b10 {
-		t.Fatalf("SuccessVector = %b", sv[0])
+	if a.InMIS(0) || a.InMIS(1) || a.AllDecided() {
+		t.Fatal("knocked-out node joined, or execution 0 decided")
 	}
 }
 
@@ -154,19 +186,16 @@ func TestParallelExecutionsDecideComponent(t *testing.T) {
 	// AND the success vectors.
 	and := ^uint64(0)
 	for _, nm := range nodes {
-		and &= nm.proto.SuccessVector()[0]
+		and &= nm.proto.Decided()
 	}
 	if and == 0 {
 		t.Fatal("no execution decided every node")
 	}
 	// The winning execution is a valid MIS.
-	e := 0
-	for and&(1<<uint(e)) == 0 {
-		e++
-	}
+	e := bits.TrailingZeros64(and)
 	inSet := make([]bool, g.N())
 	for v, nm := range nodes {
-		inSet[v] = nm.proto.InMIS[e]
+		inSet[v] = nm.proto.InMIS(e)
 	}
 	if err := verify.Check(g, inSet); err != nil {
 		t.Fatal(err)

@@ -18,9 +18,10 @@ import (
 // One case is a known defect rather than a pass: in ModeAlg1 a path of 70
 // nodes never merges into one cluster, so the finisher reports the whole
 // component broken and every node undecided. The layout reserves no round
-// for the final color exchange (cvFinalX coincides with class 0's first
-// round), so proposers pick their class from the target's color before
-// the last Cole–Vishkin step. With ModeAlg1's two steps, a path then
+// for the final color exchange (the X offset of cvBlock(LR) coincides
+// with class 0's first round), so proposers pick their class from the
+// target's color before the last Cole–Vishkin step. With ModeAlg1's two
+// steps, a path then
 // merges only at its low end, two nodes per iteration: paths from 27
 // nodes and cycles from 46 nodes end broken. The case pins that outcome
 // exactly, so a fix has to update it.

@@ -39,8 +39,10 @@
 //	     convergecast + one broadcast re-rooting" of the paper).
 //
 // After Iters iterations every component is a single cluster with a rooted
-// spanning tree; the finisher then runs K packed executions of the
-// [Gha16/Gha19] dynamics, AND-convergecasts the per-execution success bits,
-// and broadcasts the index of a fully successful execution (Lemma 2.7),
-// retrying with fresh randomness if none succeeded.
+// spanning tree; the finisher then runs K ≤ 64 executions of the
+// [Gha16/Gha19] dynamics packed into one word (ghaffari.Proto), so every
+// mark, join and success vector is one K-bit message. It AND-convergecasts
+// the per-execution success bits and broadcasts the index of the lowest
+// fully successful execution (Lemma 2.7), retrying with fresh randomness
+// if none succeeded.
 package phase3

@@ -62,12 +62,6 @@ func edgeEnds(e uint64) (int32, int32) {
 	return int32(e >> 32), int32(uint32(e))
 }
 
-type inEdge struct {
-	nbr     int32 // the foreign endpoint
-	fromCid int32
-	avail   bool // proposed in the current class window
-}
-
 // Machine is the per-node Phase III automaton.
 type Machine struct {
 	env  *sim.Env
@@ -76,17 +70,35 @@ type Machine struct {
 
 	wake wakeSet
 
-	// Iteration state, reset at X0.
-	nbrCid         []int32
+	iterState
+
+	nbrCid    []int32 // per-neighbor cluster ID, from the last X0 it attended
+	nbrStatus []uint8 // per-neighbor cluster status bits from X2a
+	idb       int32   // bits per node identifier = ceil(log2 N)
+
+	// Finisher state.
+	proto        *ghaffari.Proto
+	brokenLocal  bool
+	broken       bool
+	attempts     int
+	pendingJoins uint64 // join vector carried from mark to join sub-round
+	ccf          uint64 // AND of the success vectors heard from the subtree
+	bcfPayload   uint64
+	InMIS        bool
+	decided      bool
+}
+
+// iterState is the per-iteration scratch of a node, replaced whole at X0
+// by resetIteration.
+type iterState struct {
 	active         bool
 	candCid        int32
 	candEdge       uint64
 	chosenEdge     uint64
 	amOutB         bool
 	outNbr         int32
-	outCid         int32
-	inEdges        []inEdge
-	mPartner       int32 // M-edge neighbor, -1 when none (boundary node only)
+	inEdges        []int32 // foreign endpoints of the in-edges this node anchors
+	mPartner       int32   // M-edge neighbor, -1 when none (boundary node only)
 	cc2Cnt         int
 	cc2M           bool
 	cc2MCid        int32
@@ -110,13 +122,10 @@ type Machine struct {
 	targetMerge    bool
 	rIn            []int32 // neighbors that R-attached to us
 	mlAccepted     []int32 // neighbors whose ML proposal we accepted (v side)
+	cc3Agg         uint64  // role bits aggregated from children
 
-	nbrStatus []uint8 // per-neighbor cluster status bits from X2a
-	cc3Agg    uint64  // role bits aggregated from children
-	idb       int32   // bits per node identifier = ceil(log2 N)
-	anomalies int     // protocol invariant violations (diagnostics)
-
-	// Re-rooting scratch (leaf clusters during a merge sub-stage).
+	// Re-rooting scratch (leaf clusters during a merge sub-stage). The
+	// pend* fields are read only while pendSet is true.
 	reParent  int32
 	reBase    int32
 	reCid     int32
@@ -130,18 +139,6 @@ type Machine struct {
 	pendPar   int32
 	pendCid   int32
 	pendSet   bool
-
-	// Finisher state.
-	proto        *ghaffari.Proto
-	brokenLocal  bool
-	broken       bool
-	done         bool
-	attempts     int
-	pendingJoins []uint64
-	ccfA, ccfB   uint64
-	bcfPayload   uint64
-	InMIS        bool
-	decided      bool
 }
 
 var _ sim.Machine = (*Machine)(nil)
@@ -198,8 +195,7 @@ func (m *Machine) Init(env *sim.Env) int {
 	m.env = env
 	m.tree = cluster.Singleton(int32(env.Node))
 	m.nbrCid = make([]int32, env.Degree)
-	m.leafStage = noStage
-	m.mPartner = -1
+	m.resetIteration()
 	m.idb = int32(bitvec.BitsForRange(env.N))
 	if m.tt.Iters > 0 {
 		m.wake.add(m.tt.iterBase(0) + m.tt.layout.x0)
@@ -208,51 +204,31 @@ func (m *Machine) Init(env *sim.Env) int {
 	return m.wake.next(-1)
 }
 
-// resetIteration clears per-iteration scratch.
+// resetIteration starts the iteration's scratch afresh, keeping the
+// capacity of its slices.
 func (m *Machine) resetIteration() {
-	m.active = false
-	m.candCid = -1
-	m.candEdge = noEdge
-	m.chosenEdge = noEdge
-	m.amOutB = false
-	m.outNbr = -1
-	m.outCid = -1
-	m.inEdges = m.inEdges[:0]
-	m.mPartner = -1
-	m.cc2Cnt = 0
-	m.cc2M = false
-	m.cc2MCid = -1
-	m.isHigh = false
-	m.hasM = false
-	m.hasIn = false
-	m.mPartnerCid = -1
-	m.targetHigh = false
-	m.targetM = false
-	m.ehLeaf = false
-	m.mlLeaf = false
-	m.color = -1
-	m.targetColor = -1
-	m.cvUp = 0
-	m.ccaEdge = noEdge
-	m.ccaMatched = false
-	m.clusterMatched = false
-	m.acceptEdge = noEdge
-	m.leafStage = noStage
-	m.hasMerge = false
-	m.targetMerge = false
-	m.rIn = m.rIn[:0]
-	m.mlAccepted = m.mlAccepted[:0]
-	m.cc3Agg = 0
-	m.hasV = false
-	m.vIsSelf = false
-	m.vChild = -1
-	m.vDepth = -1
-	m.bcmDist = 0
-	m.bcmGot = false
-	m.reParent = -1
-	m.reBase = -1
-	m.reCid = -1
-	m.pendSet = false
+	m.iterState = iterState{
+		candCid:     -1,
+		candEdge:    noEdge,
+		chosenEdge:  noEdge,
+		outNbr:      -1,
+		inEdges:     m.inEdges[:0],
+		mPartner:    -1,
+		cc2MCid:     -1,
+		mPartnerCid: -1,
+		color:       -1,
+		targetColor: -1,
+		ccaEdge:     noEdge,
+		acceptEdge:  noEdge,
+		leafStage:   noStage,
+		rIn:         m.rIn[:0],
+		mlAccepted:  m.mlAccepted[:0],
+		vChild:      -1,
+		vDepth:      -1,
+		reParent:    -1,
+		reBase:      -1,
+		reCid:       -1,
+	}
 }
 
 // participant reports whether the cluster takes part in coloring/matching.
@@ -351,12 +327,12 @@ func (m *Machine) Compose(round int, out *sim.Outbox) {
 
 	case off == l.x2b:
 		if m.isHigh {
-			for _, e := range m.inEdges {
+			for _, nbr := range m.inEdges {
 				// A high cluster removes its own outgoing edge from H, so
 				// in-edges whose source is itself high (or M-matched) are
 				// gone and must not be accepted.
-				if m.nbrStatusOf(e.nbr)&3 == 0 {
-					out.Send(e.nbr, sim.Msg{Kind: kEHAccept, Bits: 1})
+				if m.nbrStatusOf(nbr)&3 == 0 {
+					out.Send(nbr, sim.Msg{Kind: kEHAccept, Bits: 1})
 				}
 			}
 		}
@@ -395,7 +371,7 @@ func (m *Machine) composeLate(off int, out *sim.Outbox) {
 			if o-1-l.d == cluster.BroadcastSendRound(d) {
 				if m.tree.IsRoot() {
 					parent := int64(m.cvUp) - 1
-					m.color = cvStep(m.color, int32(parent), m.tt.Palette[r])
+					m.color = cvStep(m.color, int32(parent))
 					m.cvUp = 0
 				}
 				out.Broadcast(sim.Msg{Kind: kCVbc, A: uint64(uint32(m.color)), Bits: m.idb})
@@ -540,7 +516,7 @@ func (m *Machine) composeLate(off int, out *sim.Outbox) {
 }
 
 // cvStep is one Cole–Vishkin reduction step on an oriented forest.
-func cvStep(own, parent int32, palette int) int32 {
+func cvStep(own, parent int32) int32 {
 	if parent < 0 { // forest root: pretend a differing parent color
 		if own == 0 {
 			parent = 1
@@ -567,10 +543,9 @@ func (m *Machine) sendColorToSources(out *sim.Outbox) {
 	if !m.participant() {
 		return
 	}
-	for _, e := range m.inEdges {
-		st := m.nbrStatusOf(e.nbr)
-		if st&3 == 0 { // source is low and M-free: a coloring participant
-			out.Send(e.nbr, sim.Msg{Kind: kCVx, A: uint64(uint32(m.color)), Bits: m.idb})
+	for _, nbr := range m.inEdges {
+		if m.nbrStatusOf(nbr)&3 == 0 { // source is low and M-free: a coloring participant
+			out.Send(nbr, sim.Msg{Kind: kCVx, A: uint64(uint32(m.color)), Bits: m.idb})
 		}
 	}
 }
@@ -585,11 +560,7 @@ func (m *Machine) centerPeers(s int) []int32 {
 		}
 	case 1: // EH: high clusters accept all in-edges
 		if m.isHigh {
-			peers := make([]int32, 0, len(m.inEdges))
-			for _, e := range m.inEdges {
-				peers = append(peers, e.nbr)
-			}
-			return peers
+			return m.inEdges
 		}
 	case 2: // ML: we accepted these proposals
 		return m.mlAccepted
@@ -619,7 +590,6 @@ func (m *Machine) composeBCm(out *sim.Outbox) {
 		// Protocol invariant violated (should be unreachable): abort this
 		// re-root instead of propagating garbage; the component will be
 		// reported broken and retried.
-		m.anomalies++
 		return
 	}
 	out.Broadcast(sim.Msg{

@@ -1,6 +1,8 @@
 package phase3
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/energymis/energymis/internal/cluster"
@@ -73,7 +75,6 @@ func (m *Machine) notePostBC1() {
 		if i := m.nbrIndex(other); i >= 0 && m.nbrCid[i] != m.tree.CID {
 			m.amOutB = true
 			m.outNbr = other
-			m.outCid = m.nbrCid[i]
 		}
 	}
 }
@@ -157,7 +158,7 @@ func (m *Machine) deliverMerge(round int, inbox []sim.Msg) {
 				m.mPartner = msg.From
 				m.mPartnerCid = int32(uint32(msg.A))
 			} else {
-				m.inEdges = append(m.inEdges, inEdge{nbr: msg.From, fromCid: int32(uint32(msg.A))})
+				m.inEdges = append(m.inEdges, msg.From)
 			}
 		}
 		if len(m.inEdges) > 0 {
@@ -261,7 +262,7 @@ func (m *Machine) planPostBC2(base int) {
 		// acceptor's color at the exchange rounds.
 		if m.hasIn {
 			for r := 0; r < m.tt.LR; r++ {
-				_, cc, bc := m.cvOffsets(r)
+				_, cc, bc := l.cvBlock(r)
 				m.addOp(cluster.OpConvergecast, base+cc)
 				m.addOp(cluster.OpBroadcast, base+bc)
 			}
@@ -280,19 +281,6 @@ func (m *Machine) planPostBC2(base int) {
 	}
 }
 
-// cvOffsets returns the X, CC, BC offsets of color-reduction round r.
-func (m *Machine) cvOffsets(r int) (x, cc, bc int) {
-	l := &m.tt.layout
-	baseOff := l.cvBase + r*(2*l.d+1)
-	return baseOff, baseOff + 1, baseOff + 1 + l.d
-}
-
-// cvFinalX returns the offset of the final color-exchange round.
-func (m *Machine) cvFinalX() int {
-	l := &m.tt.layout
-	return l.cvBase + m.tt.LR*(2*l.d+1)
-}
-
 // planColorExchanges schedules the per-round color exchanges once
 // neighbor statuses are known (at X2a).
 func (m *Machine) planColorExchanges(base int) {
@@ -300,8 +288,8 @@ func (m *Machine) planColorExchanges(base int) {
 		return
 	}
 	sendAny := false
-	for _, e := range m.inEdges {
-		if m.nbrStatusOf(e.nbr)&3 == 0 {
+	for _, nbr := range m.inEdges {
+		if m.nbrStatusOf(nbr)&3 == 0 {
 			sendAny = true
 			break
 		}
@@ -310,11 +298,11 @@ func (m *Machine) planColorExchanges(base int) {
 	if !sendAny && !recv {
 		return
 	}
-	for r := 0; r < m.tt.LR; r++ {
-		x, _, _ := m.cvOffsets(r)
+	// Round LR's X offset is the final exchange, after the last step.
+	for r := 0; r <= m.tt.LR; r++ {
+		x, _, _ := m.tt.layout.cvBlock(r)
 		m.wake.add(base + x)
 	}
-	m.wake.add(base + m.cvFinalX())
 }
 
 // planClassLoop schedules the node's class-window attendance once its
@@ -463,17 +451,8 @@ func (m *Machine) deliverLate(base, off, d int, inbox []sim.Msg) {
 			}
 			self := int32(m.env.Node)
 			for _, msg := range inbox {
-				if msg.Kind != kAvail {
-					continue
-				}
-				for j := range m.inEdges {
-					if m.inEdges[j].nbr == msg.From {
-						m.inEdges[j].avail = true
-						e := packEdge(self, msg.From)
-						if e < m.ccaEdge {
-							m.ccaEdge = e
-						}
-					}
+				if msg.Kind == kAvail && slices.Contains(m.inEdges, msg.From) {
+					m.ccaEdge = min(m.ccaEdge, packEdge(self, msg.From))
 				}
 			}
 		case o >= 1 && o < 1+l.d: // CCa
@@ -646,7 +625,7 @@ func (m *Machine) composeFinisher(round int, out *sim.Outbox) {
 }
 
 func (m *Machine) composeAttempt(round int, out *sim.Outbox) {
-	if m.done || m.broken || m.proto == nil {
+	if m.decided || m.broken || m.proto == nil {
 		return
 	}
 	a := (round - m.tt.finBase) / m.tt.attLen
@@ -655,27 +634,20 @@ func (m *Machine) composeAttempt(round int, out *sim.Outbox) {
 	switch {
 	case round >= g0 && round < g0+2*m.tt.GRounds:
 		if (round-g0)%2 == 0 {
-			marks := m.proto.ComposeMarks()
-			out.Broadcast(packVec(kMarks, marks, m.proto.Bits()))
-		} else if anyWord(m.pendingJoins) {
-			out.Broadcast(packVec(kJoins, m.pendingJoins, m.proto.Bits()))
+			out.Broadcast(sim.Msg{Kind: kMarks, A: m.proto.ComposeMarks(), Bits: m.proto.Bits()})
+		} else if m.pendingJoins != 0 {
+			out.Broadcast(sim.Msg{Kind: kJoins, A: m.pendingJoins, Bits: m.proto.Bits()})
 		}
 	case round >= cc && round < cc+m.tt.D:
 		if round-cc == cluster.ConvergecastSendRound(d, m.tt.D) && !m.tree.IsRoot() {
-			sv := m.proto.SuccessVector()
-			a0, a1 := m.ccfA&word(sv, 0), m.ccfB&word(sv, 1)
-			out.Send(m.tree.Parent, sim.Msg{Kind: kCCf, A: a0, B: a1, Bits: int32(m.tt.K)})
+			out.Send(m.tree.Parent, sim.Msg{Kind: kCCf, A: m.ccf & m.proto.Decided(), Bits: int32(m.tt.K)})
 		}
 	case round >= bc && round < bc+m.tt.D:
 		if round-bc == cluster.BroadcastSendRound(d) {
 			if m.tree.IsRoot() {
-				sv := m.proto.SuccessVector()
-				a0, a1 := m.ccfA&word(sv, 0), m.ccfB&word(sv, 1)
-				m0, m1 := maskK(m.tt.K)
-				a0, a1 = a0&m0, a1&m1
 				m.bcfPayload = 0
-				if e := firstSet(a0, a1); e >= 0 {
-					m.bcfPayload = 1<<32 | uint64(e)
+				if won := m.ccf & m.proto.Decided(); won != 0 {
+					m.bcfPayload = 1<<32 | uint64(bits.TrailingZeros64(won))
 				}
 			}
 			out.Broadcast(sim.Msg{Kind: kBCf, A: m.bcfPayload, Bits: 9})
@@ -686,10 +658,8 @@ func (m *Machine) composeAttempt(round int, out *sim.Outbox) {
 // applyBCf consumes the finisher verdict at the node's own send round.
 func (m *Machine) applyBCf(attempt int) {
 	if m.bcfPayload&(1<<32) != 0 {
-		e := int(uint32(m.bcfPayload))
-		m.InMIS = m.proto.InMIS[e]
+		m.InMIS = m.proto.InMIS(int(uint32(m.bcfPayload)))
 		m.decided = true
-		m.done = true
 		return
 	}
 	m.planAttempt(attempt + 1)
@@ -735,7 +705,7 @@ func (m *Machine) planAttempt(a int) {
 	}
 	m.attempts = a + 1
 	m.proto = ghaffari.NewProto(m.tt.K, m.env.Rand)
-	m.ccfA, m.ccfB = ^uint64(0), ^uint64(0)
+	m.ccf = ^uint64(0)
 	m.bcfPayload = 0
 	g0, cc, bc := m.tt.attStages(a)
 	// The dynamics rounds are scheduled one at a time so a node that is
@@ -746,17 +716,27 @@ func (m *Machine) planAttempt(a int) {
 }
 
 func (m *Machine) deliverAttempt(round int, inbox []sim.Msg) {
-	if m.done || m.broken || m.proto == nil {
+	if m.decided || m.broken || m.proto == nil {
 		return
 	}
 	a := (round - m.tt.finBase) / m.tt.attLen
 	g0, cc, bc := m.tt.attStages(a)
 	switch {
 	case round >= g0 && round < g0+2*m.tt.GRounds:
-		if (round-g0)%2 == 0 {
-			m.pendingJoins = m.proto.AbsorbMarks(vecsOf(inbox, kMarks))
+		kind := uint8(kMarks)
+		if (round-g0)%2 != 0 {
+			kind = kJoins
+		}
+		var nbr uint64 // the OR of the neighbors' vectors
+		for _, msg := range inbox {
+			if msg.Kind == kind {
+				nbr |= msg.A
+			}
+		}
+		if kind == kMarks {
+			m.pendingJoins = m.proto.AbsorbMarks(nbr)
 		} else {
-			m.proto.AbsorbJoins(vecsOf(inbox, kJoins))
+			m.proto.AbsorbJoins(nbr)
 		}
 		// Continue only while some execution is undecided, and only at
 		// logical-round boundaries so mark/join pairs stay intact.
@@ -768,8 +748,7 @@ func (m *Machine) deliverAttempt(round int, inbox []sim.Msg) {
 	case round >= cc && round < cc+m.tt.D:
 		for _, msg := range inbox {
 			if msg.Kind == kCCf {
-				m.ccfA &= msg.A
-				m.ccfB &= msg.B
+				m.ccf &= msg.A
 			}
 		}
 	case round >= bc && round < bc+m.tt.D:
@@ -785,68 +764,4 @@ func (m *Machine) deliverAttempt(round int, inbox []sim.Msg) {
 			m.applyBCf(a)
 		}
 	}
-}
-
-func packVec(kind uint8, words []uint64, bits int32) sim.Msg {
-	msg := sim.Msg{Kind: kind, Bits: bits}
-	if len(words) > 0 {
-		msg.A = words[0]
-	}
-	if len(words) > 1 {
-		msg.B = words[1]
-	}
-	return msg
-}
-
-func vecsOf(inbox []sim.Msg, kind uint8) [][]uint64 {
-	var out [][]uint64
-	for _, msg := range inbox {
-		if msg.Kind == kind {
-			out = append(out, []uint64{msg.A, msg.B})
-		}
-	}
-	return out
-}
-
-func anyWord(words []uint64) bool {
-	for _, w := range words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func word(words []uint64, i int) uint64 {
-	if i < len(words) {
-		return words[i]
-	}
-	return 0
-}
-
-func maskK(k int) (uint64, uint64) {
-	if k >= 128 {
-		return ^uint64(0), ^uint64(0)
-	}
-	if k > 64 {
-		return ^uint64(0), (uint64(1) << (uint(k) - 64)) - 1
-	}
-	if k == 64 {
-		return ^uint64(0), 0
-	}
-	return (uint64(1) << uint(k)) - 1, 0
-}
-
-func firstSet(a, b uint64) int {
-	for i := 0; i < 64; i++ {
-		if a&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	for i := 0; i < 64; i++ {
-		if b&(1<<uint(i)) != 0 {
-			return 64 + i
-		}
-	}
-	return -1
 }

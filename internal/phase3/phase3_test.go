@@ -58,13 +58,13 @@ func TestCVStep(t *testing.T) {
 			if own == par {
 				continue
 			}
-			c := cvStep(own, par, 32)
+			c := cvStep(own, par)
 			if c < 0 || c >= 12 {
 				t.Fatalf("cvStep(%d,%d) = %d out of range", own, par, c)
 			}
 			// The defining property: applying the step to both sides of an
 			// edge yields different colors.
-			c2 := cvStep(par, own, 32)
+			c2 := cvStep(par, own)
 			if c == c2 {
 				t.Fatalf("cvStep collision: (%d,%d) -> %d, %d", own, par, c, c2)
 			}

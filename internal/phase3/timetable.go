@@ -2,6 +2,8 @@ package phase3
 
 import (
 	"math"
+
+	"github.com/energymis/energymis/internal/ghaffari"
 )
 
 // Mode selects the color-reduction depth, the knob that distinguishes the
@@ -26,7 +28,7 @@ type Params struct {
 	GhaffariC     float64
 	GhaffariFloor int
 	// K is the number of packed parallel executions (0 = 2*ceil(log2 n),
-	// clamped to [8, 128]).
+	// at least 8); any K is clamped to ghaffari.MaxK = 64.
 	K int
 	// Attempts bounds finisher retries per component.
 	Attempts int
@@ -54,7 +56,7 @@ type iterLayout struct {
 	bc2     int
 	x2a     int
 	x2b     int
-	cvBase  int // LR blocks of length (2D+1): BC, X, CC
+	cvBase  int // LR blocks of length (2D+1): X, CC, BC
 	lr      int
 	clBase  int // C blocks of length (2D+2): Xa, CCa, BCa, Xb
 	classes int
@@ -90,9 +92,9 @@ func makeIterLayout(d, lr, classes int) iterLayout {
 }
 
 // cvBlock returns the stage offsets of color-reduction round r.
-func (l iterLayout) cvBlock(r int) (bc, x, cc int) {
+func (l iterLayout) cvBlock(r int) (x, cc, bc int) {
 	base := l.cvBase + r*(2*l.d+1)
-	return base, base + l.d, base + l.d + 1
+	return base, base + 1, base + 1 + l.d
 }
 
 // clBlock returns the stage offsets of class c's window.
@@ -194,9 +196,7 @@ func NewTimetable(n, maxComp int, p Params) *Timetable {
 			k = 8
 		}
 	}
-	if k > 128 {
-		k = 128
-	}
+	k = min(k, ghaffari.MaxK)
 	gr := int(math.Ceil(p.GhaffariC*math.Log2(float64(maxComp+2)))) + p.GhaffariFloor
 	attempts := p.Attempts
 	if attempts < 1 {
