@@ -51,35 +51,35 @@ const (
 )
 
 // AwakeRounds returns the window-relative rounds a node of depth d must be
-// awake for the operation, in increasing order.
-func AwakeRounds(op OpKind, d, depthBound int) []int {
+// awake for the operation, in increasing order: rounds[:k], k ≤ 2.
+func AwakeRounds(op OpKind, d, depthBound int) (rounds [2]int, k int) {
 	switch op {
 	case OpBroadcast:
 		if d == 0 {
-			return []int{0}
+			return [2]int{0}, 1
 		}
 		if d >= depthBound {
-			return nil
+			return rounds, 0
 		}
-		return []int{d - 1, d}
+		return [2]int{d - 1, d}, 2
 	case OpConvergecast:
 		listen := ConvergecastListenRound(d, depthBound)
 		send := ConvergecastSendRound(d, depthBound)
 		if d == 0 {
 			// The root only aggregates; it has no parent to send to.
 			if listen < 0 {
-				return nil
+				return rounds, 0
 			}
-			return []int{listen}
+			return [2]int{listen}, 1
 		}
 		if send < 0 {
-			return nil
+			return rounds, 0
 		}
 		if listen < 0 {
-			return []int{send}
+			return [2]int{send}, 1
 		}
-		return []int{listen, send}
+		return [2]int{listen, send}, 2
 	default:
-		return nil
+		return rounds, 0
 	}
 }

@@ -37,10 +37,11 @@ func TestAwakeRoundsAtMostTwo(t *testing.T) {
 	const D = 16
 	for d := 0; d < D; d++ {
 		for _, op := range []OpKind{OpBroadcast, OpConvergecast} {
-			rs := AwakeRounds(op, d, D)
-			if len(rs) > 2 {
-				t.Fatalf("op %d depth %d: %d awake rounds", op, d, len(rs))
+			all, k := AwakeRounds(op, d, D)
+			if k < 0 || k > 2 {
+				t.Fatalf("op %d depth %d: %d awake rounds", op, d, k)
 			}
+			rs := all[:k]
 			for i := 1; i < len(rs); i++ {
 				if rs[i] <= rs[i-1] {
 					t.Fatalf("op %d depth %d: rounds not increasing: %v", op, d, rs)
@@ -78,10 +79,10 @@ func (m *treeOpMachine) Init(env *sim.Env) int {
 		m.tree.Parent = -1
 	}
 	m.sum = uint64(env.Node)
-	for _, r := range AwakeRounds(OpBroadcast, int(m.tree.Depth), m.D) {
-		m.wake = append(m.wake, r)
-	}
-	for _, r := range AwakeRounds(OpConvergecast, int(m.tree.Depth), m.D) {
+	bc, k := AwakeRounds(OpBroadcast, int(m.tree.Depth), m.D)
+	m.wake = append(m.wake, bc[:k]...)
+	cc, k := AwakeRounds(OpConvergecast, int(m.tree.Depth), m.D)
+	for _, r := range cc[:k] {
 		m.wake = append(m.wake, m.D+r)
 	}
 	if len(m.wake) == 0 {

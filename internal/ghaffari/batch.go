@@ -87,17 +87,13 @@ func (b *Batch) ComposeAll(round int, awake []int32, out *sim.BatchOutbox) {
 
 // DeliverAll implements sim.BatchMachine. A marked node with no marked
 // neighbor joins, and the desire level follows nextDesire. A decided node
-// sleeps after the join round.
+// sleeps after the join round. Both rounds only count their inboxes: the
+// marked senders in a mark round, any sender in a join round.
 func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int) {
 	if round%2 == 0 {
 		for i, v := range awake {
-			nbrMarked := false
-			for _, msg := range in.At(i) {
-				if msg.A != 0 {
-					nbrMarked = true
-					break
-				}
-			}
+			_, marked := in.Count(i)
+			nbrMarked := marked > 0
 			f := b.flags[v]
 			if !nbrMarked && f&fMarked != 0 {
 				f |= fInMIS
@@ -110,9 +106,11 @@ func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int)
 	}
 	for i, v := range awake {
 		f := b.flags[v]
-		if f&fInMIS == 0 && len(in.At(i)) > 0 {
-			f |= fOut
-			b.flags[v] = f
+		if f&fInMIS == 0 {
+			if joined, _ := in.Count(i); joined > 0 {
+				f |= fOut
+				b.flags[v] = f
+			}
 		}
 		if f&(fInMIS|fOut) != 0 {
 			next[i] = sim.Never

@@ -155,13 +155,25 @@ func (m *Machine) Depth() int { return int(m.tree.Depth) }
 // AttemptsUsed returns the number of finisher attempts the node ran.
 func (m *Machine) AttemptsUsed() int { return m.attempts }
 
-// wakeSet is a small sorted set of future wake rounds.
+// wakeSet is a small sorted set of future wake rounds: rounds[idx:] are
+// pending, rounds[:idx] have passed.
 type wakeSet struct {
 	rounds []int
 	idx    int
 }
 
+// wakeCap is the capacity Run gives each node's wake set, all nodes' in
+// one array. add drops the passed rounds before it grows a set, so a set
+// outgrows it only with more pending rounds: a node had at most 14 in
+// Algorithm 1 runs on GNP(32768, 10/n), and 31 on TestOutcomesPinned's
+// inputs.
+const wakeCap = 16
+
 func (w *wakeSet) add(r int) {
+	if len(w.rounds) == cap(w.rounds) && w.idx > 0 {
+		w.rounds = w.rounds[:copy(w.rounds, w.rounds[w.idx:])]
+		w.idx = 0
+	}
 	i := sort.SearchInts(w.rounds[w.idx:], r) + w.idx
 	if i < len(w.rounds) && w.rounds[i] == r {
 		return
@@ -185,7 +197,8 @@ func (w *wakeSet) next(r int) int {
 // addOp schedules the awake rounds of a tree operation window starting at
 // base (absolute round), given the node's current depth.
 func (m *Machine) addOp(op cluster.OpKind, base int) {
-	for _, r := range cluster.AwakeRounds(op, int(m.tree.Depth), m.tt.D) {
+	rounds, k := cluster.AwakeRounds(op, int(m.tree.Depth), m.tt.D)
+	for _, r := range rounds[:k] {
 		m.wake.add(base + r)
 	}
 }

@@ -44,8 +44,9 @@ func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 	tt := NewTimetable(n, maxComp, p)
 	nodes := make([]Machine, n)
 	machines := make([]sim.Machine, n)
+	wake := make([]int, n*wakeCap)
 	for v := range nodes {
-		nodes[v] = Machine{tt: tt}
+		nodes[v] = Machine{tt: tt, wake: wakeSet{rounds: wake[v*wakeCap : v*wakeCap : (v+1)*wakeCap]}}
 		machines[v] = &nodes[v]
 	}
 	if cfg.MaxRounds == 0 {

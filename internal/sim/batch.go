@@ -36,10 +36,11 @@ type BatchEnv struct {
 // messages only from nodes in `awake`, grouped by sender, in the order
 // senders appear in `awake` (the natural shape of a `for _, v := range
 // awake` loop); RunBatch fails the run otherwise. DeliverAll reads
-// awake node awake[i]'s inbox via in.At(i) — once, several times or not
-// at all; in a pulled round the slice is valid until the next At call —
-// and writes the node's next wake round (must be > round, or Never) into
-// next[i]. Neither may modify `awake`: the engine reschedules from it.
+// awake node awake[i]'s inbox via in.At(i), or only counts it via
+// in.Count(i) — once, several times or not at all; in a pulled round At's
+// slice is valid until the next At call — and writes the node's next wake
+// round (must be > round, or Never) into next[i]. Neither may modify
+// `awake`: the engine reschedules from it.
 type BatchMachine interface {
 	InitAll(env *BatchEnv) []int
 	ComposeAll(round int, awake []int32, out *BatchOutbox)
@@ -95,10 +96,11 @@ func (o *BatchOutbox) group(bi, ui int) (s int32, be, ue int) {
 
 // Inboxes serves every awake node's inbox: node awake[i]'s messages are
 // At(i), in routing order (ascending sender; per sender, broadcasts before
-// unicasts, each in call order). In a pushed round each inbox is a segment
-// of one pooled buffer; in a pulled round At gathers it on demand (see
-// RunBatch's route). Any inbox may be read once, several times or not at
-// all.
+// unicasts, each in call order), and Count(i) counts them without building
+// the inbox. In a pushed round each inbox is a segment of one pooled
+// buffer; in a pulled round At builds it on demand from the round's two
+// bitmaps (see RunBatch's route). Any inbox may be read once, several
+// times or not at all, by either method.
 type Inboxes struct {
 	buf []Msg
 	off []int32    // len = awake set + 1
@@ -109,7 +111,7 @@ type Inboxes struct {
 // delivered with. The returned slice must not be modified or retained
 // across rounds: in a pushed round it aliases the round's shared buffer,
 // and in a pulled round it is a scratch slice valid until the next At
-// call.
+// call (Count leaves it alone).
 func (in Inboxes) At(i int) []Msg {
 	if in.p != nil {
 		return in.gather(i)
@@ -117,17 +119,34 @@ func (in Inboxes) At(i int) []Msg {
 	return in.buf[in.off[i]:in.off[i+1]]
 }
 
+// Count returns the number of messages in the i-th node's inbox and how
+// many of them have a nonzero A: what a loop over At(i) would count,
+// without building the inbox. In a pulled round it only reads the round's
+// bitmaps.
+func (in Inboxes) Count(i int) (n, nonzero int) {
+	if in.p != nil {
+		return in.p.count(i)
+	}
+	box := in.buf[in.off[i]:in.off[i+1]]
+	for _, m := range box {
+		if m.A != 0 {
+			nonzero++
+		}
+	}
+	return len(box), nonzero
+}
+
 // pullState is a pulled round's routing state. The round's senders each
-// broadcast exactly once, in ascending order, so sender u's broadcast is
-// bc[rank[w] + popcount(senders[w] & (1<<(u&63) - 1))] for w = u>>6: the
-// number of senders below u. Between pulled rounds every senders word is
-// zero and every read flag false.
+// broadcast exactly once, in ascending order, and their broadcasts differ
+// only in From and in A, which is 0 or 1: hdr holds the rest, senders
+// marks each sender and payload its A. Between pulled rounds every bitmap
+// word is zero and every read flag false.
 type pullState struct {
 	g       *graph.Graph
 	awake   []int32
-	bc      []Msg    // the round's broadcasts, one per sender
+	hdr     Msg      // the first broadcast: every one has its Kind, B and Bits
 	senders []uint64 // bitmap over node IDs; bits are set only in words [lo, hi)
-	rank    []int32  // rank[w], for w in [lo, hi): senders in words lo..w-1
+	payload []uint64 // sender u's A at bit u; set only for senders
 	lo, hi  int32    // the senders' span, in words
 	read    []bool   // read[i]: awake[i]'s deliveries are counted
 	sent    int64    // copies sent
@@ -135,13 +154,13 @@ type pullState struct {
 	inbox   []Msg    // gather's scratch
 }
 
-// gather collects awake[i]'s inbox in a pulled round from its sorted
+// gather builds awake[i]'s inbox in a pulled round from its sorted
 // neighbor row — ascending sender, the routing order — into the scratch
-// inbox, and counts its deliveries on the first read. The walk has no
-// data-dependent branch: it stores a broadcast for every neighbor (a
-// clamped index keeps a non-sender's read in range) and advances past it
-// only by the sender bit. Its receiver is the whole view, not in.p, which
-// keeps At within the inlining budget.
+// inbox, and counts its deliveries on the first read. Each message is the
+// round's header with the neighbor's ID and payload bit. The walk has no
+// data-dependent branch: it stores a message for every neighbor and
+// advances past it only by the sender bit. Its receiver is the whole view,
+// not in.p, which keeps At within the inlining budget.
 func (in Inboxes) gather(i int) []Msg {
 	p := in.p
 	row := p.g.Neighbors(int(p.awake[i]))
@@ -149,14 +168,14 @@ func (in Inboxes) gather(i int) []Msg {
 		p.inbox = make([]Msg, len(row))
 	}
 	box := p.inbox[:len(row)]
-	bc, senders, rank := p.bc, p.senders, p.rank
-	last := len(bc) - 1
+	senders, payload := p.senders, p.payload
+	m := p.hdr
 	k := 0
 	for _, u := range row {
 		w, b := uint32(u)>>6, uint32(u)&63
-		word := senders[w]
-		box[k] = bc[min(int(rank[w])+bits.OnesCount64(word&(1<<b-1)), last)]
-		k += int(word >> b & 1)
+		m.From, m.A = u, payload[w]>>b&1
+		box[k] = m
+		k += int(senders[w] >> b & 1)
 	}
 	if !p.read[i] {
 		p.read[i] = true
@@ -165,16 +184,29 @@ func (in Inboxes) gather(i int) []Msg {
 	return box[:k]
 }
 
-// settle counts the deliveries to the inboxes DeliverAll never read, by a
-// row walk that only tests the bitmap, and returns the copies dropped:
-// those sent minus those delivered.
+// count is Count in a pulled round: a walk over awake[i]'s row that reads
+// the two bitmaps and writes no inbox. Like gather, it counts the
+// deliveries on the first read.
+func (p *pullState) count(i int) (n, nonzero int) {
+	senders, payload := p.senders, p.payload
+	for _, u := range p.g.Neighbors(int(p.awake[i])) {
+		w, b := uint32(u)>>6, uint32(u)&63
+		n += int(senders[w] >> b & 1)
+		nonzero += int(payload[w] >> b & 1)
+	}
+	if !p.read[i] {
+		p.read[i] = true
+		p.got += int64(n)
+	}
+	return n, nonzero
+}
+
+// settle counts the deliveries to the inboxes DeliverAll never read and
+// returns the copies dropped: those sent minus those delivered.
 func (p *pullState) settle() int64 {
 	for i, read := range p.read[:len(p.awake)] {
-		if read {
-			continue
-		}
-		for _, u := range p.g.Neighbors(int(p.awake[i])) {
-			p.got += int64(p.senders[uint32(u)>>6] >> (uint32(u) & 63) & 1)
+		if !read {
+			p.count(i)
 		}
 	}
 	return p.sent - p.got
@@ -183,8 +215,9 @@ func (p *pullState) settle() int64 {
 // reset clears the round's bits and read flags, ending the pulled round.
 func (p *pullState) reset() {
 	clear(p.senders[p.lo:p.hi])
+	clear(p.payload[p.lo:p.hi])
 	clear(p.read[:len(p.awake)])
-	*p = pullState{senders: p.senders, rank: p.rank, read: p.read, inbox: p.inbox}
+	*p = pullState{senders: p.senders, payload: p.payload, read: p.read, inbox: p.inbox}
 }
 
 // calSize is the number of rounds the wake calendar's ring spans. A power
@@ -201,7 +234,7 @@ const maxRound = math.MaxInt32
 // can amortize all engine allocations across runs instead of paying them
 // per run: the wake calendar, the awake positions, the round's outbox,
 // the inbox buffer push fills in place (there is no staging area), and
-// pull's sender bitmap, ranks and gather scratch. A Mem may be reused
+// pull's sender and payload bitmaps and gather scratch. A Mem may be reused
 // across runs of different sizes (buffers grow to the maximum) but must
 // not be shared by concurrent runs. The zero value is ready to use.
 type Mem struct {
@@ -465,7 +498,7 @@ func (e *batchEngine) run() (*Result, error) {
 		}
 
 		// Stage 2: route the outbox (senders ascending): push fills one
-		// receiver-grouped inbox buffer, pull only marks the senders.
+		// receiver-grouped inbox buffer, pull only sets bits.
 		for i, v := range awake {
 			m.pos[v] = int32(i) + 1
 		}
@@ -480,9 +513,9 @@ func (e *batchEngine) run() (*Result, error) {
 			t3 = time.Now()
 		}
 
-		// Stage 3: deliver (a pulled round's inboxes are gathered as
-		// DeliverAll reads them, and its drops settled after), then apply
-		// the scheduling decisions.
+		// Stage 3: deliver (a pulled round's inboxes are built or counted
+		// as DeliverAll reads them, and its drops settled after), then
+		// apply the scheduling decisions.
 		if cap(m.next) < len(awake) {
 			m.next = make([]int, len(awake))
 		}
@@ -531,11 +564,12 @@ func (e *batchEngine) run() (*Result, error) {
 
 // route validates and accounts the round's outbox and readies its inboxes
 // in routing order: ascending sender; per sender, broadcasts then
-// unicasts, each in call order. A round with no unicasts, at least half as
-// many broadcasts as awake nodes and exactly one broadcast per sender is
-// pulled (route reports true): it only marks the senders, and Inboxes.At
-// gathers each inbox from the receiver's row. Every other round is pushed
-// into the inbox buffer, with no staging copy.
+// unicasts, each in call order. A one-bit round is pulled (route reports
+// true): no unicasts, at least half as many broadcasts as awake nodes,
+// exactly one broadcast per sender, and broadcasts that differ only in an
+// A of 0 or 1. Pull only sets bits, and Inboxes.At and Count read each
+// inbox from the receiver's row. Every other round is pushed into the
+// inbox buffer, with no staging copy.
 func (e *batchEngine) route(round int, awake []int32) (pulled bool, err error) {
 	if len(e.mem.out.uni) == 0 && 2*len(e.mem.out.bcast) >= len(awake) && e.pull(awake) {
 		return true, nil
@@ -642,55 +676,52 @@ func (e *batchEngine) push(round int, awake []int32) error {
 	return nil
 }
 
-// pull routes a round of broadcasts by receiver without copying them. In
-// one pass over the outbox it validates each sender (awake, and above the
-// previous one, so each sends exactly once), accounts its copies and sets
-// its bit in the senders bitmap; the ranks of the bitmap's words follow.
-// Each inbox is then gathered when DeliverAll reads it (Inboxes.gather),
-// and the copies dropped are settled after DeliverAll (pullState.settle).
-// pull reports false, with the counters restored and no bit left set, when
-// a sender is asleep, out of order or broadcasts twice: push then routes
-// the round, or names the error.
+// pull routes a one-bit round of broadcasts by receiver without copying
+// them. In one pass over the outbox it validates each broadcast (an awake
+// sender above the previous one, so each sends exactly once, and the first
+// broadcast's Kind, B and Bits with an A of 0 or 1) and sets its sender's
+// bit and payload bit; then it accounts the round's copies at once. Each
+// inbox is read from the bitmaps when DeliverAll asks for it (Inboxes.At
+// and Count), and the copies dropped are settled after DeliverAll
+// (pullState.settle). pull reports false, with no bit left set and the
+// counters untouched, at the first broadcast that does not conform: push
+// then routes the round, or names the error.
 func (e *batchEngine) pull(awake []int32) bool {
 	m := e.mem
 	p := &m.pull
 	pos := m.pos
 	bc := m.out.bcast
-	first, last := bc[0].From, bc[len(bc)-1].From
+	hdr := bc[0]
+	first, last := hdr.From, bc[len(bc)-1].From
 	if first < 0 || last < first || int(last) >= len(pos) {
 		return false
 	}
 	if words := (len(pos) + 63) >> 6; len(p.senders) < words {
 		p.senders = make([]uint64, words)
-		p.rank = make([]int32, words)
+		p.payload = make([]uint64, words)
 	}
 	p.lo, p.hi = first>>6, last>>6+1
-	saved := e.res
 	var sent int64
 	prev := int32(-1)
 	for _, mm := range bc {
 		s := mm.From
-		if s <= prev || s > last || pos[s] == 0 {
-			e.res = saved
+		if s <= prev || s > last || pos[s] == 0 ||
+			mm.Kind != hdr.Kind || mm.B != hdr.B || mm.Bits != hdr.Bits || mm.A > 1 {
 			p.reset()
 			return false
 		}
 		prev = s
 		p.senders[s>>6] |= 1 << (s & 63)
-		if d := e.g.Degree(int(s)); d > 0 {
-			e.account(mm, d)
-			sent += int64(d)
-		}
+		p.payload[s>>6] |= mm.A << (s & 63)
+		sent += int64(e.g.Degree(int(s)))
 	}
-	r := int32(0)
-	for w := p.lo; w < p.hi; w++ {
-		p.rank[w] = r
-		r += int32(bits.OnesCount64(p.senders[w]))
+	if sent > 0 {
+		e.account(hdr, int(sent))
 	}
 	if cap(p.read) < len(awake) {
 		p.read = make([]bool, len(awake))
 	}
-	p.g, p.awake, p.bc, p.sent = e.g, awake, bc, sent
+	p.g, p.awake, p.hdr, p.sent = e.g, awake, hdr, sent
 	return true
 }
 

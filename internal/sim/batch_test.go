@@ -53,7 +53,7 @@ func (m *chatterMachine) Digest() uint64 { return m.digest }
 // in delivery order changes the result.
 func foldInbox(d uint64, inbox []Msg) uint64 {
 	for _, msg := range inbox {
-		d = d*0x9e3779b97f4a7c15 + uint64(msg.From)<<16 + uint64(msg.Kind)<<8 + msg.A
+		d = d*0x9e3779b97f4a7c15 + uint64(msg.From)<<16 + uint64(msg.Kind)<<8 + msg.A ^ msg.B
 	}
 	return d
 }
@@ -171,8 +171,8 @@ func (m *wakeMachine) Digest() uint64 { return m.digest }
 // bcastMachine only broadcasts, so its rounds have no unicasts: in even
 // rounds every awake node broadcasts, in odd rounds only nodes 0 mod 5 do
 // (the router pushes). Nodes 0 mod 3 broadcast twice, except in rounds 0
-// mod 4, where every sender broadcasts once and the router pulls; in
-// rounds 2 mod 4 the doubles send it back to push. Random sleep gaps
+// mod 4, where every sender broadcasts one bit once and the router pulls;
+// in rounds 2 mod 4 the doubles send it back to push. Random sleep gaps
 // leave some receivers asleep. It records the rounds it was awake in.
 type bcastMachine struct {
 	env    *Env
@@ -199,8 +199,12 @@ func (m *bcastMachine) Init(env *Env) int {
 }
 
 func (m *bcastMachine) Compose(round int, out *Outbox) {
-	for i := 0; i < bcastSends(m.env.Node, round); i++ {
-		out.Broadcast(Msg{Kind: uint8(1 + i), A: uint64(round), Bits: 8})
+	switch bcastSends(m.env.Node, round) {
+	case 2:
+		out.Broadcast(Msg{Kind: 1, A: uint64(round), Bits: 8})
+		out.Broadcast(Msg{Kind: 2, A: uint64(round), Bits: 8})
+	case 1:
+		out.Broadcast(Msg{Kind: 1, A: uint64(m.env.Node+round/4) & 1, Bits: 1})
 	}
 }
 
@@ -522,9 +526,7 @@ func (p *pingBatch) InitAll(env *BatchEnv) []int {
 }
 
 func (p *pingBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
-	for _, v := range awake {
-		out.Broadcast(v, Msg{Kind: 1, A: uint64(v), Bits: 8})
-	}
+	pingAll(round, awake, out)
 }
 
 func (p *pingBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
@@ -884,9 +886,10 @@ func farFirst(v int) int {
 	return 5*calSize + v
 }
 
-// pingAll broadcasts once from every awake node.
+// pingAll broadcasts once from every awake node: the low bit of its ID, a
+// one-bit round that the router pulls.
 func pingAll(_ int, awake []int32, out *BatchOutbox) {
 	for _, v := range awake {
-		out.Broadcast(v, Msg{Kind: 1, A: uint64(v), Bits: 8})
+		out.Broadcast(v, Msg{Kind: 1, A: uint64(v) & 1, Bits: 1})
 	}
 }

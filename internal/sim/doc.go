@@ -60,20 +60,23 @@
 // left out of order is ordered through a bitmap over its span [lo, hi],
 // in O(k + (hi-lo)/64) for k nodes.
 //
-// The router pulls a round with no unicasts, at least half as many
-// broadcasts as awake nodes and one broadcast per sender, and pushes
+// The router pulls a one-bit round — no unicasts, at least half as many
+// broadcasts as awake nodes, one broadcast per sender, and broadcasts that
+// share Kind, B and Bits and differ only in an A of 0 or 1 — and pushes
 // every other round. Pull copies no message while routing: it sets each
-// sender's bit in a bitmap over node IDs and ranks the bitmap's words,
-// and Inboxes.At gathers a receiver's inbox when DeliverAll asks for it,
-// by walking the receiver's sorted neighbor row and taking each sending
-// neighbor's broadcast at its bit's rank, with no data-dependent branch.
-// So a pulled round costs O(senders + n/64) to route plus the rows of the
-// inboxes read, and needs no O(m) buffer; the copies dropped are settled
-// after DeliverAll, counting the inboxes it never read from the bitmap
-// alone. Push copies into one pooled buffer: one pass counts each
-// receiver's deliveries, a second writes each copy at its receiver's
-// cursor. Both give the same inboxes and counters. With a tracer
-// attached, each round's wall time is split into compose, route, deliver
-// and schedule stages (obs.RoundStats); a pulled round's gather falls in
-// deliver.
+// sender's bit in a sender bitmap and its A in a payload bitmap, both over
+// node IDs, and keeps the round's Kind, B and Bits once. Inboxes.At builds
+// a receiver's inbox when DeliverAll asks for it, by walking the
+// receiver's sorted neighbor row and writing, for each sending neighbor,
+// the round's header with the neighbor's ID and payload bit, with no
+// data-dependent branch; Inboxes.Count walks the same row reading only
+// the two bitmaps and writes nothing. So a pulled round costs
+// O(senders + n/64) to route plus the rows of the inboxes read, and needs
+// no O(m) buffer; the copies dropped are settled after DeliverAll, by
+// counting the inboxes it never read. Push copies into one pooled buffer:
+// one pass counts each receiver's deliveries, a second writes each copy
+// at its receiver's cursor. Both give the same inboxes and counters. With
+// a tracer attached, each round's wall time is split into compose, route,
+// deliver and schedule stages (obs.RoundStats); a pulled round's inbox
+// reads fall in deliver.
 package sim

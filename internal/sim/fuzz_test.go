@@ -8,12 +8,13 @@ import (
 )
 
 // fuzzMachine sends and sleeps at rates set by FuzzEngineMatchesPerNode's
-// inputs: it broadcasts with probability pb (in rounds 3 mod 4 sometimes
-// twice, which sends a dense round to push), unicasts to each neighbor
-// with probability pu, and sleeps far — around the wake calendar's ring
-// size or past it — with probability pfar, near (1 to 3 rounds)
-// otherwise. Message sizes straddle the CONGEST budget of 16 bits. Its
-// digest folds every inbox, in order.
+// inputs: it broadcasts with probability pb — one random bit in even
+// rounds, which a dense round pulls, and the round in 4 to 19 bits in odd
+// ones; in rounds 2 mod 4 sometimes twice, which sends a dense round to
+// push —, unicasts to each neighbor with probability pu, and sleeps far —
+// around the wake calendar's ring size or past it — with probability
+// pfar, near (1 to 3 rounds) otherwise. Message sizes straddle the
+// CONGEST budget of 16 bits. Its digest folds every inbox, in order.
 type fuzzMachine struct {
 	env          *Env
 	pb, pu, pfar float64
@@ -42,8 +43,13 @@ func (m *fuzzMachine) Init(env *Env) int {
 func (m *fuzzMachine) Compose(round int, out *Outbox) {
 	r := m.env.Rand
 	if r.Bernoulli(m.pb) {
-		out.Broadcast(Msg{Kind: 1, A: uint64(round), Bits: int32(4 + r.Intn(16))})
-		if round%4 == 3 && r.Bernoulli(m.pb/2) {
+		draw := r.Intn(16)
+		if round%2 == 0 {
+			out.Broadcast(Msg{Kind: 1, A: uint64(draw) & 1, Bits: 1})
+		} else {
+			out.Broadcast(Msg{Kind: 1, A: uint64(round), Bits: int32(4 + draw)})
+		}
+		if round%4 == 2 && r.Bernoulli(m.pb/2) {
 			out.Broadcast(Msg{Kind: 2, A: r.Uint64(), Bits: 8})
 		}
 	}

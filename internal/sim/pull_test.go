@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -15,11 +16,20 @@ import (
 // numbers in the same order. In each awake round a node broadcasts with
 // probability pb — twice with probability pdup in rounds 3 mod 4 —, then
 // skips its inbox with probability pskip, reads it twice with probability
-// preread and once otherwise, and sleeps 1 to 3 rounds.
+// preread and once otherwise, each read a count (Inboxes.Count) with
+// probability pcount, and sleeps 1 to 3 rounds.
 type partialRule struct {
-	pb, pdup, pskip, preread float64
-	rounds                   int // awake rounds per node
+	pb, pdup, pskip, preread, pcount float64
+	rounds                           int // awake rounds per node
 }
+
+// How a partialRule node reads its inbox: not at all, through
+// Inboxes.At, or through Inboxes.Count.
+const (
+	readNone = iota
+	readAt
+	readCount
+)
 
 func (p partialRule) sends(r *rng.Stream, round int) int {
 	switch {
@@ -31,22 +41,45 @@ func (p partialRule) sends(r *rng.Stream, round int) int {
 	return 1
 }
 
-func (p partialRule) reads(r *rng.Stream) int {
-	switch {
-	case r.Bernoulli(p.pskip):
-		return 0
-	case r.Bernoulli(p.preread):
-		return 2
+// reads draws a node's reads of its inbox in one round, in order.
+func (p partialRule) reads(r *rng.Stream) (first, second int) {
+	if r.Bernoulli(p.pskip) {
+		return readNone, readNone
 	}
-	return 1
+	first = p.how(r)
+	if r.Bernoulli(p.preread) {
+		second = p.how(r)
+	}
+	return first, second
 }
 
+func (p partialRule) how(r *rng.Stream) int {
+	if r.Bernoulli(p.pcount) {
+		return readCount
+	}
+	return readAt
+}
+
+// partialMsg is node v's i-th broadcast in round. The first is bit
+// round mod 10 of v's ID, a one-bit payload that a dense round pulls; the
+// second, sent only in rounds 3 mod 4, is wide: B carries the round and v,
+// and A the round from odd senders and 0 from even ones.
 func partialMsg(v int32, round, i int) Msg {
-	return Msg{Kind: uint8(1 + i), A: uint64(round)<<32 | uint64(v), Bits: 8}
+	if i == 0 {
+		return Msg{Kind: 1, A: uint64(v) >> (round % 10) & 1, Bits: 1}
+	}
+	return Msg{Kind: 2, A: uint64(round) * uint64(v&1), B: uint64(round)<<32 | uint64(v), Bits: 8}
+}
+
+// foldCount folds a counted inbox, its length and its messages with a
+// nonzero A, into a rolling digest.
+func foldCount(d uint64, n, nonzero int) uint64 {
+	return d*0x9e3779b97f4a7c15 + uint64(n)<<32 + uint64(nonzero) + 1
 }
 
 // partialMachine is partialRule as a per-node Machine. Its digest folds
-// every inbox read, as often as it is read.
+// every inbox read, as often as it is read: an At read folds the inbox,
+// a Count read what Inboxes.Count returns, computed from the inbox.
 type partialMachine struct {
 	partialRule
 	env    *Env
@@ -66,8 +99,20 @@ func (m *partialMachine) Compose(round int, out *Outbox) {
 }
 
 func (m *partialMachine) Deliver(round int, inbox []Msg) int {
-	for k := m.reads(m.env.Rand); k > 0; k-- {
-		m.digest = foldInbox(m.digest, inbox)
+	first, second := m.reads(m.env.Rand)
+	for _, how := range [2]int{first, second} {
+		switch how {
+		case readAt:
+			m.digest = foldInbox(m.digest, inbox)
+		case readCount:
+			nonzero := 0
+			for _, msg := range inbox {
+				if msg.A != 0 {
+					nonzero++
+				}
+			}
+			m.digest = foldCount(m.digest, len(inbox), nonzero)
+		}
 	}
 	if m.left--; m.left <= 0 {
 		return Never
@@ -80,13 +125,17 @@ func (m *partialMachine) Digest() uint64 { return m.digest }
 // partialBatch is partialRule as a native BatchMachine: DeliverAll reads
 // only the inboxes the rule picks, and takes every second read after all
 // first reads, so it re-gathers an inbox whose scratch other reads have
-// reused since. It counts the rounds delivered pulled and pushed.
+// reused since. After each Count it checks that the inbox At returned last
+// is unchanged. It counts the rounds delivered pulled and pushed.
 type partialBatch struct {
 	partialRule
 	rands          []rng.Stream
 	left           []int
 	digest         []uint64
-	again          []int // awake indices read a second time this round
+	again          [][2]int // awake index and read kind of this round's second reads
+	last           []Msg    // the inbox At returned last this round
+	lastDigest     uint64   // foldInbox of last when At returned it
+	clobbered      bool     // a Count changed last
 	pulled, pushed int
 }
 
@@ -117,25 +166,40 @@ func (b *partialBatch) DeliverAll(round int, awake []int32, in Inboxes, next []i
 	} else {
 		b.pushed++
 	}
+	b.last = nil
 	again := b.again[:0]
 	for i, v := range awake {
 		r := &b.rands[v]
-		switch b.reads(r) {
-		case 2:
-			again = append(again, i)
-			fallthrough
-		case 1:
-			b.digest[v] = foldInbox(b.digest[v], in.At(i))
+		first, second := b.reads(r)
+		b.read(in, i, v, first)
+		if second != readNone {
+			again = append(again, [2]int{i, second})
 		}
 		next[i] = Never
 		if b.left[v]--; b.left[v] > 0 {
 			next[i] = round + 1 + r.Intn(3)
 		}
 	}
-	for _, i := range again {
-		b.digest[awake[i]] = foldInbox(b.digest[awake[i]], in.At(i))
+	for _, a := range again {
+		b.read(in, a[0], awake[a[0]], a[1])
 	}
 	b.again = again
+}
+
+// read folds one read of awake node v = awake[i]'s inbox into its digest.
+func (b *partialBatch) read(in Inboxes, i int, v int32, how int) {
+	switch how {
+	case readAt:
+		b.last = in.At(i)
+		b.lastDigest = foldInbox(0, b.last)
+		b.digest[v] = foldInbox(b.digest[v], b.last)
+	case readCount:
+		n, nonzero := in.Count(i)
+		b.digest[v] = foldCount(b.digest[v], n, nonzero)
+		if b.last != nil && foldInbox(0, b.last) != b.lastDigest {
+			b.clobbered = true
+		}
+	}
 }
 
 // checkPartial runs rule natively on RunBatch and per node on runPerNode,
@@ -158,14 +222,18 @@ func checkPartial(t *testing.T, g *graph.Graph, rule partialRule, cfg Config) *p
 	if err := sameResult(res, ref); err != nil {
 		t.Fatal(err)
 	}
+	if b.clobbered {
+		t.Fatal("Count changed the inbox At returned before it")
+	}
 	return b
 }
 
 // TestPartialReadsMatchPerNode holds a native batch protocol that reads a
-// random subset of inboxes — re-reading some, skipping others — to
-// runPerNode, on graphs with hubs, long ID spans and isolated nodes. The
-// dense rules are pulled in most rounds; with pdup, rounds 3 mod 4 have a
-// sender that broadcasts twice, which the router pushes.
+// random subset of inboxes — re-reading some, skipping others, counting
+// some with Inboxes.Count — to runPerNode, on graphs with hubs, long ID
+// spans and isolated nodes. The dense rules are pulled in most rounds;
+// with pdup, rounds 3 mod 4 have a sender that broadcasts twice, which the
+// router pushes.
 func TestPartialReadsMatchPerNode(t *testing.T) {
 	rules := []struct {
 		name         string
@@ -173,10 +241,11 @@ func TestPartialReadsMatchPerNode(t *testing.T) {
 		pulls, pushs bool // the run must have rounds of each kind
 	}{
 		{"dense/read-all", partialRule{pb: 1, rounds: 6}, true, false},
-		{"dense/partial", partialRule{pb: 0.9, pskip: 0.3, preread: 0.3, rounds: 8}, true, false},
+		{"dense/partial", partialRule{pb: 0.9, pskip: 0.3, preread: 0.3, pcount: 0.4, rounds: 8}, true, false},
 		{"dense/skip-all", partialRule{pb: 1, pskip: 1, rounds: 6}, true, false},
-		{"dense/doubles", partialRule{pb: 0.9, pdup: 0.5, pskip: 0.3, preread: 0.3, rounds: 12}, true, true},
-		{"sparse", partialRule{pb: 0.3, pdup: 0.3, pskip: 0.3, preread: 0.3, rounds: 8}, false, true},
+		{"dense/count-all", partialRule{pb: 1, preread: 0.3, pcount: 1, rounds: 6}, true, false},
+		{"dense/doubles", partialRule{pb: 0.9, pdup: 0.5, pskip: 0.3, preread: 0.3, pcount: 0.4, rounds: 12}, true, true},
+		{"sparse", partialRule{pb: 0.3, pdup: 0.3, pskip: 0.3, preread: 0.3, pcount: 0.4, rounds: 8}, false, true},
 	}
 	graphs := []struct {
 		name string
@@ -204,35 +273,40 @@ func TestPartialReadsMatchPerNode(t *testing.T) {
 // FuzzPartialReadsMatchPerNode is TestPartialReadsMatchPerNode over random
 // graphs, seeds and rates.
 func FuzzPartialReadsMatchPerNode(f *testing.F) {
-	f.Add(uint8(60), uint8(30), uint64(1), uint8(230), uint8(0), uint8(80), uint8(80))
-	f.Add(uint8(90), uint8(10), uint64(2), uint8(255), uint8(128), uint8(128), uint8(128))
-	f.Add(uint8(40), uint8(60), uint64(3), uint8(255), uint8(0), uint8(255), uint8(0))
-	f.Add(uint8(95), uint8(4), uint64(4), uint8(100), uint8(60), uint8(40), uint8(200))
-	f.Add(uint8(1), uint8(0), uint64(5), uint8(255), uint8(0), uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, n, p uint8, seed uint64, pb, pdup, pskip, preread uint8) {
+	f.Add(uint8(60), uint8(30), uint64(1), uint8(230), uint8(0), uint8(80), uint8(80), uint8(0))
+	f.Add(uint8(90), uint8(10), uint64(2), uint8(255), uint8(128), uint8(128), uint8(128), uint8(128))
+	f.Add(uint8(40), uint8(60), uint64(3), uint8(255), uint8(0), uint8(255), uint8(0), uint8(60))
+	f.Add(uint8(95), uint8(4), uint64(4), uint8(100), uint8(60), uint8(40), uint8(200), uint8(100))
+	f.Add(uint8(1), uint8(0), uint64(5), uint8(255), uint8(0), uint8(0), uint8(0), uint8(255))
+	f.Add(uint8(70), uint8(20), uint64(6), uint8(255), uint8(0), uint8(0), uint8(120), uint8(255))
+	f.Fuzz(func(t *testing.T, n, p uint8, seed uint64, pb, pdup, pskip, preread, pcount uint8) {
 		g := graph.GNP(int(n%96)+1, float64(p)/255, seed)
 		rule := partialRule{
 			pb:      float64(pb) / 255,
 			pdup:    float64(pdup) / 255,
 			pskip:   float64(pskip) / 255,
 			preread: float64(preread) / 255,
+			pcount:  float64(pcount) / 255,
 			rounds:  6,
 		}
 		checkPartial(t, g, rule, Config{Seed: seed, B: 16})
 	})
 }
 
-// recordBatch wakes the nodes in awake in round 0, broadcasts once from
-// those in send, and records every inbox and whether the round was
-// pulled.
+// recordBatch wakes the nodes in awake in rounds 0 to rounds−1,
+// broadcasts msg(round, v) from each node v in send in each of them, and
+// records every inbox and whether each round was pulled.
 type recordBatch struct {
 	awake, send []bool
-	got         [][]Msg
-	pulled      bool
+	rounds      int
+	msg         func(round int, v int32) Msg
+	got         [][][]Msg // got[v][round]: v's inbox in round
+	pulled      []bool    // pulled[round]
 }
 
 func (b *recordBatch) InitAll(env *BatchEnv) []int {
-	b.got = make([][]Msg, env.N)
+	b.got = make([][][]Msg, env.N)
+	b.pulled = nil
 	first := make([]int, env.N)
 	for v := range first {
 		first[v] = Never
@@ -246,36 +320,65 @@ func (b *recordBatch) InitAll(env *BatchEnv) []int {
 func (b *recordBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
 	for _, v := range awake {
 		if b.send[v] {
-			out.Broadcast(v, Msg{Kind: 1, A: uint64(v), Bits: 8})
+			out.Broadcast(v, b.msg(round, v))
 		}
 	}
 }
 
 func (b *recordBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
-	b.pulled = in.p != nil
+	b.pulled = append(b.pulled, in.p != nil)
 	for i, v := range awake {
-		b.got[v] = slices.Clone(in.At(i))
+		b.got[v] = append(b.got[v], slices.Clone(in.At(i)))
 		next[i] = Never
+		if round+1 < b.rounds {
+			next[i] = round + 1
+		}
 	}
 }
 
-// TestPullBitmapEdges routes one pulled round on a clique of chosen nodes
+// idBit is the one-bit broadcast of TestPullBitmapEdges: in round r, bit r
+// of the sender's ID, with r in B.
+func idBit(round int, v int32) Msg {
+	return Msg{Kind: 1, A: uint64(v) >> round & 1, B: uint64(round), Bits: 1}
+}
+
+// TestPullBitmapEdges routes ⌈log₂ n⌉ rounds on a clique of chosen nodes
 // — senders, silent awake receivers and sleepers, every other node
 // isolated — and checks every inbox and counter against the clique
-// directly. The senders sit at the edges of the bitmap's words (nodes 0,
+// directly. The senders sit at the edges of the bitmaps' words (nodes 0,
 // 63, 64, 127 and n−1), or span words that do not start at word 0 and
-// leave the receivers' outer neighbors outside the span. The cases share
-// one Mem, so words outside a span hold earlier rounds' ranks.
+// leave the receivers' outer neighbors outside the span. In round r each
+// sender broadcasts bit r of its ID, so every round is pulled and each
+// receiver reassembles its senders' IDs from the payload bits. Four more
+// cases are dense but must push in every round: one sender's A is 2, or
+// its Kind, B or Bits differs from the others'. The cases share one Mem,
+// so words outside a span hold earlier rounds' bits unless pull cleared
+// them.
 func TestPullBitmapEdges(t *testing.T) {
+	// odd is idBit except that sender 64 broadcasts change(m).
+	odd := func(change func(m Msg) Msg) func(int, int32) Msg {
+		return func(round int, v int32) Msg {
+			if v == 64 {
+				return change(idBit(round, v))
+			}
+			return idBit(round, v)
+		}
+	}
+	wordEdges := []int{0, 63, 64, 127, 199}
 	cases := []struct {
 		name              string
 		n                 int
 		send, recv, sleep []int
+		msg               func(round int, v int32) Msg // idBit when nil
 	}{
-		{"word-edges", 200, []int{0, 63, 64, 127, 199}, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}},
-		{"inner-span", 300, []int{70, 100, 130, 191, 192, 255}, []int{66, 260}, []int{0, 64, 69, 71, 299}},
-		{"one-word", 300, []int{129, 130}, []int{128}, []int{0, 127, 131, 299}},
-		{"word-edges-again", 200, []int{0, 63, 64, 127, 199}, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}},
+		{"word-edges", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, nil},
+		{"inner-span", 300, []int{70, 100, 130, 191, 192, 255}, []int{66, 260}, []int{0, 64, 69, 71, 299}, nil},
+		{"one-word", 300, []int{129, 130}, []int{128}, []int{0, 127, 131, 299}, nil},
+		{"push/A=2", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(func(m Msg) Msg { m.A = 2; return m })},
+		{"push/Kind", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(func(m Msg) Msg { m.Kind = 2; return m })},
+		{"push/B", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(func(m Msg) Msg { m.B++; return m })},
+		{"push/Bits", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(func(m Msg) Msg { m.Bits = 2; return m })},
+		{"word-edges-again", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, nil},
 	}
 	mem := NewMem()
 	for _, c := range cases {
@@ -287,7 +390,11 @@ func TestPullBitmapEdges(t *testing.T) {
 			}
 		}
 		g := graph.FromEdges(c.n, edges)
-		b := &recordBatch{awake: make([]bool, c.n), send: make([]bool, c.n)}
+		rounds := bits.Len(uint(c.n - 1))
+		b := &recordBatch{awake: make([]bool, c.n), send: make([]bool, c.n), rounds: rounds, msg: c.msg}
+		if b.msg == nil {
+			b.msg = idBit
+		}
 		for _, v := range c.send {
 			b.awake[v], b.send[v] = true, true
 		}
@@ -298,8 +405,11 @@ func TestPullBitmapEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !b.pulled {
-			t.Fatalf("%s: the round was pushed, want pulled", c.name)
+		wantPull := c.msg == nil
+		for r, pulled := range b.pulled {
+			if pulled != wantPull {
+				t.Fatalf("%s: round %d pulled = %v, want %v", c.name, r, pulled, wantPull)
+			}
 		}
 		senders := slices.Clone(c.send)
 		slices.Sort(senders)
@@ -311,19 +421,26 @@ func TestPullBitmapEdges(t *testing.T) {
 					want = append(want, int32(s))
 				}
 			}
-			var got []int32
-			for _, m := range b.got[v] {
-				if m.A != uint64(m.From) || m.Kind != 1 {
-					t.Fatalf("%s: node %d received %+v, not its sender's broadcast", c.name, v, m)
+			ids := make([]int32, len(want))
+			for r, inbox := range b.got[v] {
+				if len(inbox) != len(want) {
+					t.Fatalf("%s: node %d received %d messages in round %d, want %d", c.name, v, len(inbox), r, len(want))
 				}
-				got = append(got, m.From)
+				for k, m := range inbox {
+					sent := b.msg(r, want[k])
+					sent.From = want[k]
+					if m != sent {
+						t.Fatalf("%s: node %d received %+v in round %d, want %+v", c.name, v, m, r, sent)
+					}
+					ids[k] |= int32(m.A&1) << r
+				}
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: node %d received from %v, want %v", c.name, v, got, want)
+			if wantPull && !slices.Equal(ids, want) {
+				t.Fatalf("%s: node %d reassembled sender IDs %v, want %v", c.name, v, ids, want)
 			}
-			delivered += int64(len(want))
+			delivered += int64(rounds * len(want))
 		}
-		sent := int64(len(c.send) * (len(clique) - 1))
+		sent := int64(rounds * len(c.send) * (len(clique) - 1))
 		if res.MsgsSent != sent || res.MsgsDropped != sent-delivered {
 			t.Fatalf("%s: sent %d, dropped %d; want %d, %d", c.name, res.MsgsSent, res.MsgsDropped, sent, sent-delivered)
 		}
