@@ -12,41 +12,29 @@ import (
 	"github.com/energymis/energymis/internal/verify"
 )
 
-// Params configures the Phase I-II pipeline.
-type Params struct {
-	// Stage A: rounds per iteration = ceil(RoundsAC·log2 log2 n) + 2;
-	// iterations run until the degree bound falls to DegTarget(n).
-	RoundsAC float64
-	// DegTargetC scales the stage-A degree target
-	// max(MinDegTarget, ceil(DegTargetC·(log2 log2 n)²)).
-	DegTargetC   float64
-	MinDegTarget int
-	MarkDamp     float64 // as in phase1
+// The constants of Phase I-II (Section 4.2). Stage A marks as Phase I
+// does, with phase1's damping constant.
+const (
+	// Stage A: rounds per iteration = ⌈roundsAC·log₂ log₂ n⌉ + 2;
+	// iterations run until the degree bound falls to degTarget(n).
+	roundsAC = 3
+	// degTargetC scales the stage-A degree target
+	// max(minDegTarget, ⌈degTargetC·(log₂ log₂ n)²⌉).
+	degTargetC   = 1
+	minDegTarget = 8
 
-	// Stage B: slots k = ceil(SlotsC·log2 log2 n) + 1; burst length =
-	// ceil(BurstC·log2(degTarget)) + 2 logical rounds.
-	SlotsC float64
-	BurstC float64
-}
+	// Stage B: slots k = ⌈slotsC·log₂ log₂ n⌉ + 1; burst length =
+	// ⌈burstC·log₂(degTarget+2)⌉ + 2 logical rounds.
+	slotsC = 2
+	burstC = 3
+)
 
-// DefaultParams returns practical constants.
-func DefaultParams() Params {
-	return Params{
-		RoundsAC:     3,
-		DegTargetC:   1,
-		MinDegTarget: 8,
-		MarkDamp:     10,
-		SlotsC:       2,
-		BurstC:       3,
-	}
-}
-
-// DegTarget returns the stage-A degree target for an n-node graph.
-func (p Params) DegTarget(n int) int {
+// degTarget returns the stage-A degree target for an n-node graph.
+func degTarget(n int) int {
 	ll := math.Log2(math.Max(2, math.Log2(math.Max(4, float64(n)))))
-	t := int(math.Ceil(p.DegTargetC * ll * ll))
-	if t < p.MinDegTarget {
-		t = p.MinDegTarget
+	t := int(math.Ceil(degTargetC * ll * ll))
+	if t < minDegTarget {
+		t = minDegTarget
 	}
 	return t
 }
@@ -66,13 +54,13 @@ type Outcome struct {
 
 // Run executes Phase I-II on g (typically the residual left by Phase I,
 // with poly(log n) maximum degree).
-func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
+func Run(g *graph.Graph, cfg sim.Config) (*Outcome, error) {
 	n := g.N()
 	out := &Outcome{InSet: make([]bool, n)}
 	if n == 0 {
 		return out, nil
 	}
-	target := p.DegTarget(n)
+	target := degTarget(n)
 	loglog := math.Log2(math.Max(2, math.Log2(math.Max(4, float64(n)))))
 
 	// --- Stage A: regularized Luby down to the poly(log log n) target ---
@@ -81,10 +69,9 @@ func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 	if maxDeg > target {
 		iters = int(math.Ceil(math.Log2(float64(maxDeg) / float64(target))))
 	}
-	rpi := int(math.Ceil(p.RoundsAC*loglog)) + 2
+	rpi := int(math.Ceil(roundsAC*loglog)) + 2
 	plan := phase1.PlanExplicit(iters, rpi, maxDeg)
-	p1 := phase1.Params{MarkDamp: p.MarkDamp}
-	aOut, err := phase1.RunWithPlan(g, plan, p1, cfg)
+	aOut, err := phase1.RunWithPlan(g, plan, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("avgenergy stage A: %w", err)
 	}
@@ -109,8 +96,8 @@ func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 
 	// --- Stage B: slot-scheduled Luby bursts on the A-nodes ---
 	bSub := graph.InducedSubgraph(g, aNodes)
-	k := int(math.Ceil(p.SlotsC*loglog)) + 1
-	burst := int(math.Ceil(p.BurstC*math.Log2(float64(target+2)))) + 2
+	k := int(math.Ceil(slotsC*loglog)) + 1
+	burst := int(math.Ceil(burstC*math.Log2(float64(target+2)))) + 2
 	bOut, err := runSlotted(bSub.Graph, k, burst, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("avgenergy stage B: %w", err)

@@ -10,7 +10,7 @@ import (
 
 func runOn(t *testing.T, g *graph.Graph, seed uint64) *Outcome {
 	t.Helper()
-	out, err := Run(g, DefaultParams(), sim.Config{Seed: seed})
+	out, err := Run(g, sim.Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,10 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 }
 
 func TestDegTarget(t *testing.T) {
-	p := DefaultParams()
-	if got := p.DegTarget(16); got != p.MinDegTarget {
-		t.Fatalf("DegTarget(16) = %d", got)
+	if got := degTarget(16); got != minDegTarget {
+		t.Fatalf("degTarget(16) = %d", got)
 	}
-	if p.DegTarget(1<<20) < p.MinDegTarget {
+	if degTarget(1<<20) < minDegTarget {
 		t.Fatal("target below floor")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/energymis/energymis/internal/avgenergy"
 	"github.com/energymis/energymis/internal/degreduce"
@@ -77,10 +76,11 @@ type Options struct {
 	// cost. A Tracer must not be shared by concurrent runs.
 	Tracer obs.Tracer
 
-	// Shatter and Phase3 set the constants of Phases II and III; the
-	// other phases run their packages' DefaultParams.
+	// Shatter and Phase3 set the constants of Phases II and III that
+	// tests vary; Phase III's mode follows the algorithm. The other
+	// phases' constants are their packages' constants.
 	Shatter shatter.Params
-	Phase3  phase3.Params // Mode is forced per algorithm
+	Phase3  phase3.Params
 }
 
 // maxPhase3Retries bounds the reruns of Phase III on the nodes a run of it
@@ -91,7 +91,7 @@ const maxPhase3Retries = 3
 func DefaultOptions() Options {
 	return Options{
 		Shatter: shatter.DefaultParams(),
-		Phase3:  phase3.DefaultParams(phase3.ModeAlg1),
+		Phase3:  phase3.DefaultParams(),
 	}
 }
 
@@ -124,55 +124,14 @@ type Result struct {
 func Run(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) {
 	switch algo {
 	case Luby:
-		return runLuby(g, opts)
+		return runBaseline(g, algo, "luby", luby.Run, opts)
 	case RegularizedLuby:
-		return runRegularizedLuby(g, opts)
+		return runBaseline(g, algo, "reg-luby", luby.RunRegularized, opts)
 	case Algorithm1, Algorithm2, Algorithm1Avg, Algorithm2Avg:
 		return runComposed(g, algo, opts)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %d", algo)
 	}
-}
-
-// tracePhase closes the single phase span of a one-engine-run baseline
-// (Luby, RegularizedLuby), mirroring what pipeline.Record emits for each
-// phase of a composed run. The baselines decide every node, so the
-// residual is always 0.
-func tracePhase(tr obs.Tracer, name string, start time.Time, res *sim.Result) {
-	if tr == nil {
-		return
-	}
-	var awake int64
-	for _, a := range res.Awake {
-		awake += int64(a)
-	}
-	tr.PhaseEnd(obs.PhaseStats{
-		Name: name, Rounds: res.Rounds, Awake: awake,
-		MsgsSent: res.MsgsSent, MsgsDropped: res.MsgsDropped,
-		Bits: res.BitsTotal, Violations: res.Violations,
-		WallNS: time.Since(start).Nanoseconds(),
-	})
-}
-
-func runRegularizedLuby(g *graph.Graph, opts Options) (*Result, error) {
-	if opts.Tracer != nil {
-		opts.Tracer.PhaseStart("reg-luby")
-	}
-	start := time.Now()
-	inSet, res, err := luby.RunRegularized(g, opts.simCfg(1))
-	if err != nil {
-		return nil, err
-	}
-	tracePhase(opts.Tracer, "reg-luby", start, res)
-	acc := stats.NewAccumulator(g.N())
-	acc.AddPhase("reg-luby", res, nil)
-	return &Result{
-		Algorithm:    RegularizedLuby,
-		InSet:        inSet,
-		Summary:      acc.Summarize(),
-		AwakePerNode: acc.AwakePerNode(),
-		Diag:         PhaseDiag{InputMaxDegree: g.MaxDegree()},
-	}, nil
 }
 
 // baseCfg is the root-seed engine configuration of a run; per-phase
@@ -181,27 +140,25 @@ func (o Options) baseCfg() sim.Config {
 	return sim.Config{Seed: o.Seed, B: o.B, Mem: o.Mem, Tracer: o.Tracer}
 }
 
-func (o Options) simCfg(phase uint64) sim.Config {
-	return o.baseCfg().ForPhase(phase)
-}
-
-func runLuby(g *graph.Graph, opts Options) (*Result, error) {
-	if opts.Tracer != nil {
-		opts.Tracer.PhaseStart("luby")
-	}
-	start := time.Now()
-	inSet, res, err := luby.Run(g, opts.simCfg(1))
+// runBaseline runs a one-engine-run baseline (Luby, RegularizedLuby) as a
+// one-phase pipeline. A baseline decides every node, so it leaves no
+// residual.
+func runBaseline(g *graph.Graph, algo Algorithm, name string,
+	run func(*graph.Graph, sim.Config) ([]bool, *sim.Result, error), opts Options) (*Result, error) {
+	pl := pipeline.New(g, opts.baseCfg())
+	pl.Begin(name)
+	inSet, res, err := run(g, pl.Cfg(1))
 	if err != nil {
 		return nil, err
 	}
-	tracePhase(opts.Tracer, "luby", start, res)
-	acc := stats.NewAccumulator(g.N())
-	acc.AddPhase("luby", res, nil)
+	pl.Join(inSet, nil)
+	pl.SetResidual(nil, nil)
+	pl.Record(name, res, nil)
 	return &Result{
-		Algorithm:    Luby,
-		InSet:        inSet,
-		Summary:      acc.Summarize(),
-		AwakePerNode: acc.AwakePerNode(),
+		Algorithm:    algo,
+		InSet:        pl.InSet(),
+		Summary:      pl.Summary(),
+		AwakePerNode: pl.AwakePerNode(),
 		Diag:         PhaseDiag{InputMaxDegree: g.MaxDegree()},
 	}, nil
 }
@@ -221,7 +178,7 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 	// Record closes the span — so the span reports the post-phase residual.
 	if algo == Algorithm1 || algo == Algorithm1Avg {
 		pl.Begin("phase-i")
-		out, err := phase1.Run(g, phase1.DefaultParams(), pl.Cfg(1))
+		out, err := phase1.Run(g, pl.Cfg(1))
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +188,7 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 		diag.Phase1Iterations = out.Plan.Iterations
 	} else {
 		pl.Begin("phase-i")
-		out, err := degreduce.Run(g, degreduce.DefaultParams(), pl.Cfg(1))
+		out, err := degreduce.Run(g, pl.Cfg(1))
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +208,7 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 	if algo == Algorithm1Avg || algo == Algorithm2Avg {
 		subA := pl.Subgraph()
 		pl.Begin("phase-i/ii")
-		ae, err := avgenergy.Run(subA.Graph, avgenergy.DefaultParams(), pl.Cfg(7))
+		ae, err := avgenergy.Run(subA.Graph, pl.Cfg(7))
 		if err != nil {
 			return nil, err
 		}
@@ -288,11 +245,9 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 	diag.MaxComponent = sh.MaxComponent
 
 	// --- Phase III: merge + finisher on the shattered survivors ---
-	p3params := opts.Phase3
+	mode := phase3.ModeAlg1
 	if algo == Algorithm2 || algo == Algorithm2Avg {
-		p3params.Mode = phase3.ModeAlg2
-	} else {
-		p3params.Mode = phase3.ModeAlg1
+		mode = phase3.ModeAlg2
 	}
 	for attempt := 0; len(pl.Residual()) > 0; attempt++ {
 		if attempt > maxPhase3Retries {
@@ -305,7 +260,7 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 		}
 		sub3 := pl.Subgraph()
 		pl.Begin(name)
-		p3, err := phase3.Run(sub3.Graph, p3params, pl.Cfg(3+uint64(attempt)))
+		p3, err := phase3.Run(sub3.Graph, mode, opts.Phase3, pl.Cfg(3+uint64(attempt)))
 		if err != nil {
 			return nil, err
 		}

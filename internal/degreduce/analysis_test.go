@@ -15,14 +15,8 @@ import (
 // widened to [deg/3, 3·deg]; the concentration is still clearly visible.
 func TestLemma34EstimateAccuracy(t *testing.T) {
 	g := graph.GNP(3000, 0.4, 11) // Δ ≈ 1250, Δ^0.6 ≈ 72
-	p := DefaultParams()
-	plan := MakePlan(g.N(), g.MaxDegree(), p)
-	machines := make([]sim.Machine, g.N())
-	nodes := make([]*Machine, g.N())
-	for v := range machines {
-		nodes[v] = &Machine{plan: plan, damp: p.ResampleDamp, pmd: p.PreMarkDamp, pexp: p.PreMarkExp, rv: -1}
-		machines[v] = nodes[v]
-	}
+	plan := MakePlan(g.N(), g.MaxDegree())
+	machines, nodes := newMachines(g, plan)
 	if _, err := sim.Run(g, machines, sim.Config{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,14 +120,8 @@ func TestLemma36GoodEdges(t *testing.T) {
 // node has at most ~4Δ^0.6 sampled (tagged or pre-marked) neighbors.
 func TestLemma310SpoiledBound(t *testing.T) {
 	g := graph.GNP(2500, 0.35, 13)
-	p := DefaultParams()
-	plan := MakePlan(g.N(), g.MaxDegree(), p)
-	machines := make([]sim.Machine, g.N())
-	nodes := make([]*Machine, g.N())
-	for v := range machines {
-		nodes[v] = &Machine{plan: plan, damp: p.ResampleDamp, pmd: p.PreMarkDamp, pexp: p.PreMarkExp, rv: -1}
-		machines[v] = nodes[v]
-	}
+	plan := MakePlan(g.N(), g.MaxDegree())
+	machines, nodes := newMachines(g, plan)
 	if _, err := sim.Run(g, machines, sim.Config{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}

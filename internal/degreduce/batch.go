@@ -31,9 +31,6 @@ const (
 type Batch struct {
 	g    *graph.Graph
 	plan Plan
-	damp float64 // ResampleDamp
-	pmd  float64 // PreMarkDamp
-	pexp float64 // PreMarkExp
 
 	markedBits int32 // 1 + ceil(log2 N) of the current subgraph
 
@@ -50,8 +47,8 @@ type Batch struct {
 var _ sim.BatchMachine = (*Batch)(nil)
 
 // NewBatchIter builds the batch automaton for one iteration over g.
-func NewBatchIter(g *graph.Graph, plan Plan, p Params) *Batch {
-	return &Batch{g: g, plan: plan, damp: p.ResampleDamp, pmd: p.PreMarkDamp, pexp: p.PreMarkExp}
+func NewBatchIter(g *graph.Graph, plan Plan) *Batch {
+	return &Batch{g: g, plan: plan}
 }
 
 // InitAll implements sim.BatchMachine: pre-sample each node's first
@@ -129,7 +126,7 @@ func (b *Batch) ComposeAll(round int, awake []int32, out *sim.BatchOutbox) {
 	case 1:
 		for _, v := range awake {
 			if l == b.rv[v] && b.flags[v]&(bPremarked|bInactive) == bPremarked {
-				if b.rands[v].Bernoulli(markProb(b.plan, b.damp, b.pmd, b.pexp, int(b.av[v]))) {
+				if b.rands[v].Bernoulli(markProb(b.plan, int(b.av[v]))) {
 					b.flags[v] |= bMarked
 					out.Broadcast(v, sim.Msg{
 						Kind: kindMarked,

@@ -14,9 +14,6 @@ import (
 type Machine struct {
 	env  *sim.Env
 	plan Plan
-	damp float64 // ResampleDamp
-	pmd  float64 // PreMarkDamp
-	pexp float64 // PreMarkExp
 
 	rv        int // first sampled logical round; -1 = never sampled
 	tagged    bool
@@ -78,7 +75,7 @@ func (m *Machine) Init(env *sim.Env) int {
 // markProbFromCount returns the re-sampling probability from a
 // tagged-neighbor count (see markProb).
 func (m *Machine) markProbFromCount(av int) float64 {
-	return markProb(m.plan, m.damp, m.pmd, m.pexp, av)
+	return markProb(m.plan, av)
 }
 
 // Compose implements sim.Machine.
@@ -244,21 +241,21 @@ func (m *Machine) deliverEnd(s int, inbox []sim.Msg) {
 // Sampled reports whether the node was tagged or pre-marked.
 func (m *Machine) Sampled() bool { return m.rv >= 0 }
 
-// runIterLegacy executes one iteration with per-node machines through
-// sim.Run.
-func runIterLegacy(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterOut, error) {
-	machines := make([]sim.Machine, cur.N())
-	nodes := make([]*Machine, cur.N())
+// newMachines builds the per-node automata of one iteration over g.
+func newMachines(g *graph.Graph, plan Plan) ([]sim.Machine, []*Machine) {
+	machines := make([]sim.Machine, g.N())
+	nodes := make([]*Machine, g.N())
 	for v := range machines {
-		nodes[v] = &Machine{
-			plan: plan,
-			damp: p.ResampleDamp,
-			pmd:  p.PreMarkDamp,
-			pexp: p.PreMarkExp,
-			rv:   -1,
-		}
+		nodes[v] = &Machine{plan: plan, rv: -1}
 		machines[v] = nodes[v]
 	}
+	return machines, nodes
+}
+
+// runIterLegacy executes one iteration with per-node machines through
+// sim.Run.
+func runIterLegacy(cur *graph.Graph, plan Plan, cfg sim.Config) (iterOut, error) {
+	machines, nodes := newMachines(cur, plan)
 	res, err := sim.Run(cur, machines, cfg)
 	if err != nil {
 		return iterOut{}, err
@@ -275,8 +272,8 @@ func runIterLegacy(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterO
 
 // runLegacy executes the reduction with per-node machines through
 // sim.Run: the reference the batch path is differentially tested against.
-func runLegacy(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
-	return runLoop(g, p, cfg, runIterLegacy)
+func runLegacy(g *graph.Graph, cfg sim.Config) (*Outcome, error) {
+	return runLoop(g, stopDelta(g.N()), cfg, runIterLegacy)
 }
 
 // TestBatchMatchesLegacy is the differential gate of the batch port: the
@@ -297,11 +294,11 @@ func TestBatchMatchesLegacy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 2; seed++ {
-			ref, err := runLegacy(tc.g, DefaultParams(), sim.Config{Seed: seed})
+			ref, err := runLegacy(tc.g, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d legacy: %v", tc.name, seed, err)
 			}
-			got, err := Run(tc.g, DefaultParams(), sim.Config{Seed: seed})
+			got, err := Run(tc.g, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d batch: %v", tc.name, seed, err)
 			}

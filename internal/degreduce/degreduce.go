@@ -21,45 +21,31 @@ const (
 	kindHiJoin = 37 // end window: high-degree node joins
 )
 
-// Params are the tunable constants of the phase.
-type Params struct {
-	RoundsC      float64 // c in R = ceil(c·log2 n) logical rounds per iteration
-	TagExp       float64 // tagging probability Δ^{-TagExp}; paper: 0.5
-	PreMarkExp   float64 // pre-marking probability 1/(PreMarkDamp·Δ^{PreMarkExp}); paper: 0.6
-	PreMarkDamp  float64 // paper: 2
-	ResampleDamp float64 // target marking probability 1/(ResampleDamp·deg~); paper: 5
-	HighFactor   float64 // end-window threshold HighFactor·Δ^{PreMarkExp}; paper: 4
-	NextExp      float64 // Δ' = Δ^{NextExp}; paper: 0.7
-	// Stop iterating when Δ <= max(StopMin, (log2 n)^StopLogExp). The
+// The constants of one iteration (Section 3.1) and of the loop
+// (Corollary 3.2).
+const (
+	roundsC      = 2   // c in T = ⌈c·log₂ n⌉ logical rounds per iteration
+	tagExp       = 0.5 // tagging probability Δ^{-tagExp}; the paper's 1/2
+	preMarkExp   = 0.6 // pre-marking probability 1/(preMarkDamp·Δ^{preMarkExp}); the paper's 0.6
+	preMarkDamp  = 2   // the paper's 2
+	resampleDamp = 5   // target marking probability 1/(resampleDamp·deg~); the paper's 5
+	highFactor   = 4   // end-window threshold highFactor·Δ^{preMarkExp}; the paper's 4
+	nextExp      = 0.7 // Δ' = Δ^{nextExp}; the paper's 0.7 (Lemma 3.1)
+	// The loop stops when Δ <= max(stopMin, (log₂ n)^stopLogExp). The
 	// paper's threshold is log^20 n, which is never reached at feasible
-	// scale; the practical default keeps the same structure at log^2 n.
-	StopLogExp float64
-	StopMin    int
-	MaxIters   int // safety cap on Corollary 3.2 iterations
-}
+	// scale; log² n keeps the same structure.
+	stopLogExp = 2
+	stopMin    = 48
+	maxIters   = 64 // safety cap on Corollary 3.2 iterations
+)
 
-// DefaultParams returns paper exponents with practical stopping rules.
-func DefaultParams() Params {
-	return Params{
-		RoundsC:      2,
-		TagExp:       0.5,
-		PreMarkExp:   0.6,
-		PreMarkDamp:  2,
-		ResampleDamp: 5,
-		HighFactor:   4,
-		NextExp:      0.7,
-		StopLogExp:   2,
-		StopMin:      48,
-		MaxIters:     64,
-	}
-}
-
-// StopDelta returns the degree threshold below which the phase stops.
-func (p Params) StopDelta(n int) int {
+// stopDelta returns the degree bound at or below which the loop stops on
+// an n-node graph.
+func stopDelta(n int) int {
 	log2n := math.Log2(math.Max(float64(n), 2))
-	v := int(math.Pow(log2n, p.StopLogExp))
-	if v < p.StopMin {
-		v = p.StopMin
+	v := int(math.Pow(log2n, stopLogExp))
+	if v < stopMin {
+		v = stopMin
 	}
 	return v
 }
@@ -76,11 +62,11 @@ type Plan struct {
 
 // MakePlan computes the timetable of one iteration for an n-node graph
 // with degree bound delta.
-func MakePlan(n, delta int, p Params) Plan {
+func MakePlan(n, delta int) Plan {
 	if n < 2 {
 		n = 2
 	}
-	t := int(math.Ceil(p.RoundsC * math.Log2(float64(n))))
+	t := int(math.Ceil(roundsC * math.Log2(float64(n))))
 	if t < 1 {
 		t = 1
 	}
@@ -88,9 +74,9 @@ func MakePlan(n, delta int, p Params) Plan {
 	return Plan{
 		T:           t,
 		Delta:       delta,
-		TagProb:     math.Min(1, math.Pow(d, -p.TagExp)),
-		PreMarkProb: math.Min(1, 1/(p.PreMarkDamp*math.Pow(d, p.PreMarkExp))),
-		HighThresh:  p.HighFactor * math.Pow(d, p.PreMarkExp),
+		TagProb:     math.Min(1, math.Pow(d, -tagExp)),
+		PreMarkProb: math.Min(1, 1/(preMarkDamp*math.Pow(d, preMarkExp))),
+		HighThresh:  highFactor * math.Pow(d, preMarkExp),
 	}
 }
 
@@ -101,13 +87,13 @@ func (pl Plan) endRound(s int) int { return 4*pl.T + s }
 // count, via the degree estimate deg~ = Δ^{1/2}·A. Since estimates are
 // compared between neighbors and the scale factor is common, comparisons
 // use the raw counts.
-func markProb(plan Plan, damp, pmd, pexp float64, av int) float64 {
-	cap1 := 1 / (pmd * math.Pow(float64(plan.Delta), pexp))
+func markProb(plan Plan, av int) float64 {
+	cap1 := 1 / (preMarkDamp * math.Pow(float64(plan.Delta), preMarkExp))
 	if av == 0 {
 		return 1 // estimate zero: resample with probability min{1, ∞}
 	}
 	est := math.Sqrt(float64(plan.Delta)) * float64(av)
-	p := (1 / (damp * est)) / cap1
+	p := (1 / (resampleDamp * est)) / cap1
 	// The pre-marking already applied probability cap1; re-sampling with
 	// min{1, target/cap1} yields overall min{cap1, target}.
 	if p > 1 {
@@ -154,8 +140,8 @@ type iterOut struct {
 
 // runIterBatch executes one iteration with the struct-of-arrays automaton
 // on the batch runtime.
-func runIterBatch(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterOut, error) {
-	b := NewBatchIter(cur, plan, p)
+func runIterBatch(cur *graph.Graph, plan Plan, cfg sim.Config) (iterOut, error) {
+	b := NewBatchIter(cur, plan)
 	res, err := sim.RunBatch(cur, b, cfg)
 	if err != nil {
 		return iterOut{}, err
@@ -168,25 +154,25 @@ func runIterBatch(cur *graph.Graph, plan Plan, p Params, cfg sim.Config) (iterOu
 // automaton on the batch runtime; results are byte-identical to the
 // per-node specification through sim.Run (the reference in batch_test.go,
 // whose iteration runner runs through the same runLoop).
-func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
-	return runLoop(g, p, cfg, runIterBatch)
+func Run(g *graph.Graph, cfg sim.Config) (*Outcome, error) {
+	return runLoop(g, stopDelta(g.N()), cfg, runIterBatch)
 }
 
-func runLoop(g *graph.Graph, p Params, cfg sim.Config,
-	runIter func(*graph.Graph, Plan, Params, sim.Config) (iterOut, error)) (*Outcome, error) {
+// runLoop iterates runIter while the degree bound exceeds stop.
+func runLoop(g *graph.Graph, stop int, cfg sim.Config,
+	runIter func(*graph.Graph, Plan, sim.Config) (iterOut, error)) (*Outcome, error) {
 	out := &Outcome{InSet: make([]bool, g.N())}
-	stop := p.StopDelta(g.N())
 	cur := g
 	orig := make([]int32, g.N())
 	for v := range orig {
 		orig[v] = int32(v)
 	}
 	delta := g.MaxDegree()
-	for iter := 0; delta > stop && cur.N() > 0 && iter < p.MaxIters; iter++ {
-		plan := MakePlan(g.N(), delta, p)
+	for iter := 0; delta > stop && cur.N() > 0 && iter < maxIters; iter++ {
+		plan := MakePlan(g.N(), delta)
 		iterCfg := cfg
 		iterCfg.Seed = cfg.Seed + uint64(iter)*0x9e3779b97f4a7c15
-		it, err := runIter(cur, plan, p, iterCfg)
+		it, err := runIter(cur, plan, iterCfg)
 		if err != nil {
 			return nil, fmt.Errorf("degreduce iteration %d: %w", iter, err)
 		}
@@ -201,7 +187,7 @@ func runLoop(g *graph.Graph, p Params, cfg sim.Config,
 		sub := graph.InducedSubgraph(cur, restLocal)
 		st.MeasuredD = sub.MaxDegree()
 
-		next := int(math.Ceil(math.Pow(float64(delta), p.NextExp)))
+		next := int(math.Ceil(math.Pow(float64(delta), nextExp)))
 		if next >= delta {
 			next = delta - 1 // guarantee progress at small Δ
 		}

@@ -11,8 +11,7 @@ import (
 )
 
 func TestMakePlan(t *testing.T) {
-	p := DefaultParams()
-	plan := MakePlan(1024, 10000, p)
+	plan := MakePlan(1024, 10000)
 	if plan.T != 20 {
 		t.Fatalf("T = %d, want 20", plan.T)
 	}
@@ -28,18 +27,17 @@ func TestMakePlan(t *testing.T) {
 }
 
 func TestStopDelta(t *testing.T) {
-	p := DefaultParams()
-	if got := p.StopDelta(2); got != p.StopMin {
-		t.Fatalf("StopDelta(2) = %d", got)
+	if got := stopDelta(2); got != stopMin {
+		t.Fatalf("stopDelta(2) = %d", got)
 	}
-	if got := p.StopDelta(1 << 20); got != 400 { // (log2 n)^2 = 400
-		t.Fatalf("StopDelta(2^20) = %d, want 400", got)
+	if got := stopDelta(1 << 20); got != 400 { // (log2 n)^2 = 400
+		t.Fatalf("stopDelta(2^20) = %d, want 400", got)
 	}
 }
 
-func runReduce(t *testing.T, g *graph.Graph, p Params, seed uint64) *Outcome {
+func runReduce(t *testing.T, g *graph.Graph, seed uint64) *Outcome {
 	t.Helper()
-	out, err := Run(g, p, sim.Config{Seed: seed})
+	out, err := Run(g, sim.Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +53,7 @@ func TestIndependence(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		for seed := uint64(0); seed < 4; seed++ {
-			out := runReduce(t, g, DefaultParams(), seed)
+			out := runReduce(t, g, seed)
 			if ok, u, v := verify.IsIndependent(g, out.InSet); !ok {
 				t.Fatalf("graph %d seed %d: dependent edge (%d,%d)", gi, seed, u, v)
 			}
@@ -65,12 +63,11 @@ func TestIndependence(t *testing.T) {
 
 func TestDegreeReduction(t *testing.T) {
 	g := graph.GNP(2000, 0.3, 3)
-	p := DefaultParams()
-	out := runReduce(t, g, p, 5)
+	out := runReduce(t, g, 5)
 	if len(out.Iters) == 0 {
 		t.Fatal("no iterations ran on a dense graph")
 	}
-	stop := p.StopDelta(g.N())
+	stop := stopDelta(g.N())
 	sub := graph.InducedSubgraph(g, out.Residual)
 	if got := sub.MaxDegree(); got > 4*stop {
 		t.Fatalf("residual max degree %d > 4*stop=%d (input Δ=%d, iters=%d, boundExceeded=%d)",
@@ -94,20 +91,20 @@ func TestDegreeReduction(t *testing.T) {
 func TestMultipleIterations(t *testing.T) {
 	const c = 1.0
 	for _, tc := range []struct {
-		g       *graph.Graph
-		stopMin int
-		seeds   []uint64
+		g     *graph.Graph
+		stop  int
+		seeds []uint64
 	}{
 		{graph.GNP(1500, 0.4, 7), 8, []uint64{9}},
 		{graph.GNP(2500, 0.35, 8), 16, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
 	} {
 		g := tc.g
-		p := DefaultParams()
-		p.StopLogExp = 0
-		p.StopMin = tc.stopMin
 		worst := 0.0
 		for _, seed := range tc.seeds {
-			out := runReduce(t, g, p, seed)
+			out, err := runLoop(g, tc.stop, sim.Config{Seed: seed}, runIterBatch)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(out.Iters) < 3 {
 				t.Fatalf("n=%d seed %d: expected >=3 iterations, got %d", g.N(), seed, len(out.Iters))
 			}
@@ -133,12 +130,11 @@ func TestMultipleIterations(t *testing.T) {
 
 func TestEnergyPerIteration(t *testing.T) {
 	g := graph.GNP(2000, 0.3, 11)
-	p := DefaultParams()
-	out := runReduce(t, g, p, 13)
+	out := runReduce(t, g, 13)
 	for i, st := range out.Iters {
 		// Sampled nodes: |S| schedule rounds + 3 cohort rounds + 4 end
 		// rounds. Unsampled: 4 end rounds.
-		bound := schedule.MaxSize(MakePlan(g.N(), st.Delta, p).T) + 3 + 4
+		bound := schedule.MaxSize(MakePlan(g.N(), st.Delta).T) + 3 + 4
 		if got := st.Res.MaxAwake(); got > bound {
 			t.Fatalf("iteration %d: MaxAwake %d > %d", i, got, bound)
 		}
@@ -147,14 +143,7 @@ func TestEnergyPerIteration(t *testing.T) {
 
 func TestUnsampledNodesOnlyPayEndWindow(t *testing.T) {
 	g := graph.GNP(1500, 0.3, 15)
-	plan := MakePlan(g.N(), g.MaxDegree(), DefaultParams())
-	p := DefaultParams()
-	machines := make([]sim.Machine, g.N())
-	nodes := make([]*Machine, g.N())
-	for v := range machines {
-		nodes[v] = &Machine{plan: plan, damp: p.ResampleDamp, pmd: p.PreMarkDamp, pexp: p.PreMarkExp, rv: -1}
-		machines[v] = nodes[v]
-	}
+	machines, nodes := newMachines(g, MakePlan(g.N(), g.MaxDegree()))
 	res, err := sim.Run(g, machines, sim.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +157,7 @@ func TestUnsampledNodesOnlyPayEndWindow(t *testing.T) {
 
 func TestCongestCompliance(t *testing.T) {
 	g := graph.GNP(1200, 0.4, 17)
-	out := runReduce(t, g, DefaultParams(), 19)
+	out := runReduce(t, g, 19)
 	for i, st := range out.Iters {
 		if st.Res.Violations != 0 {
 			t.Fatalf("iteration %d: %d violations (bitsMax=%d)", i, st.Res.Violations, st.Res.BitsMax)
@@ -178,7 +167,7 @@ func TestCongestCompliance(t *testing.T) {
 
 func TestSparseGraphSkipsPhase(t *testing.T) {
 	g := graph.GNP(1000, 0.01, 1)
-	out := runReduce(t, g, DefaultParams(), 1)
+	out := runReduce(t, g, 1)
 	if len(out.Iters) != 0 {
 		t.Fatalf("iterations = %d on low-degree graph", len(out.Iters))
 	}
@@ -189,8 +178,8 @@ func TestSparseGraphSkipsPhase(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	g := graph.GNP(900, 0.3, 23)
-	a := runReduce(t, g, DefaultParams(), 42)
-	b := runReduce(t, g, DefaultParams(), 42)
+	a := runReduce(t, g, 42)
+	b := runReduce(t, g, 42)
 	for v := range a.InSet {
 		if a.InSet[v] != b.InSet[v] {
 			t.Fatalf("node %d differs", v)
@@ -200,7 +189,7 @@ func TestDeterministic(t *testing.T) {
 
 func TestCliqueReduces(t *testing.T) {
 	g := graph.Complete(600)
-	out := runReduce(t, g, DefaultParams(), 25)
+	out := runReduce(t, g, 25)
 	if ok, _, _ := verify.IsIndependent(g, out.InSet); !ok {
 		t.Fatal("clique set dependent")
 	}

@@ -18,7 +18,7 @@ import (
 // executes; larger K is the parallel-executions form of Lemma 2.7.
 type Machine struct {
 	env    *sim.Env
-	proto  *Proto
+	proto  Proto
 	rounds int
 	k      int
 
@@ -36,7 +36,7 @@ func NewMachine(k, rounds int) *Machine {
 // Init implements sim.Machine.
 func (m *Machine) Init(env *sim.Env) int {
 	m.env = env
-	m.proto = NewProto(m.k, env.Rand)
+	m.proto.Reset(make([]float64, m.k), env.Rand)
 	return 0
 }
 

@@ -24,9 +24,9 @@
 // execution on the whole graph as Batch, a struct-of-arrays automaton on
 // the batch runtime (Phase II, and the dynamic engine's Ghaffari
 // repair). Proto holds up to MaxK = 64 executions of one node, one bit
-// each of a uint64, which Phase III's finisher embeds in its per-node
-// machines; its default K = 2⌈log₂(n+2)⌉ never exceeds 64 for an int32
-// node count. The
+// each of a uint64, which Phase III's finisher holds by value in its
+// per-node machines and resets per attempt; its default K = 2⌈log₂(n+2)⌉
+// never exceeds 64 for an int32 node count. The
 // per-node Machine in this package's tests is the specification both
 // follow: at K = 1 the differential tests and
 // FuzzRunShatterMatchesPerNode hold RunShatter to it bit for bit, and at

@@ -29,37 +29,37 @@ func nextDesire(p float64, nbrMarked bool) float64 {
 
 // Proto is the per-node state of K ≤ MaxK packed executions, the form
 // Lemma 2.7's finisher runs on poly(log n)-size components: Phase III's
-// machines embed it and drive it by ComposeMarks/AbsorbMarks/AbsorbJoins.
-// Bit e of every word is execution e; a mark, join or success vector is
-// one word and so one message. One execution on the whole graph
-// (Lemma 2.6) runs as Batch instead.
+// machines hold it by value and drive it by ComposeMarks/AbsorbMarks/
+// AbsorbJoins after Reset. Bit e of every word is execution e; a mark,
+// join or success vector is one word and so one message. One execution
+// on the whole graph (Lemma 2.6) runs as Batch instead.
 type Proto struct {
-	k    int
 	rand *rng.Stream
 
-	p      []float64 // desire level per execution
+	p      []float64 // desire level per execution; K = len(p)
 	in     uint64    // joined in execution e
 	out    uint64    // a neighbor joined in execution e
 	marked uint64    // this round's own marks
 }
 
-// NewProto returns a fresh protocol state for k ≤ MaxK executions.
-func NewProto(k int, rand *rng.Stream) *Proto {
-	if k < 0 || k > MaxK {
-		panic(fmt.Sprintf("ghaffari: K=%d outside [0, %d]", k, MaxK))
+// Reset starts K = len(levels) ≤ MaxK fresh executions that draw from
+// rand and keep their desire levels in levels, all set to 1/2. Resetting
+// a used Proto gives the same state as resetting a zero one.
+func (p *Proto) Reset(levels []float64, rand *rng.Stream) {
+	if len(levels) > MaxK {
+		panic(fmt.Sprintf("ghaffari: K=%d above %d", len(levels), MaxK))
 	}
-	p := &Proto{k: k, rand: rand, p: make([]float64, k)}
-	for i := range p.p {
-		p.p[i] = pMax
+	for i := range levels {
+		levels[i] = pMax
 	}
-	return p
+	*p = Proto{rand: rand, p: levels}
 }
 
 // Bits returns the message size of one packed vector.
-func (p *Proto) Bits() int32 { return int32(p.k) }
+func (p *Proto) Bits() int32 { return int32(len(p.p)) }
 
 // all returns the word with one bit per execution.
-func (p *Proto) all() uint64 { return ^uint64(0) >> (MaxK - p.k) }
+func (p *Proto) all() uint64 { return ^uint64(0) >> (MaxK - len(p.p)) }
 
 // undecided returns the executions in which the node is still undecided.
 func (p *Proto) undecided() uint64 { return p.all() &^ (p.in | p.out) }

@@ -12,10 +12,17 @@ import (
 	"github.com/energymis/energymis/internal/verify"
 )
 
+// newProto returns a Proto reset to k executions with their own levels.
+func newProto(k int, rand *rng.Stream) *Proto {
+	p := new(Proto)
+	p.Reset(make([]float64, k), rand)
+	return p
+}
+
 func TestProtoJoinsAreIndependent(t *testing.T) {
 	// Two adjacent nodes both marked in the same execution: neither joins.
-	a := NewProto(1, rng.New(1))
-	b := NewProto(1, rng.New(2))
+	a := newProto(1, rng.New(1))
+	b := newProto(1, rng.New(2))
 	// Force both marked by setting p = 1 via repeated attempts.
 	a.p[0], b.p[0] = 1, 1
 	am := a.ComposeMarks()
@@ -34,7 +41,7 @@ func TestProtoJoinsAreIndependent(t *testing.T) {
 }
 
 func TestProtoLoneMarkJoins(t *testing.T) {
-	a := NewProto(1, rng.New(1))
+	a := newProto(1, rng.New(1))
 	a.p[0] = 1
 	a.ComposeMarks()
 	joins := a.AbsorbMarks(0)
@@ -44,7 +51,7 @@ func TestProtoLoneMarkJoins(t *testing.T) {
 }
 
 func TestDesireLevelDynamics(t *testing.T) {
-	a := NewProto(1, rng.New(1))
+	a := newProto(1, rng.New(1))
 	start := a.p[0]
 	// A marked neighbor halves p.
 	a.ComposeMarks()
@@ -57,7 +64,7 @@ func TestDesireLevelDynamics(t *testing.T) {
 	if a.InMIS(0) {
 		// The node may have joined; restart with a fresh proto and a seed
 		// that does not mark.
-		a = NewProto(1, rng.New(3))
+		a = newProto(1, rng.New(3))
 		a.p[0] = start / 2
 	}
 	a.marked = 0 // treat as unmarked this round
@@ -78,7 +85,7 @@ func TestDesireLevelDynamics(t *testing.T) {
 // the floor pMin = 2⁻²⁰ after exactly 19 and leave it there, and 25 quiet
 // rounds double it back to the cap 1/2 after 19 and keep it there.
 func TestDesireLevelFloorAndCap(t *testing.T) {
-	proto := NewProto(1, rng.New(1))
+	proto := newProto(1, rng.New(1))
 	p := pMax
 	step := func(nbrMarked bool, want float64, what string) {
 		t.Helper()
@@ -107,7 +114,7 @@ func TestDesireLevelFloorAndCap(t *testing.T) {
 }
 
 func TestAbsorbJoinsKnocksOut(t *testing.T) {
-	a := NewProto(2, rng.New(1))
+	a := newProto(2, rng.New(1))
 	a.AbsorbJoins(0b110) // neighbor joined executions 1 and 2 (2 >= K)
 	if a.Decided() != 0b10 {
 		t.Fatalf("Decided = %b, want 10", a.Decided())

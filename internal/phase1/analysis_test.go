@@ -18,12 +18,11 @@ import (
 // O(log² n) residual degree.
 func TestInvariantsAB(t *testing.T) {
 	g := graph.GNP(2000, 0.4, 3)
-	p := DefaultParams()
-	plan := MakePlan(g.N(), g.MaxDegree(), p)
+	plan := MakePlan(g.N(), g.MaxDegree())
 	if plan.Iterations == 0 {
 		t.Fatal("test graph too sparse for Phase I")
 	}
-	machines, nodes := NewMachines(g, plan, p)
+	machines, nodes := NewMachines(g, plan)
 	if _, err := sim.Run(g, machines, sim.Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func TestInvariantsAB(t *testing.T) {
 	}
 
 	logn := math.Log2(float64(g.N()))
-	boundA := 8 * float64(plan.Iterations+1) * logn * float64(plan.RoundsPerIter) / p.RoundsPerIterC
+	boundA := 8 * float64(plan.Iterations+1) * logn * float64(plan.RoundsPerIter) / roundsPerIterC
 	// B(T): Δ/2^Iterations with constant slack.
 	boundB := 8 * float64(plan.MaxDegree) / math.Pow(2, float64(plan.Iterations))
 
@@ -81,11 +80,11 @@ func TestInvariantsAB(t *testing.T) {
 }
 
 // TestSection41SampledBound reproduces the Section 4.1 computation: with
-// IterTrim = 2, the per-node probability of ever being marked is
+// iterTrim = 2, the per-node probability of ever being marked is
 // O(1/log n), so the expected sampled count is O(n/log n).
 func TestSection41SampledBound(t *testing.T) {
 	g := graph.GNP(4000, 0.3, 5)
-	out, err := Run(g, DefaultParams(), sim.Config{Seed: 7})
+	out, err := Run(g, sim.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +100,17 @@ func TestSection41SampledBound(t *testing.T) {
 }
 
 // TestMarkProbSchedule checks the per-round marking probabilities follow
-// the paper's 2^i/(damp·Δ) schedule with the cap at 1.
+// the paper's 2^i/(10·Δ) schedule with the cap at 1.
 func TestMarkProbSchedule(t *testing.T) {
 	plan := Plan{Iterations: 40, RoundsPerIter: 4, T: 160, MaxDegree: 64}
-	if got := markProbAt(plan, 10, 0); math.Abs(got-1.0/640) > 1e-12 {
+	if got := markProbAt(plan, 0); math.Abs(got-1.0/640) > 1e-12 {
 		t.Fatalf("markProb(0) = %v", got)
 	}
-	if got := markProbAt(plan, 10, 4); math.Abs(got-2.0/640) > 1e-12 {
+	if got := markProbAt(plan, 4); math.Abs(got-2.0/640) > 1e-12 {
 		t.Fatalf("markProb(iter1) = %v", got)
 	}
 	// Deep iterations saturate at probability 1.
-	if got := markProbAt(plan, 10, 159); got != 1 {
+	if got := markProbAt(plan, 159); got != 1 {
 		t.Fatalf("markProb cap = %v", got)
 	}
 }

@@ -29,7 +29,6 @@ const (
 type Batch struct {
 	g    *graph.Graph
 	plan Plan
-	damp float64
 
 	rv      []int32 // logical round of the one-shot marking; -1 = never
 	wakeAll []int32 // flattened ascending engine wake rounds
@@ -41,13 +40,15 @@ type Batch struct {
 var _ sim.BatchMachine = (*Batch)(nil)
 
 // NewBatch builds the batch automaton for one phase run over g.
-func NewBatch(g *graph.Graph, plan Plan, p Params) *Batch {
-	return &Batch{g: g, plan: plan, damp: p.MarkDamp}
+func NewBatch(g *graph.Graph, plan Plan) *Batch {
+	return &Batch{g: g, plan: plan}
 }
 
-func markProbAt(plan Plan, damp float64, k int) float64 {
+// markProbAt returns the marking probability 2^i/(markDamp·Δ) of logical
+// round k, in iteration i, capped at 1.
+func markProbAt(plan Plan, k int) float64 {
 	i := k / plan.RoundsPerIter
-	p := math.Pow(2, float64(i)) / (damp * float64(plan.MaxDegree))
+	p := math.Pow(2, float64(i)) / (markDamp * float64(plan.MaxDegree))
 	if p > 1 {
 		p = 1
 	}
@@ -77,7 +78,7 @@ func (b *Batch) InitAll(env *sim.BatchEnv) []int {
 	// precompute the T-entry table once instead of per node.
 	probs := make([]float64, b.plan.T)
 	for k := range probs {
-		probs[k] = markProbAt(b.plan, b.damp, k)
+		probs[k] = markProbAt(b.plan, k)
 	}
 	// Sample every node first: typically few nodes are ever marked, and
 	// only those need room in the arena.

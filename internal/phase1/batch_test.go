@@ -17,7 +17,6 @@ import (
 type Machine struct {
 	env  *sim.Env
 	plan Plan
-	damp float64
 
 	// Pre-sampled state.
 	rv   int   // logical round of the node's one-shot marking; -1 = never
@@ -36,11 +35,11 @@ type Machine struct {
 var _ sim.Machine = (*Machine)(nil)
 
 // NewMachines builds the automata for one phase run over g.
-func NewMachines(g *graph.Graph, plan Plan, p Params) ([]sim.Machine, []*Machine) {
+func NewMachines(g *graph.Graph, plan Plan) ([]sim.Machine, []*Machine) {
 	machines := make([]sim.Machine, g.N())
 	nodes := make([]*Machine, g.N())
 	for v := range machines {
-		nodes[v] = &Machine{plan: plan, damp: p.MarkDamp, rv: -1}
+		nodes[v] = &Machine{plan: plan, rv: -1}
 		machines[v] = nodes[v]
 	}
 	return machines, nodes
@@ -49,7 +48,7 @@ func NewMachines(g *graph.Graph, plan Plan, p Params) ([]sim.Machine, []*Machine
 // markProb returns the marking probability of logical round k.
 func (m *Machine) markProb(k int) float64 {
 	i := k / m.plan.RoundsPerIter
-	p := math.Pow(2, float64(i)) / (m.damp * float64(m.plan.MaxDegree))
+	p := math.Pow(2, float64(i)) / (markDamp * float64(m.plan.MaxDegree))
 	if p > 1 {
 		p = 1
 	}
@@ -161,8 +160,8 @@ func (m *Machine) Sampled() bool { return m.rv >= 0 }
 // runWithPlanLegacy executes the phase with the per-node Machine through
 // sim.Run: the reference the batch automaton is differentially tested
 // against.
-func runWithPlanLegacy(g *graph.Graph, plan Plan, p Params, cfg sim.Config) (*Outcome, error) {
-	machines, nodes := NewMachines(g, plan, p)
+func runWithPlanLegacy(g *graph.Graph, plan Plan, cfg sim.Config) (*Outcome, error) {
+	machines, nodes := NewMachines(g, plan)
 	res, err := sim.Run(g, machines, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("phase1: %w", err)
@@ -195,15 +194,14 @@ func TestBatchMatchesLegacy(t *testing.T) {
 		{"sparse", graph.GNP(500, 3.0/500, 7)}, // low Δ: plan may have 0 iterations
 		{"edgeless", graph.FromEdges(50, nil)}, // MaxDegree 0: phase is skipped
 	}
-	p := DefaultParams()
 	for _, tc := range cases {
-		plan := MakePlan(tc.g.N(), tc.g.MaxDegree(), p)
+		plan := MakePlan(tc.g.N(), tc.g.MaxDegree())
 		for seed := uint64(1); seed <= 3; seed++ {
-			ref, err := runWithPlanLegacy(tc.g, plan, p, sim.Config{Seed: seed})
+			ref, err := runWithPlanLegacy(tc.g, plan, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d legacy: %v", tc.name, seed, err)
 			}
-			out, err := RunWithPlan(tc.g, plan, p, sim.Config{Seed: seed})
+			out, err := RunWithPlan(tc.g, plan, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed=%d batch: %v", tc.name, seed, err)
 			}

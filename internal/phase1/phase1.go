@@ -15,28 +15,20 @@ const (
 	kindInMIS = 23
 )
 
-// Params are the tunable constants of the phase. The zero value is not
-// meaningful; start from DefaultParams.
-type Params struct {
-	// RoundsPerIterC is c in "R = ceil(c·log2 n) rounds per iteration".
-	RoundsPerIterC float64
-	// MarkDamp is the damping constant in the base marking probability
-	// 2^i/(MarkDamp·Δ). The paper uses 10.
-	MarkDamp float64
-	// IterTrim is a in "I = ceil(log2 Δ) − a·ceil(log2 log2 n)". The paper
-	// uses a = 2, which also yields the O(n/log n) sampled-node bound of
-	// Section 4.1.
-	IterTrim int
-	// MinIterations floors I (0 means the phase may be skipped entirely
-	// when Δ is already polylogarithmic).
-	MinIterations int
-}
-
-// DefaultParams returns the paper-faithful constants with a practical
-// rounds-per-iteration multiplier.
-func DefaultParams() Params {
-	return Params{RoundsPerIterC: 2, MarkDamp: 10, IterTrim: 2}
-}
+// The phase's constants (Section 2.1).
+const (
+	// roundsPerIterC is c in "R = ⌈c·log₂ n⌉ rounds per iteration", a
+	// practical multiplier of the paper's Θ(log n).
+	roundsPerIterC = 2
+	// markDamp is the damping constant in the base marking probability
+	// 2^i/(markDamp·Δ). The paper uses 10.
+	markDamp = 10
+	// iterTrim is a in "I = ⌈log₂ Δ⌉ − a·⌈log₂ log₂ n⌉". The paper uses
+	// a = 2, which also yields the O(n/log n) sampled-node bound of
+	// Section 4.1. I is floored at 0: the phase is skipped when Δ is
+	// already polylogarithmic.
+	iterTrim = 2
+)
 
 // Plan describes the precomputed timetable of a phase run.
 type Plan struct {
@@ -64,8 +56,8 @@ func PlanExplicit(iters, roundsPerIter, maxDeg int) Plan {
 // the struct-of-arrays automaton on the batch runtime; results are
 // byte-identical to the per-node specification through sim.Run (the
 // reference in batch_test.go).
-func RunWithPlan(g *graph.Graph, plan Plan, p Params, cfg sim.Config) (*Outcome, error) {
-	b := NewBatch(g, plan, p)
+func RunWithPlan(g *graph.Graph, plan Plan, cfg sim.Config) (*Outcome, error) {
+	b := NewBatch(g, plan)
 	res, err := sim.RunBatch(g, b, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("phase1: %w", err)
@@ -75,7 +67,7 @@ func RunWithPlan(g *graph.Graph, plan Plan, p Params, cfg sim.Config) (*Outcome,
 
 // MakePlan computes the timetable for an n-node graph with maximum degree
 // maxDeg.
-func MakePlan(n, maxDeg int, p Params) Plan {
+func MakePlan(n, maxDeg int) Plan {
 	if n < 2 {
 		n = 2
 	}
@@ -83,12 +75,10 @@ func MakePlan(n, maxDeg int, p Params) Plan {
 	loglog := int(math.Ceil(math.Log2(math.Max(log2n, 2))))
 	iters := 0
 	if maxDeg > 1 {
-		iters = int(math.Ceil(math.Log2(float64(maxDeg)))) - p.IterTrim*loglog
+		iters = int(math.Ceil(math.Log2(float64(maxDeg)))) - iterTrim*loglog
 	}
-	if iters < p.MinIterations {
-		iters = p.MinIterations
-	}
-	r := int(math.Ceil(p.RoundsPerIterC * log2n))
+	iters = max(iters, 0)
+	r := int(math.Ceil(roundsPerIterC * log2n))
 	if r < 1 {
 		r = 1
 	}
@@ -106,6 +96,6 @@ type Outcome struct {
 }
 
 // Run executes the phase on g.
-func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
-	return RunWithPlan(g, MakePlan(g.N(), g.MaxDegree(), p), p, cfg)
+func Run(g *graph.Graph, cfg sim.Config) (*Outcome, error) {
+	return RunWithPlan(g, MakePlan(g.N(), g.MaxDegree()), cfg)
 }

@@ -11,8 +11,7 @@ import (
 )
 
 func TestMakePlan(t *testing.T) {
-	p := DefaultParams()
-	plan := MakePlan(1<<16, 1<<12, p) // log2 n = 16, loglog = 4, trim 8
+	plan := MakePlan(1<<16, 1<<12) // log2 n = 16, loglog = 4, trim 8
 	if plan.Iterations != 4 {
 		t.Fatalf("iterations = %d, want 4", plan.Iterations)
 	}
@@ -22,20 +21,16 @@ func TestMakePlan(t *testing.T) {
 	if plan.T != 128 {
 		t.Fatalf("T = %d", plan.T)
 	}
-	// Low degree: phase is skipped.
-	if got := MakePlan(1<<16, 64, p).Iterations; got != 0 {
+	// Low degree: the iteration count floors at 0 and the phase is
+	// skipped.
+	if got := MakePlan(1<<16, 64).Iterations; got != 0 {
 		t.Fatalf("low-degree iterations = %d, want 0", got)
-	}
-	// MinIterations floors.
-	p.MinIterations = 3
-	if got := MakePlan(1<<16, 64, p).Iterations; got != 3 {
-		t.Fatalf("floored iterations = %d", got)
 	}
 }
 
 func runPhase(t *testing.T, g *graph.Graph, seed uint64) *Outcome {
 	t.Helper()
-	out, err := Run(g, DefaultParams(), sim.Config{Seed: seed})
+	out, err := Run(g, sim.Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +50,7 @@ func TestIndependence(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		for seed := uint64(0); seed < 5; seed++ {
-			out, err := Run(g, DefaultParams(), sim.Config{Seed: seed})
+			out, err := Run(g, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,8 +114,8 @@ func TestEnergyBound(t *testing.T) {
 
 func TestUnsampledNodesSleep(t *testing.T) {
 	g := graph.GNP(1500, 0.4, 11)
-	plan := MakePlan(g.N(), g.MaxDegree(), DefaultParams())
-	machines, nodes := NewMachines(g, plan, DefaultParams())
+	plan := MakePlan(g.N(), g.MaxDegree())
+	machines, nodes := NewMachines(g, plan)
 	res, err := sim.Run(g, machines, sim.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +128,7 @@ func TestUnsampledNodesSleep(t *testing.T) {
 }
 
 func TestSampledFractionSmall(t *testing.T) {
-	// Section 4.1: with IterTrim=2 the per-node sampling probability is
+	// Section 4.1: with iterTrim = 2 the per-node sampling probability is
 	// O(1/log n); the sampled count must be well below n.
 	g := graph.GNP(3000, 0.3, 13)
 	out := runPhase(t, g, 7)
@@ -203,7 +198,7 @@ func TestEmptyAndTinyGraphs(t *testing.T) {
 		graph.NewBuilder(5).Build(),
 		graph.Path(2),
 	} {
-		out, err := Run(g, DefaultParams(), sim.Config{Seed: 1})
+		out, err := Run(g, sim.Config{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

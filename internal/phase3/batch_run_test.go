@@ -39,10 +39,10 @@ func TestBatchMatchesLegacy(t *testing.T) {
 	}
 	mem := sim.NewMem() // shared by every case, so each pooled rerun inherits a used pool
 	for _, mode := range []Mode{ModeAlg1, ModeAlg2} {
-		p := DefaultParams(mode)
+		p := DefaultParams()
 		for _, tc := range cases {
 			for seed := uint64(1); seed <= 2; seed++ {
-				got, err := Run(tc.g, p, sim.Config{Seed: seed})
+				got, err := Run(tc.g, mode, p, sim.Config{Seed: seed})
 				if err != nil {
 					t.Fatalf("%s mode=%v seed=%d: %v", tc.name, mode, seed, err)
 				}
@@ -54,7 +54,7 @@ func TestBatchMatchesLegacy(t *testing.T) {
 				} else {
 					checkMIS(t, tc.g, got)
 				}
-				pooled, err := Run(tc.g, p, sim.Config{Seed: seed, Mem: mem})
+				pooled, err := Run(tc.g, mode, p, sim.Config{Seed: seed, Mem: mem})
 				if err != nil {
 					t.Fatalf("%s mode=%v seed=%d pooled: %v", tc.name, mode, seed, err)
 				}

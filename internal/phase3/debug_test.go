@@ -13,7 +13,7 @@ import (
 // depths equal parent depth + 1.
 func TestTreeConsistencyAfterMerging(t *testing.T) {
 	g := graph.GNP(60, 0.06, 100)
-	p := DefaultParams(ModeAlg1)
+	p := DefaultParams()
 	comps := graph.Components(g)
 	maxComp := 0
 	for _, c := range comps {
@@ -21,11 +21,12 @@ func TestTreeConsistencyAfterMerging(t *testing.T) {
 			maxComp = len(c)
 		}
 	}
-	tt := NewTimetable(g.N(), maxComp, p)
+	tt := NewTimetable(g.N(), maxComp, ModeAlg1, p)
 	machines := make([]sim.Machine, g.N())
 	nodes := make([]*Machine, g.N())
+	all := newMachines(g.N(), tt)
 	for v := range machines {
-		nodes[v] = &Machine{tt: tt}
+		nodes[v] = &all[v]
 		machines[v] = nodes[v]
 	}
 	if _, err := sim.Run(g, machines, sim.Config{Seed: 0, MaxRounds: tt.TotalLen + 2}); err != nil {

@@ -76,8 +76,10 @@ type Machine struct {
 	nbrStatus []uint8 // per-neighbor cluster status bits from X2a
 	idb       int32   // bits per node identifier = ceil(log2 N)
 
-	// Finisher state.
-	proto        *ghaffari.Proto
+	// Finisher state. proto is reset per attempt over levels, the node's
+	// K-element window of one per-run array (newMachines).
+	proto        ghaffari.Proto
+	levels       []float64
 	brokenLocal  bool
 	broken       bool
 	attempts     int

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/energymis/energymis/internal/cluster"
-	"github.com/energymis/energymis/internal/ghaffari"
 	"github.com/energymis/energymis/internal/sim"
 )
 
@@ -625,7 +624,7 @@ func (m *Machine) composeFinisher(round int, out *sim.Outbox) {
 }
 
 func (m *Machine) composeAttempt(round int, out *sim.Outbox) {
-	if m.decided || m.broken || m.proto == nil {
+	if m.decided || m.broken || m.attempts == 0 {
 		return
 	}
 	a := (round - m.tt.finBase) / m.tt.attLen
@@ -704,7 +703,7 @@ func (m *Machine) planAttempt(a int) {
 		return
 	}
 	m.attempts = a + 1
-	m.proto = ghaffari.NewProto(m.tt.K, m.env.Rand)
+	m.proto.Reset(m.levels, m.env.Rand)
 	m.ccf = ^uint64(0)
 	m.bcfPayload = 0
 	g0, cc, bc := m.tt.attStages(a)
@@ -716,7 +715,7 @@ func (m *Machine) planAttempt(a int) {
 }
 
 func (m *Machine) deliverAttempt(round int, inbox []sim.Msg) {
-	if m.decided || m.broken || m.proto == nil {
+	if m.decided || m.broken || m.attempts == 0 {
 		return
 	}
 	a := (round - m.tt.finBase) / m.tt.attLen

@@ -10,7 +10,7 @@ import (
 )
 
 func TestTimetableLayout(t *testing.T) {
-	tt := NewTimetable(100, 20, DefaultParams(ModeAlg1))
+	tt := NewTimetable(100, 20, ModeAlg1, DefaultParams())
 	if tt.D != 21 {
 		t.Fatalf("D = %d, want 21", tt.D)
 	}
@@ -37,11 +37,11 @@ func TestTimetableLayout(t *testing.T) {
 }
 
 func TestTimetableAlg2Palette(t *testing.T) {
-	tt := NewTimetable(1<<20, 30, DefaultParams(ModeAlg2))
+	tt := NewTimetable(1<<20, 30, ModeAlg2, DefaultParams())
 	if tt.Classes > 8 {
 		t.Fatalf("Alg2 classes = %d, want O(1)", tt.Classes)
 	}
-	tt1 := NewTimetable(1<<20, 30, DefaultParams(ModeAlg1))
+	tt1 := NewTimetable(1<<20, 30, ModeAlg1, DefaultParams())
 	if tt1.LR != 2 {
 		t.Fatalf("Alg1 LR = %d", tt1.LR)
 	}
@@ -74,7 +74,7 @@ func TestCVStep(t *testing.T) {
 
 func runP3(t *testing.T, g *graph.Graph, mode Mode, seed uint64) *Outcome {
 	t.Helper()
-	out, err := Run(g, DefaultParams(mode), sim.Config{Seed: seed})
+	out, err := Run(g, mode, DefaultParams(), sim.Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +253,13 @@ func TestFinisherNeedsParallelExecutions(t *testing.T) {
 	g := graph.GNP(300, 4.0/300, 9)
 	undecided := map[int]int{} // K -> seeds with undecided nodes
 	for _, k := range []int{1, 0} {
-		p := DefaultParams(ModeAlg1)
+		p := DefaultParams()
 		p.K = k
 		p.GhaffariC = 1
 		p.GhaffariFloor = 1
 		p.Attempts = 4
 		for seed := uint64(1); seed <= 12; seed++ {
-			out, err := Run(g, p, sim.Config{Seed: seed})
+			out, err := Run(g, ModeAlg1, p, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,13 +54,13 @@ func TestOutcomesPinned(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/alg%d", in.name, mode), func(t *testing.T) {
 				t.Parallel()
 				for _, k := range ks {
-					p := DefaultParams(mode)
+					p := DefaultParams()
 					p.K = k
 					if in.stress {
 						p.GhaffariC, p.GhaffariFloor, p.Attempts = 1, 1, 4
 					}
 					for seed := uint64(1); seed <= seeds; seed++ {
-						out, err := Run(in.g, p, sim.Config{Seed: seed})
+						out, err := Run(in.g, mode, p, sim.Config{Seed: seed})
 						if err != nil {
 							t.Fatalf("K=%d seed=%d: %v", k, seed, err)
 						}

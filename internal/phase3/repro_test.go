@@ -20,7 +20,7 @@ func TestStressTreeIntegrity(t *testing.T) {
 			for _, d := range []float64{2, 5, 9} {
 				for gseed := uint64(0); gseed < 3; gseed++ {
 					g := graph.GNP(n, d/float64(n), gseed*7+uint64(n))
-					p := DefaultParams(mode)
+					p := DefaultParams()
 					comps := graph.Components(g)
 					maxComp := 0
 					for _, c := range comps {
@@ -28,11 +28,12 @@ func TestStressTreeIntegrity(t *testing.T) {
 							maxComp = len(c)
 						}
 					}
-					tt := NewTimetable(g.N(), maxComp, p)
+					tt := NewTimetable(g.N(), maxComp, mode, p)
 					machines := make([]sim.Machine, g.N())
 					nodes := make([]*Machine, g.N())
+					all := newMachines(g.N(), tt)
 					for v := range machines {
-						nodes[v] = &Machine{tt: tt}
+						nodes[v] = &all[v]
 						machines[v] = nodes[v]
 					}
 					if _, err := sim.Run(g, machines, sim.Config{Seed: 1, MaxRounds: tt.TotalLen + 2}); err != nil {

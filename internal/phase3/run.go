@@ -21,10 +21,28 @@ type Outcome struct {
 	MaxComponent int
 }
 
-// Run executes Phase III on g: Borůvka merging from singleton clusters to
-// one rooted spanning tree per connected component, then the Lemma 2.7
-// parallel-executions finisher. The automata live in one flat value array
-// and run through sim.Run.
+// newMachines returns the n per-node automata of a run under tt. Each
+// node's wake schedule and finisher desire levels are windows of two
+// per-run arrays, so a node allocates neither per tree operation nor per
+// finisher attempt.
+func newMachines(n int, tt *Timetable) []Machine {
+	nodes := make([]Machine, n)
+	wake := make([]int, n*wakeCap)
+	levels := make([]float64, n*tt.K)
+	for v := range nodes {
+		nodes[v] = Machine{
+			tt:     tt,
+			wake:   wakeSet{rounds: wake[v*wakeCap : v*wakeCap : (v+1)*wakeCap]},
+			levels: levels[v*tt.K : (v+1)*tt.K : (v+1)*tt.K],
+		}
+	}
+	return nodes
+}
+
+// Run executes Phase III on g in the given mode: Borůvka merging from
+// singleton clusters to one rooted spanning tree per connected component,
+// then the Lemma 2.7 parallel-executions finisher. The automata live in
+// one flat value array and run through sim.Run.
 //
 // Unlike the simpler protocols (luby, phase1, ghaffari, degreduce), Phase
 // III has no struct-of-arrays BatchMachine: its state is dozens of
@@ -32,7 +50,7 @@ type Outcome struct {
 // roles, finisher vectors) touched a few at a time along deeply branching
 // stage logic, so an SoA split would trade a large correctness risk for
 // little locality gain.
-func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
+func Run(g *graph.Graph, mode Mode, p Params, cfg sim.Config) (*Outcome, error) {
 	n := g.N()
 	cc := graph.Components(g)
 	maxComp := 0
@@ -41,12 +59,10 @@ func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 			maxComp = len(c)
 		}
 	}
-	tt := NewTimetable(n, maxComp, p)
-	nodes := make([]Machine, n)
+	tt := NewTimetable(n, maxComp, mode, p)
+	nodes := newMachines(n, tt)
 	machines := make([]sim.Machine, n)
-	wake := make([]int, n*wakeCap)
 	for v := range nodes {
-		nodes[v] = Machine{tt: tt, wake: wakeSet{rounds: wake[v*wakeCap : v*wakeCap : (v+1)*wakeCap]}}
 		machines[v] = &nodes[v]
 	}
 	if cfg.MaxRounds == 0 {

@@ -6,8 +6,9 @@ import (
 	"github.com/energymis/energymis/internal/ghaffari"
 )
 
-// Mode selects the color-reduction depth, the knob that distinguishes the
-// Phase III of Algorithm 1 from that of Algorithm 2 (Section 3.2).
+// Mode selects the color-reduction depth, which distinguishes the Phase
+// III of Algorithm 1 from that of Algorithm 2 (Section 3.2); core derives
+// it from the algorithm.
 type Mode int
 
 // Modes.
@@ -20,9 +21,10 @@ const (
 	ModeAlg2
 )
 
-// Params configures Phase III.
+// Params are the constants of Phase III that callers vary: core's
+// forced-failure tests cut them to drive the finisher into its failure
+// paths.
 type Params struct {
-	Mode Mode
 	// GhaffariC scales the finisher's logical round count:
 	// GRounds = ceil(GhaffariC * log2(maxComp+2)) + GhaffariFloor.
 	GhaffariC     float64
@@ -34,10 +36,9 @@ type Params struct {
 	Attempts int
 }
 
-// DefaultParams returns paper-faithful constants for the given mode.
-func DefaultParams(mode Mode) Params {
+// DefaultParams returns paper-faithful constants.
+func DefaultParams() Params {
 	return Params{
-		Mode:          mode,
 		GhaffariC:     2.5,
 		GhaffariFloor: 8,
 		Attempts:      3,
@@ -146,9 +147,9 @@ func cvNext(k int) int {
 	return n
 }
 
-// NewTimetable computes the schedule for an n-node phase graph whose
-// largest connected component has maxComp nodes.
-func NewTimetable(n, maxComp int, p Params) *Timetable {
+// NewTimetable computes the schedule, in the given mode, for an n-node
+// phase graph whose largest connected component has maxComp nodes.
+func NewTimetable(n, maxComp int, mode Mode, p Params) *Timetable {
 	if maxComp < 1 {
 		maxComp = 1
 	}
@@ -171,7 +172,7 @@ func NewTimetable(n, maxComp int, p Params) *Timetable {
 	}
 	palette := []int{k0}
 	lr := 0
-	switch p.Mode {
+	switch mode {
 	case ModeAlg2:
 		for lr < 12 {
 			nk := cvNext(palette[lr])

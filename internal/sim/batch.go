@@ -436,12 +436,12 @@ func (e *batchEngine) run() (*Result, error) {
 	m.grow(n)
 	e.res.Awake = make([]int32, n) // escapes into the Result; never pooled
 
-	// Leave the Mem reusable on every exit, including error paths, a
-	// Strict panic and a panicking DeliverAll: drop pending wakes (a retry
-	// on the same pool must not see phantom scheduled nodes, possibly from
-	// a different graph), clear the positions of the last round's awake
-	// set, which a failed route may have left set, so no node of the next
-	// run looks awake, and end a pulled round's state.
+	// Leave the Mem reusable on every exit, including error paths and a
+	// panicking DeliverAll: drop pending wakes (a retry on the same pool
+	// must not see phantom scheduled nodes, possibly from a different
+	// graph), clear the positions of the last round's awake set, which a
+	// failed route may have left set, so no node of the next run looks
+	// awake, and end a pulled round's state.
 	defer func() {
 		m.clearCalendar()
 		for _, v := range m.awake {
@@ -732,9 +732,6 @@ func (e *batchEngine) account(m Msg, copies int) {
 		e.res.BitsMax = int(m.Bits)
 	}
 	if int(m.Bits) > e.cfg.B {
-		if e.cfg.Strict {
-			panic(fmt.Sprintf("sim: message of %d bits exceeds CONGEST budget %d", m.Bits, e.cfg.B))
-		}
 		e.res.Violations += int64(copies)
 	}
 }

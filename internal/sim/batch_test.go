@@ -368,12 +368,25 @@ func TestCalendarOrdersMixedBuckets(t *testing.T) {
 	}
 }
 
-// TestPullAndPushRoundsInOneRun checks that bcastMachine, which the engine
-// differential above holds to runPerNode, really mixes the two routers in
-// one run: some rounds have at least half as many broadcasts as awake
-// nodes and one per sender (the router pulls), some as many but with a
-// sender broadcasting twice (pull hands them to push), and others have
-// fewer, but at least one, broadcast (push).
+// roundKinds wraps a BatchMachine and records, per round, whether the
+// engine delivered that round's inboxes pulled.
+type roundKinds struct {
+	BatchMachine
+	pulled map[int]bool
+}
+
+func (k *roundKinds) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
+	k.pulled[round] = in.p != nil
+	k.BatchMachine.DeliverAll(round, awake, in, next)
+}
+
+// TestPullAndPushRoundsInOneRun checks that the engine pulls exactly the
+// rounds of bcastMachine, which the engine differential above holds to
+// runPerNode, that are dense one-bit rounds: at least half as many
+// broadcasts as awake nodes and one one-bit broadcast per sender. Every
+// other round is pushed: a dense round with a sender broadcasting twice
+// (8 bits each), and a sparse round with fewer, but at least one,
+// broadcast. The run has each kind.
 func TestPullAndPushRoundsInOneRun(t *testing.T) {
 	g := graph.GNP(200, 0.05, 9)
 	nodes := make([]*bcastMachine, g.N())
@@ -382,7 +395,8 @@ func TestPullAndPushRoundsInOneRun(t *testing.T) {
 		nodes[v] = &bcastMachine{left: 8}
 		machines[v] = nodes[v]
 	}
-	if _, err := Run(g, machines, Config{Seed: 42}); err != nil {
+	kinds := &roundKinds{BatchMachine: adapt(machines), pulled: map[int]bool{}}
+	if _, err := RunBatch(g, kinds, Config{Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
 	awake := map[int]int{}
@@ -395,10 +409,19 @@ func TestPullAndPushRoundsInOneRun(t *testing.T) {
 			doubles[r] = doubles[r] || bcastSends(v, r) == 2
 		}
 	}
+	if len(kinds.pulled) != len(awake) {
+		t.Fatalf("DeliverAll ran in %d rounds, nodes were awake in %d", len(kinds.pulled), len(awake))
+	}
 	var pull, dense, sparse int
 	for r, a := range awake {
-		switch b := sending[r]; {
-		case 2*b >= a && !doubles[r]:
+		b := sending[r]
+		oneBit := 2*b >= a && !doubles[r]
+		if kinds.pulled[r] != oneBit {
+			t.Fatalf("round %d (%d awake, %d broadcasts, double %v): pulled %v, want %v",
+				r, a, b, doubles[r], kinds.pulled[r], oneBit)
+		}
+		switch {
+		case oneBit:
 			pull++
 		case 2*b >= a:
 			dense++
@@ -706,9 +729,8 @@ func TestBatchRejectsRogueSenders(t *testing.T) {
 // different (smaller) graph behaves exactly like one on fresh buffers.
 // The clean runs let nodes sleep while neighbors send, so a stale awake
 // position would deliver a message that must be dropped, and one of them
-// reads part of its inboxes in pulled rounds. A Strict panic in a pulled
-// round's routing and a panicking DeliverAll in a pulled round, both
-// recovered by the caller, must leave it clean too.
+// reads part of its inboxes in pulled rounds. A panicking DeliverAll in a
+// pulled round, recovered by the caller, must leave it clean too.
 func TestBatchMemReuseAfterError(t *testing.T) {
 	big := graph.GNP(300, 0.05, 1)
 	stray := int32(1) // the first node that is not node 0's neighbor
@@ -748,20 +770,6 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 					out.Broadcast(1, Msg{Kind: 2, Bits: 8})
 				}
 			}}, Config{Mem: mem})
-			return err
-		}},
-		{"strict-panic", func(mem *Mem) (err error) {
-			// In round 3 every awake node sends past the CONGEST budget.
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("recovered: %v", r)
-				}
-			}()
-			_, err = RunBatch(big, &scriptBatch{wake: farFirst, last: 50, compose: func(round int, awake []int32, out *BatchOutbox) {
-				for _, v := range awake {
-					out.Broadcast(v, Msg{Kind: 1, Bits: int32(8 + 100*(round/3%2))})
-				}
-			}}, Config{Mem: mem, B: 16, Strict: true})
 			return err
 		}},
 		{"deliver-panic", func(mem *Mem) (err error) {

@@ -193,9 +193,6 @@ func (e *engine) accountFanout(m Msg, copies int) {
 		e.res.BitsMax = int(m.Bits)
 	}
 	if int(m.Bits) > e.cfg.B {
-		if e.cfg.Strict {
-			panic(fmt.Sprintf("sim: message of %d bits exceeds CONGEST budget %d", m.Bits, e.cfg.B))
-		}
 		e.res.Violations += int64(copies)
 	}
 }
@@ -207,9 +204,6 @@ func (e *engine) accountMsg(m Msg) {
 		e.res.BitsMax = int(m.Bits)
 	}
 	if int(m.Bits) > e.cfg.B {
-		if e.cfg.Strict {
-			panic(fmt.Sprintf("sim: message of %d bits exceeds CONGEST budget %d", m.Bits, e.cfg.B))
-		}
 		e.res.Violations++
 	}
 }

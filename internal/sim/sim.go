@@ -132,9 +132,10 @@ func (r *Result) AvgAwake() float64 {
 // Config controls an engine run.
 type Config struct {
 	Seed      uint64
-	MaxRounds int  // safety cap; 0 means a generous default (1<<22); values above math.MaxInt32 act as math.MaxInt32
-	B         int  // CONGEST budget in bits; 0 means 4*ceil(log2 N) (min 16)
-	Strict    bool // panic on CONGEST violations instead of counting them
+	MaxRounds int // safety cap; 0 means a generous default (1<<22); values above math.MaxInt32 act as math.MaxInt32
+	// B is the CONGEST budget in bits; 0 means 4*ceil(log2 N) (min 16).
+	// A message above it is delivered and counted in Result.Violations.
+	B int
 	// Mem supplies pooled engine buffers reused across runs (see Mem).
 	// Run and RunBatch both honour it; nil allocates fresh buffers.
 	Mem *Mem
