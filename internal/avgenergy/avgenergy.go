@@ -3,7 +3,6 @@ package avgenergy
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/phase1"
@@ -158,21 +157,21 @@ func (m *slotMachine) Init(env *sim.Env) int {
 	m.deg = env.Degree
 	m.slot = env.Rand.Intn(m.k)
 	wl := m.windowLen()
-	seen := map[int]bool{}
-	// Whole own window.
-	for r := 0; r < wl; r++ {
-		seen[m.slot*wl+r] = true
+	// The whole own window, and the announcement round (the last engine
+	// round) of every other window in the schedule set S_slot, which
+	// holds slot. Windows ascend with S_slot, so the wake list does too.
+	var path [32]int32 // holds S_slot for any k below 2³¹
+	sched := schedule.AppendAscending(path[:0], m.k, m.slot)
+	m.wake = make([]int, 0, len(sched)-1+wl)
+	for _, l := range sched {
+		if int(l) != m.slot {
+			m.wake = append(m.wake, int(l)*wl+wl-1)
+			continue
+		}
+		for r := 0; r < wl; r++ {
+			m.wake = append(m.wake, m.slot*wl+r)
+		}
 	}
-	// Announcement rounds: the last engine round of every window in the
-	// schedule set S_slot.
-	for _, l := range schedule.Set(m.k, m.slot) {
-		seen[l*wl+wl-1] = true
-	}
-	m.wake = make([]int, 0, len(seen))
-	for r := range seen {
-		m.wake = append(m.wake, r)
-	}
-	sort.Ints(m.wake)
 	return m.wake[0]
 }
 

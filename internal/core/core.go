@@ -102,8 +102,8 @@ type PhaseDiag struct {
 	ResidualMaxDegree  int // after Phase I
 	ResidualNodes      int
 	SurvivorNodes      int // after Phase II
-	SurvivorComponents int
-	MaxComponent       int
+	SurvivorComponents int // of the survivors, found by Phase III's first run
+	MaxComponent       int // nodes in the largest survivor component
 	TreeDepth          int // deepest Phase III spanning-tree node
 	FinisherAttempts   int
 	Phase3Retries      int
@@ -241,8 +241,6 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 	pl.SetResidual(sh.Survivors, sub.Orig)
 	pl.Record("phase-ii", sh.Res, sub.Orig)
 	diag.SurvivorNodes = len(sh.Survivors)
-	diag.SurvivorComponents = len(sh.Components)
-	diag.MaxComponent = sh.MaxComponent
 
 	// --- Phase III: merge + finisher on the shattered survivors ---
 	mode := phase3.ModeAlg1
@@ -267,6 +265,11 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 		pl.Join(p3.InSet, sub3.Orig)
 		pl.SetResidual(p3.Undecided, sub3.Orig)
 		pl.Record(name, p3.Res, sub3.Orig)
+		if attempt == 0 {
+			// The first run's input is exactly Phase II's survivors.
+			diag.SurvivorComponents = p3.Components
+			diag.MaxComponent = p3.MaxComponent
+		}
 		if p3.MaxDepth > diag.TreeDepth {
 			diag.TreeDepth = p3.MaxDepth
 		}

@@ -35,7 +35,7 @@
 // rows are sorted and start in one arena with a few free slots behind
 // each row, so an edge insert rarely reallocates, and an edit at a row's
 // end (every edge of the newest node) skips the search. The uncovered
-// region is split into connected components by a union-find partitioner
+// region is split into connected components by graph.Components
 // (partition.go). Each component is an independent election: singletons
 // join analytically without an engine run, and the rest are composed as
 // internal/pipeline runs (batch luby / batch ghaffari with a Luby

@@ -147,9 +147,9 @@ type Engine struct {
 	scr     scratch
 	simMsgs int64
 
-	// Component machinery: the union-find region partitioner,
-	// per-component election state, and the reusable work list of
-	// non-singleton component ordinals (partition.go).
+	// Component machinery: the region partitioner, per-component
+	// election state, and the reusable work list of non-singleton
+	// component ordinals (partition.go).
 	part  partitioner
 	comps []compRun
 	work  []int32

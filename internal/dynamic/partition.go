@@ -1,6 +1,8 @@
 package dynamic
 
 import (
+	"slices"
+
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/obs"
 	"github.com/energymis/energymis/internal/sim"
@@ -16,19 +18,13 @@ import (
 // derives its election seed from the (batch, component ordinal) pair
 // alone, and per-component counters accumulate in component-local state.
 
-// partitioner splits a region subgraph into connected components with a
-// reusable union-find. Components are ordered by their smallest member
-// (first occurrence in node order), and each component's node list is
-// ascending — both independent of edge iteration order, so the ordinals
-// are deterministic.
+// partitioner splits a region subgraph into its connected components
+// (graph.Components: ordered by smallest member, each ascending, so the
+// ordinals are deterministic) and builds each component's induced
+// subgraph for its election.
 type partitioner struct {
-	parent []int32
-	ord    []int32 // root -> component ordinal
-	sizes  []int32
-	offs   []int32
-	nodes  []int32
-	cursor []int32
-	rank   []int32 // subgraph-local node -> index within its component
+	comps graph.Components
+	rank  []int32 // subgraph-local node -> index within its component
 
 	// Reusable CSR buffers for the induced subgraph of the component
 	// being elected (see component); elections run one at a time.
@@ -36,87 +32,17 @@ type partitioner struct {
 	compAdj  []int32
 }
 
-// split partitions sub and returns component c's (subgraph-local) nodes
-// as nodes[offs[c]:offs[c+1]], ascending within each component. The
-// returned slices are the partitioner's own buffers, valid until the next
-// split.
-func (p *partitioner) split(sub *graph.Graph) (offs, nodes []int32) {
-	n := sub.N()
-	p.parent = ensureInt32(p.parent, n)
-	for v := 0; v < n; v++ {
-		p.parent[v] = int32(v)
-	}
-	for v := 0; v < n; v++ {
-		for _, u := range sub.Neighbors(v) {
-			if u > int32(v) {
-				p.union(int32(v), u)
-			}
+// split partitions sub. The result is the partitioner's own, valid until
+// the next split.
+func (p *partitioner) split(sub *graph.Graph) *graph.Components {
+	p.comps.Find(sub)
+	p.rank = slices.Grow(p.rank[:0], sub.N())[:sub.N()]
+	for c := 0; c < p.comps.Len(); c++ {
+		for i, v := range p.comps.Comp(c) {
+			p.rank[v] = int32(i)
 		}
 	}
-	// Ordinals by first occurrence in ascending node order; sizes per
-	// component.
-	p.ord = ensureInt32(p.ord, n)
-	p.sizes = p.sizes[:0]
-	k := int32(0)
-	for v := 0; v < n; v++ {
-		r := p.find(int32(v))
-		if int(r) == v {
-			p.ord[r] = k
-			k++
-			p.sizes = append(p.sizes, 0)
-		}
-		p.sizes[p.ord[r]]++
-	}
-	// Prefix offsets, then bucket-fill the node lists in ascending order.
-	p.offs = ensureInt32(p.offs, int(k)+1)
-	p.cursor = ensureInt32(p.cursor, int(k))
-	run := int32(0)
-	for c := int32(0); c < k; c++ {
-		p.offs[c] = run
-		p.cursor[c] = run
-		run += p.sizes[c]
-	}
-	p.offs[k] = run
-	p.nodes = ensureInt32(p.nodes, n)
-	p.rank = ensureInt32(p.rank, n)
-	for v := 0; v < n; v++ {
-		c := p.ord[p.find(int32(v))]
-		p.rank[v] = p.cursor[c] - p.offs[c]
-		p.nodes[p.cursor[c]] = int32(v)
-		p.cursor[c]++
-	}
-	return p.offs, p.nodes
-}
-
-// find uses path halving; union attaches the larger root under the
-// smaller, so a component's root is always its smallest member and the
-// first-occurrence ordinal assignment can test root == self.
-func (p *partitioner) find(x int32) int32 {
-	for p.parent[x] != x {
-		p.parent[x] = p.parent[p.parent[x]]
-		x = p.parent[x]
-	}
-	return x
-}
-
-func (p *partitioner) union(a, b int32) {
-	ra, rb := p.find(a), p.find(b)
-	switch {
-	case ra == rb:
-	case ra < rb:
-		p.parent[rb] = ra
-	default:
-		p.parent[ra] = rb
-	}
-}
-
-// ensureInt32 returns a slice of length n, reusing s's storage when it is
-// large enough. Contents are unspecified.
-func ensureInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
+	return &p.comps
 }
 
 // component builds the induced subgraph of a component of the last split
@@ -207,35 +133,35 @@ func compCfg(base sim.Config, c uint64) sim.Config {
 // from; sub's node i is region[i]. The first failed election is returned
 // before the merge, so the Engine's set and counters stay untouched.
 func (e *Engine) electComponents(sub *graph.Graph, region []int32, st *scratch, bs *BatchStats) error {
-	offs, nodes := e.part.split(sub)
-	work := e.prepComps(offs, nodes)
+	cc := e.part.split(sub)
+	work := e.prepComps(cc)
 	base := e.simCfg()
 	for _, c := range work {
 		if err := e.electComponent(sub, int(c), base); err != nil {
 			return err
 		}
 	}
-	e.mergeComponents(region, offs, nodes, st, bs)
+	e.mergeComponents(region, cc, st, bs)
 	return nil
 }
 
 // prepComps sizes the per-component state for this partition and returns
 // the work list: the ordinals of the non-singleton components (the only
 // ones that need an engine election).
-func (e *Engine) prepComps(offs, nodes []int32) []int32 {
-	k := len(offs) - 1
+func (e *Engine) prepComps(cc *graph.Components) []int32 {
+	k := cc.Len()
 	if len(e.comps) < k {
 		e.comps = append(e.comps, make([]compRun, k-len(e.comps))...)
 	}
 	e.work = e.work[:0]
 	for c := 0; c < k; c++ {
-		lo, hi := offs[c], offs[c+1]
-		if hi-lo <= 1 {
+		comp := cc.Comp(c)
+		if len(comp) <= 1 {
 			continue
 		}
 		cr := &e.comps[c]
-		cr.reset(int(hi - lo))
-		for _, i := range nodes[lo:hi] {
+		cr.reset(len(comp))
+		for _, i := range comp {
 			cr.ids = append(cr.ids, int(i))
 		}
 		e.work = append(e.work, int32(c))
@@ -246,12 +172,12 @@ func (e *Engine) prepComps(offs, nodes []int32) []int32 {
 // mergeComponents is the region-ordered reduce: fold every component back
 // into the engine in ascending ordinal order — singletons analytically,
 // elected components from their compRun.
-func (e *Engine) mergeComponents(region []int32, offs, nodes []int32, st *scratch, bs *BatchStats) {
-	k := len(offs) - 1
+func (e *Engine) mergeComponents(region []int32, cc *graph.Components, st *scratch, bs *BatchStats) {
+	k := cc.Len()
 	bs.Components = k
 	singles := 0
 	for c := 0; c < k; c++ {
-		comp := nodes[offs[c]:offs[c+1]]
+		comp := cc.Comp(c)
 		if len(comp) == 1 {
 			// Singleton fast path: an uncovered node with no uncovered
 			// neighbor joins deterministically — one awake round to decide,

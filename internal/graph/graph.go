@@ -230,39 +230,76 @@ func isIota(keep []int, n int) bool {
 	return true
 }
 
-// Components returns the connected components of g, each as a slice of node
-// indices in increasing order. Components are ordered by smallest member.
-func Components(g *Graph) [][]int {
+// Components holds the connected components of a graph in flat form:
+// component c is Nodes[Offs[c]:Offs[c+1]]. Components come in order of
+// their smallest member, and each component's nodes are ascending, so
+// the ordinals depend only on the graph. The zero value holds no
+// components; Find fills it, and a refill reuses its storage.
+type Components struct {
+	Offs  []int32 // Len()+1 entries
+	Nodes []int32 // every node exactly once
+	label []int32 // node -> component ordinal; Find's scratch
+}
+
+// Find replaces c's contents with the connected components of g in
+// O(n + m) time, allocating only when g has more nodes than any graph c
+// held before. A breadth-first search from each unlabelled node, taken in
+// ascending order, labels one component (Nodes doubles as its queue); a
+// counting pass over the nodes in ascending order then fills each
+// component's range.
+func (c *Components) Find(g *Graph) {
 	n := g.N()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
+	c.label = slices.Grow(c.label[:0], n)[:n]
+	c.Nodes = slices.Grow(c.Nodes[:0], n)[:n]
+	c.Offs = slices.Grow(c.Offs[:0], n+1)
+	for v := range c.label {
+		c.label[v] = -1
 	}
-	var comps [][]int
-	queue := make([]int32, 0, 64)
+	tail := int32(0)
 	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
+		if c.label[s] >= 0 {
 			continue
 		}
-		id := int32(len(comps))
-		comp[s] = id
-		queue = append(queue[:0], int32(s))
-		members := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range g.Neighbors(int(v)) {
-				if comp[u] < 0 {
-					comp[u] = id
-					queue = append(queue, u)
-					members = append(members, int(u))
+		k := int32(len(c.Offs))
+		c.Offs = append(c.Offs, tail)
+		c.label[s] = k
+		c.Nodes[tail] = int32(s)
+		tail++
+		for head := c.Offs[k]; head < tail; head++ {
+			for _, u := range g.Neighbors(int(c.Nodes[head])) {
+				if c.label[u] < 0 {
+					c.label[u] = k
+					c.Nodes[tail] = u
+					tail++
 				}
 			}
 		}
-		sort.Ints(members)
-		comps = append(comps, members)
 	}
-	return comps
+	// Shifted by one, Offs[k+1] is component k's fill cursor; it ends at
+	// the start of component k+1. Offs[0] is 0 either way.
+	c.Offs = append(c.Offs, 0)
+	copy(c.Offs[1:], c.Offs)
+	for v, k := range c.label {
+		c.Nodes[c.Offs[k+1]] = int32(v)
+		c.Offs[k+1]++
+	}
+}
+
+// Len returns the number of components.
+func (c *Components) Len() int { return max(len(c.Offs)-1, 0) }
+
+// Comp returns component i's nodes, ascending. The slice aliases c's
+// storage and is valid until the next Find.
+func (c *Components) Comp(i int) []int32 { return c.Nodes[c.Offs[i]:c.Offs[i+1]] }
+
+// MaxSize returns the size of the largest component, or 0 when there is
+// none.
+func (c *Components) MaxSize() int {
+	size := 0
+	for i := 0; i < c.Len(); i++ {
+		size = max(size, int(c.Offs[i+1]-c.Offs[i]))
+	}
+	return size
 }
 
 // BFS computes hop distances from src. Unreachable nodes get -1.

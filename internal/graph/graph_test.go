@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -66,7 +67,8 @@ func TestEmptyGraph(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 || g.MaxDegree() != 0 || g.AvgDegree() != 0 {
 		t.Fatal("empty graph stats wrong")
 	}
-	if len(Components(g)) != 0 {
+	var cc Components
+	if cc.Find(g); cc.Len() != 0 || cc.MaxSize() != 0 {
 		t.Fatal("empty graph has components")
 	}
 	if DiameterLowerBound(g) != 0 {
@@ -77,15 +79,123 @@ func TestEmptyGraph(t *testing.T) {
 func TestComponents(t *testing.T) {
 	// Two triangles and an isolated node.
 	g := FromEdges(7, [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
-	comps := Components(g)
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3", len(comps))
+	var cc Components
+	cc.Find(g)
+	if cc.Len() != 3 || cc.MaxSize() != 3 {
+		t.Fatalf("components = %d of at most %d nodes, want 3 of at most 3", cc.Len(), cc.MaxSize())
 	}
-	if len(comps[0]) != 3 || comps[0][0] != 0 {
-		t.Fatalf("first component wrong: %v", comps[0])
+	if c := cc.Comp(0); len(c) != 3 || c[0] != 0 {
+		t.Fatalf("first component wrong: %v", c)
 	}
-	if len(comps[2]) != 1 || comps[2][0] != 6 {
-		t.Fatalf("isolated node component wrong: %v", comps[2])
+	if c := cc.Comp(2); len(c) != 1 || c[0] != 6 {
+		t.Fatalf("isolated node component wrong: %v", c)
+	}
+}
+
+// FuzzComponentsMatchesBFS holds Find to a naive breadth-first labelling
+// on up to three graphs decoded from the input, all run through one
+// Components value, so its storage both grows and shrinks between them.
+// A graph is a two-byte node count (mod 301), a one-byte edge count and
+// two two-byte endpoints (mod n) per edge; the list ends where the input
+// does.
+func FuzzComponentsMatchesBFS(f *testing.F) {
+	path := make([][2]int, 199)
+	star := make([][2]int, 49) // centred on its last node, so BFS order is not ascending
+	for i := range path {
+		path[i] = [2]int{i, i + 1}
+	}
+	for i := range star {
+		star[i] = [2]int{i, 49}
+	}
+	triangles := [][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}
+	for _, gs := range [][]struct {
+		n     int
+		edges [][2]int
+	}{
+		{{0, nil}},
+		{{300, nil}, {7, triangles}},
+		{{200, path}, {50, star}, {0, nil}},
+		{{50, star}, {200, path}, {7, triangles}},
+		{{7, triangles}},
+	} {
+		var in []byte
+		for _, g := range gs {
+			in = append(in, byte(g.n), byte(g.n>>8), byte(len(g.edges)))
+			for _, e := range g.edges {
+				in = append(in, byte(e[0]), byte(e[0]>>8), byte(e[1]), byte(e[1]>>8))
+			}
+		}
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var cc Components
+		for k := 0; k < 3 && len(in) >= 3; k++ {
+			n := int(binary.LittleEndian.Uint16(in)) % 301
+			b := NewBuilder(n)
+			m := int(in[2])
+			for in = in[3:]; m > 0 && len(in) >= 4 && n > 0; m, in = m-1, in[4:] {
+				b.AddEdge(int(binary.LittleEndian.Uint16(in))%n, int(binary.LittleEndian.Uint16(in[2:]))%n)
+			}
+			g := b.Build()
+			cc.Find(g)
+			checkComponents(t, g, &cc)
+		}
+	})
+}
+
+// checkComponents compares cc with a breadth-first labelling of g that
+// starts a search at each unlabelled node in ascending order.
+func checkComponents(t *testing.T, g *Graph, cc *Components) {
+	t.Helper()
+	label := make([]int, g.N())
+	for v := range label {
+		label[v] = -1
+	}
+	var least []int // component -> its smallest member
+	maxSize := 0
+	for s := range label {
+		if label[s] >= 0 {
+			continue
+		}
+		label[s] = len(least)
+		size := 1
+		for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+			for _, u := range g.Neighbors(queue[0]) {
+				if label[u] < 0 {
+					label[u] = len(least)
+					queue = append(queue, int(u))
+					size++
+				}
+			}
+		}
+		least = append(least, s)
+		maxSize = max(maxSize, size)
+	}
+	if cc.Len() != len(least) || cc.MaxSize() != maxSize {
+		t.Fatalf("n=%d: %d components of at most %d nodes, BFS %d of at most %d",
+			g.N(), cc.Len(), cc.MaxSize(), len(least), maxSize)
+	}
+	if cc.Offs[0] != 0 || int(cc.Offs[cc.Len()]) != g.N() || len(cc.Nodes) != g.N() {
+		t.Fatalf("n=%d: Offs %d..%d over %d nodes", g.N(), cc.Offs[0], cc.Offs[cc.Len()], len(cc.Nodes))
+	}
+	seen := make([]bool, g.N())
+	for c := 0; c < cc.Len(); c++ {
+		comp := cc.Comp(c)
+		if len(comp) == 0 || int(comp[0]) != least[c] {
+			t.Fatalf("n=%d: component %d is %v, want smallest member %d", g.N(), c, comp, least[c])
+		}
+		for i, v := range comp {
+			if i > 0 && comp[i-1] >= v {
+				t.Fatalf("n=%d: component %d not ascending: %v", g.N(), c, comp)
+			}
+			if seen[v] {
+				t.Fatalf("n=%d: node %d listed twice", g.N(), v)
+			}
+			seen[v] = true
+			if label[v] != c {
+				t.Fatalf("n=%d: node %d in component %d, BFS %d", g.N(), v, c, label[v])
+			}
+		}
 	}
 }
 
@@ -390,12 +500,13 @@ func TestCompleteStructure(t *testing.T) {
 }
 
 func TestRandomTreeIsTree(t *testing.T) {
+	var cc Components
 	for seed := uint64(0); seed < 5; seed++ {
 		g := RandomTree(100, seed)
 		if g.M() != 99 {
 			t.Fatalf("tree edges = %d", g.M())
 		}
-		if len(Components(g)) != 1 {
+		if cc.Find(g); cc.Len() != 1 {
 			t.Fatal("tree not connected")
 		}
 	}
@@ -443,7 +554,8 @@ func TestCliqueChain(t *testing.T) {
 	if g.N() != 12 {
 		t.Fatalf("N = %d", g.N())
 	}
-	if len(Components(g)) != 1 {
+	var cc Components
+	if cc.Find(g); cc.Len() != 1 {
 		t.Fatal("clique chain not connected")
 	}
 	// A middle clique's first node has 3 clique neighbors plus a bridge to

@@ -14,14 +14,9 @@ import (
 func TestTreeConsistencyAfterMerging(t *testing.T) {
 	g := graph.GNP(60, 0.06, 100)
 	p := DefaultParams()
-	comps := graph.Components(g)
-	maxComp := 0
-	for _, c := range comps {
-		if len(c) > maxComp {
-			maxComp = len(c)
-		}
-	}
-	tt := NewTimetable(g.N(), maxComp, ModeAlg1, p)
+	var cc graph.Components
+	cc.Find(g)
+	tt := NewTimetable(g.N(), cc.MaxSize(), ModeAlg1, p)
 	machines := make([]sim.Machine, g.N())
 	nodes := make([]*Machine, g.N())
 	all := newMachines(g.N(), tt)
@@ -36,7 +31,8 @@ func TestTreeConsistencyAfterMerging(t *testing.T) {
 	t.Logf("timetable: D=%d iters=%d LR=%d classes=%d GRounds=%d K=%d totalLen=%d",
 		tt.D, tt.Iters, tt.LR, tt.Classes, tt.GRounds, tt.K, tt.TotalLen)
 
-	for ci, comp := range comps {
+	for ci := 0; ci < cc.Len(); ci++ {
+		comp := cc.Comp(ci)
 		cid := nodes[comp[0]].tree.CID
 		sameCid := true
 		for _, v := range comp {
@@ -59,13 +55,13 @@ func TestTreeConsistencyAfterMerging(t *testing.T) {
 				if nm.tree.Depth != 0 {
 					t.Errorf("root %d has depth %d", v, nm.tree.Depth)
 				}
-				if int32(v) != cid {
+				if v != cid {
 					t.Errorf("root %d but cid %d", v, cid)
 				}
 				continue
 			}
 			p := nm.tree.Parent
-			if !g.HasEdge(v, int(p)) {
+			if !g.HasEdge(int(v), int(p)) {
 				t.Errorf("node %d parent %d not adjacent", v, p)
 			}
 			if nodes[p].tree.Depth != nm.tree.Depth-1 {

@@ -21,14 +21,9 @@ func TestStressTreeIntegrity(t *testing.T) {
 				for gseed := uint64(0); gseed < 3; gseed++ {
 					g := graph.GNP(n, d/float64(n), gseed*7+uint64(n))
 					p := DefaultParams()
-					comps := graph.Components(g)
-					maxComp := 0
-					for _, c := range comps {
-						if len(c) > maxComp {
-							maxComp = len(c)
-						}
-					}
-					tt := NewTimetable(g.N(), maxComp, mode, p)
+					var cc graph.Components
+					cc.Find(g)
+					tt := NewTimetable(g.N(), cc.MaxSize(), mode, p)
 					machines := make([]sim.Machine, g.N())
 					nodes := make([]*Machine, g.N())
 					all := newMachines(g.N(), tt)

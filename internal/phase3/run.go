@@ -17,8 +17,8 @@ type Outcome struct {
 	MaxDepth     int // deepest final spanning-tree node (diameter <= 2*MaxDepth)
 	MaxAttempts  int // finisher attempts used by any component
 	BrokenNodes  int // nodes in components that failed to merge
-	Components   int
-	MaxComponent int
+	Components   int // connected components of the input graph
+	MaxComponent int // nodes in the largest; the timetable is sized by it
 }
 
 // newMachines returns the n per-node automata of a run under tt. Each
@@ -52,14 +52,9 @@ func newMachines(n int, tt *Timetable) []Machine {
 // little locality gain.
 func Run(g *graph.Graph, mode Mode, p Params, cfg sim.Config) (*Outcome, error) {
 	n := g.N()
-	cc := graph.Components(g)
-	maxComp := 0
-	for _, c := range cc {
-		if len(c) > maxComp {
-			maxComp = len(c)
-		}
-	}
-	tt := NewTimetable(n, maxComp, mode, p)
+	var cc graph.Components
+	cc.Find(g)
+	tt := NewTimetable(n, cc.MaxSize(), mode, p)
 	nodes := newMachines(n, tt)
 	machines := make([]sim.Machine, n)
 	for v := range nodes {
@@ -76,8 +71,8 @@ func Run(g *graph.Graph, mode Mode, p Params, cfg sim.Config) (*Outcome, error) 
 		InSet:        make([]bool, n),
 		Timetable:    tt,
 		Res:          res,
-		Components:   len(cc),
-		MaxComponent: maxComp,
+		Components:   cc.Len(),
+		MaxComponent: cc.MaxSize(),
 	}
 	for v := range nodes {
 		nm := &nodes[v]

@@ -31,22 +31,18 @@ type Pipeline struct {
 // CONGEST budget, and the shared engine buffer pool; a nil base.Mem gets a
 // fresh pool (callers executing many pipelines pass one Mem per worker to
 // amortize engine allocations across runs — a Mem must not be shared by
-// concurrent pipelines).
+// concurrent pipelines). The first phase runs on g itself, and the
+// residual stays empty until its first SetResidual.
 func New(g *graph.Graph, base sim.Config) *Pipeline {
 	if base.Mem == nil {
 		base.Mem = sim.NewMem()
 	}
 	n := g.N()
-	residual := make([]int, n)
-	for i := range residual {
-		residual[i] = i
-	}
 	return &Pipeline{
 		g: g, base: base,
-		acc:      stats.NewAccumulator(n),
-		inSet:    make([]bool, n),
-		residual: residual,
-		tracer:   base.Tracer,
+		acc:    stats.NewAccumulator(n),
+		inSet:  make([]bool, n),
+		tracer: base.Tracer,
 	}
 }
 
@@ -71,8 +67,9 @@ func (p *Pipeline) Cfg(phase uint64) sim.Config {
 // Graph returns the pipeline's input graph.
 func (p *Pipeline) Graph() *graph.Graph { return p.g }
 
-// Residual returns the current residual node set in original IDs. The
-// returned slice is the pipeline's own; phases must not mutate it.
+// Residual returns the current residual node set in original IDs: empty
+// until the first SetResidual. The returned slice is the pipeline's own;
+// phases must not mutate it.
 func (p *Pipeline) Residual() []int { return p.residual }
 
 // Subgraph materializes the induced subgraph of the current residual set,

@@ -29,14 +29,13 @@ func (p Params) Rounds(maxDeg int) int {
 	return int(math.Ceil(p.RoundsC*math.Log2(float64(maxDeg+2)))) + p.Floor
 }
 
-// Outcome of a shattering run.
+// Outcome of a shattering run. Phase III, which runs on the survivors,
+// finds their components.
 type Outcome struct {
-	InSet        []bool  // independent set found by the dynamics
-	Survivors    []int   // undecided nodes
-	Components   [][]int // survivor components (indices into the input graph)
-	MaxComponent int
-	Rounds       int
-	Res          *sim.Result
+	InSet     []bool // independent set found by the dynamics
+	Survivors []int  // undecided nodes, ascending
+	Rounds    int
+	Res       *sim.Result
 }
 
 // Run executes the phase on g. The dynamics run as a struct-of-arrays
@@ -48,19 +47,5 @@ func Run(g *graph.Graph, p Params, cfg sim.Config) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shatter: %w", err)
 	}
-	out := &Outcome{InSet: inSet, Survivors: survivors, Rounds: rounds, Res: res}
-	if len(survivors) > 0 {
-		sub := graph.InducedSubgraph(g, survivors)
-		for _, comp := range graph.Components(sub.Graph) {
-			mapped := make([]int, len(comp))
-			for i, v := range comp {
-				mapped[i] = int(sub.Orig[v])
-			}
-			out.Components = append(out.Components, mapped)
-			if len(comp) > out.MaxComponent {
-				out.MaxComponent = len(comp)
-			}
-		}
-	}
-	return out, nil
+	return &Outcome{InSet: inSet, Survivors: survivors, Rounds: rounds, Res: res}, nil
 }

@@ -19,7 +19,6 @@ type Phase struct {
 	BitsTotal   int64
 	BitsMax     int
 	Violations  int64
-	Retries     int // times the phase had to re-run a failing stage
 }
 
 // Accumulator sums phase results over a fixed original node set.
@@ -84,13 +83,6 @@ func (a *Accumulator) perNode(total float64) float64 {
 	return total / float64(a.n)
 }
 
-// NoteRetries annotates the most recent phase with a retry count.
-func (a *Accumulator) NoteRetries(k int) {
-	if len(a.phases) > 0 {
-		a.phases[len(a.phases)-1].Retries += k
-	}
-}
-
 // Phases returns the recorded phases in order.
 func (a *Accumulator) Phases() []Phase { return a.phases }
 
@@ -107,7 +99,6 @@ type Summary struct {
 	BitsTotal   int64
 	BitsMax     int
 	Violations  int64
-	Retries     int
 	Phases      []Phase
 }
 
@@ -131,7 +122,6 @@ func (a *Accumulator) Summarize() Summary {
 		s.MsgsDropped += p.MsgsDropped
 		s.BitsTotal += p.BitsTotal
 		s.Violations += p.Violations
-		s.Retries += p.Retries
 		if p.BitsMax > s.BitsMax {
 			s.BitsMax = p.BitsMax
 		}
@@ -153,9 +143,6 @@ func (s Summary) String() string {
 		s.N, s.Rounds, s.MaxAwake, s.AvgAwake, s.P99Awake, s.MsgsSent, s.BitsMax)
 	if s.Violations > 0 {
 		fmt.Fprintf(&b, " CONGEST-VIOLATIONS=%d", s.Violations)
-	}
-	if s.Retries > 0 {
-		fmt.Fprintf(&b, " retries=%d", s.Retries)
 	}
 	for _, p := range s.Phases {
 		fmt.Fprintf(&b, "\n  %-14s rounds=%-7d maxAwake=%-5d avgAwake=%-8.2f msgs=%d",

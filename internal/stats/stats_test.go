@@ -60,15 +60,6 @@ func TestAddFlat(t *testing.T) {
 	}
 }
 
-func TestNoteRetries(t *testing.T) {
-	a := NewAccumulator(1)
-	a.AddPhase("p", &sim.Result{Rounds: 1, Awake: []int32{1}}, nil)
-	a.NoteRetries(3)
-	if got := a.Summarize().Retries; got != 3 {
-		t.Fatalf("Retries = %d", got)
-	}
-}
-
 func TestP99(t *testing.T) {
 	a := NewAccumulator(100)
 	awake := make([]int32, 100)
