@@ -185,7 +185,13 @@ func (b *Batch) composeEnd(s int, awake []int32, out *sim.BatchOutbox) {
 	}
 }
 
-// DeliverAll implements sim.BatchMachine.
+// DeliverAll implements sim.BatchMachine. Every sub-round but one only
+// counts its inboxes, because each carries one Kind and every message
+// counted is one of it: in the main window kindTag (sub-round 0), kindJoin
+// (2) and kindInMIS (3), and in the end window kindInMIS (0), kindAlive
+// (1), kindHigh (2) and kindHiJoin (3). Only the main window's marked
+// sub-round (1) reads its inboxes' messages, to compare each kindMarked
+// estimate A with the receiver's own.
 func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int) {
 	if round >= 4*b.plan.T {
 		b.deliverEnd(round-4*b.plan.T, awake, in)
@@ -209,11 +215,8 @@ func (b *Batch) deliverMain(round int, awake []int32, in sim.Inboxes) {
 	case 0:
 		for i, v := range awake {
 			if l == b.rv[v] && b.flags[v]&bInactive == 0 {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindTag {
-						b.av[v]++
-					}
-				}
+				tags, _ := in.Count(i)
+				b.av[v] += int32(tags)
 			}
 		}
 	case 1:
@@ -232,22 +235,16 @@ func (b *Batch) deliverMain(round int, awake []int32, in sim.Inboxes) {
 	case 2:
 		for i, v := range awake {
 			if l == b.rv[v] && b.flags[v]&bJoined == 0 {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindJoin {
-						b.flags[v] |= bInactive
-						break
-					}
+				if joins, _ := in.Count(i); joins > 0 {
+					b.flags[v] |= bInactive
 				}
 			}
 		}
 	case 3:
 		for i, v := range awake {
 			if l < b.rv[v] && b.flags[v]&bJoined == 0 {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindInMIS {
-						b.flags[v] |= bInactive
-						break
-					}
+				if inMIS, _ := in.Count(i); inMIS > 0 {
+					b.flags[v] |= bInactive
 				}
 			}
 		}
@@ -259,44 +256,32 @@ func (b *Batch) deliverEnd(s int, awake []int32, in sim.Inboxes) {
 	case 0:
 		for i, v := range awake {
 			if b.flags[v]&bJoined == 0 {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindInMIS {
-						b.flags[v] |= bInactive
-						break
-					}
+				if inMIS, _ := in.Count(i); inMIS > 0 {
+					b.flags[v] |= bInactive
 				}
 			}
 		}
 	case 1:
 		for i, v := range awake {
 			if b.flags[v]&(bInactive|bJoined) == 0 {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindAlive {
-						b.remDeg[v]++
-					}
-				}
+				alive, _ := in.Count(i)
+				b.remDeg[v] += int32(alive)
 			}
 		}
 	case 2:
 		for i, v := range awake {
 			if b.flags[v]&bHigh != 0 {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindHigh {
-						// A high neighbor exists: do not join.
-						b.flags[v] &^= bHigh
-						break
-					}
+				if high, _ := in.Count(i); high > 0 {
+					// A high neighbor exists: do not join.
+					b.flags[v] &^= bHigh
 				}
 			}
 		}
 	case 3:
 		for i, v := range awake {
 			if b.flags[v]&bJoined == 0 {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindHiJoin {
-						b.flags[v] |= bInactive
-						break
-					}
+				if hiJoins, _ := in.Count(i); hiJoins > 0 {
+					b.flags[v] |= bInactive
 				}
 			}
 		}

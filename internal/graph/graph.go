@@ -302,64 +302,6 @@ func (c *Components) MaxSize() int {
 	return size
 }
 
-// BFS computes hop distances from src. Unreachable nodes get -1.
-func BFS(g *Graph, src int) []int32 {
-	dist := make([]int32, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.Neighbors(int(v)) {
-			if dist[u] < 0 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
-}
-
-// Eccentricity returns the maximum finite BFS distance from src.
-func Eccentricity(g *Graph, src int) int {
-	max := int32(0)
-	for _, d := range BFS(g, src) {
-		if d > max {
-			max = d
-		}
-	}
-	return int(max)
-}
-
-// DiameterLowerBound estimates the diameter of the component containing
-// node 0 by a double-sweep BFS (exact on trees, a lower bound in general).
-// It returns 0 for the empty graph.
-func DiameterLowerBound(g *Graph) int {
-	if g.N() == 0 {
-		return 0
-	}
-	d0 := BFS(g, 0)
-	far, fd := 0, int32(0)
-	for v, d := range d0 {
-		if d > fd {
-			far, fd = v, d
-		}
-	}
-	return Eccentricity(g, far)
-}
-
-// DegreeHistogram returns counts indexed by degree, length MaxDegree()+1.
-func DegreeHistogram(g *Graph) []int {
-	h := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.N(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // Validate checks internal invariants (sorted adjacency, symmetry, no
 // loops) and returns an error describing the first violation.
 func (g *Graph) Validate() error {

@@ -71,9 +71,6 @@ func TestEmptyGraph(t *testing.T) {
 	if cc.Find(g); cc.Len() != 0 || cc.MaxSize() != 0 {
 		t.Fatal("empty graph has components")
 	}
-	if DiameterLowerBound(g) != 0 {
-		t.Fatal("empty graph diameter != 0")
-	}
 }
 
 func TestComponents(t *testing.T) {
@@ -196,27 +193,6 @@ func checkComponents(t *testing.T, g *Graph, cc *Components) {
 				t.Fatalf("n=%d: node %d in component %d, BFS %d", g.N(), v, c, label[v])
 			}
 		}
-	}
-}
-
-func TestBFSAndDiameter(t *testing.T) {
-	g := Path(10)
-	d := BFS(g, 0)
-	for v := 0; v < 10; v++ {
-		if int(d[v]) != v {
-			t.Fatalf("BFS dist to %d = %d", v, d[v])
-		}
-	}
-	if got := DiameterLowerBound(g); got != 9 {
-		t.Fatalf("path diameter = %d, want 9", got)
-	}
-	if got := Eccentricity(g, 5); got != 5 {
-		t.Fatalf("ecc(5) = %d, want 5", got)
-	}
-	// Disconnected: unreachable nodes report -1.
-	g2 := FromEdges(3, [][2]int{{0, 1}})
-	if BFS(g2, 0)[2] != -1 {
-		t.Fatal("unreachable distance not -1")
 	}
 }
 
@@ -586,17 +562,6 @@ func TestFamiliesCatalog(t *testing.T) {
 		if g.N() == 0 {
 			t.Errorf("family %s produced empty graph", fam.Name)
 		}
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := Star(5)
-	h := DegreeHistogram(g)
-	if len(h) != 5 {
-		t.Fatalf("hist len = %d", len(h))
-	}
-	if h[1] != 4 || h[4] != 1 {
-		t.Fatalf("hist = %v", h)
 	}
 }
 

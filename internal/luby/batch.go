@@ -102,7 +102,14 @@ func (b *Batch) ComposeAll(round int, awake []int32, out *sim.BatchOutbox) {
 	}
 }
 
-// DeliverAll implements sim.BatchMachine.
+// DeliverAll implements sim.BatchMachine. A marked node unmarks when a
+// marked neighbor has a larger remaining degree, or an equal one and a
+// larger ID; a marked node still marked joins, and an unmarked node with a
+// joining neighbor is decided; a node loses one remaining degree per
+// neighbor removed. Only the marking sub-round reads its inboxes' messages
+// (their A and From). The join and removal sub-rounds only count theirs:
+// the join sub-round carries only kindJoin and the removal sub-round only
+// kindRemoved, so every message counted is one of that Kind.
 func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int) {
 	switch round % 3 {
 	case 0:
@@ -127,11 +134,8 @@ func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int)
 			if f&fDecided == 0 {
 				if f&fMarked != 0 {
 					f |= fInMIS | fDecided | fJustDecided
-				}
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindJoin && f&fInMIS == 0 {
-						f |= fDecided | fJustDecided
-					}
+				} else if joins, _ := in.Count(i); joins > 0 {
+					f |= fDecided | fJustDecided
 				}
 			}
 			b.flags[v] = f &^ fMarked
@@ -139,11 +143,8 @@ func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int)
 		}
 	default:
 		for i, v := range awake {
-			for _, msg := range in.At(i) {
-				if msg.Kind == kindRemoved {
-					b.activeDeg[v]--
-				}
-			}
+			removed, _ := in.Count(i)
+			b.activeDeg[v] -= int32(removed)
 			if b.flags[v]&fDecided != 0 {
 				next[i] = sim.Never
 			} else {

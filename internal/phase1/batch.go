@@ -143,7 +143,13 @@ func (b *Batch) ComposeAll(round int, awake []int32, out *sim.BatchOutbox) {
 	}
 }
 
-// DeliverAll implements sim.BatchMachine.
+// DeliverAll implements sim.BatchMachine. A marked node with a marked
+// neighbor is in conflict; a marked node with a joining neighbor goes
+// inactive, and one that neither joined nor went inactive is spoiled; a
+// node still to be marked goes inactive when a neighbor is in the set.
+// Every sub-round only counts its inboxes: each carries one Kind —
+// kindMark in sub-round 0, kindJoin in sub-round 1 and kindInMIS in
+// sub-round 2 — so every message counted is one of that Kind.
 func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int) {
 	l, sub := int32(round/3), round%3
 	for i, v := range awake {
@@ -151,19 +157,14 @@ func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int)
 		switch sub {
 		case 0:
 			if l == b.rv[v] {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindMark {
-						f |= fConflict
-						break
-					}
+				if marks, _ := in.Count(i); marks > 0 {
+					f |= fConflict
 				}
 			}
 		case 1:
 			if l == b.rv[v] {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindJoin && f&fJoined == 0 {
-						f |= fInactive
-					}
+				if joins, _ := in.Count(i); joins > 0 && f&fJoined == 0 {
+					f |= fInactive
 				}
 				if f&(fJoined|fInactive) == 0 {
 					f |= fSpoiled
@@ -174,10 +175,8 @@ func (b *Batch) DeliverAll(round int, awake []int32, in sim.Inboxes, next []int)
 			}
 		case 2:
 			if l < b.rv[v] && f&fJoined == 0 {
-				for _, msg := range in.At(i) {
-					if msg.Kind == kindInMIS {
-						f |= fInactive
-					}
+				if inMIS, _ := in.Count(i); inMIS > 0 {
+					f |= fInactive
 				}
 			}
 		}

@@ -39,8 +39,11 @@ type BatchEnv struct {
 // awake node awake[i]'s inbox via in.At(i), or only counts it via
 // in.Count(i) — once, several times or not at all; in a pulled round At's
 // slice is valid until the next At call — and writes the node's next wake
-// round (must be > round, or Never) into next[i]. Neither may modify
-// `awake`: the engine reschedules from it.
+// round (must be > round, or Never) into next[i]. A round's messages are
+// copied into inboxes only if DeliverAll calls At, so a protocol that
+// needs only how many messages arrived, and how many with a nonzero A,
+// should Count. Neither ComposeAll nor DeliverAll may modify `awake`:
+// the engine reschedules from it.
 type BatchMachine interface {
 	InitAll(env *BatchEnv) []int
 	ComposeAll(round int, awake []int32, out *BatchOutbox)
@@ -97,43 +100,96 @@ func (o *BatchOutbox) group(bi, ui int) (s int32, be, ue int) {
 // Inboxes serves every awake node's inbox: node awake[i]'s messages are
 // At(i), in routing order (ascending sender; per sender, broadcasts before
 // unicasts, each in call order), and Count(i) counts them without building
-// the inbox. In a pushed round each inbox is a segment of one pooled
-// buffer; in a pulled round At builds it on demand from the round's two
+// the inbox. In a pushed round the router has only counted the inboxes,
+// and the round's first At writes every copy into one pooled buffer, one
+// segment per inbox, so a round that DeliverAll only counts writes none;
+// in a pulled round At builds each inbox on demand from the round's two
 // bitmaps (see RunBatch's route). Any inbox may be read once, several
 // times or not at all, by either method.
 type Inboxes struct {
-	buf []Msg
-	off []int32    // len = awake set + 1
-	p   *pullState // non-nil in a pulled round
+	q *pushState // non-nil in a pushed round
+	p *pullState // non-nil in a pulled round
 }
 
 // At returns the inbox of the i-th node of the awake slice this view was
 // delivered with. The returned slice must not be modified or retained
 // across rounds: in a pushed round it aliases the round's shared buffer,
 // and in a pulled round it is a scratch slice valid until the next At
-// call (Count leaves it alone).
+// call (Count leaves it alone). In a pushed round the first At writes
+// every inbox of the round into that buffer.
 func (in Inboxes) At(i int) []Msg {
 	if in.p != nil {
-		return in.gather(i)
+		return in.p.gather(i)
 	}
-	return in.buf[in.off[i]:in.off[i+1]]
+	q := in.q
+	if !q.written {
+		q.write()
+	}
+	return q.buf[q.off[i]:q.off[i+1]]
 }
 
 // Count returns the number of messages in the i-th node's inbox and how
 // many of them have a nonzero A: what a loop over At(i) would count,
-// without building the inbox. In a pulled round it only reads the round's
-// bitmaps.
+// without building the inbox. In a pushed round it reads two numbers the
+// router counted, in O(1), and writes no copy; in a pulled round it only
+// reads the round's bitmaps.
 func (in Inboxes) Count(i int) (n, nonzero int) {
 	if in.p != nil {
 		return in.p.count(i)
 	}
-	box := in.buf[in.off[i]:in.off[i+1]]
-	for _, m := range box {
-		if m.A != 0 {
-			nonzero++
-		}
+	q := in.q
+	return int(q.off[i+1] - q.off[i]), int(q.cnt[i+1] >> 32)
+}
+
+// pushState is a pushed round's routing state. Indexed by pos (0 is the
+// sink of copies to sleeping receivers), cnt holds in its high half how
+// many of a receiver's copies have a nonzero A, and in its low half first
+// its count of copies and then, once push has turned the counts into the
+// offsets off, its write cursor. buf holds the copies once the round's
+// first At has written them (write). Between pushed rounds written is
+// false.
+type pushState struct {
+	e       *batchEngine // the running engine: write reads its graph, outbox and positions
+	cnt     []uint64
+	off     []int32 // inbox i is buf[off[i]:off[i+1]]; len = awake set + 1
+	buf     []Msg
+	written bool // buf holds this round's copies
+}
+
+// write is push's second pass, made by the round's first At: it walks the
+// outbox in routing order again and writes each copy at its receiver's
+// cursor, so each receiver's segment is in routing order. Copies to
+// sleeping receivers are skipped; push counted them as drops.
+func (q *pushState) write() {
+	g, pos, ob := q.e.g, q.e.mem.pos, &q.e.mem.out
+	size := q.off[len(q.off)-1]
+	if cap(q.buf) < int(size) {
+		q.buf = make([]Msg, size)
 	}
-	return len(box), nonzero
+	buf, cnt := q.buf[:size], q.cnt
+	for bi, ui := 0, 0; bi < len(ob.bcast) || ui < len(ob.uni); {
+		s, be, ue := ob.group(bi, ui)
+		// One pass over the row per broadcast: each receiver still gets
+		// the sender's broadcasts in call order, and the common single
+		// broadcast costs one store per receiver.
+		for _, mm := range ob.bcast[bi:be] {
+			for _, u := range g.Neighbors(int(s)) {
+				if r := pos[u]; r != 0 {
+					buf[uint32(cnt[r])] = mm
+					cnt[r]++
+				}
+			}
+		}
+		for i := ui; i < ue; i++ {
+			if r := pos[ob.uto[i]]; r != 0 {
+				buf[uint32(cnt[r])] = ob.uni[i]
+				cnt[r]++
+			}
+		}
+		bi, ui = be, ue
+	}
+	q.buf = buf
+	q.written = true
 }
 
 // pullState is a pulled round's routing state. The round's senders each
@@ -159,10 +215,8 @@ type pullState struct {
 // inbox, and counts its deliveries on the first read. Each message is the
 // round's header with the neighbor's ID and payload bit. The walk has no
 // data-dependent branch: it stores a message for every neighbor and
-// advances past it only by the sender bit. Its receiver is the whole view,
-// not in.p, which keeps At within the inlining budget.
-func (in Inboxes) gather(i int) []Msg {
-	p := in.p
+// advances past it only by the sender bit.
+func (p *pullState) gather(i int) []Msg {
 	row := p.g.Neighbors(int(p.awake[i]))
 	if cap(p.inbox) < len(row) {
 		p.inbox = make([]Msg, len(row))
@@ -233,20 +287,20 @@ const maxRound = math.MaxInt32
 // Mem holds the engine's reusable buffers, so a caller executing many runs
 // can amortize all engine allocations across runs instead of paying them
 // per run: the wake calendar, the awake positions, the round's outbox,
+// push's per-receiver counts and offsets,
 // the inbox buffer push fills in place (there is no staging area), and
 // pull's sender and payload bitmaps and gather scratch. A Mem may be reused
 // across runs of different sizes (buffers grow to the maximum) but must
 // not be shared by concurrent runs. The zero value is ready to use.
 type Mem struct {
-	// pos[v] is 1 + v's index in the round's awake set while the round
-	// routes, and 0 for a sleeping node and at every other time: each
-	// round clears the entries it set, and so does every exit.
+	// pos[v] is 1 + v's index in the round's awake set from the time the
+	// round routes until DeliverAll returns (a pushed round's first At
+	// writes through it), and 0 for a sleeping node and at every other
+	// time: each round clears the entries it set, and so does every exit.
 	pos   []int32
 	awake []int32 // this round's awake set
 	next  []int
-	inbuf []Msg   // push's inboxes, one segment per receiver
-	inoff []int32 // push's segment offsets
-	cnt   []int32 // push's per-receiver counts, then write cursors, by pos
+	push  pushState
 	pull  pullState
 
 	// The wake calendar. Ring slot r&(calSize-1) lists the nodes waking in
@@ -440,14 +494,16 @@ func (e *batchEngine) run() (*Result, error) {
 	// panicking DeliverAll: drop pending wakes (a retry on the same pool
 	// must not see phantom scheduled nodes, possibly from a different
 	// graph), clear the positions of the last round's awake set, which a
-	// failed route may have left set, so no node of the next run looks
-	// awake, and end a pulled round's state.
+	// failed route or DeliverAll may have left set, so no node of the next
+	// run looks awake, and end a pushed or pulled round's state.
+	m.push.e = e
 	defer func() {
 		m.clearCalendar()
 		for _, v := range m.awake {
 			m.pos[v] = 0
 		}
 		m.awake = m.awake[:0]
+		m.push.e, m.push.written = nil, false
 		m.pull.reset()
 	}()
 
@@ -497,15 +553,12 @@ func (e *batchEngine) run() (*Result, error) {
 			t2 = time.Now()
 		}
 
-		// Stage 2: route the outbox (senders ascending): push fills one
-		// receiver-grouped inbox buffer, pull only sets bits.
+		// Stage 2: route the outbox (senders ascending): push counts each
+		// receiver's copies, pull only sets bits. Neither writes a copy.
 		for i, v := range awake {
 			m.pos[v] = int32(i) + 1
 		}
 		pulled, err := e.route(round, awake)
-		for _, v := range awake {
-			m.pos[v] = 0
-		}
 		if err != nil {
 			return nil, err
 		}
@@ -513,14 +566,15 @@ func (e *batchEngine) run() (*Result, error) {
 			t3 = time.Now()
 		}
 
-		// Stage 3: deliver (a pulled round's inboxes are built or counted
-		// as DeliverAll reads them, and its drops settled after), then
-		// apply the scheduling decisions.
+		// Stage 3: deliver (a pushed round's copies are written at its
+		// first At, a pulled round's inboxes built or counted as
+		// DeliverAll reads them and its drops settled after), then apply
+		// the scheduling decisions.
 		if cap(m.next) < len(awake) {
 			m.next = make([]int, len(awake))
 		}
 		next := m.next[:len(awake)]
-		in := Inboxes{buf: m.inbuf, off: m.inoff}
+		in := Inboxes{q: &m.push}
 		if pulled {
 			in = Inboxes{p: &m.pull}
 		}
@@ -528,6 +582,11 @@ func (e *batchEngine) run() (*Result, error) {
 		if pulled {
 			e.res.MsgsDropped += m.pull.settle()
 			m.pull.reset()
+		} else {
+			m.push.written = false
+		}
+		for _, v := range awake {
+			m.pos[v] = 0
 		}
 		if tr != nil {
 			t4 = time.Now()
@@ -568,8 +627,9 @@ func (e *batchEngine) run() (*Result, error) {
 // true): no unicasts, at least half as many broadcasts as awake nodes,
 // exactly one broadcast per sender, and broadcasts that differ only in an
 // A of 0 or 1. Pull only sets bits, and Inboxes.At and Count read each
-// inbox from the receiver's row. Every other round is pushed into the
-// inbox buffer, with no staging copy.
+// inbox from the receiver's row. Every other round is pushed: route only
+// counts each inbox, and the round's first Inboxes.At writes the copies
+// into the inbox buffer, with no staging copy.
 func (e *batchEngine) route(round int, awake []int32) (pulled bool, err error) {
 	if len(e.mem.out.uni) == 0 && 2*len(e.mem.out.bcast) >= len(awake) && e.pull(awake) {
 		return true, nil
@@ -590,21 +650,21 @@ func (e *batchEngine) sender(s, prev int32, round int) error {
 	return nil
 }
 
-// push routes by sender in two passes over the outbox. Pass 1 validates
-// each sender group, rejects unicasts to non-neighbors, accounts traffic,
-// and counts each receiver's deliveries (sleeping receivers count into
-// the sink, as drops). Pass 2 walks the same order again and writes each
-// copy at its receiver's cursor, so each receiver's segment is in routing
-// order. Counts and offsets are indexed by pos, whose 0 is a sink for
-// sleeping receivers.
+// push routes by sender in one pass over the outbox: it validates each
+// sender group, rejects unicasts to non-neighbors, accounts traffic, and
+// counts each receiver's deliveries and those with a nonzero A (sleeping
+// receivers count into the sink, as drops). It then turns the counts into
+// offsets and write cursors. The copies are written only if DeliverAll
+// calls Inboxes.At (pushState.write); Inboxes.Count reads the counts.
 func (e *batchEngine) push(round int, awake []int32) error {
 	m := e.mem
+	q := &m.push
 	k := len(awake)
-	if cap(m.cnt) < k+1 {
-		m.cnt = make([]int32, k+1)
-		m.inoff = make([]int32, k+1)
+	if cap(q.cnt) < k+1 {
+		q.cnt = make([]uint64, k+1)
+		q.off = make([]int32, k+1)
 	}
-	cnt := m.cnt[:k+1]
+	cnt := q.cnt[:k+1]
 	clear(cnt)
 	pos := m.pos
 
@@ -617,10 +677,11 @@ func (e *batchEngine) push(round int, awake []int32) error {
 		}
 		prev = s
 		if nbrs := e.g.Neighbors(int(s)); be > bi && len(nbrs) > 0 {
+			per := uint64(be - bi)
 			for _, mm := range ob.bcast[bi:be] {
 				e.account(mm, len(nbrs))
+				per += nonzero(mm)
 			}
-			per := int32(be - bi)
 			for _, u := range nbrs {
 				cnt[pos[u]] += per
 			}
@@ -631,49 +692,32 @@ func (e *batchEngine) push(round int, awake []int32) error {
 				return fmt.Errorf("sim: node %d unicast to non-neighbor %d", s, to)
 			}
 			e.account(ob.uni[i], 1)
-			cnt[pos[to]]++
+			cnt[pos[to]] += 1 + nonzero(ob.uni[i])
 		}
 		bi, ui = be, ue
 	}
-	e.res.MsgsDropped += int64(cnt[0])
+	e.res.MsgsDropped += int64(uint32(cnt[0]))
 
-	// Offsets, then cursors.
-	off := m.inoff[:k+1]
+	// Offsets, then cursors in the counts' low halves.
+	off := q.off[:k+1]
 	run := int32(0)
-	for i := 0; i < k; i++ {
+	for i, c := range cnt[1:] {
 		off[i] = run
-		run += cnt[i+1]
-		cnt[i+1] = off[i]
+		run += int32(uint32(c))
+		cnt[i+1] = c>>32<<32 | uint64(off[i])
 	}
 	off[k] = run
-	if cap(m.inbuf) < int(run) {
-		m.inbuf = make([]Msg, run)
-	}
-	buf := m.inbuf[:run]
-	for bi, ui := 0, 0; bi < len(ob.bcast) || ui < len(ob.uni); {
-		s, be, ue := ob.group(bi, ui)
-		// One pass over the row per broadcast: each receiver still gets
-		// the sender's broadcasts in call order, and the common single
-		// broadcast costs one store per receiver.
-		for _, mm := range ob.bcast[bi:be] {
-			for _, u := range e.g.Neighbors(int(s)) {
-				if r := pos[u]; r != 0 {
-					buf[cnt[r]] = mm
-					cnt[r]++
-				}
-			}
-		}
-		for i := ui; i < ue; i++ {
-			if r := pos[ob.uto[i]]; r != 0 {
-				buf[cnt[r]] = ob.uni[i]
-				cnt[r]++
-			}
-		}
-		bi, ui = be, ue
-	}
-	m.inbuf = buf
-	m.inoff = off
+	q.cnt, q.off = cnt, off
 	return nil
+}
+
+// nonzero is a copy's increment of its receiver's nonzero count, which
+// push keeps in the high half of the receiver's cnt word.
+func nonzero(m Msg) uint64 {
+	if m.A != 0 {
+		return 1 << 32
+	}
+	return 0
 }
 
 // pull routes a one-bit round of broadcasts by receiver without copying

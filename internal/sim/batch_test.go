@@ -634,10 +634,13 @@ func (p *strayBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
 // scriptBatch is a native batch machine driven by functions: wake gives
 // node v's first awake round, after which the node wakes every round up
 // to and including round last, and compose fills each round's outbox.
+// DeliverAll reads every inbox as read says: readNone, readAt or
+// readCount.
 type scriptBatch struct {
 	wake    func(v int) int
 	last    int
 	compose func(round int, awake []int32, out *BatchOutbox)
+	read    int
 }
 
 func (s *scriptBatch) InitAll(env *BatchEnv) []int {
@@ -654,6 +657,12 @@ func (s *scriptBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
 
 func (s *scriptBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
 	for i := range next {
+		switch s.read {
+		case readAt:
+			in.At(i)
+		case readCount:
+			in.Count(i)
+		}
 		next[i] = Never
 		if round < s.last {
 			next[i] = round + 1
@@ -661,13 +670,17 @@ func (s *scriptBatch) DeliverAll(round int, awake []int32, in Inboxes, next []in
 	}
 }
 
-// TestBatchRejectsRogueSenders: only the round's awake nodes may send,
-// and ComposeAll must group their messages in awake order. On the path
-// 0-1-2 with node 2 asleep, RunBatch fails the run with a named error when
-// node 2 (or a node that does not exist) sends, or when node 1's messages
-// come before node 0's — in a broadcast-only round, which the router
-// tries to pull (pull hands a round it cannot take to push, which names
-// the error), and in a round with a unicast, which it pushes.
+// TestBatchRejectsRogueSenders: only the round's awake nodes may send, to
+// their neighbors, and ComposeAll must group their messages in awake
+// order. On the path 0-1-2 with node 2 asleep, RunBatch fails the run with
+// a named error when node 2 (or a node that does not exist) sends, when
+// node 1's messages come before node 0's — in a broadcast-only round,
+// which the router tries to pull (pull hands a round it cannot take to
+// push, which names the error), and in a round with a unicast, which it
+// pushes — or when node 0 unicasts to node 2. The router validates while
+// it routes, not when DeliverAll reads: each case fails alike whether
+// DeliverAll reads every inbox with At, only counts them (a pushed round
+// then writes no copy) or reads none.
 func TestBatchRejectsRogueSenders(t *testing.T) {
 	g := graph.Path(3)
 	msg := Msg{Kind: 1, Bits: 8}
@@ -696,26 +709,31 @@ func TestBatchRejectsRogueSenders(t *testing.T) {
 			out.Broadcast(1, msg)
 			out.Broadcast(0, msg)
 		}, misordered},
+		{"non-neighbor", func(out *BatchOutbox) { out.Broadcast(0, msg); out.Send(0, 2, msg) }, "sim: node 0 unicast to non-neighbor 2"},
 	}
-	for _, c := range cases {
-		bm := &scriptBatch{
-			wake: func(v int) int {
-				if v < 2 {
-					return 0
-				}
-				return Never
-			},
-			compose: func(_ int, _ []int32, out *BatchOutbox) { c.compose(out) },
-		}
-		res, err := RunBatch(g, bm, Config{})
-		switch {
-		case c.want == "" && err != nil:
-			t.Errorf("%s: unexpected error %v", c.name, err)
-		case c.want != "" && (err == nil || err.Error() != c.want):
-			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
-		case c.want == "" && (res.MsgsSent != 3 || res.MsgsDropped != 1 || res.Awake[2] != 0):
-			t.Errorf("%s: sent %d, dropped %d, Awake[2] = %d; want 3, 1, 0",
-				c.name, res.MsgsSent, res.MsgsDropped, res.Awake[2])
+	reads := map[int]string{readAt: "At", readCount: "Count", readNone: "none"}
+	for read, how := range reads {
+		for _, c := range cases {
+			bm := &scriptBatch{
+				wake: func(v int) int {
+					if v < 2 {
+						return 0
+					}
+					return Never
+				},
+				compose: func(_ int, _ []int32, out *BatchOutbox) { c.compose(out) },
+				read:    read,
+			}
+			res, err := RunBatch(g, bm, Config{})
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("%s, read %s: unexpected error %v", c.name, how, err)
+			case c.want != "" && (err == nil || err.Error() != c.want):
+				t.Errorf("%s, read %s: err = %v, want %q", c.name, how, err, c.want)
+			case c.want == "" && (res.MsgsSent != 3 || res.MsgsDropped != 1 || res.Awake[2] != 0):
+				t.Errorf("%s, read %s: sent %d, dropped %d, Awake[2] = %d; want 3, 1, 0",
+					c.name, how, res.MsgsSent, res.MsgsDropped, res.Awake[2])
+			}
 		}
 	}
 }
@@ -729,8 +747,9 @@ func TestBatchRejectsRogueSenders(t *testing.T) {
 // different (smaller) graph behaves exactly like one on fresh buffers.
 // The clean runs let nodes sleep while neighbors send, so a stale awake
 // position would deliver a message that must be dropped, and one of them
-// reads part of its inboxes in pulled rounds. A panicking DeliverAll in a
-// pulled round, recovered by the caller, must leave it clean too.
+// reads part of its inboxes in pulled rounds. A panicking DeliverAll,
+// recovered by the caller, must leave it clean too: in a pulled round, and
+// in a pushed round before and after its first At.
 func TestBatchMemReuseAfterError(t *testing.T) {
 	big := graph.GNP(300, 0.05, 1)
 	stray := int32(1) // the first node that is not node 0's neighbor
@@ -772,16 +791,21 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 			}}, Config{Mem: mem})
 			return err
 		}},
-		{"deliver-panic", func(mem *Mem) (err error) {
+		{"deliver-panic", func(mem *Mem) error {
 			// Round 3 is pulled, and DeliverAll panics after reading a
 			// few inboxes: the senders bitmap and read flags are set.
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("recovered: %v", r)
-				}
-			}()
-			_, err = RunBatch(big, &panicBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3}, Config{Mem: mem})
-			return err
+			return recovered(mem, big, &panicBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3})
+		}},
+		{"deliver-panic/push-before-at", func(mem *Mem) error {
+			// Round 3 is pushed, and DeliverAll panics after counting a
+			// few inboxes: the round's counts and positions are set, and
+			// no copy is written.
+			return recovered(mem, big, &panicBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3, wide: true, count: true})
+		}},
+		{"deliver-panic/push-after-at", func(mem *Mem) error {
+			// Round 3 is pushed, and DeliverAll panics after reading a
+			// few inboxes with At: the round's copies are written.
+			return recovered(mem, big, &panicBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3, wide: true})
 		}},
 		{"misordered-sender", func(mem *Mem) error {
 			_, err := RunBatch(big, &scriptBatch{wake: farFirst, last: 50, compose: func(round int, awake []int32, out *BatchOutbox) {
@@ -856,6 +880,18 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 			t.Fatalf("%s: post-error pooled partial-read run: digests %x, fresh %x", f.name, pb.digest, freshPartial.digest)
 		}
 	}
+}
+
+// recovered runs bm on g with mem and returns the error the run failed
+// with, or the panic it raised as an error.
+func recovered(mem *Mem, g *graph.Graph, bm BatchMachine) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("recovered: %v", r)
+		}
+	}()
+	_, err = RunBatch(g, bm, Config{Mem: mem})
+	return err
 }
 
 // TestBatchMemReuseAcrossSizes: after a run on a larger graph, a pooled

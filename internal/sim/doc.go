@@ -63,7 +63,7 @@
 // The router pulls a one-bit round — no unicasts, at least half as many
 // broadcasts as awake nodes, one broadcast per sender, and broadcasts that
 // share Kind, B and Bits and differ only in an A of 0 or 1 — and pushes
-// every other round. Pull copies no message while routing: it sets each
+// every other round. Neither writes a copy while routing. Pull sets each
 // sender's bit in a sender bitmap and its A in a payload bitmap, both over
 // node IDs, and keeps the round's Kind, B and Bits once. Inboxes.At builds
 // a receiver's inbox when DeliverAll asks for it, by walking the
@@ -73,10 +73,16 @@
 // the two bitmaps and writes nothing. So a pulled round costs
 // O(senders + n/64) to route plus the rows of the inboxes read, and needs
 // no O(m) buffer; the copies dropped are settled after DeliverAll, by
-// counting the inboxes it never read. Push copies into one pooled buffer:
-// one pass counts each receiver's deliveries, a second writes each copy
-// at its receiver's cursor. Both give the same inboxes and counters. With
-// a tracer attached, each round's wall time is split into compose, route,
-// deliver and schedule stages (obs.RoundStats); a pulled round's inbox
-// reads fall in deliver.
+// counting the inboxes it never read. Push validates and accounts the
+// outbox in one pass that counts each receiver's copies and those with a
+// nonzero A, and turns the counts into offsets: Inboxes.Count reads its
+// two numbers from them in O(1). The copies themselves are written only
+// by the round's first Inboxes.At, in a second pass over the outbox that
+// stores each copy at its receiver's cursor in one pooled buffer; a
+// pushed round that DeliverAll only counts writes none. The engine
+// decides this from what DeliverAll reads, not from an option. Both
+// routes give the same inboxes and counters. With a tracer attached, each
+// round's wall time is split into compose, route, deliver and schedule
+// stages (obs.RoundStats); a pulled round's inbox reads and a pushed
+// round's copy pass fall in deliver.
 package sim

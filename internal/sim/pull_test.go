@@ -14,13 +14,14 @@ import (
 // its per-node form (partialMachine, run on runPerNode) and its native
 // batch form (partialBatch, run on RunBatch), so both draw the same random
 // numbers in the same order. In each awake round a node broadcasts with
-// probability pb — twice with probability pdup in rounds 3 mod 4 —, then
+// probability pb — twice with probability pdup in rounds 3 mod 4 —, in
+// rounds 1 mod 4 unicasts to each neighbor with probability pu, then
 // skips its inbox with probability pskip, reads it twice with probability
 // preread and once otherwise, each read a count (Inboxes.Count) with
 // probability pcount, and sleeps 1 to 3 rounds.
 type partialRule struct {
-	pb, pdup, pskip, preread, pcount float64
-	rounds                           int // awake rounds per node
+	pb, pdup, pu, pskip, preread, pcount float64
+	rounds                               int // awake rounds per node
 }
 
 // How a partialRule node reads its inbox: not at all, through
@@ -39,6 +40,12 @@ func (p partialRule) sends(r *rng.Stream, round int) int {
 		return 2
 	}
 	return 1
+}
+
+// unicasts draws whether a node unicasts to the next neighbor of its row
+// in round: with probability pu in rounds 1 mod 4, never in the others.
+func (p partialRule) unicasts(r *rng.Stream, round int) bool {
+	return round%4 == 1 && r.Bernoulli(p.pu)
 }
 
 // reads draws a node's reads of its inbox in one round, in order.
@@ -71,6 +78,13 @@ func partialMsg(v int32, round, i int) Msg {
 	return Msg{Kind: 2, A: uint64(round) * uint64(v&1), B: uint64(round)<<32 | uint64(v), Bits: 8}
 }
 
+// partialUni is node v's unicast to its neighbor u in round, which is 1
+// mod 4: A is the round when v and u differ in parity and 0 otherwise, so
+// a receiver's unicasts mix zero and nonzero A.
+func partialUni(v, u int32, round int) Msg {
+	return Msg{Kind: 3, A: uint64(round) * uint64((v^u)&1), B: uint64(u), Bits: 8}
+}
+
 // foldCount folds a counted inbox, its length and its messages with a
 // nonzero A, into a rolling digest.
 func foldCount(d uint64, n, nonzero int) uint64 {
@@ -93,8 +107,14 @@ func (m *partialMachine) Init(env *Env) int {
 }
 
 func (m *partialMachine) Compose(round int, out *Outbox) {
+	v := int32(m.env.Node)
 	for i, k := 0, m.sends(m.env.Rand, round); i < k; i++ {
-		out.Broadcast(partialMsg(int32(m.env.Node), round, i))
+		out.Broadcast(partialMsg(v, round, i))
+	}
+	for _, u := range m.env.Neighbors {
+		if m.unicasts(m.env.Rand, round) {
+			out.Send(u, partialUni(v, u, round))
+		}
 	}
 }
 
@@ -129,6 +149,7 @@ func (m *partialMachine) Digest() uint64 { return m.digest }
 // is unchanged. It counts the rounds delivered pulled and pushed.
 type partialBatch struct {
 	partialRule
+	g              *graph.Graph
 	rands          []rng.Stream
 	left           []int
 	digest         []uint64
@@ -140,6 +161,7 @@ type partialBatch struct {
 }
 
 func (b *partialBatch) InitAll(env *BatchEnv) []int {
+	b.g = env.G
 	b.rands = make([]rng.Stream, env.N)
 	b.left = make([]int, env.N)
 	b.digest = make([]uint64, env.N)
@@ -154,8 +176,14 @@ func (b *partialBatch) InitAll(env *BatchEnv) []int {
 
 func (b *partialBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
 	for _, v := range awake {
-		for i, k := 0, b.sends(&b.rands[v], round); i < k; i++ {
+		r := &b.rands[v]
+		for i, k := 0, b.sends(r, round); i < k; i++ {
 			out.Broadcast(v, partialMsg(v, round, i))
+		}
+		for _, u := range b.g.Neighbors(int(v)) {
+			if b.unicasts(r, round) {
+				out.Send(v, u, partialUni(v, u, round))
+			}
 		}
 	}
 }
@@ -232,8 +260,10 @@ func checkPartial(t *testing.T, g *graph.Graph, rule partialRule, cfg Config) *p
 // random subset of inboxes — re-reading some, skipping others, counting
 // some with Inboxes.Count — to runPerNode, on graphs with hubs, long ID
 // spans and isolated nodes. The dense rules are pulled in most rounds;
-// with pdup, rounds 3 mod 4 have a sender that broadcasts twice, which the
-// router pushes.
+// with pdup, rounds 3 mod 4 have a sender that broadcasts twice, and with
+// pu, rounds 1 mod 4 have unicasts, some with a zero A and some not; the
+// router pushes both, and a pushed round's Count, whose nonzero counter
+// covers broadcasts and unicasts, is held to a count of the inbox.
 func TestPartialReadsMatchPerNode(t *testing.T) {
 	rules := []struct {
 		name         string
@@ -246,6 +276,8 @@ func TestPartialReadsMatchPerNode(t *testing.T) {
 		{"dense/count-all", partialRule{pb: 1, preread: 0.3, pcount: 1, rounds: 6}, true, false},
 		{"dense/doubles", partialRule{pb: 0.9, pdup: 0.5, pskip: 0.3, preread: 0.3, pcount: 0.4, rounds: 12}, true, true},
 		{"sparse", partialRule{pb: 0.3, pdup: 0.3, pskip: 0.3, preread: 0.3, pcount: 0.4, rounds: 8}, false, true},
+		{"dense/unicasts", partialRule{pb: 0.9, pu: 0.4, pskip: 0.2, preread: 0.4, pcount: 0.5, rounds: 12}, true, true},
+		{"sparse/unicasts", partialRule{pb: 0.3, pdup: 0.3, pu: 0.3, pskip: 0.2, preread: 0.4, pcount: 0.5, rounds: 8}, false, true},
 	}
 	graphs := []struct {
 		name string
@@ -271,19 +303,21 @@ func TestPartialReadsMatchPerNode(t *testing.T) {
 }
 
 // FuzzPartialReadsMatchPerNode is TestPartialReadsMatchPerNode over random
-// graphs, seeds and rates.
+// graphs, seeds and rates. The last seed unicasts.
 func FuzzPartialReadsMatchPerNode(f *testing.F) {
-	f.Add(uint8(60), uint8(30), uint64(1), uint8(230), uint8(0), uint8(80), uint8(80), uint8(0))
-	f.Add(uint8(90), uint8(10), uint64(2), uint8(255), uint8(128), uint8(128), uint8(128), uint8(128))
-	f.Add(uint8(40), uint8(60), uint64(3), uint8(255), uint8(0), uint8(255), uint8(0), uint8(60))
-	f.Add(uint8(95), uint8(4), uint64(4), uint8(100), uint8(60), uint8(40), uint8(200), uint8(100))
-	f.Add(uint8(1), uint8(0), uint64(5), uint8(255), uint8(0), uint8(0), uint8(0), uint8(255))
-	f.Add(uint8(70), uint8(20), uint64(6), uint8(255), uint8(0), uint8(0), uint8(120), uint8(255))
-	f.Fuzz(func(t *testing.T, n, p uint8, seed uint64, pb, pdup, pskip, preread, pcount uint8) {
+	f.Add(uint8(60), uint8(30), uint64(1), uint8(230), uint8(0), uint8(0), uint8(80), uint8(80), uint8(0))
+	f.Add(uint8(90), uint8(10), uint64(2), uint8(255), uint8(128), uint8(0), uint8(128), uint8(128), uint8(128))
+	f.Add(uint8(40), uint8(60), uint64(3), uint8(255), uint8(0), uint8(0), uint8(255), uint8(0), uint8(60))
+	f.Add(uint8(95), uint8(4), uint64(4), uint8(100), uint8(60), uint8(0), uint8(40), uint8(200), uint8(100))
+	f.Add(uint8(1), uint8(0), uint64(5), uint8(255), uint8(0), uint8(0), uint8(0), uint8(0), uint8(255))
+	f.Add(uint8(70), uint8(20), uint64(6), uint8(255), uint8(0), uint8(0), uint8(0), uint8(120), uint8(255))
+	f.Add(uint8(80), uint8(25), uint64(7), uint8(230), uint8(60), uint8(100), uint8(50), uint8(100), uint8(128))
+	f.Fuzz(func(t *testing.T, n, p uint8, seed uint64, pb, pdup, pu, pskip, preread, pcount uint8) {
 		g := graph.GNP(int(n%96)+1, float64(p)/255, seed)
 		rule := partialRule{
 			pb:      float64(pb) / 255,
 			pdup:    float64(pdup) / 255,
+			pu:      float64(pu) / 255,
 			pskip:   float64(pskip) / 255,
 			preread: float64(preread) / 255,
 			pcount:  float64(pcount) / 255,
@@ -460,23 +494,141 @@ func TestPulledRunsLeaveNoInboxBuffer(t *testing.T) {
 	if res.MsgsSent == 0 {
 		t.Fatal("no messages sent")
 	}
-	if mem.inbuf != nil || mem.inoff != nil {
-		t.Fatalf("pulled run allocated push's buffers: %d inbox slots, %d offsets", cap(mem.inbuf), cap(mem.inoff))
+	if mem.push.buf != nil || mem.push.off != nil {
+		t.Fatalf("pulled run allocated push's buffers: %d inbox slots, %d offsets", cap(mem.push.buf), cap(mem.push.off))
+	}
+}
+
+// countedBatch runs rounds pushed rounds on every node of its graph and
+// reads every inbox through Inboxes.Count or, with byAt, through a loop
+// over Inboxes.At that counts the same two numbers; it folds each count
+// into its node's digest. In round r, nodes r mod 3 broadcast (one third
+// of the nodes, a sparse round), the even ones among them twice, and
+// nodes r mod 5 unicast to their neighbors of r's parity. A of each
+// message is zero for some senders and nonzero for others. It counts the
+// rounds delivered pulled.
+type countedBatch struct {
+	g      *graph.Graph
+	rounds int
+	byAt   bool
+	digest []uint64
+	pulled int
+}
+
+func (b *countedBatch) InitAll(env *BatchEnv) []int {
+	b.digest = make([]uint64, env.N)
+	return make([]int, env.N)
+}
+
+func (b *countedBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
+	r := int32(round)
+	for _, v := range awake {
+		if v%3 == r%3 {
+			out.Broadcast(v, Msg{Kind: 1, A: uint64((v + r) & 1), Bits: 1})
+			if v%2 == 0 {
+				out.Broadcast(v, Msg{Kind: 2, A: uint64(v>>1&1) * uint64(round+1), Bits: 8})
+			}
+		}
+		if v%5 == r%5 {
+			for _, u := range b.g.Neighbors(int(v)) {
+				if u%2 == r%2 {
+					out.Send(v, u, Msg{Kind: 3, A: uint64((u ^ v) & 1), Bits: 8})
+				}
+			}
+		}
+	}
+}
+
+func (b *countedBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
+	if in.p != nil {
+		b.pulled++
+	}
+	for i, v := range awake {
+		n, nonzero := 0, 0
+		if b.byAt {
+			for _, m := range in.At(i) {
+				n++
+				if m.A != 0 {
+					nonzero++
+				}
+			}
+		} else {
+			n, nonzero = in.Count(i)
+		}
+		b.digest[v] = foldCount(b.digest[v], n, nonzero)
+		next[i] = Never
+		if round+1 < b.rounds {
+			next[i] = round + 1
+		}
+	}
+}
+
+// TestCountedPushedRunsWriteNoCopies: a run whose pushed rounds are only
+// counted — sparse broadcasts, senders with two broadcasts and unicasts,
+// countedBatch — never writes a copy, so a fresh Mem's inbox buffer stays
+// unallocated, and its counts equal those of a second run that counts each
+// inbox in a loop over At, which does write them.
+func TestCountedPushedRunsWriteNoCopies(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.GNP(400, 10.0/400, 3), graph.Star(70), graph.FromEdges(6, [][2]int{{0, 1}})} {
+		counted := &countedBatch{g: g, rounds: 7}
+		mem := NewMem()
+		res, err := RunBatch(g, counted, Config{Mem: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counted.pulled != 0 {
+			t.Fatalf("n=%d: %d rounds pulled", g.N(), counted.pulled)
+		}
+		if mem.push.buf != nil {
+			t.Fatalf("n=%d: counted run allocated an inbox buffer of %d slots", g.N(), cap(mem.push.buf))
+		}
+		byAt := &countedBatch{g: g, rounds: 7, byAt: true}
+		mem = NewMem()
+		ref, err := RunBatch(g, byAt, Config{Mem: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MsgsSent > res.MsgsDropped && mem.push.buf == nil {
+			t.Fatalf("n=%d: a run read with At delivered %d copies but wrote none", g.N(), res.MsgsSent-res.MsgsDropped)
+		}
+		if err := sameResult(res, ref); err != nil {
+			t.Fatalf("n=%d: %v", g.N(), err)
+		}
+		if !slices.Equal(counted.digest, byAt.digest) {
+			t.Fatalf("n=%d: Count digests %x, At loop %x", g.N(), counted.digest, byAt.digest)
+		}
 	}
 }
 
 // panicBatch is pingBatch whose DeliverAll, in round at, reads a few
-// inboxes — one of them twice — and then panics.
+// inboxes — one of them twice — through At, or through Count with count
+// set, and then panics. With wide set, every broadcast carries the round
+// in 8 bits, so every round is pushed.
 type panicBatch struct {
 	pingBatch
-	at int
+	at          int
+	wide, count bool
+}
+
+func (p *panicBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
+	if !p.wide {
+		p.pingBatch.ComposeAll(round, awake, out)
+		return
+	}
+	for _, v := range awake {
+		out.Broadcast(v, Msg{Kind: 1, A: uint64(round), Bits: 8})
+	}
 }
 
 func (p *panicBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
 	if round == p.at {
-		in.At(0)
-		in.At(len(awake) - 1)
-		in.At(0)
+		for _, i := range []int{0, len(awake) - 1, 0} {
+			if p.count {
+				in.Count(i)
+			} else {
+				in.At(i)
+			}
+		}
 		panic(fmt.Sprintf("sim test: DeliverAll panics in round %d", round))
 	}
 	p.pingBatch.DeliverAll(round, awake, in, next)
