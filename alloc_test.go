@@ -1,16 +1,18 @@
 package energymis_test
 
-// Allocation budgets of the warm paths: a static run on a pooled Mem and
-// a dynamic repair window on a long-lived engine. The repository
-// benchmark (cmd/misbench) prints allocations per op but does not gate on
-// them, so these tests are what keeps an allocation regression out. Each
-// bound is twice the count measured on the tree it was written against
+// Allocation budgets of the warm paths, a static run on a pooled Mem and
+// a dynamic repair op on a long-lived engine, and a byte budget for one
+// batch that inserts many nodes. The repository benchmark (cmd/misbench)
+// prints allocations per op but does not gate on them, so these tests are
+// what keeps an allocation regression out. Each bound is twice the count
+// measured on the tree it was written against
 // (go1.24, linux/amd64), where a measured 0 counts as 1: AllocsPerRun
 // truncates its average to an integer, and twice 0 would leave no room
 // for the rare adjacency row that outgrows its slack. Counts are
 // deterministic in the seeds.
 
 import (
+	"runtime"
 	"testing"
 
 	energymis "github.com/energymis/energymis"
@@ -72,50 +74,34 @@ func TestWarmApplyAllocs(t *testing.T) {
 		t.Skip("short mode")
 	}
 	const (
-		width = 64  // churn updates per window
-		warm  = 100 // ops applied before measuring
-		runs  = 100 // measured ops
+		warm = 100 // ops applied before measuring
+		runs = 100 // measured ops
 	)
 	churn := energymis.GNP(100_000, 8.0/100_000, 100_000)
 	hub := energymis.BarabasiAlbert(6250, 4, 6250)
-	// One extra op for AllocsPerRun's untimed first call.
-	var churnOps, hubOps [][][]energymis.Update
-	for _, w := range energymis.ChurnStream(churn, warm+runs+1, width, 7) {
-		churnOps = append(churnOps, [][]energymis.Update{w})
-	}
-	attack := energymis.HubAttackStream(hub, 2*(warm+runs+1), 7)
-	for i := 0; i+1 < len(attack); i += 2 {
-		hubOps = append(hubOps, attack[i:i+2])
-	}
 	for _, c := range []struct {
 		name     string
 		g        *energymis.Graph
-		ops      [][][]energymis.Update
-		measured float64 // allocs per op when the bound was set
+		ops      [][][]energymis.Update // warm+runs+1: AllocsPerRun makes one untimed call
+		measured float64                // allocs per op when the bound was set
 	}{
 		// 105 per window before adjacency rows had slack, nearly all of
 		// them row reallocations; now 7 in the 100 measured windows.
-		{"churn", churn, churnOps, 0},
-		// Mostly the replacement node's row, grown one edge at a time.
-		{"hub", hub, hubOps, 9},
+		{"churn", churn, churnOps(churn, warm+runs+1, 7), 0},
+		// 9 before the replacement node's row was sized at its first
+		// edge insert instead of doubling through its reconnect batch.
+		{"hub", hub, hubOps(hub, warm+runs+1, 7), 1},
 	} {
 		d, err := energymis.NewDynamicFrom(c.g, energymis.GreedyMIS(c.g), energymis.DynamicOptions{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		apply := func(op [][]energymis.Update) {
-			for _, batch := range op {
-				if _, err := d.Apply(batch); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
 		for _, op := range c.ops[:warm] {
-			apply(op)
+			applyOp(t, d, op)
 		}
 		next := warm
 		allocs := testing.AllocsPerRun(runs, func() {
-			apply(c.ops[next])
+			applyOp(t, d, c.ops[next])
 			next++
 		})
 		t.Logf("%s: %.0f allocs/op (measured %.0f)", c.name, allocs, c.measured)
@@ -125,5 +111,47 @@ func TestWarmApplyAllocs(t *testing.T) {
 		if err := d.Check(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBulkInsertBytes bounds the bytes of one Apply that inserts 1,000
+// edgeless nodes and then the 4,012 edges of a GNP graph among them. One
+// row per batch may be sized ahead of need, for the hub attack's
+// replacement node; sizing each new node's row for the rest of the batch
+// allocated 14.4 MB here, 2,865 bytes per update.
+func TestBulkInsertBytes(t *testing.T) {
+	const (
+		k        = 1000
+		measured = 147 // bytes per update when the bound was set
+	)
+	g := energymis.GNP(k, 8.0/k, 1)
+	batch := make([]energymis.Update, 0, k+g.M())
+	for range k {
+		batch = append(batch, energymis.InsNode())
+	}
+	for v := range k {
+		for _, u := range g.Neighbors(v) {
+			if int(u) > v {
+				batch = append(batch, energymis.InsEdge(v, int(u)))
+			}
+		}
+	}
+	d, err := energymis.NewDynamicFrom(energymis.NewBuilder(0).Build(), nil, energymis.DynamicOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := d.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perUpdate := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(batch))
+	t.Logf("%d updates: %.0f bytes per update (measured %d)", len(batch), perUpdate, measured)
+	if perUpdate > 2*measured {
+		t.Errorf("%.0f bytes per update, budget %d", perUpdate, 2*measured)
+	}
+	if err := d.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

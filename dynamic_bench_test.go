@@ -1,11 +1,12 @@
 package energymis_test
 
 // Dynamic-workload benchmarks: repair cost under churn vs. re-running the
-// static algorithm after every update, repair under the hub attack, and
-// throughput against the coalescing window. The headline metric is
-// awake/update — total node-awake-rounds per update — which is where the
-// sleeping model's locality pays off. The claims behind the README's
-// repair saving and docs/DYNAMIC.md's window guidance are tests
+// static algorithm after every update, and throughput against the
+// coalescing window (repair under the hub attack, at misbench's size, is
+// BenchmarkPooledDynamic/hub). The headline metric is awake/update —
+// total node-awake-rounds per update — which is where the sleeping
+// model's locality pays off. The claims behind the README's repair saving
+// and docs/DYNAMIC.md's window guidance are tests
 // (TestDynamicAcceptance10k, TestWindowCoalescesHubAttack).
 
 import (
@@ -79,28 +80,6 @@ func BenchmarkStaticRecompute(b *testing.B) {
 			b.ReportMetric(float64(awake), "awake/update")
 		})
 	}
-}
-
-// BenchmarkDynamicHubAttack measures repair under the adversarial stream.
-func BenchmarkDynamicHubAttack(b *testing.B) {
-	g := energymis.BarabasiAlbert(5000, 4, 3)
-	trace := energymis.HubAttackStream(g, 100, 5)
-	var st energymis.DynamicStats
-	for i := 0; i < b.N; i++ {
-		d, err := energymis.NewDynamic(g, energymis.Luby, energymis.DynamicOptions{Seed: uint64(i) + 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, batch := range trace {
-			if _, err := d.Apply(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		st = d.Stats()
-	}
-	b.ReportMetric(float64(st.AwakeTotal)/float64(st.Batches), "awake/batch")
-	b.ReportMetric(float64(st.MaxRegion), "maxRegion")
-	b.ReportMetric(float64(st.Evictions), "evictions")
 }
 
 // BenchmarkDynamicWindow replays three stream classes through ApplyBatch

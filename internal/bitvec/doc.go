@@ -11,5 +11,5 @@
 // so enumeration, counting and Reset cost time proportional to the words
 // in use, not to the key space. The dynamic repair path tracks its
 // dirty, woken, and region sets in Sparse sets and ORs whole adjacency
-// rows into them one 64-key word at a time.
+// rows into them, each key into its own word, in loops with no call.
 package bitvec

@@ -1,27 +1,19 @@
 package bitvec
 
-import "math/bits"
-
-// Word-level kernels over CSR adjacency rows. A row is a sorted list of
-// int32 ids; `words` is a plain bitset indexed id>>6 (the dynamic
-// engine's membership words). The kernels group consecutive ids sharing
-// a word into one mask on the fly, so a probe over a clustered
-// neighborhood does one AND per 64-key word instead of one load per
-// neighbor. Sparse.OrRowCount is the fused OR-and-count kernel.
+// Kernels over CSR adjacency rows. A row is a sorted list of int32 ids;
+// `words` is a plain bitset indexed id>>6 (the dynamic engine's
+// membership words). Each kernel is one loop over the row's keys, every
+// key tested or OR-ed in its own word: the rows the repair path walks put
+// one or two keys in each word they reach, so grouping consecutive keys
+// into one mask first saves few loads and costs a data-dependent branch
+// per key. Sparse.OrRowCount is the fused OR-and-count kernel.
 
 // FirstAndRow returns the smallest row id whose bit is set in words, or
 // -1 when the row and the bitset are disjoint.
 func FirstAndRow(words []uint64, row []int32) int32 {
-	for i := 0; i < len(row); {
-		w := row[i] >> 6
-		var m uint64
-		for ; i < len(row) && row[i]>>6 == w; i++ {
-			m |= 1 << (uint32(row[i]) & 63)
-		}
-		if int(w) < len(words) {
-			if x := m & words[w]; x != 0 {
-				return w<<6 + int32(bits.TrailingZeros64(x))
-			}
+	for _, id := range row {
+		if w := int(id >> 6); w < len(words) && words[w]&(1<<(uint32(id)&63)) != 0 {
+			return id
 		}
 	}
 	return -1

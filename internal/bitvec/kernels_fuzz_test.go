@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// Naive references for the word kernels: one membership lookup per row
-// id, no word grouping. The fuzz targets cross-check the packed kernels
-// against these bit-at-a-time loops.
+// Naive references for the row kernels: one hasBit lookup per row id,
+// with no set to write. The fuzz targets hold the kernels' results to
+// these loops, and the sets OrRow and OrRowCount leave to a map of the
+// keys added.
 
 func hasBit(words []uint64, id int32) bool {
 	w := int(id) >> 6
@@ -62,11 +63,52 @@ func decodeWords(data []byte, nWords int) []uint64 {
 	return words
 }
 
+// checkTouched fails unless s's touched list names every word holding a
+// key of want and no word twice.
+func checkTouched(t *testing.T, s *Sparse, want []int32) {
+	t.Helper()
+	listed := map[int32]bool{}
+	for _, w := range s.TouchedWords() {
+		if listed[w] {
+			t.Fatalf("word %d listed twice in %v", w, s.TouchedWords())
+		}
+		listed[w] = true
+	}
+	for _, k := range want {
+		if !listed[k>>6] {
+			t.Fatalf("key %d set but word %d not listed in %v", k, k>>6, s.TouchedWords())
+		}
+	}
+}
+
+// hubRow returns the fuzz bytes of a hub-shaped row: the id first, then
+// n more keys at deltas of 1–3, so most words hold several keys and runs
+// of keys straddle every word boundary they reach.
+func hubRow(first byte, n int) []byte {
+	data := []byte{first}
+	for i := 0; i < n; i++ {
+		data = append(data, byte((i*i+i/4)%3))
+	}
+	return data
+}
+
+// FuzzRowKernels holds FirstAndRow, OrRow and OrRowCount to the naive
+// walks: each row kernel runs into an empty set and into one that
+// already holds keys in the row's words, including a word that was
+// written and cleared back to zero, and must leave the union of the two
+// with a touched list naming each non-zero word once.
 func FuzzRowKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{0, 1}, uint8(2))
 	f.Add([]byte{63, 1, 1, 64}, []byte{0, 0, 1, 2}, uint8(3))
 	f.Add([]byte{}, []byte{5}, uint8(1))
 	f.Add([]byte{200, 200, 200}, []byte{255}, uint8(1)) // row far past words
+	members := make([]byte, 64)
+	for i := range members {
+		members[i] = byte(i * 5)
+	}
+	f.Add(hubRow(60, 160), members, uint8(7))  // ids 60–365, about 32 per word
+	f.Add(hubRow(0, 130), members, uint8(1))   // ids 0–251, half past the filter
+	f.Add(hubRow(62, 120), []byte{}, uint8(4)) // ids 62–292, no member
 	f.Fuzz(func(t *testing.T, rowData, wordData []byte, nw uint8) {
 		if len(rowData) > 256 || len(wordData) > 256 {
 			t.Skip()
@@ -77,17 +119,47 @@ func FuzzRowKernels(f *testing.F) {
 		if got, want := FirstAndRow(words, row), naiveFirstAnd(words, row); got != want {
 			t.Fatalf("FirstAndRow = %d, want %d (row %v)", got, want, row)
 		}
+		if len(row) == 0 {
+			return
+		}
 
-		// OrRowCount must count like the naive walk and mark like OrRow.
-		if len(row) > 0 {
-			dedup := slices.Compact(slices.Clone(row))
-			var s Sparse
-			s.Grow(int(row[len(row)-1]) + 1)
-			if got, want := s.OrRowCount(row, words), naiveCountAnd(words, row); got != want {
-				t.Fatalf("OrRowCount = %d, want %d (row %v)", got, want, row)
-			}
-			if got := s.AppendAscending(nil); !slices.Equal(got, dedup) {
-				t.Fatalf("OrRowCount marked %v, want %v", got, dedup)
+		for _, prefill := range []bool{false, true} {
+			for _, fused := range []bool{false, true} {
+				var s Sparse
+				s.Grow(int(row[len(row)-1]|63) + 1) // whole words: prefill keys share the row's words
+				ref := map[int32]bool{}
+				if prefill {
+					for i, id := range row {
+						switch i % 3 {
+						case 0:
+							s.Set(id ^ 32)
+							ref[id^32] = true
+						case 1:
+							if s.Set(id ^ 1) {
+								s.Clear(id ^ 1)
+							}
+						}
+					}
+				}
+				if fused {
+					if got, want := s.OrRowCount(row, words), naiveCountAnd(words, row); got != want {
+						t.Fatalf("OrRowCount = %d, want %d (prefill %v, row %v)", got, want, prefill, row)
+					}
+				} else {
+					s.OrRow(row)
+				}
+				for _, id := range row {
+					ref[id] = true
+				}
+				want := make([]int32, 0, len(ref))
+				for k := range ref {
+					want = append(want, k)
+				}
+				slices.Sort(want)
+				if got := s.AppendAscending(nil); !slices.Equal(got, want) {
+					t.Fatalf("fused %v, prefill %v: set holds %v, want %v", fused, prefill, got, want)
+				}
+				checkTouched(t, &s, want)
 			}
 		}
 	})
@@ -169,18 +241,7 @@ func FuzzStampedOps(f *testing.F) {
 		if s.Any() != (len(want) > 0) {
 			t.Fatalf("Any = %v with %d keys", s.Any(), len(want))
 		}
-		listed := map[int32]bool{}
-		for _, w := range s.TouchedWords() {
-			if listed[w] {
-				t.Fatalf("word %d listed twice in %v", w, s.TouchedWords())
-			}
-			listed[w] = true
-		}
-		for _, k := range want {
-			if !listed[k>>6] {
-				t.Fatalf("key %d set but word %d not listed in %v", k, k>>6, s.TouchedWords())
-			}
-		}
+		checkTouched(t, &s, want)
 
 		var andWant, andNotWant []int32
 		for _, k := range want {

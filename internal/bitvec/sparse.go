@@ -12,7 +12,7 @@ import "math/bits"
 // summary: the summary bit tells a first touch (list the word) from a
 // word that was touched and then cleared back to zero (already listed),
 // so the touched list never holds a word twice. The row sweeps therefore
-// stay plain word loops, OR-ing one mask per 64-key word with no call.
+// stay plain key loops, OR-ing each key into its word with no call.
 //
 // Ascending enumeration never sorts: the sweeps walk the summary
 // low-to-high, O(W/64 + t) for W words and t touched.
@@ -97,43 +97,34 @@ func (s *Sparse) Word(w int32) uint64 {
 	return s.words[w]
 }
 
-// OrRow adds every id of a sorted row: consecutive ids sharing a word
-// are folded into one mask and OR-ed in with a single store.
+// OrRow adds every id of a row.
 func (s *Sparse) OrRow(row []int32) {
-	for i := 0; i < len(row); {
-		w := row[i] >> 6
-		var m uint64
-		for ; i < len(row) && row[i]>>6 == w; i++ {
-			m |= 1 << (uint32(row[i]) & 63)
-		}
+	for _, id := range row {
+		w := id >> 6
 		x := s.words[w]
 		if x == 0 {
 			s.touch(w)
 		}
-		s.words[w] = x | m
+		s.words[w] = x | 1<<(uint32(id)&63)
 	}
 }
 
 // OrRowCount is OrRow fused with a member count: it adds the row's keys
 // to the set and returns how many of them have their bit set in filter,
-// in a single word-grouped pass (the repair coverage probe: wake the
+// in a single pass over the keys (the repair coverage probe: wake the
 // whole neighborhood, count member replies). Filter words past
 // len(filter) read as zero.
 func (s *Sparse) OrRowCount(row []int32, filter []uint64) int {
 	n := 0
-	for i := 0; i < len(row); {
-		w := row[i] >> 6
-		var m uint64
-		for ; i < len(row) && row[i]>>6 == w; i++ {
-			m |= 1 << (uint32(row[i]) & 63)
-		}
+	for _, id := range row {
+		w := id >> 6
 		x := s.words[w]
 		if x == 0 {
 			s.touch(w)
 		}
-		s.words[w] = x | m
+		s.words[w] = x | 1<<(uint32(id)&63)
 		if int(w) < len(filter) {
-			n += bits.OnesCount64(m & filter[w])
+			n += int(filter[w] >> (uint32(id) & 63) & 1)
 		}
 	}
 	return n

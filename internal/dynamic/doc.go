@@ -29,22 +29,25 @@
 // G[U] and adding it keeps independence and restores maximality. Every
 // woken node is within two hops of an update endpoint.
 //
-// Execution. Repairs run on the SoA batch runtime: the affected region
-// is tracked in bitvec.Sparse sets, whose row sweeps are call-free word
-// loops and whose reset zeroes only the words a batch wrote. Adjacency
-// rows are sorted and start in one arena with a few free slots behind
-// each row, so an edge insert rarely reallocates, and an edit at a row's
-// end (every edge of the newest node) skips the search. The uncovered
-// region is split into connected components by graph.Components
-// (partition.go). Each component is an independent election: singletons
-// join analytically without an engine run, and the rest are composed as
-// internal/pipeline runs (batch luby / batch ghaffari with a Luby
-// finisher), one after another in component order on the engine's one
-// sim.Mem. An ordered merge then folds the per-component counters and set
-// joins. Params.Tracer receives a phase span per election stage (in
-// component order), a "repair/singleton" span for the analytic joins, and
-// a synthetic one-round "repair/detect" span per batch. Repairs run on
-// the calling goroutine; the package starts no goroutine.
+// Execution. Repairs run on the SoA batch runtime: the affected region is
+// tracked in bitvec.Sparse sets, whose row sweeps are call-free loops
+// over a row's keys and whose reset zeroes only the words a batch wrote.
+// Adjacency rows are sorted and start in one arena with a few free slots
+// behind each row, so an edge insert rarely reallocates, and an edit at a
+// row's end (every edge of the newest node) skips the search. The first
+// edgeless row a batch's edge inserts reach is sized for the rest of the
+// batch, so the hub attack's reconnect batch allocates its replacement
+// node's row once. The uncovered region is split into connected
+// components by graph.Components (partition.go). Each component is an
+// independent election: singletons join analytically without an engine
+// run, and the rest are composed as internal/pipeline runs (batch luby /
+// batch ghaffari with a Luby finisher), one after another in component
+// order on the engine's one sim.Mem. An ordered merge then folds the
+// per-component counters and set joins. Params.Tracer receives a phase
+// span per election stage (in component order), a "repair/singleton" span
+// for the analytic joins, and a synthetic one-round "repair/detect" span
+// per batch. Repairs run on the calling goroutine; the package starts no
+// goroutine.
 //
 // Testing. This package's tests hold every Apply to oracles that read
 // only the public accessors and share no repair code: the MIS invariant

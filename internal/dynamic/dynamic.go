@@ -225,7 +225,8 @@ const rowSlack = 4
 
 // setMember and clearMember are the only writers of set membership: they
 // keep the bool vector and its word-packed mirror in lockstep, so the
-// repair sweeps can AND whole adjacency words against inSetW.
+// repair sweeps can test adjacency keys and AND dirty words against
+// inSetW.
 func (e *Engine) setMember(v int32) {
 	e.inSet[v] = true
 	e.inSetW[v>>6] |= 1 << (uint32(v) & 63)
@@ -420,7 +421,7 @@ func (e *Engine) Apply(batch []Update) (BatchStats, error) {
 	applied := 0
 	var applyErr error
 	for i := range batch {
-		if err := e.applyStructural(&batch[i], st); err != nil {
+		if err := e.applyStructural(&batch[i], len(batch)-i, st); err != nil {
 			// Repair the applied prefix below so the invariant holds even
 			// when the caller passed an invalid update.
 			applyErr = fmt.Errorf("dynamic: update %d (%s): %w", i, batch[i].Op, err)
@@ -479,8 +480,9 @@ func (e *Engine) accumulate(bs *BatchStats, applied int) {
 }
 
 // applyStructural applies one update's structural changes, marking the
-// affected region in st.
-func (e *Engine) applyStructural(up *Update, st *scratch) error {
+// affected region in st. rest counts the batch's updates from this one
+// on.
+func (e *Engine) applyStructural(up *Update, rest int, st *scratch) error {
 	switch up.Op {
 	case OpInsertEdge, OpRemoveEdge:
 		u, v := up.U, up.V
@@ -491,6 +493,18 @@ func (e *Engine) applyStructural(up *Update, st *scratch) error {
 			return fmt.Errorf("endpoint of (%d,%d) dead or out of range", u, v)
 		}
 		if up.Op == OpInsertEdge {
+			// A row with no capacity belongs to a node inserted without
+			// edges (arena rows always have slack). The batch's first such
+			// row takes the rest of the batch, which the hub attack's
+			// reconnect batch fills exactly; later ones grow by append, so
+			// a batch of many new nodes reserves one batch length ahead of
+			// need, not one per node.
+			for _, x := range [2]int{u, v} {
+				if cap(e.adj[x]) == 0 && !st.rowSized {
+					e.adj[x] = make([]int32, 0, rest)
+					st.rowSized = true
+				}
+			}
 			var added bool
 			e.adj[u], added = insertSorted(e.adj[u], int32(v))
 			if !added {

@@ -226,7 +226,7 @@ func (e *Engine) mergeComponents(region []int32, cc *graph.Components, st *scrat
 }
 
 // joinMIS adds v to the maintained set: the joiner notifies its full
-// neighborhood, which wakes for the notification (one word-op row OR).
+// neighborhood, which wakes for the notification (one row OR).
 func (e *Engine) joinMIS(v int32, st *scratch, bs *BatchStats) {
 	e.setMember(v)
 	bs.Joins++

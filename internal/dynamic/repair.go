@@ -16,7 +16,7 @@ import (
 
 // This file is the repair of one coalesced update window: the affected
 // region is tracked in sparse bit sets (zero steady-state allocation,
-// call-free word loops in the detection sweeps), and the re-election runs
+// call-free key loops in the detection sweeps), and the re-election runs
 // per independent region component as internal/pipeline compositions on
 // the SoA batch runtime (see partition.go). Counters are deterministic in
 // the engine's seed; the analytic charges (detection round, evictions,
@@ -42,12 +42,15 @@ type scratch struct {
 	region    []int32
 	subOffs   []int32
 	subAdj    []int32
+
+	rowSized bool // an edgeless row was sized this batch (applyStructural)
 }
 
 // begin opens a new batch over n node slots and returns the tracker.
 func (s *scratch) begin(n int) *scratch {
 	s.dirty.Reset()
 	s.woken.Reset()
+	s.rowSized = false
 	s.grow(n)
 	return s
 }
@@ -81,9 +84,10 @@ func (s *scratch) empty() bool {
 
 // repairBatch restores the MIS invariant after a batch's structural
 // changes: conflict eviction, coverage probing, then per-component
-// re-elections over the uncovered region. The sweeps are word-packed:
-// dirty/woken frontiers AND/ANDNOT against the engine's membership words
-// and OR whole adjacency rows, instead of testing one neighbor at a time.
+// re-elections over the uncovered region. The dirty frontier is
+// enumerated word by word, AND/ANDNOT against the engine's membership
+// words; adjacency rows are walked key by key, each key OR-ed into the
+// woken set and tested against the membership words in its own word.
 func (e *Engine) repairBatch(st *scratch, bs *BatchStats) error {
 	if st.empty() {
 		return nil // nothing changed (no-op updates only)
@@ -91,10 +95,11 @@ func (e *Engine) repairBatch(st *scratch, bs *BatchStats) error {
 	e.resolveConflictsBatch(st, bs)
 
 	// Coverage probe: every dirty non-member broadcasts a probe; member
-	// neighbors answer, and the whole neighborhood wakes — one row-wide
-	// OR into the woken set plus one membership AND per row word. Dirty
-	// nodes are always alive (markDirty only sees live slots and a dying
-	// slot is unmarked), so the sweep needs no alive filter.
+	// neighbors answer, and the whole neighborhood wakes — one pass over
+	// the row, OR-ing each key into the woken set and counting the keys
+	// set in the membership words. Dirty nodes are always alive
+	// (markDirty only sees live slots and a dying slot is unmarked), so
+	// the sweep needs no alive filter.
 	st.region = st.region[:0]
 	st.dirtySnap = st.dirty.AndNotInto(e.inSetW, st.dirtySnap[:0])
 	for _, v := range st.dirtySnap {
@@ -185,7 +190,8 @@ func (e *Engine) resolveConflictsBatch(st *scratch, bs *BatchStats) {
 
 // probeRow wakes v's whole neighborhood and returns (degree, member
 // replies) — the coverage probe of one dirty non-member, as one fused
-// word-grouped pass over the row.
+// pass over the row's keys. Every key must join the woken set, so the
+// walk is the probe's cost whatever the member count.
 func (e *Engine) probeRow(v int32, st *scratch) (deg, replies int) {
 	row := e.adj[v]
 	return len(row), st.woken.OrRowCount(row, e.inSetW)
@@ -208,8 +214,8 @@ func (e *Engine) wakeDirtyRow(v int32, st *scratch) int {
 }
 
 // electBatch builds the uncovered region's induced subgraph straight
-// into reusable CSR buffers (region membership tested word-at-a-time
-// against the local bit vector) and hands it to the component
+// into reusable CSR buffers (region membership tested key by key
+// against the local bit set) and hands it to the component
 // partition/election/merge machinery. region is sorted ascending, so the
 // emitted local rows are ascending too and FromCSR can trust them.
 func (e *Engine) electBatch(region []int32, st *scratch, bs *BatchStats) error {
@@ -229,21 +235,12 @@ func (e *Engine) electBatch(region []int32, st *scratch, bs *BatchStats) error {
 }
 
 // appendRegionNbrs appends the region-local indices of v's in-region
-// neighbors to dst, ascending: each row word ANDs against the region
-// membership word and surviving bits map through localIdx.
+// neighbors to dst, ascending: each row key is tested against the region
+// membership set and, when in it, mapped through localIdx.
 func (e *Engine) appendRegionNbrs(v int32, st *scratch, dst []int32) []int32 {
-	row := e.adj[v]
-	for i := 0; i < len(row); {
-		w := row[i] >> 6
-		var m uint64
-		for ; i < len(row) && row[i]>>6 == w; i++ {
-			m |= 1 << (uint32(row[i]) & 63)
-		}
-		x := m & st.local.Word(w)
-		base := w << 6
-		for x != 0 {
-			dst = append(dst, st.localIdx[base+int32(bits.TrailingZeros64(x))])
-			x &= x - 1
+	for _, u := range e.adj[v] {
+		if st.local.Has(u) {
+			dst = append(dst, st.localIdx[u])
 		}
 	}
 	return dst
