@@ -24,10 +24,15 @@
 // algorithms, two seeds, or two revisions on one workload.
 //
 // check validates internal consistency: structural invariants (summary
-// present, rounds inside phase spans, contiguous sequence numbers) and
-// conservation (per-round deltas and per-phase aggregates each sum
-// exactly to the summary the run's Result reported). Exits non-zero and
-// lists every violation if a trace fails.
+// present, rounds inside phase spans, contiguous sequence numbers, a
+// round's stage times within its wall time), each phase record against
+// the rounds it closes (its awake node-rounds, messages sent and
+// dropped, bits and violations equal the sums of the round records
+// since the previous phase record; rounds are left out, as an engine
+// round with no awake node emits no record), and conservation
+// (per-round deltas and per-phase aggregates each sum exactly to the
+// summary the run's Result reported). Exits non-zero and lists every
+// violation if a trace fails.
 //
 // csv emits the awake-vs-round curve as CSV for plotting.
 //

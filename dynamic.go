@@ -60,12 +60,10 @@ type BatchStats = dynamic.BatchStats
 type DynamicStats = dynamic.Stats
 
 // DynamicOptions configures a DynamicMIS. The zero value is valid: seed 0,
-// Luby repairs, default CONGEST budget, no coalescing window.
+// Luby repairs, no coalescing window.
 type DynamicOptions struct {
 	// Seed drives the bootstrap run and all repair randomness.
 	Seed uint64
-	// B overrides the CONGEST budget in bits (0 = default).
-	B int
 	// Repair selects the re-election protocol: RepairLuby (the default
 	// for 0) or RepairGhaffari. Any other value is an error.
 	Repair RepairAlgo
@@ -112,7 +110,6 @@ func newDynamicMIS(g *Graph, inSet []bool, algo Algorithm, algoName string, opts
 	params := dynamic.Params{
 		Seed:      opts.Seed,
 		Repair:    opts.Repair,
-		B:         opts.B,
 		SelfCheck: opts.SelfCheck,
 	}
 	if params.Repair == 0 {
@@ -156,7 +153,6 @@ func NewDynamic(g *Graph, algo Algorithm, opts DynamicOptions) (*DynamicMIS, err
 	}
 	copts := core.DefaultOptions()
 	copts.Seed = opts.Seed
-	copts.B = opts.B
 	res, err := core.Run(g, ca, copts)
 	if err != nil {
 		return nil, fmt.Errorf("energymis: dynamic bootstrap: %w", err)

@@ -88,15 +88,13 @@ func Algorithms() []Algorithm {
 	return []Algorithm{Luby, RegularizedLuby, Algorithm1, Algorithm2, Algorithm1Avg, Algorithm2Avg}
 }
 
-// Options configures a run. The zero value is valid: seed 0, the default
-// CONGEST budget B = 4·ceil(log2 n) bits, and the paper-faithful
-// parameter profile. A run executes on the calling goroutine.
+// Options configures a run. The zero value is valid: seed 0 and the
+// paper-faithful parameter profile. Messages are held to the CONGEST
+// budget B = 4·ceil(log2 n) bits. A run executes on the calling goroutine.
 type Options struct {
 	// Seed drives all randomness; identical (graph, algorithm, Seed)
 	// runs produce identical outputs and measurements.
 	Seed uint64
-	// B overrides the CONGEST message budget in bits (0 = default).
-	B int
 	// Mem supplies a pooled engine-buffer set reused across runs (see
 	// Mem/NewMem). Nil allocates per run.
 	Mem *Mem
@@ -109,7 +107,7 @@ type Options struct {
 	// Tracing is off (and free) when empty.
 	TracePath string
 	// Advanced sets the constants of Phases II and III (Shatter, Phase3)
-	// and an engine Tracer; nil uses core.DefaultOptions. Seed, B and a
+	// and an engine Tracer; nil uses core.DefaultOptions. Seed and a
 	// non-nil Mem above override its fields of the same name.
 	Advanced *core.Options
 }
@@ -120,7 +118,6 @@ func (o Options) toCore() core.Options {
 		opts = *o.Advanced
 	}
 	opts.Seed = o.Seed
-	opts.B = o.B
 	if o.Mem != nil {
 		opts.Mem = o.Mem
 	}

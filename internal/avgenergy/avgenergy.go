@@ -6,6 +6,7 @@ import (
 
 	"github.com/energymis/energymis/internal/graph"
 	"github.com/energymis/energymis/internal/phase1"
+	"github.com/energymis/energymis/internal/pipeline"
 	"github.com/energymis/energymis/internal/schedule"
 	"github.com/energymis/energymis/internal/sim"
 	"github.com/energymis/energymis/internal/verify"
@@ -38,24 +39,24 @@ func degTarget(n int) int {
 	return t
 }
 
-// Outcome of the Phase I-II pipeline.
+// Outcome of Phase I-II. The independent set and the nodes still
+// undecided are the pipeline's.
 type Outcome struct {
-	InSet     []bool // independent set found across both stages
-	Remaining []int  // nodes still undecided (to hand to Phases II/III)
-	Failed    int    // stage-A nodes classified into F
+	Failed    int // stage-A nodes classified into F
 	StageARes *sim.Result
 	StageBRes *sim.Result
-	// StageBOrig maps stage-B-local node indices to indices of the input
-	// graph (for energy accounting).
-	StageBOrig []int32
-	StageBLen  int // engine rounds of stage B
 }
 
-// Run executes Phase I-II on g (typically the residual left by Phase I,
-// with poly(log n) maximum degree).
-func Run(g *graph.Graph, cfg sim.Config) (*Outcome, error) {
+// Run executes Phase I-II on pl's residual (typically the one Phase I
+// left, with poly(log n) maximum degree). It records each stage in pl as
+// the stage ends: its joiners, the residual it leaves and its span,
+// "phase-i/ii.a" or "phase-i/ii.b". Stage B leaves F and its own
+// undecided nodes, minus any its joiners dominate, for Phases II/III.
+func Run(pl *pipeline.Pipeline, cfg sim.Config) (*Outcome, error) {
+	out := &Outcome{}
+	sub := pl.Subgraph()
+	g := sub.Graph
 	n := g.N()
-	out := &Outcome{InSet: make([]bool, n)}
 	if n == 0 {
 		return out, nil
 	}
@@ -75,26 +76,26 @@ func Run(g *graph.Graph, cfg sim.Config) (*Outcome, error) {
 		return nil, fmt.Errorf("avgenergy stage A: %w", err)
 	}
 	out.StageARes = aOut.Res
-	for v, in := range aOut.InSet {
-		out.InSet[v] = in
-	}
+	pl.Join(aOut.InSet, sub.Orig)
+	pl.SetResidual(aOut.Residual, sub.Orig)
+	pl.Record("phase-i/ii.a", aOut.Res, sub.Orig)
 
 	// Boundary classification: residual nodes whose residual degree still
 	// exceeds the target form the failed set F (deferred to later phases,
-	// like the paper's F).
-	resSub := graph.InducedSubgraph(g, aOut.Residual)
-	var aNodes, failed []int
+	// like the paper's F); the others, the A-nodes, run stage B.
+	resSub := pl.Subgraph()
+	var aNodes []int
 	for i := 0; i < resSub.N(); i++ {
 		if resSub.Degree(i) > target {
-			failed = append(failed, int(resSub.Orig[i]))
+			out.Failed++
 		} else {
-			aNodes = append(aNodes, int(resSub.Orig[i]))
+			aNodes = append(aNodes, i)
 		}
 	}
-	out.Failed = len(failed)
+	pl.SetResidual(aNodes, resSub.Orig)
 
 	// --- Stage B: slot-scheduled Luby bursts on the A-nodes ---
-	bSub := graph.InducedSubgraph(g, aNodes)
+	bSub := pl.Subgraph()
 	k := int(math.Ceil(slotsC*loglog)) + 1
 	burst := int(math.Ceil(burstC*math.Log2(float64(target+2)))) + 2
 	bOut, err := runSlotted(bSub.Graph, k, burst, cfg)
@@ -102,17 +103,15 @@ func Run(g *graph.Graph, cfg sim.Config) (*Outcome, error) {
 		return nil, fmt.Errorf("avgenergy stage B: %w", err)
 	}
 	out.StageBRes = bOut.res
-	out.StageBOrig = bSub.Orig
-	out.StageBLen = bOut.rounds
-	for v, in := range bOut.inSet {
-		if in {
-			out.InSet[bSub.Orig[v]] = true
-		}
+	pl.Join(bOut.inSet, bSub.Orig)
+	// What stays: F and stage B's undecided nodes, minus any node that
+	// stage B's joiners dominate.
+	joined := make([]bool, resSub.N())
+	for i, v := range resSub.Orig {
+		joined[i] = pl.InSet()[v]
 	}
-
-	// Remaining = failed ∪ stage-B leftovers, minus anything dominated.
-	rem := verify.Residual(g, out.InSet)
-	out.Remaining = rem
+	pl.SetResidual(verify.Residual(resSub.Graph, joined), resSub.Orig)
+	pl.Record("phase-i/ii.b", bOut.res, bSub.Orig)
 	return out, nil
 }
 
@@ -125,9 +124,8 @@ const (
 )
 
 type slotOutcome struct {
-	inSet  []bool
-	res    *sim.Result
-	rounds int
+	inSet []bool
+	res   *sim.Result
 }
 
 // slotMachine runs one Luby burst during its own slot window and listens
@@ -281,7 +279,7 @@ func runSlotted(g *graph.Graph, k, burst int, cfg sim.Config) (*slotOutcome, err
 	if err != nil {
 		return nil, err
 	}
-	out := &slotOutcome{inSet: make([]bool, g.N()), res: res, rounds: k * 3 * burst}
+	out := &slotOutcome{inSet: make([]bool, g.N()), res: res}
 	for v, nm := range nodes {
 		out.inSet[v] = nm.joined
 	}

@@ -4,17 +4,34 @@ import (
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
+	"github.com/energymis/energymis/internal/pipeline"
 	"github.com/energymis/energymis/internal/sim"
 	"github.com/energymis/energymis/internal/verify"
 )
 
-func runOn(t *testing.T, g *graph.Graph, seed uint64) *Outcome {
+// composed is Phase I-II's outcome with the independent set and the
+// undecided nodes its pipeline composed.
+type composed struct {
+	*Outcome
+	InSet     []bool
+	Remaining []int
+}
+
+// runOn runs Phase I-II on all of g in a fresh pipeline.
+func runOn(t *testing.T, g *graph.Graph, seed uint64) *composed {
 	t.Helper()
-	out, err := Run(g, sim.Config{Seed: seed})
+	cfg := sim.Config{Seed: seed}
+	pl := pipeline.New(g, cfg)
+	all := make([]int, g.N())
+	for v := range all {
+		all[v] = v
+	}
+	pl.SetResidual(all, nil)
+	out, err := Run(pl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return &composed{out, pl.InSet(), pl.Residual()}
 }
 
 func TestIndependence(t *testing.T) {

@@ -26,4 +26,10 @@
 //     [GP22]'s O(1) average (their machinery is out of scope; the
 //     end-to-end node-averaged energy remains flat, which
 //     core.TestAverageEnergyVariants asserts).
+//
+// Run takes the composed run's pipeline, runs on its residual, and
+// records each stage in it as the stage ends: stage A as "phase-i/ii.a"
+// with the residual it leaves, then stage B, on the pipeline's residual
+// less F, as "phase-i/ii.b" with F and stage B's undecided nodes, minus
+// any stage B's joiners dominate.
 package avgenergy

@@ -64,7 +64,6 @@ func (a Algorithm) String() string {
 // DefaultOptions.
 type Options struct {
 	Seed uint64
-	B    int // CONGEST budget override (0 = 4·ceil(log2 n))
 	// Mem supplies pooled engine buffers reused across phases and runs
 	// (see sim.Mem). A Mem must not be shared by concurrent runs; nil
 	// allocates per run. A caller repeating simulations passes one Mem to
@@ -137,7 +136,7 @@ func Run(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) {
 // baseCfg is the root-seed engine configuration of a run; per-phase
 // configs derive from it via sim.Config.ForPhase.
 func (o Options) baseCfg() sim.Config {
-	return sim.Config{Seed: o.Seed, B: o.B, Mem: o.Mem, Tracer: o.Tracer}
+	return sim.Config{Seed: o.Seed, Mem: o.Mem, Tracer: o.Tracer}
 }
 
 // runBaseline runs a one-engine-run baseline (Luby, RegularizedLuby) as a
@@ -176,8 +175,10 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 	// the phase executes (per-round events flow to the tracer from inside
 	// the engine), then Join/SetResidual update the composed state before
 	// Record closes the span — so the span reports the post-phase residual.
+	// A phase made of several engine runs (degree reduction, Section 4)
+	// gets the pipeline and records each run as it ends.
+	pl.Begin("phase-i")
 	if algo == Algorithm1 || algo == Algorithm1Avg {
-		pl.Begin("phase-i")
 		out, err := phase1.Run(g, pl.Cfg(1))
 		if err != nil {
 			return nil, err
@@ -187,15 +188,9 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 		pl.Record("phase-i", out.Res, nil)
 		diag.Phase1Iterations = out.Plan.Iterations
 	} else {
-		pl.Begin("phase-i")
-		out, err := degreduce.Run(g, pl.Cfg(1))
+		out, err := degreduce.Run(pl, pl.Cfg(1))
 		if err != nil {
 			return nil, err
-		}
-		pl.Join(out.InSet, nil)
-		pl.SetResidual(out.Residual, nil)
-		for i, it := range out.Iters {
-			pl.Record(fmt.Sprintf("phase-i.%d", i), it.Res, it.Orig)
 		}
 		diag.Phase1Iterations = len(out.Iters)
 	}
@@ -206,24 +201,10 @@ func runComposed(g *graph.Graph, algo Algorithm, opts Options) (*Result, error) 
 
 	// --- Phase I-II (Section 4, average-energy variants only) ---
 	if algo == Algorithm1Avg || algo == Algorithm2Avg {
-		subA := pl.Subgraph()
 		pl.Begin("phase-i/ii")
-		ae, err := avgenergy.Run(subA.Graph, pl.Cfg(7))
+		ae, err := avgenergy.Run(pl, pl.Cfg(7))
 		if err != nil {
 			return nil, err
-		}
-		pl.Join(ae.InSet, subA.Orig)
-		pl.SetResidual(ae.Remaining, subA.Orig)
-		if ae.StageARes != nil {
-			pl.Record("phase-i/ii.a", ae.StageARes, subA.Orig)
-		}
-		if ae.StageBRes != nil {
-			// Stage B ran on a nested subgraph; compose the ID mapping.
-			borig := make([]int32, len(ae.StageBOrig))
-			for i, v := range ae.StageBOrig {
-				borig[i] = subA.Orig[v]
-			}
-			pl.Record("phase-i/ii.b", ae.StageBRes, borig)
 		}
 		diag.FailedNodes = ae.Failed
 		pl.Sync("sync-i/ii-2")

@@ -9,9 +9,12 @@
 //     O(log n·log log n·log* n), energy O(log² log n).
 //   - Luby's algorithm (the baseline the paper compares against).
 //
-// Each phase runs as its own engine invocation on the residual subgraph
-// left by the previous one; the accumulator maps per-phase energy back to
-// original node IDs, and a one-round all-awake synchronization is charged
-// at each phase boundary (the paper's Phase II starts with every node
-// awake, which plays the same role).
+// Each phase runs on the residual subgraph left by the previous one,
+// through internal/pipeline, which maps per-phase energy back to original
+// node IDs; a one-round all-awake synchronization is charged at each
+// phase boundary (the paper's Phase II starts with every node awake,
+// which plays the same role). Core opens one trace span per phase. A
+// phase of one engine run is recorded by core; degree reduction and
+// Section 4, made of several runs, get the pipeline and record each run
+// as it ends.
 package core

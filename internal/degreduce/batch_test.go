@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
+	"github.com/energymis/energymis/internal/pipeline"
 	"github.com/energymis/energymis/internal/schedule"
 	"github.com/energymis/energymis/internal/sim"
 )
@@ -272,8 +273,8 @@ func runIterLegacy(cur *graph.Graph, plan Plan, cfg sim.Config) (iterOut, error)
 
 // runLegacy executes the reduction with per-node machines through
 // sim.Run: the reference the batch path is differentially tested against.
-func runLegacy(g *graph.Graph, cfg sim.Config) (*Outcome, error) {
-	return runLoop(g, stopDelta(g.N()), cfg, runIterLegacy)
+func runLegacy(pl *pipeline.Pipeline, cfg sim.Config) (*Outcome, error) {
+	return runLoop(pl, stopDelta(pl.Graph().N()), cfg, runIterLegacy)
 }
 
 // TestBatchMatchesLegacy is the differential gate of the batch port: the
@@ -294,11 +295,11 @@ func TestBatchMatchesLegacy(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 2; seed++ {
-			ref, err := runLegacy(tc.g, sim.Config{Seed: seed})
+			ref, err := reduce(tc.g, sim.Config{Seed: seed}, runLegacy)
 			if err != nil {
 				t.Fatalf("%s seed=%d legacy: %v", tc.name, seed, err)
 			}
-			got, err := Run(tc.g, sim.Config{Seed: seed})
+			got, err := reduce(tc.g, sim.Config{Seed: seed}, Run)
 			if err != nil {
 				t.Fatalf("%s seed=%d batch: %v", tc.name, seed, err)
 			}

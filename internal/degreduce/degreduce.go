@@ -3,9 +3,9 @@ package degreduce
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/energymis/energymis/internal/graph"
+	"github.com/energymis/energymis/internal/pipeline"
 	"github.com/energymis/energymis/internal/sim"
 	"github.com/energymis/energymis/internal/verify"
 )
@@ -118,14 +118,12 @@ type IterStats struct {
 	Nodes     int // nodes entering the iteration
 	Sampled   int // nodes that woke during the main window
 	Res       *sim.Result
-	Orig      []int32 // original node IDs of the iteration's subgraph
 }
 
-// Outcome of the full reduction loop (Corollary 3.2).
+// Outcome of the full reduction loop (Corollary 3.2). The independent set
+// and the residual are the pipeline's.
 type Outcome struct {
-	InSet    []bool // independent set on the input graph
-	Residual []int  // surviving nodes of the input graph
-	Iters    []IterStats
+	Iters []IterStats
 	// BoundExceeded counts iterations whose measured residual degree
 	// exceeded the Δ^0.7 bound (a w.h.p. failure of Lemma 3.1).
 	BoundExceeded int
@@ -149,24 +147,25 @@ func runIterBatch(cur *graph.Graph, plan Plan, cfg sim.Config) (iterOut, error) 
 	return iterOut{inSet: b.inSet(), sampled: b.sampledCount(), res: res}, nil
 }
 
-// Run executes the iterated reduction on g until the degree bound falls
-// under the stopping threshold. Each iteration runs the struct-of-arrays
-// automaton on the batch runtime; results are byte-identical to the
-// per-node specification through sim.Run (the reference in batch_test.go,
-// whose iteration runner runs through the same runLoop).
-func Run(g *graph.Graph, cfg sim.Config) (*Outcome, error) {
-	return runLoop(g, stopDelta(g.N()), cfg, runIterBatch)
+// Run executes the iterated reduction on pl's input graph until the degree
+// bound falls under the stopping threshold. Each iteration runs the
+// struct-of-arrays automaton on the batch runtime; results are
+// byte-identical to the per-node specification through sim.Run (the
+// reference in batch_test.go, whose iteration runner runs through the
+// same runLoop).
+func Run(pl *pipeline.Pipeline, cfg sim.Config) (*Outcome, error) {
+	return runLoop(pl, stopDelta(pl.Graph().N()), cfg, runIterBatch)
 }
 
-// runLoop iterates runIter while the degree bound exceeds stop.
-func runLoop(g *graph.Graph, stop int, cfg sim.Config,
+// runLoop iterates runIter while the degree bound exceeds stop. It records
+// each iteration in pl as the iteration ends: its joiners, the residual it
+// leaves and its span "phase-i.<k>", so the next iteration runs on
+// pl.Subgraph(). With no iteration, every node stays in the residual.
+func runLoop(pl *pipeline.Pipeline, stop int, cfg sim.Config,
 	runIter func(*graph.Graph, Plan, sim.Config) (iterOut, error)) (*Outcome, error) {
-	out := &Outcome{InSet: make([]bool, g.N())}
-	cur := g
-	orig := make([]int32, g.N())
-	for v := range orig {
-		orig[v] = int32(v)
-	}
+	out := &Outcome{}
+	g := pl.Graph()
+	cur, orig := g, []int32(nil) // nil: the first iteration runs on g
 	delta := g.MaxDegree()
 	for iter := 0; delta > stop && cur.N() > 0 && iter < maxIters; iter++ {
 		plan := MakePlan(g.N(), delta)
@@ -176,37 +175,29 @@ func runLoop(g *graph.Graph, stop int, cfg sim.Config,
 		if err != nil {
 			return nil, fmt.Errorf("degreduce iteration %d: %w", iter, err)
 		}
-		st := IterStats{Delta: delta, Nodes: cur.N(), Res: it.res, Orig: orig, Sampled: it.sampled}
-		inSetLocal := it.inSet
-		for v, in := range inSetLocal {
-			if in {
-				out.InSet[orig[v]] = true
-			}
-		}
-		restLocal := verify.Residual(cur, inSetLocal)
-		sub := graph.InducedSubgraph(cur, restLocal)
-		st.MeasuredD = sub.MaxDegree()
+		pl.Join(it.inSet, orig)
+		pl.SetResidual(verify.Residual(cur, it.inSet), orig)
+		sub := pl.Subgraph()
+		pl.Record(fmt.Sprintf("phase-i.%d", iter), it.res, orig)
 
 		next := int(math.Ceil(math.Pow(float64(delta), nextExp)))
 		if next >= delta {
 			next = delta - 1 // guarantee progress at small Δ
 		}
-		st.NextDelta = next
+		st := IterStats{Delta: delta, NextDelta: next, MeasuredD: sub.MaxDegree(),
+			Nodes: cur.N(), Sampled: it.sampled, Res: it.res}
 		if st.MeasuredD > next {
 			out.BoundExceeded++
 		}
 		out.Iters = append(out.Iters, st)
-
-		newOrig := make([]int32, sub.N())
-		for i, pv := range sub.Orig {
-			newOrig[i] = orig[pv]
+		cur, orig, delta = sub.Graph, sub.Orig, next
+	}
+	if len(out.Iters) == 0 {
+		all := make([]int, g.N())
+		for v := range all {
+			all[v] = v
 		}
-		cur, orig, delta = sub.Graph, newOrig, next
+		pl.SetResidual(all, nil)
 	}
-	out.Residual = make([]int, 0, cur.N())
-	for v := 0; v < cur.N(); v++ {
-		out.Residual = append(out.Residual, int(orig[v]))
-	}
-	sort.Ints(out.Residual)
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
+	"github.com/energymis/energymis/internal/pipeline"
 	"github.com/energymis/energymis/internal/schedule"
 	"github.com/energymis/energymis/internal/sim"
 	"github.com/energymis/energymis/internal/verify"
@@ -35,9 +36,29 @@ func TestStopDelta(t *testing.T) {
 	}
 }
 
-func runReduce(t *testing.T, g *graph.Graph, seed uint64) *Outcome {
+// reduced is a reduction's outcome with the independent set and the
+// residual its pipeline composed.
+type reduced struct {
+	*Outcome
+	InSet    []bool
+	Residual []int
+}
+
+// reduce runs a reduction (Run, or a runLoop variant) on g in a fresh
+// pipeline.
+func reduce(g *graph.Graph, cfg sim.Config,
+	run func(*pipeline.Pipeline, sim.Config) (*Outcome, error)) (*reduced, error) {
+	pl := pipeline.New(g, cfg)
+	out, err := run(pl, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &reduced{out, pl.InSet(), pl.Residual()}, nil
+}
+
+func runReduce(t *testing.T, g *graph.Graph, seed uint64) *reduced {
 	t.Helper()
-	out, err := Run(g, sim.Config{Seed: seed})
+	out, err := reduce(g, sim.Config{Seed: seed}, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +122,9 @@ func TestMultipleIterations(t *testing.T) {
 		g := tc.g
 		worst := 0.0
 		for _, seed := range tc.seeds {
-			out, err := runLoop(g, tc.stop, sim.Config{Seed: seed}, runIterBatch)
+			out, err := reduce(g, sim.Config{Seed: seed}, func(pl *pipeline.Pipeline, cfg sim.Config) (*Outcome, error) {
+				return runLoop(pl, tc.stop, cfg, runIterBatch)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

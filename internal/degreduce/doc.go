@@ -30,5 +30,8 @@
 //
 // Corollary 3.2: iterating with Δ ← Δ^0.7 until Δ is polylogarithmic
 // reduces the maximum residual degree to the shattering regime in
-// O(log log Δ) iterations.
+// O(log log Δ) iterations. Run takes the composed run's pipeline and
+// records each iteration in it as the iteration ends (its joiners, the
+// residual it leaves, and its span "phase-i.<k>"); the next iteration
+// runs on the pipeline's residual subgraph.
 package degreduce

@@ -98,8 +98,6 @@ type Params struct {
 	Seed uint64
 	// Repair selects the re-election protocol.
 	Repair RepairAlgo
-	// B overrides the CONGEST budget in bits (0 = 4·ceil(log2 n)).
-	B int
 	// SelfCheck validates the full MIS invariant after every batch
 	// (O(n+m); for tests).
 	SelfCheck bool

@@ -333,18 +333,11 @@ func (e *Engine) electGhaffariComp(pl *pipeline.Pipeline, cfg sim.Config, cr *co
 // simCfg returns the base engine configuration of this batch's elections.
 // Each batch gets a fresh deterministic seed; compCfg then splits it per
 // component, and bump per retry attempt. electComponent adds Mem and
-// Tracer per component on top.
+// Tracer per component on top. The CONGEST budget is sim.DefaultB of the
+// slot count, not of an election's component.
 func (e *Engine) simCfg() sim.Config {
-	b := e.p.B
-	if b == 0 {
-		n := len(e.adj)
-		if n < 2 {
-			n = 2
-		}
-		b = sim.DefaultB(n)
-	}
 	seed := e.p.Seed ^ (e.batchNo+1)*0x9e3779b97f4a7c15
-	return sim.Config{Seed: seed, B: b}
+	return sim.Config{Seed: seed, B: sim.DefaultB(max(len(e.adj), 2))}
 }
 
 // maxRetry bounds the Ghaffari attempts on a component before the Luby

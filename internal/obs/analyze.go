@@ -116,16 +116,27 @@ func TopPhases(s *TraceSummary, k int) []PhaseAgg {
 	return out
 }
 
+// conserved lists the counters that round, phase and summary records
+// each carry, in the order of conservedNames.
+func conserved(r *Record) [5]int64 {
+	return [5]int64{r.Awake, r.MsgsSent, r.MsgsDropped, r.Bits, r.Violations}
+}
+
+var conservedNames = [5]string{"awake node-rounds", "messages sent", "messages dropped", "bits", "CONGEST violations"}
+
 // CheckTrace verifies a trace's internal consistency and returns one
 // problem string per violation (empty means the trace checks out):
 //
 //   - structural: a summary record exists, every round record falls inside
 //     an open phase span, round sequence numbers are contiguous from 1,
 //     and a round's engine stage times sum to at most its wall time;
+//   - per phase: each phase record's awake node-rounds, messages
+//     sent/dropped, bits and violations equal the sums of the round
+//     records since the previous phase record, the rounds it closes
+//     (its rounds are not compared: empty engine rounds emit no record);
 //   - conservation: the per-round counter deltas and the per-phase
 //     aggregates each sum exactly to the summary totals the run's Result
-//     reported (awake node-rounds, messages sent/dropped, bits,
-//     violations, and phase rounds vs total rounds).
+//     reported (the counters above, and phase rounds vs total rounds).
 //
 // Because the summary is written from the Result — not accumulated from
 // the streamed events — a pass proves the engine's tracing hooks account
@@ -137,13 +148,17 @@ func CheckTrace(t *Trace) []string {
 	}
 
 	var (
-		roundAwake, roundMsgs, roundDropped, roundBits, roundViol int64
-		phaseAwake, phaseMsgs, phaseDropped, phaseBits, phaseViol int64
-		phaseRounds                                               int
-		inPhase                                                   bool
-		seq                                                       int
-		summary                                                   *Record
+		rounds, phases, span [5]int64 // span: the rounds since the last phase record
+		phaseRounds          int
+		inPhase              bool
+		seq                  int
+		summary              *Record
 	)
+	add := func(sum *[5]int64, rec *Record) {
+		for i, v := range conserved(rec) {
+			sum[i] += v
+		}
+	}
 	for i := range t.Records {
 		rec := &t.Records[i]
 		switch rec.Type {
@@ -161,18 +176,17 @@ func CheckTrace(t *Trace) []string {
 			if st := stageSum(rec); st > rec.WallNS {
 				badf("round seq %d: stage times sum to %d ns, over its wall_ns %d", rec.Seq, st, rec.WallNS)
 			}
-			roundAwake += rec.Awake
-			roundMsgs += rec.MsgsSent
-			roundDropped += rec.MsgsDropped
-			roundBits += rec.Bits
-			roundViol += rec.Violations
+			add(&rounds, rec)
+			add(&span, rec)
 		case RecPhase:
 			phaseRounds += rec.Rounds
-			phaseAwake += rec.Awake
-			phaseMsgs += rec.MsgsSent
-			phaseDropped += rec.MsgsDropped
-			phaseBits += rec.Bits
-			phaseViol += rec.Violations
+			add(&phases, rec)
+			for i, v := range conserved(rec) {
+				if v != span[i] {
+					badf("phase %q: %s %d, its round records sum to %d", rec.Name, conservedNames[i], v, span[i])
+				}
+			}
+			span = [5]int64{}
 		case RecSummary:
 			if summary != nil {
 				badf("multiple summary records")
@@ -184,19 +198,14 @@ func CheckTrace(t *Trace) []string {
 		badf("no summary record (truncated trace?)")
 		return problems
 	}
-	eq := func(what string, rounds, phases, total int64) {
-		if rounds != total {
-			badf("%s: round records sum to %d, summary says %d", what, rounds, total)
+	for i, total := range conserved(summary) {
+		if rounds[i] != total {
+			badf("%s: round records sum to %d, summary says %d", conservedNames[i], rounds[i], total)
 		}
-		if phases != total {
-			badf("%s: phase records sum to %d, summary says %d", what, phases, total)
+		if phases[i] != total {
+			badf("%s: phase records sum to %d, summary says %d", conservedNames[i], phases[i], total)
 		}
 	}
-	eq("awake node-rounds", roundAwake, phaseAwake, summary.Awake)
-	eq("messages sent", roundMsgs, phaseMsgs, summary.MsgsSent)
-	eq("messages dropped", roundDropped, phaseDropped, summary.MsgsDropped)
-	eq("bits", roundBits, phaseBits, summary.Bits)
-	eq("CONGEST violations", roundViol, phaseViol, summary.Violations)
 	if phaseRounds != summary.Rounds {
 		badf("rounds: phase records sum to %d, summary says %d", phaseRounds, summary.Rounds)
 	}

@@ -73,9 +73,9 @@ func TestCheckTraceCatchesMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one round's message count: both the round-sum and the
-	// phase-sum invariants must still hold against the summary, so only
-	// the round side trips.
+	// Corrupt one round's message count: the phase-sum invariant still
+	// holds against the summary, so only the round side and the phase
+	// record that closes the round trip.
 	for i := range tr.Records {
 		if tr.Records[i].Type == RecRound {
 			tr.Records[i].MsgsSent += 3
@@ -87,6 +87,31 @@ func TestCheckTraceCatchesMismatch(t *testing.T) {
 		t.Fatal("corrupted trace passed CheckTrace")
 	}
 	if !strings.Contains(strings.Join(problems, "\n"), "messages sent") {
+		t.Fatalf("unexpected problems: %v", problems)
+	}
+
+	// Move phase-a's record ahead of its last round: every total still
+	// equals the summary, but phase-a no longer closes its own rounds.
+	tr, err = ReadTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last, end int // phase-a's last round record and its phase record
+	for i, rec := range tr.Records {
+		if rec.Type == RecRound && rec.Phase == "phase-a" {
+			last = i
+		}
+		if rec.Type == RecPhase && rec.Name == "phase-a" {
+			end = i
+			break
+		}
+	}
+	tr.Records[last], tr.Records[end] = tr.Records[end], tr.Records[last]
+	problems = CheckTrace(tr)
+	if len(problems) == 0 {
+		t.Fatal("a phase record ahead of its last round passed CheckTrace")
+	}
+	if !strings.Contains(problems[0], `phase "phase-a": awake node-rounds 6, its round records sum to 4`) {
 		t.Fatalf("unexpected problems: %v", problems)
 	}
 }

@@ -22,5 +22,9 @@
 //
 // internal/core builds the paper's Algorithm 1 and Algorithm 2 on these
 // primitives; the benchmarks and the CLIs reach the batch pipeline
-// through core.
+// through core. A phase made of several engine runs (degreduce,
+// avgenergy) takes the pipeline and calls Join, SetResidual and Record
+// for each run as it ends, inside the span core opens, so each run's
+// phase record closes its own rounds. This package is the only static
+// code that maps a run's local IDs back to the input graph.
 package pipeline
