@@ -1,14 +1,16 @@
 package energymis_test
 
 // Allocation budgets of the warm paths, a static run on a pooled Mem and
-// a dynamic repair op on a long-lived engine, and a byte budget for one
-// batch that inserts many nodes. The repository benchmark (cmd/misbench)
-// prints allocations per op but does not gate on them, so these tests are
-// what keeps an allocation regression out. Each bound is twice the count
-// measured on the tree it was written against
+// a dynamic repair op on a long-lived engine, and byte budgets for a warm
+// static run and for one batch that inserts many nodes. The repository
+// benchmark (cmd/misbench) prints allocations per op but does not gate on
+// them, so these tests are what keeps an allocation regression out. Each
+// bound is twice the count measured on the tree it was written against
 // (go1.24, linux/amd64), where a measured 0 counts as 1: AllocsPerRun
 // truncates its average to an integer, and twice 0 would leave no room
-// for the rare adjacency row that outgrows its slack. Counts are
+// for the rare adjacency row that outgrows its slack. The warm run's byte
+// bound is 1.25 times its measured bytes instead, because twice would
+// hide a new per-run slice of n entries. Counts and bytes are
 // deterministic in the seeds.
 
 import (
@@ -47,8 +49,9 @@ func TestWarmRunAllocs(t *testing.T) {
 		// arrays, and the pipeline's residual started empty. Algorithm 2
 		// on GNP and BA was 107 and 124 before degree reduction recorded
 		// each iteration through the pipeline (no set, ID chain or
-		// residual copy of its own).
-		{"gnp", gnp, energymis.Algorithm1, 135},
+		// residual copy of its own). Algorithm 1 on GNP was 135 before
+		// an empty Phase I plan stopped running the engine.
+		{"gnp", gnp, energymis.Algorithm1, 108},
 		{"gnp", gnp, energymis.Algorithm2, 105},
 		{"ba", ba, energymis.Algorithm2, 120}, // 14,385 before the in-order schedules
 	} {
@@ -63,6 +66,41 @@ func TestWarmRunAllocs(t *testing.T) {
 		if allocs > 2*c.measured {
 			t.Errorf("%s/%s: %.0f allocs per warm run, budget %.0f", c.name, c.algo, allocs, 2*c.measured)
 		}
+	}
+}
+
+// TestWarmRunBytes bounds the bytes one warm run of Algorithm 1 on GNP
+// allocates, per node: a per-run slice of n entries is one allocation,
+// which TestWarmRunAllocs cannot tell from a small one. On this graph
+// Phase I plans no iteration; while it still ran the engine and built an
+// n-node residual, a run allocated 151 bytes per node here.
+func TestWarmRunBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const (
+		n        = 16384
+		runs     = 3
+		measured = 106 // bytes per node per run when the bound was set
+	)
+	g := energymis.GNP(n, 10.0/n, n)
+	mem := energymis.NewMem()
+	run := func() {
+		if _, err := energymis.Run(g, energymis.Algorithm1, energymis.Options{Seed: 1, Mem: mem}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fill the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / n
+	t.Logf("gnp/algorithm1: %.1f bytes per node per run (measured %d)", perNode, measured)
+	if perNode > 1.25*measured {
+		t.Errorf("gnp/algorithm1: %.1f bytes per node per warm run, budget %.1f", perNode, 1.25*measured)
 	}
 }
 

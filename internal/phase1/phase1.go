@@ -55,8 +55,19 @@ func PlanExplicit(iters, roundsPerIter, maxDeg int) Plan {
 // RunWithPlan executes the phase on g under an explicit timetable. It runs
 // the struct-of-arrays automaton on the batch runtime; results are
 // byte-identical to the per-node specification through sim.Run (the
-// reference in batch_test.go).
+// reference in batch_test.go). An empty timetable (T = 0) marks no node,
+// so it runs no engine: every node is residual, none is sampled, and the
+// Result has zero rounds, as the engine would report.
 func RunWithPlan(g *graph.Graph, plan Plan, cfg sim.Config) (*Outcome, error) {
+	if plan.T == 0 {
+		n := g.N()
+		residual := make([]int, n)
+		for v := range residual {
+			residual[v] = v
+		}
+		res := &sim.Result{Awake: make([]int32, n)}
+		return &Outcome{InSet: make([]bool, n), Residual: residual, Plan: plan, Res: res}, nil
+	}
 	b := NewBatch(g, plan)
 	res, err := sim.RunBatch(g, b, cfg)
 	if err != nil {

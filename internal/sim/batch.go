@@ -101,11 +101,11 @@ func (o *BatchOutbox) group(bi, ui int) (s int32, be, ue int) {
 // At(i), in routing order (ascending sender; per sender, broadcasts before
 // unicasts, each in call order), and Count(i) counts them without building
 // the inbox. In a pushed round the router has only counted the inboxes,
-// and the round's first At writes every copy into one pooled buffer, one
-// segment per inbox, so a round that DeliverAll only counts writes none;
-// in a pulled round At builds each inbox on demand from the round's two
-// bitmaps (see RunBatch's route). Any inbox may be read once, several
-// times or not at all, by either method.
+// and the round's first At lays out every inbox's segment in one pooled
+// buffer and writes every copy into it, so a round that DeliverAll only
+// counts lays out and writes nothing; in a pulled round At builds each
+// inbox on demand from the round's two bitmaps (see RunBatch's route). Any
+// inbox may be read once, several times or not at all, by either method.
 type Inboxes struct {
 	q *pushState // non-nil in a pushed round
 	p *pullState // non-nil in a pulled round
@@ -130,43 +130,57 @@ func (in Inboxes) At(i int) []Msg {
 
 // Count returns the number of messages in the i-th node's inbox and how
 // many of them have a nonzero A: what a loop over At(i) would count,
-// without building the inbox. In a pushed round it reads two numbers the
-// router counted, in O(1), and writes no copy; in a pulled round it only
-// reads the round's bitmaps.
+// without building the inbox. In a pushed round it reads the two numbers
+// the router counted, in O(1), and writes no copy; in a pulled round it
+// only reads the round's bitmaps.
 func (in Inboxes) Count(i int) (n, nonzero int) {
 	if in.p != nil {
 		return in.p.count(i)
 	}
-	q := in.q
-	return int(q.off[i+1] - q.off[i]), int(q.cnt[i+1] >> 32)
+	c := in.q.cnt[i+1]
+	return int(uint32(c)), int(c >> 32)
 }
 
 // pushState is a pushed round's routing state. Indexed by pos (0 is the
 // sink of copies to sleeping receivers), cnt holds in its high half how
-// many of a receiver's copies have a nonzero A, and in its low half first
-// its count of copies and then, once push has turned the counts into the
-// offsets off, its write cursor. buf holds the copies once the round's
-// first At has written them (write). Between pushed rounds written is
-// false.
+// many of a receiver's copies have a nonzero A and in its low half its
+// count of copies; push writes it and nothing changes it until the next
+// pushed round. off and buf serve At: the round's first At (write) lays
+// the inboxes out in off and writes the copies into buf. A run that no
+// DeliverAll reads with At never sizes either. Between pushed rounds
+// written is false.
 type pushState struct {
 	e       *batchEngine // the running engine: write reads its graph, outbox and positions
 	cnt     []uint64
-	off     []int32 // inbox i is buf[off[i]:off[i+1]]; len = awake set + 1
+	off     []int32 // once written, inbox i is buf[off[i]:off[i+1]]; len = awake set + 1
 	buf     []Msg
-	written bool // buf holds this round's copies
+	written bool // off and buf hold this round's inboxes
 }
 
-// write is push's second pass, made by the round's first At: it walks the
-// outbox in routing order again and writes each copy at its receiver's
-// cursor, so each receiver's segment is in routing order. Copies to
-// sleeping receivers are skipped; push counted them as drops.
+// write is push's second pass, made by the round's first At. It turns the
+// counts into offsets, off[r] = the start of receiver r's segment for pos
+// r >= 1, and then walks the outbox in routing order again and writes
+// each copy at its receiver's cursor off[r], advancing it, so each
+// receiver's segment is in routing order and ends with off[r] at the
+// segment's end: inbox i, at pos i+1, is buf[off[i]:off[i+1]]. off[0],
+// the sink's, is never written and stays 0: copies to sleeping receivers
+// are skipped, and push counted them as drops.
 func (q *pushState) write() {
 	g, pos, ob := q.e.g, q.e.mem.pos, &q.e.mem.out
-	size := q.off[len(q.off)-1]
+	cnt := q.cnt
+	if cap(q.off) < len(cnt) {
+		q.off = make([]int32, len(cnt))
+	}
+	off := q.off[:len(cnt)]
+	size := int32(0)
+	for r, c := range cnt[1:] {
+		off[r+1] = size
+		size += int32(uint32(c))
+	}
 	if cap(q.buf) < int(size) {
 		q.buf = make([]Msg, size)
 	}
-	buf, cnt := q.buf[:size], q.cnt
+	buf := q.buf[:size]
 	for bi, ui := 0, 0; bi < len(ob.bcast) || ui < len(ob.uni); {
 		s, be, ue := ob.group(bi, ui)
 		// One pass over the row per broadcast: each receiver still gets
@@ -175,20 +189,20 @@ func (q *pushState) write() {
 		for _, mm := range ob.bcast[bi:be] {
 			for _, u := range g.Neighbors(int(s)) {
 				if r := pos[u]; r != 0 {
-					buf[uint32(cnt[r])] = mm
-					cnt[r]++
+					buf[off[r]] = mm
+					off[r]++
 				}
 			}
 		}
 		for i := ui; i < ue; i++ {
 			if r := pos[ob.uto[i]]; r != 0 {
-				buf[uint32(cnt[r])] = ob.uni[i]
-				cnt[r]++
+				buf[off[r]] = ob.uni[i]
+				off[r]++
 			}
 		}
 		bi, ui = be, ue
 	}
-	q.buf = buf
+	q.off, q.buf = off, buf
 	q.written = true
 }
 
@@ -287,35 +301,41 @@ const maxRound = math.MaxInt32
 // Mem holds the engine's reusable buffers, so a caller executing many runs
 // can amortize all engine allocations across runs instead of paying them
 // per run: the wake calendar, the awake positions, the round's outbox,
-// push's per-receiver counts and offsets,
-// the inbox buffer push fills in place (there is no staging area), and
-// pull's sender and payload bitmaps and gather scratch. A Mem may be reused
+// push's per-receiver counts, the inbox offsets and buffer that a pushed
+// round's first At fills in place (there is no staging area), and pull's
+// sender and payload bitmaps and gather scratch. A Mem may be reused
 // across runs of different sizes (buffers grow to the maximum) but must
 // not be shared by concurrent runs. The zero value is ready to use.
 type Mem struct {
 	// pos[v] is 1 + v's index in the round's awake set from the time the
-	// round routes until DeliverAll returns (a pushed round's first At
-	// writes through it), and 0 for a sleeping node and at every other
-	// time: each round clears the entries it set, and so does every exit.
+	// round composes until the node is rescheduled (the router reads it,
+	// and a pushed round's first At writes through it), and 0 for a
+	// sleeping node and at every other time: each round clears the entries
+	// it set, and so does every exit.
 	pos   []int32
-	awake []int32 // this round's awake set
+	awake []int32 // this round's awake set; between rounds, the lane first
 	next  []int
 	push  pushState
 	pull  pullState
 
-	// The wake calendar. Ring slot r&(calSize-1) lists the nodes waking in
-	// round r, for the calSize-1 rounds after the engine's current one,
-	// threaded through link (a node waits in at most one slot). head, tail
-	// and link hold node+1, so 0 ends a list and the zero Mem has an empty
-	// ring. Wakes calSize or more rounds ahead wait in far, a min-heap of
+	// The wake calendar. The lane holds the nodes of the round just
+	// executed that wake in the next round: rescheduling compacts them, in
+	// place and ascending, into awake[:lane], and the next round starts
+	// from them. Every other wake goes to the ring or the far heap. Ring
+	// slot r&(calSize-1) lists the nodes waking in round r, for the
+	// calSize-1 rounds after the engine's current one, threaded through
+	// link (a node waits in at most one slot). head, tail and link hold
+	// node+1, so 0 ends a list and the zero Mem has an empty ring. Wakes
+	// calSize or more rounds ahead wait in far, a min-heap of
 	// round<<32|node keys, and move into the ring as the round advances.
+	lane     int
 	link     []int32
 	head     [calSize]int32
 	tail     [calSize]int32
 	unsorted [calSize]bool // an insertion broke the slot's ascending order
 	pending  int           // nodes in the ring
 	far      []uint64
-	bitmap   []uint64 // order's bitmap over an unsorted slot's span
+	bitmap   []uint64 // order's bitmap over a round's span
 	out      BatchOutbox
 }
 
@@ -349,24 +369,33 @@ func (m *Mem) ringPush(v int32, r int) {
 	m.pending++
 }
 
-// take empties round r's ring slot into the awake buffer, ascending.
+// take returns round r's awake set, ascending: the lane, which rescheduling
+// left at the front of the awake buffer (empty unless r follows the round
+// just executed), and then round r's ring slot, emptied into the buffer.
+// A slot that adds nodes is ordered with the lane through order, unless
+// the lane is empty and the slot was filled in ascending order.
 func (m *Mem) take(r int) []int32 {
 	s := r & (calSize - 1)
-	awake := m.awake[:0]
+	awake := m.awake[:m.lane]
+	m.lane = 0
+	if m.head[s] == 0 {
+		m.awake = awake
+		return awake
+	}
+	lane := len(awake)
 	for x := m.head[s]; x != 0; x = m.link[x-1] {
 		awake = append(awake, x-1)
 	}
-	if m.unsorted[s] {
-		m.unsorted[s] = false
+	if lane > 0 || m.unsorted[s] {
 		m.order(awake)
 	}
-	m.head[s], m.tail[s] = 0, 0
-	m.pending -= len(awake)
+	m.head[s], m.tail[s], m.unsorted[s] = 0, 0, false
+	m.pending -= len(awake) - lane
 	m.awake = awake
 	return awake
 }
 
-// order sorts a bucket's distinct nodes ascending through a bitmap over
+// order sorts a round's distinct nodes ascending through a bitmap over
 // their span [lo, hi], in O(len(awake) + (hi-lo)/64) and without
 // comparisons: it sets one bit per node, then reads the nodes back out
 // word by word.
@@ -394,9 +423,10 @@ func (m *Mem) order(awake []int32) {
 	}
 }
 
-// clearCalendar drops every pending wake, leaving the calendar as a zero
-// Mem has it.
+// clearCalendar drops every pending wake, the lane's included, leaving the
+// calendar as a zero Mem has it.
 func (m *Mem) clearCalendar() {
+	m.lane = 0
 	if m.pending > 0 {
 		m.head = [calSize]int32{}
 		m.tail = [calSize]int32{}
@@ -439,19 +469,17 @@ type batchEngine struct {
 	cur int // the round executing or last executed; -1 before round 0
 }
 
-func (e *batchEngine) schedule(v int32, round int) error {
+// schedule files v's wake in round, which is Never or later than the
+// current round (the callers check), in the ring or the far heap.
+func (e *batchEngine) schedule(v int32, round int) {
 	if round == Never {
-		return nil
-	}
-	if round < 0 {
-		return fmt.Errorf("sim: node %d scheduled invalid round %d", v, round)
+		return
 	}
 	if round < e.cur+calSize { // e.cur <= maxRound, so the sum cannot overflow
 		e.mem.ringPush(v, round)
 	} else {
 		heapPush(&e.mem.far, uint64(min(round, maxRound))<<32|uint64(v))
 	}
-	return nil
 }
 
 // drain moves the far wakes that now fall within calSize rounds of the
@@ -466,10 +494,14 @@ func (e *batchEngine) drain() {
 }
 
 // nextRound returns the next round with a pending wake, or -1 when none is
-// pending. With the ring empty it jumps the calendar to the far heap's
+// pending: the round after the current one when the lane holds nodes.
+// With the lane and the ring empty it jumps the calendar to the far heap's
 // minimum: the rounds in between elapse with every node asleep.
 func (e *batchEngine) nextRound() int {
 	m := e.mem
+	if m.lane > 0 {
+		return e.cur + 1
+	}
 	if m.pending == 0 {
 		if len(m.far) == 0 {
 			return -1
@@ -491,11 +523,14 @@ func (e *batchEngine) run() (*Result, error) {
 	e.res.Awake = make([]int32, n) // escapes into the Result; never pooled
 
 	// Leave the Mem reusable on every exit, including error paths and a
-	// panicking DeliverAll: drop pending wakes (a retry on the same pool
-	// must not see phantom scheduled nodes, possibly from a different
-	// graph), clear the positions of the last round's awake set, which a
-	// failed route or DeliverAll may have left set, so no node of the next
-	// run looks awake, and end a pushed or pulled round's state.
+	// panicking DeliverAll: drop pending wakes, the lane's included (a
+	// retry on the same pool must not see phantom scheduled nodes,
+	// possibly from a different graph), clear the positions of the last
+	// round's awake set, which a failed route, DeliverAll or reschedule
+	// may have left set, so no node of the next run looks awake, and end a
+	// pushed or pulled round's state. A reschedule that fails has compacted
+	// only entries it already cleared, so the awake buffer still names
+	// every node whose position may be set.
 	m.push.e = e
 	defer func() {
 		m.clearCalendar()
@@ -513,16 +548,18 @@ func (e *batchEngine) run() (*Result, error) {
 		return nil, fmt.Errorf("sim: InitAll returned %d first rounds for %d nodes", len(first), n)
 	}
 	for v, r := range first {
-		if err := e.schedule(int32(v), r); err != nil {
-			return nil, err
+		if r < 0 && r != Never {
+			return nil, fmt.Errorf("sim: node %d scheduled invalid round %d", v, r)
 		}
+		e.schedule(int32(v), r)
 	}
 
 	tr := e.cfg.Tracer
 	for {
 		// With a tracer attached, the round's wall time is split into
 		// stages at t1..t4; schedule covers taking the round's awake set
-		// (t0..t1) and rescheduling it (t4..t5).
+		// (t0..t1) and clearing its positions as it reschedules it
+		// (t4..t5), and compose covers setting them (t1..t2).
 		var t0, t1, t2, t3, t4 time.Time
 		var snap Result
 		if tr != nil {
@@ -542,11 +579,13 @@ func (e *batchEngine) run() (*Result, error) {
 			t1 = time.Now()
 		}
 
-		for _, v := range awake {
+		// Stage 1: count the awake set's round, give each node its
+		// position (route and the deliveries read it), and compose the
+		// whole awake set into one outbox.
+		for i, v := range awake {
 			e.res.Awake[v]++
+			m.pos[v] = int32(i) + 1
 		}
-
-		// Stage 1: compose the whole awake set into one outbox.
 		m.out.reset()
 		e.bm.ComposeAll(round, awake, &m.out)
 		if tr != nil {
@@ -555,9 +594,6 @@ func (e *batchEngine) run() (*Result, error) {
 
 		// Stage 2: route the outbox (senders ascending): push counts each
 		// receiver's copies, pull only sets bits. Neither writes a copy.
-		for i, v := range awake {
-			m.pos[v] = int32(i) + 1
-		}
 		pulled, err := e.route(round, awake)
 		if err != nil {
 			return nil, err
@@ -568,8 +604,7 @@ func (e *batchEngine) run() (*Result, error) {
 
 		// Stage 3: deliver (a pushed round's copies are written at its
 		// first At, a pulled round's inboxes built or counted as
-		// DeliverAll reads them and its drops settled after), then apply
-		// the scheduling decisions.
+		// DeliverAll reads them and its drops settled after).
 		if cap(m.next) < len(awake) {
 			m.next = make([]int, len(awake))
 		}
@@ -585,18 +620,24 @@ func (e *batchEngine) run() (*Result, error) {
 		} else {
 			m.push.written = false
 		}
-		for _, v := range awake {
-			m.pos[v] = 0
-		}
 		if tr != nil {
 			t4 = time.Now()
 		}
+
+		// Stage 4: clear each node's position and apply its scheduling
+		// decision. A node waking next round joins the lane: the awake
+		// buffer's front, ascending because awake is, which the next
+		// round's take starts from. Every other wake goes to the calendar.
 		for i, v := range awake {
-			if next[i] != Never && next[i] <= round {
-				return nil, fmt.Errorf("sim: node %d returned wake round %d <= current %d", v, next[i], round)
-			}
-			if err := e.schedule(v, next[i]); err != nil {
-				return nil, err
+			m.pos[v] = 0
+			switch w := next[i]; {
+			case w == round+1:
+				awake[m.lane] = v
+				m.lane++
+			case w != Never && w <= round:
+				return nil, fmt.Errorf("sim: node %d returned wake round %d <= current %d", v, w, round)
+			default:
+				e.schedule(v, w)
 			}
 		}
 		e.drain()
@@ -653,16 +694,15 @@ func (e *batchEngine) sender(s, prev int32, round int) error {
 // push routes by sender in one pass over the outbox: it validates each
 // sender group, rejects unicasts to non-neighbors, accounts traffic, and
 // counts each receiver's deliveries and those with a nonzero A (sleeping
-// receivers count into the sink, as drops). It then turns the counts into
-// offsets and write cursors. The copies are written only if DeliverAll
-// calls Inboxes.At (pushState.write); Inboxes.Count reads the counts.
+// receivers count into the sink, as drops). That is all it does: the
+// inboxes are laid out and their copies written only if DeliverAll calls
+// Inboxes.At (pushState.write), and Inboxes.Count reads the counts.
 func (e *batchEngine) push(round int, awake []int32) error {
 	m := e.mem
 	q := &m.push
 	k := len(awake)
 	if cap(q.cnt) < k+1 {
 		q.cnt = make([]uint64, k+1)
-		q.off = make([]int32, k+1)
 	}
 	cnt := q.cnt[:k+1]
 	clear(cnt)
@@ -697,17 +737,7 @@ func (e *batchEngine) push(round int, awake []int32) error {
 		bi, ui = be, ue
 	}
 	e.res.MsgsDropped += int64(uint32(cnt[0]))
-
-	// Offsets, then cursors in the counts' low halves.
-	off := q.off[:k+1]
-	run := int32(0)
-	for i, c := range cnt[1:] {
-		off[i] = run
-		run += int32(uint32(c))
-		cnt[i+1] = c>>32<<32 | uint64(off[i])
-	}
-	off[k] = run
-	q.cnt, q.off = cnt, off
+	q.cnt = cnt
 	return nil
 }
 

@@ -322,12 +322,18 @@ func sameResult(got, ref *Result) error {
 //   - round 500, whose lowest node is in word 46: node 5000 (round 350)
 //     before 3001 and 4500 (round 360);
 //   - round 600, filling word 100 exactly: nodes 6432..6463 (round 450)
-//     before 6400..6431 (round 460).
+//     before 6400..6431 (round 460);
+//   - round 700, which merges the lane with the ring: nodes 7000..7009,
+//     awake in round 699, continue to round 700 through the lane, and the
+//     ring slot, ascending by itself, adds the lower nodes 6900 (a far
+//     wake from round 10, drained into the ring in round 450) and
+//     6990..6999 (round 650).
 //
-// Every wake above is scheduled less than calSize rounds ahead, so it goes
-// straight into the ring in the order scheduled (the far heap drains in
-// ascending order). Node 7 sleeps from round 10 to far past the ring,
-// round 10+5*calSize.
+// Every other wake above is scheduled less than calSize rounds ahead, so
+// it goes straight into the ring in the order scheduled (the far heap
+// drains in ascending order). Node 7 sleeps from round 10 to far past the
+// ring, round 10+5*calSize, and nodes 7000..7009 first wake in round 699,
+// through the far heap.
 func TestCalendarOrdersMixedBuckets(t *testing.T) {
 	g := graph.Cycle(8192)
 	schedule := func(v int) []int {
@@ -352,6 +358,12 @@ func TestCalendarOrdersMixedBuckets(t *testing.T) {
 			return []int{450, 600}
 		case v >= 6400 && v < 6432:
 			return []int{460, 600}
+		case v == 6900:
+			return []int{10, 700}
+		case v >= 6990 && v < 7000:
+			return []int{650, 700}
+		case v >= 7000 && v < 7010:
+			return []int{699, 700}
 		}
 		return nil
 	}
@@ -507,10 +519,17 @@ func (badWakeBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int)
 	}
 }
 
+// TestBatchRejectsNonIncreasingWake: a wake round not after the current
+// one fails the run, and so does a first round below 0 other than Never.
 func TestBatchRejectsNonIncreasingWake(t *testing.T) {
 	g := graph.Cycle(4)
 	if _, err := RunBatch(g, badWakeBatch{}, Config{}); err == nil {
 		t.Fatal("expected error for non-increasing wake round")
+	}
+	negative := &scriptBatch{wake: func(v int) int { return -2 * (v % 2) }, compose: pingAll}
+	const want = "sim: node 1 scheduled invalid round -2"
+	if _, err := RunBatch(g, negative, Config{}); err == nil || err.Error() != want {
+		t.Fatalf("first round -2: err = %v, want %q", err, want)
 	}
 }
 
@@ -740,7 +759,8 @@ func TestBatchRejectsRogueSenders(t *testing.T) {
 
 // TestBatchMemReuseAfterError: a run that errors mid-flight (the MaxRounds
 // cap, with or without wakes pending in the far heap, a unicast to a
-// non-neighbor, or a message from a sleeping or misordered sender),
+// non-neighbor, a message from a sleeping or misordered sender, or a
+// non-increasing wake after lower nodes have joined the lane),
 // through RunBatch or through Run's per-node machines, must leave a pooled
 // Mem clean — no phantom scheduled nodes, no stale awake positions, no
 // pulled-round sender bits or read flags — so a subsequent run on a
@@ -806,6 +826,12 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 			// Round 3 is pushed, and DeliverAll panics after reading a
 			// few inboxes with At: the round's copies are written.
 			return recovered(mem, big, &panicBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3, wide: true})
+		}},
+		{"bad-wake-after-lane", func(mem *Mem) error {
+			// In round 3 every node but the last continues to round 4,
+			// joining the lane, before the last returns round 3.
+			_, err := RunBatch(big, &laneThenBadWake{pingBatch: pingBatch{g: big, rounds: 50}, at: 3}, Config{Mem: mem})
+			return err
 		}},
 		{"misordered-sender", func(mem *Mem) error {
 			_, err := RunBatch(big, &scriptBatch{wake: farFirst, last: 50, compose: func(round int, awake []int32, out *BatchOutbox) {
@@ -879,6 +905,21 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 		if !slices.Equal(pb.digest, freshPartial.digest) {
 			t.Fatalf("%s: post-error pooled partial-read run: digests %x, fresh %x", f.name, pb.digest, freshPartial.digest)
 		}
+	}
+}
+
+// laneThenBadWake is pingBatch whose last awake node returns the current
+// round as its next wake in round at, after every lower node of the round
+// has returned round at+1.
+type laneThenBadWake struct {
+	pingBatch
+	at int
+}
+
+func (p *laneThenBadWake) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
+	p.pingBatch.DeliverAll(round, awake, in, next)
+	if round == p.at {
+		next[len(next)-1] = round
 	}
 }
 

@@ -52,13 +52,22 @@
 //
 // # Cost per round
 //
-// A round does no map operation, no staging copy and no comparison sort.
-// The wake calendar is a ring of calSize per-round buckets, threaded
-// through a per-node link, plus a min-heap for wakes calSize or more
-// rounds ahead that drains into the ring as the round advances. A bucket
-// filled in ascending order is taken as it is; one that an insertion
-// left out of order is ordered through a bitmap over its span [lo, hi],
-// in O(k + (hi-lo)/64) for k nodes.
+// A round does no map operation, no staging copy and no comparison sort,
+// and walks its awake set once before ComposeAll (counting each node's
+// awake round and setting its position) and once after DeliverAll
+// (clearing the position and rescheduling the node). The wake calendar
+// keeps the nodes that wake in the very next round, which in Luby and in
+// Phase II's shattering are most of a round's awake set, in a lane:
+// rescheduling compacts them in place, ascending, at the front of the
+// awake buffer, and the next round starts from them. Every other wake
+// goes to a ring of calSize per-round buckets, threaded through a
+// per-node link, or to a min-heap for wakes calSize or more rounds ahead
+// that drains into the ring as the round advances. A round whose bucket
+// is empty is its lane as it is, and so is a bucket filled in ascending
+// order with the lane empty; a bucket that adds nodes to the lane, or
+// that an insertion left out of order, is ordered with the lane through
+// a bitmap over the round's span [lo, hi], in O(k + (hi-lo)/64) for k
+// nodes.
 //
 // The router pulls a one-bit round — no unicasts, at least half as many
 // broadcasts as awake nodes, one broadcast per sender, and broadcasts that
@@ -75,14 +84,16 @@
 // no O(m) buffer; the copies dropped are settled after DeliverAll, by
 // counting the inboxes it never read. Push validates and accounts the
 // outbox in one pass that counts each receiver's copies and those with a
-// nonzero A, and turns the counts into offsets: Inboxes.Count reads its
-// two numbers from them in O(1). The copies themselves are written only
-// by the round's first Inboxes.At, in a second pass over the outbox that
-// stores each copy at its receiver's cursor in one pooled buffer; a
-// pushed round that DeliverAll only counts writes none. The engine
-// decides this from what DeliverAll reads, not from an option. Both
-// routes give the same inboxes and counters. With a tracer attached, each
-// round's wall time is split into compose, route, deliver and schedule
-// stages (obs.RoundStats); a pulled round's inbox reads and a pushed
-// round's copy pass fall in deliver.
+// nonzero A, and does nothing more: Inboxes.Count reads its two numbers
+// from the counts in O(1). The round's first Inboxes.At turns the counts
+// into inbox offsets and then writes the copies, in a second pass over
+// the outbox that stores each copy at its receiver's cursor in one
+// pooled buffer; a pushed round that DeliverAll only counts lays out no
+// inbox and writes no copy. The engine decides this from what DeliverAll
+// reads, not from an option. Both routes give the same inboxes and
+// counters. With a tracer attached, each round's wall time is split into
+// compose, route, deliver and schedule stages (obs.RoundStats): compose
+// includes the walk that sets positions and schedule the one that clears
+// them, and a pulled round's inbox reads and a pushed round's offsets and
+// copy pass fall in deliver.
 package sim

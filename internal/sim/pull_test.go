@@ -506,13 +506,17 @@ func TestPulledRunsLeaveNoInboxBuffer(t *testing.T) {
 // of the nodes, a sparse round), the even ones among them twice, and
 // nodes r mod 5 unicast to their neighbors of r's parity. A of each
 // message is zero for some senders and nonzero for others. It counts the
-// rounds delivered pulled.
+// rounds delivered pulled. With byAt it also counts every inbox with
+// Count before the round's first At, and again after its At loop, and
+// records in recount the first inbox where the three readings differ.
 type countedBatch struct {
-	g      *graph.Graph
-	rounds int
-	byAt   bool
-	digest []uint64
-	pulled int
+	g       *graph.Graph
+	rounds  int
+	byAt    bool
+	digest  []uint64
+	pulled  int
+	before  [][2]int // with byAt: this round's counts before its first At
+	recount error
 }
 
 func (b *countedBatch) InitAll(env *BatchEnv) []int {
@@ -543,6 +547,13 @@ func (b *countedBatch) DeliverAll(round int, awake []int32, in Inboxes, next []i
 	if in.p != nil {
 		b.pulled++
 	}
+	if b.byAt {
+		b.before = b.before[:0]
+		for i := range awake {
+			n, nonzero := in.Count(i)
+			b.before = append(b.before, [2]int{n, nonzero})
+		}
+	}
 	for i, v := range awake {
 		n, nonzero := 0, 0
 		if b.byAt {
@@ -551,6 +562,11 @@ func (b *countedBatch) DeliverAll(round int, awake []int32, in Inboxes, next []i
 				if m.A != 0 {
 					nonzero++
 				}
+			}
+			an, anz := in.Count(i)
+			if got := [2]int{n, nonzero}; b.recount == nil && (b.before[i] != got || [2]int{an, anz} != got) {
+				b.recount = fmt.Errorf("round %d, node %d: Count %v before the first At, [%d %d] after; At counts %v",
+					round, v, b.before[i], an, anz, got)
 			}
 		} else {
 			n, nonzero = in.Count(i)
@@ -565,9 +581,11 @@ func (b *countedBatch) DeliverAll(round int, awake []int32, in Inboxes, next []i
 
 // TestCountedPushedRunsWriteNoCopies: a run whose pushed rounds are only
 // counted — sparse broadcasts, senders with two broadcasts and unicasts,
-// countedBatch — never writes a copy, so a fresh Mem's inbox buffer stays
-// unallocated, and its counts equal those of a second run that counts each
-// inbox in a loop over At, which does write them.
+// countedBatch — never lays out an inbox or writes a copy, so a fresh
+// Mem's inbox offsets and buffer stay unallocated, and its counts equal
+// those of a second run that counts each inbox in a loop over At, which
+// does write them. In that second run every pushed Count returns the same
+// two numbers before the round's first At and after it.
 func TestCountedPushedRunsWriteNoCopies(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.GNP(400, 10.0/400, 3), graph.Star(70), graph.FromEdges(6, [][2]int{{0, 1}})} {
 		counted := &countedBatch{g: g, rounds: 7}
@@ -579,8 +597,9 @@ func TestCountedPushedRunsWriteNoCopies(t *testing.T) {
 		if counted.pulled != 0 {
 			t.Fatalf("n=%d: %d rounds pulled", g.N(), counted.pulled)
 		}
-		if mem.push.buf != nil {
-			t.Fatalf("n=%d: counted run allocated an inbox buffer of %d slots", g.N(), cap(mem.push.buf))
+		if mem.push.buf != nil || mem.push.off != nil {
+			t.Fatalf("n=%d: counted run allocated an inbox buffer of %d slots and %d offsets",
+				g.N(), cap(mem.push.buf), cap(mem.push.off))
 		}
 		byAt := &countedBatch{g: g, rounds: 7, byAt: true}
 		mem = NewMem()
@@ -590,6 +609,9 @@ func TestCountedPushedRunsWriteNoCopies(t *testing.T) {
 		}
 		if res.MsgsSent > res.MsgsDropped && mem.push.buf == nil {
 			t.Fatalf("n=%d: a run read with At delivered %d copies but wrote none", g.N(), res.MsgsSent-res.MsgsDropped)
+		}
+		if byAt.recount != nil {
+			t.Fatalf("n=%d: %v", g.N(), byAt.recount)
 		}
 		if err := sameResult(res, ref); err != nil {
 			t.Fatalf("n=%d: %v", g.N(), err)
