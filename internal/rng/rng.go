@@ -131,6 +131,8 @@ func (s *Stream) Bernoulli(p float64) bool {
 // Each trial tests the variate x against an integer threshold computed
 // once: Bernoulli's Float64() < p is (x>>11)/2⁵³ < p, and scaling both
 // sides by 2⁵³ is exact, so for the integer x>>11 it is x>>11 < ⌈p·2⁵³⌉.
+// The trials run Uint64's step on the state words held in locals, which
+// are loaded once and stored once.
 func (s *Stream) FirstSuccess(p float64, rounds int) int {
 	if p <= 0 || rounds <= 0 {
 		return -1
@@ -142,12 +144,24 @@ func (s *Stream) FirstSuccess(p float64, rounds int) int {
 	if p > 0 {
 		t = uint64(math.Ceil(p * (1 << 53)))
 	}
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	first := -1
 	for i := 0; i < rounds; i++ {
-		if s.Uint64()>>11 < t {
-			return i
+		x := bits.RotateLeft64(s0+s3, 23) + s0
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = bits.RotateLeft64(s3, 45)
+		if x>>11 < t {
+			first = i
+			break
 		}
 	}
-	return -1
+	s.s = [4]uint64{s0, s1, s2, s3}
+	return first
 }
 
 // Perm returns a uniform permutation of [0, n).

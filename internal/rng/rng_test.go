@@ -303,3 +303,16 @@ func BenchmarkBernoulli(b *testing.B) {
 		_ = s.Bernoulli(0.1)
 	}
 }
+
+// BenchmarkFirstSuccess draws one node's two first successes of degree
+// reduction's first iteration on BA n=16384 m=5: the tagging and
+// pre-marking probabilities at the end of firstSuccessProbs, each over
+// T = 28 trials.
+func BenchmarkFirstSuccess(b *testing.B) {
+	tag, pre := firstSuccessProbs[len(firstSuccessProbs)-2], firstSuccessProbs[len(firstSuccessProbs)-1]
+	s := New(1)
+	for i := 0; i < b.N; i++ {
+		s.FirstSuccess(tag, 28)
+		s.FirstSuccess(pre, 28)
+	}
+}

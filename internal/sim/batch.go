@@ -104,8 +104,9 @@ func (o *BatchOutbox) group(bi, ui int) (s int32, be, ue int) {
 // and the round's first At lays out every inbox's segment in one pooled
 // buffer and writes every copy into it, so a round that DeliverAll only
 // counts lays out and writes nothing; in a pulled round At builds each
-// inbox on demand from the round's two bitmaps (see RunBatch's route). Any
-// inbox may be read once, several times or not at all, by either method.
+// inbox on demand from the round's sender bytes (see RunBatch's route).
+// Any inbox may be read once, several times or not at all, by either
+// method.
 type Inboxes struct {
 	q *pushState // non-nil in a pushed round
 	p *pullState // non-nil in a pulled round
@@ -132,7 +133,7 @@ func (in Inboxes) At(i int) []Msg {
 // many of them have a nonzero A: what a loop over At(i) would count,
 // without building the inbox. In a pushed round it reads the two numbers
 // the router counted, in O(1), and writes no copy; in a pulled round it
-// only reads the round's bitmaps.
+// only reads the sender bytes of the node's neighbors.
 func (in Inboxes) Count(i int) (n, nonzero int) {
 	if in.p != nil {
 		return in.p.count(i)
@@ -208,42 +209,41 @@ func (q *pushState) write() {
 
 // pullState is a pulled round's routing state. The round's senders each
 // broadcast exactly once, in ascending order, and their broadcasts differ
-// only in From and in A, which is 0 or 1: hdr holds the rest, senders
-// marks each sender and payload its A. Between pulled rounds every bitmap
-// word is zero and every read flag false.
+// only in From and in A, which is 0 or 1: hdr holds the rest, and from
+// holds one byte per node ID, whose bit 0 marks a sender and whose bit 1
+// is its A. Between pulled rounds every byte is zero and every read flag
+// false.
 type pullState struct {
-	g       *graph.Graph
-	awake   []int32
-	hdr     Msg      // the first broadcast: every one has its Kind, B and Bits
-	senders []uint64 // bitmap over node IDs; bits are set only in words [lo, hi)
-	payload []uint64 // sender u's A at bit u; set only for senders
-	lo, hi  int32    // the senders' span, in words
-	read    []bool   // read[i]: awake[i]'s deliveries are counted
-	sent    int64    // copies sent
-	got     int64    // copies delivered to the inboxes counted so far
-	inbox   []Msg    // gather's scratch
+	g     *graph.Graph
+	awake []int32
+	hdr   Msg    // the first broadcast: every one has its Kind, B and Bits
+	from  []byte // from[u] = A<<1 | 1 for a sender u, 0 for any other node
+	read  []bool // read[i]: awake[i]'s deliveries are counted
+	sent  int64  // copies sent
+	got   int64  // copies delivered to the inboxes counted so far
+	inbox []Msg  // gather's scratch
 }
 
 // gather builds awake[i]'s inbox in a pulled round from its sorted
 // neighbor row — ascending sender, the routing order — into the scratch
 // inbox, and counts its deliveries on the first read. Each message is the
-// round's header with the neighbor's ID and payload bit. The walk has no
-// data-dependent branch: it stores a message for every neighbor and
-// advances past it only by the sender bit.
+// round's header with the neighbor's ID and A. The walk loads one byte per
+// neighbor and has no data-dependent branch: it stores a message for
+// every neighbor and advances past it only by the sender bit.
 func (p *pullState) gather(i int) []Msg {
 	row := p.g.Neighbors(int(p.awake[i]))
 	if cap(p.inbox) < len(row) {
 		p.inbox = make([]Msg, len(row))
 	}
 	box := p.inbox[:len(row)]
-	senders, payload := p.senders, p.payload
+	from := p.from
 	m := p.hdr
 	k := 0
 	for _, u := range row {
-		w, b := uint32(u)>>6, uint32(u)&63
-		m.From, m.A = u, payload[w]>>b&1
+		f := from[u]
+		m.From, m.A = u, uint64(f>>1)
 		box[k] = m
-		k += int(senders[w] >> b & 1)
+		k += int(f & 1)
 	}
 	if !p.read[i] {
 		p.read[i] = true
@@ -252,15 +252,15 @@ func (p *pullState) gather(i int) []Msg {
 	return box[:k]
 }
 
-// count is Count in a pulled round: a walk over awake[i]'s row that reads
-// the two bitmaps and writes no inbox. Like gather, it counts the
+// count is Count in a pulled round: a walk over awake[i]'s row that loads
+// one byte per neighbor and writes no inbox. Like gather, it counts the
 // deliveries on the first read.
 func (p *pullState) count(i int) (n, nonzero int) {
-	senders, payload := p.senders, p.payload
+	from := p.from
 	for _, u := range p.g.Neighbors(int(p.awake[i])) {
-		w, b := uint32(u)>>6, uint32(u)&63
-		n += int(senders[w] >> b & 1)
-		nonzero += int(payload[w] >> b & 1)
+		f := from[u]
+		n += int(f & 1)
+		nonzero += int(f >> 1)
 	}
 	if !p.read[i] {
 		p.read[i] = true
@@ -280,12 +280,15 @@ func (p *pullState) settle() int64 {
 	return p.sent - p.got
 }
 
-// reset clears the round's bits and read flags, ending the pulled round.
+// reset zeroes the round's sender bytes and read flags, ending the pulled
+// round. Pull sets bytes only for awake senders, so zeroing the awake
+// set's bytes zeroes every one it set, also when it stopped partway.
 func (p *pullState) reset() {
-	clear(p.senders[p.lo:p.hi])
-	clear(p.payload[p.lo:p.hi])
+	for _, v := range p.awake {
+		p.from[v] = 0
+	}
 	clear(p.read[:len(p.awake)])
-	*p = pullState{senders: p.senders, payload: p.payload, read: p.read, inbox: p.inbox}
+	*p = pullState{from: p.from, read: p.read, inbox: p.inbox}
 }
 
 // calSize is the number of rounds the wake calendar's ring spans. A power
@@ -303,9 +306,12 @@ const maxRound = math.MaxInt32
 // per run: the wake calendar, the awake positions, the round's outbox,
 // push's per-receiver counts, the inbox offsets and buffer that a pushed
 // round's first At fills in place (there is no staging area), and pull's
-// sender and payload bitmaps and gather scratch. A Mem may be reused
-// across runs of different sizes (buffers grow to the maximum) but must
-// not be shared by concurrent runs. The zero value is ready to use.
+// sender bytes and gather scratch. The per-node buffers hold n entries
+// each: the positions, the calendar links and the awake set from the
+// run's start, and pull's bytes, one per node ID, from the first pulled
+// round. A Mem may be reused across runs of different sizes (buffers grow
+// to the maximum) but must not be shared by concurrent runs. The zero
+// value is ready to use.
 type Mem struct {
 	// pos[v] is 1 + v's index in the round's awake set from the time the
 	// round composes until the node is rescheduled (the router reads it,
@@ -351,6 +357,9 @@ func (m *Mem) grow(n int) {
 		m.link = make([]int32, n)
 	}
 	m.link = m.link[:n]
+	if cap(m.awake) < n {
+		m.awake = make([]int32, 0, n)
+	}
 }
 
 // ringPush appends v to the ring slot of round r.
@@ -593,7 +602,8 @@ func (e *batchEngine) run() (*Result, error) {
 		}
 
 		// Stage 2: route the outbox (senders ascending): push counts each
-		// receiver's copies, pull only sets bits. Neither writes a copy.
+		// receiver's copies, pull only stores one byte per sender. Neither
+		// writes a copy.
 		pulled, err := e.route(round, awake)
 		if err != nil {
 			return nil, err
@@ -667,10 +677,11 @@ func (e *batchEngine) run() (*Result, error) {
 // unicasts, each in call order. A one-bit round is pulled (route reports
 // true): no unicasts, at least half as many broadcasts as awake nodes,
 // exactly one broadcast per sender, and broadcasts that differ only in an
-// A of 0 or 1. Pull only sets bits, and Inboxes.At and Count read each
-// inbox from the receiver's row. Every other round is pushed: route only
-// counts each inbox, and the round's first Inboxes.At writes the copies
-// into the inbox buffer, with no staging copy.
+// A of 0 or 1. Pull only stores each sender's byte, and Inboxes.At and
+// Count read each inbox from the receiver's row, one byte per neighbor.
+// Every other round is pushed: route only counts each inbox, and the
+// round's first Inboxes.At writes the copies into the inbox buffer, with
+// no staging copy.
 func (e *batchEngine) route(round int, awake []int32) (pulled bool, err error) {
 	if len(e.mem.out.uni) == 0 && 2*len(e.mem.out.bcast) >= len(awake) && e.pull(awake) {
 		return true, nil
@@ -753,11 +764,11 @@ func nonzero(m Msg) uint64 {
 // pull routes a one-bit round of broadcasts by receiver without copying
 // them. In one pass over the outbox it validates each broadcast (an awake
 // sender above the previous one, so each sends exactly once, and the first
-// broadcast's Kind, B and Bits with an A of 0 or 1) and sets its sender's
-// bit and payload bit; then it accounts the round's copies at once. Each
-// inbox is read from the bitmaps when DeliverAll asks for it (Inboxes.At
-// and Count), and the copies dropped are settled after DeliverAll
-// (pullState.settle). pull reports false, with no bit left set and the
+// broadcast's Kind, B and Bits with an A of 0 or 1) and stores its
+// sender's byte; then it accounts the round's copies at once. Each inbox
+// is read from the bytes when DeliverAll asks for it (Inboxes.At and
+// Count), and the copies dropped are settled after DeliverAll
+// (pullState.settle). pull reports false, with no byte left set and the
 // counters untouched, at the first broadcast that does not conform: push
 // then routes the round, or names the error.
 func (e *batchEngine) pull(awake []int32) bool {
@@ -770,11 +781,14 @@ func (e *batchEngine) pull(awake []int32) bool {
 	if first < 0 || last < first || int(last) >= len(pos) {
 		return false
 	}
-	if words := (len(pos) + 63) >> 6; len(p.senders) < words {
-		p.senders = make([]uint64, words)
-		p.payload = make([]uint64, words)
+	if len(p.from) < len(pos) {
+		p.from = make([]byte, len(pos))
 	}
-	p.lo, p.hi = first>>6, last>>6+1
+	if cap(p.read) < len(awake) {
+		p.read = make([]bool, len(awake))
+	}
+	p.awake = awake
+	from := p.from
 	var sent int64
 	prev := int32(-1)
 	for _, mm := range bc {
@@ -785,17 +799,13 @@ func (e *batchEngine) pull(awake []int32) bool {
 			return false
 		}
 		prev = s
-		p.senders[s>>6] |= 1 << (s & 63)
-		p.payload[s>>6] |= mm.A << (s & 63)
+		from[s] = byte(mm.A)<<1 | 1
 		sent += int64(e.g.Degree(int(s)))
 	}
 	if sent > 0 {
 		e.account(hdr, int(sent))
 	}
-	if cap(p.read) < len(awake) {
-		p.read = make([]bool, len(awake))
-	}
-	p.g, p.awake, p.hdr, p.sent = e.g, awake, hdr, sent
+	p.g, p.hdr, p.sent = e.g, hdr, sent
 	return true
 }
 

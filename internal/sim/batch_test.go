@@ -763,13 +763,15 @@ func TestBatchRejectsRogueSenders(t *testing.T) {
 // non-increasing wake after lower nodes have joined the lane),
 // through RunBatch or through Run's per-node machines, must leave a pooled
 // Mem clean — no phantom scheduled nodes, no stale awake positions, no
-// pulled-round sender bits or read flags — so a subsequent run on a
+// pulled-round sender bytes or read flags — so a subsequent run on a
 // different (smaller) graph behaves exactly like one on fresh buffers.
 // The clean runs let nodes sleep while neighbors send, so a stale awake
 // position would deliver a message that must be dropped, and one of them
 // reads part of its inboxes in pulled rounds. A panicking DeliverAll,
 // recovered by the caller, must leave it clean too: in a pulled round, and
-// in a pushed round before and after its first At.
+// in a pushed round before and after its first At. So must a round that
+// pull gives up after storing some senders' bytes. After every failing
+// run and every clean one, each sender byte and read flag is zero.
 func TestBatchMemReuseAfterError(t *testing.T) {
 	big := graph.GNP(300, 0.05, 1)
 	stray := int32(1) // the first node that is not node 0's neighbor
@@ -813,7 +815,7 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 		}},
 		{"deliver-panic", func(mem *Mem) error {
 			// Round 3 is pulled, and DeliverAll panics after reading a
-			// few inboxes: the senders bitmap and read flags are set.
+			// few inboxes: the sender bytes and read flags are set.
 			return recovered(mem, big, &panicBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3})
 		}},
 		{"deliver-panic/push-before-at", func(mem *Mem) error {
@@ -826,6 +828,19 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 			// Round 3 is pushed, and DeliverAll panics after reading a
 			// few inboxes with At: the round's copies are written.
 			return recovered(mem, big, &panicBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3, wide: true})
+		}},
+		{"pull-gives-up", func(mem *Mem) error {
+			// Round 3 is dense and one-bit but for its middle sender's
+			// A of 2: pull stops there, after storing the lower senders'
+			// bytes, and push routes the round. The lower half then
+			// sleeps, the upper half pulls rounds 4 and 5 alone, and the
+			// run hits the cap.
+			b := &badBitBatch{pingBatch: pingBatch{g: big, rounds: 50}, at: 3}
+			_, err := RunBatch(big, b, Config{Mem: mem, MaxRounds: 6})
+			if !b.pushed {
+				t.Fatal("pull-gives-up: round 3 was pulled")
+			}
+			return err
 		}},
 		{"bad-wake-after-lane", func(mem *Mem) error {
 			// In round 3 every node but the last continues to round 4,
@@ -872,6 +887,9 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 		if err := f.run(mem); err == nil {
 			t.Fatalf("%s: expected an error", f.name)
 		}
+		if err := pullResidue(mem); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
 		dig, pooled := runDigests(t, small, chatter, Run, Config{Seed: 5, Mem: mem})
 		if pooled.Rounds != fresh.Rounds || pooled.MsgsSent != fresh.MsgsSent ||
 			pooled.MsgsDropped != fresh.MsgsDropped || pooled.BitsTotal != fresh.BitsTotal {
@@ -904,6 +922,60 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 		}
 		if !slices.Equal(pb.digest, freshPartial.digest) {
 			t.Fatalf("%s: post-error pooled partial-read run: digests %x, fresh %x", f.name, pb.digest, freshPartial.digest)
+		}
+		if err := pullResidue(mem); err != nil {
+			t.Fatalf("%s: after the clean runs: %v", f.name, err)
+		}
+	}
+}
+
+// pullResidue names the first pulled-round sender byte or read flag of
+// mem that is set: between pulled rounds, and after every run, all are
+// zero.
+func pullResidue(mem *Mem) error {
+	for v, f := range mem.pull.from {
+		if f != 0 {
+			return fmt.Errorf("node %d's sender byte is %#x", v, f)
+		}
+	}
+	for i, read := range mem.pull.read[:cap(mem.pull.read)] {
+		if read {
+			return fmt.Errorf("read flag %d is set", i)
+		}
+	}
+	return nil
+}
+
+// badBitBatch is pingBatch whose round at is dense and one-bit except
+// that the middle awake node broadcasts an A of 2, so pull gives up after
+// storing the lower senders' bytes and push routes the round. The lower
+// half of round at's awake set then sleeps for good.
+type badBitBatch struct {
+	pingBatch
+	at     int
+	pushed bool // round at was pushed
+}
+
+func (p *badBitBatch) ComposeAll(round int, awake []int32, out *BatchOutbox) {
+	if round != p.at {
+		pingAll(round, awake, out)
+		return
+	}
+	for i, v := range awake {
+		m := Msg{Kind: 1, A: uint64(v) & 1, Bits: 1}
+		if i == len(awake)/2 {
+			m.A = 2
+		}
+		out.Broadcast(v, m)
+	}
+}
+
+func (p *badBitBatch) DeliverAll(round int, awake []int32, in Inboxes, next []int) {
+	p.pingBatch.DeliverAll(round, awake, in, next)
+	if round == p.at {
+		p.pushed = in.p == nil
+		for i := range next[:len(next)/2] {
+			next[i] = Never
 		}
 	}
 }

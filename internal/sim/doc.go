@@ -72,15 +72,17 @@
 // The router pulls a one-bit round — no unicasts, at least half as many
 // broadcasts as awake nodes, one broadcast per sender, and broadcasts that
 // share Kind, B and Bits and differ only in an A of 0 or 1 — and pushes
-// every other round. Neither writes a copy while routing. Pull sets each
-// sender's bit in a sender bitmap and its A in a payload bitmap, both over
-// node IDs, and keeps the round's Kind, B and Bits once. Inboxes.At builds
-// a receiver's inbox when DeliverAll asks for it, by walking the
-// receiver's sorted neighbor row and writing, for each sending neighbor,
-// the round's header with the neighbor's ID and payload bit, with no
-// data-dependent branch; Inboxes.Count walks the same row reading only
-// the two bitmaps and writes nothing. So a pulled round costs
-// O(senders + n/64) to route plus the rows of the inboxes read, and needs
+// every other round. Neither writes a copy while routing. Pull stores one
+// byte per sender in an n-byte array over node IDs, bit 0 marking the
+// sender and bit 1 holding its A, and keeps the round's Kind, B and Bits
+// once. Inboxes.At builds a receiver's inbox when DeliverAll asks for it,
+// by walking the receiver's sorted neighbor row, loading one byte per
+// neighbor, and writing, for each sending neighbor, the round's header
+// with the neighbor's ID and A, with no data-dependent branch;
+// Inboxes.Count walks the same row loading only the bytes and writes
+// nothing. After DeliverAll the round zeroes the awake set's bytes, which
+// cover every sender's. So a pulled round costs O(awake) to route and
+// clear plus the rows of the inboxes read, with no term in n, and needs
 // no O(m) buffer; the copies dropped are settled after DeliverAll, by
 // counting the inboxes it never read. Push validates and accounts the
 // outbox in one pass that counts each receiver's copies and those with a

@@ -379,15 +379,17 @@ func idBit(round int, v int32) Msg {
 // TestPullBitmapEdges routes ⌈log₂ n⌉ rounds on a clique of chosen nodes
 // — senders, silent awake receivers and sleepers, every other node
 // isolated — and checks every inbox and counter against the clique
-// directly. The senders sit at the edges of the bitmaps' words (nodes 0,
-// 63, 64, 127 and n−1), or span words that do not start at word 0 and
-// leave the receivers' outer neighbors outside the span. In round r each
-// sender broadcasts bit r of its ID, so every round is pulled and each
-// receiver reassembles its senders' IDs from the payload bits. Four more
-// cases are dense but must push in every round: one sender's A is 2, or
-// its Kind, B or Bits differs from the others'. The cases share one Mem,
-// so words outside a span hold earlier rounds' bits unless pull cleared
-// them.
+// directly. The senders sit at both ends of the ID range (nodes 0 and
+// n−1) and next to sleepers (63, 64, 127), or lie in a range that does
+// not start at node 0 and leaves some of the receivers' neighbors below
+// and above it. In round r each sender broadcasts bit r of its ID, so
+// every round is pulled and each receiver reassembles its senders' IDs
+// from the A bits of their sender bytes. Four more cases are dense but
+// must push in every round: one sender's A is 2, or its Kind, B or Bits
+// differs from the others'. The cases share one Mem, whose sender bytes
+// the later 200-node cases reuse: node 100, a sender in the second case,
+// is a receiver in the last, so a sender byte that a run left set shows
+// there as a phantom message.
 func TestPullBitmapEdges(t *testing.T) {
 	// odd is idBit except that sender 64 broadcasts change(m).
 	odd := func(change func(m Msg) Msg) func(int, int32) Msg {
