@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
+	"github.com/energymis/energymis/internal/rng"
 	"github.com/energymis/energymis/internal/sim"
 )
 
@@ -180,6 +181,48 @@ func TestRunShatterMatchesLegacy(t *testing.T) {
 	} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			matchesPerNode(t, g, shatterRounds(g), seed)
+		}
+	}
+}
+
+// TestDesireExponentMatchesFloat holds Batch's one-byte state to the float
+// rule of the specification at every exponent the state may hold, 1 to
+// 20, which the differential tests do not reach: the deepest exponent
+// their inputs take a node to is far above the floor. For both feedbacks,
+// afterMarks moves exponent k to a k′ with 2⁻ᵏ′ = nextDesire(2⁻ᵏ,
+// nbrMarked), joins a marked node exactly when no neighbor marked, clears
+// the mark and keeps the other flags. marks gives Bernoulli(2⁻ᵏ)'s outcome
+// on the same draw, over 4,096 draws per k, each the next Uint64 of a
+// clone of Bernoulli's stream that must then be at the same position; and
+// at every k it marks on the largest draw below 2⁶⁴⁻ᵏ and not on 2⁶⁴⁻ᵏ.
+func TestDesireExponentMatchesFloat(t *testing.T) {
+	for k := uint8(1); k <= 20; k++ {
+		p := math.Ldexp(1, -int(k))
+		for _, nbr := range []uint8{0, 1} {
+			for _, flags := range []uint8{0, fMarked, fInMIS, fOut} {
+				s := afterMarks(k<<kShift|flags, nbr)
+				if got, want := math.Ldexp(1, -int(s>>kShift)), nextDesire(p, nbr == 1); got != want {
+					t.Fatalf("k=%d, neighbor marked %d: level %g, nextDesire gives %g", k, nbr, got, want)
+				}
+				want := flags &^ fMarked
+				if flags == fMarked && nbr == 0 {
+					want |= fInMIS
+				}
+				if got := s & (1<<kShift - 1); got != want {
+					t.Fatalf("k=%d, neighbor marked %d, flags %03b: flags %03b after, want %03b", k, nbr, flags, got, want)
+				}
+			}
+		}
+		spec := rng.New(uint64(k))
+		r := *spec
+		for i := range 4096 {
+			want := spec.Bernoulli(p)
+			if got := marks(r.Uint64(), k) == 1; got != want || r != *spec {
+				t.Fatalf("k=%d, draw %d: marks %v, Bernoulli %v; streams equal after: %v", k, i, got, want, r == *spec)
+			}
+		}
+		if edge := uint64(1) << (64 - k); marks(edge-1, k) != 1 || marks(edge, k) != 0 {
+			t.Fatalf("k=%d: marks gives %d below 2^%d and %d at it, want 1 and 0", k, marks(edge-1, k), 64-k, marks(edge, k))
 		}
 	}
 }

@@ -23,12 +23,17 @@
 // The package has one production form per use. RunShatter runs a single
 // execution on the whole graph as Batch, a struct-of-arrays automaton on
 // the batch runtime (Phase II, and the dynamic engine's Ghaffari
-// repair). Proto holds up to MaxK = 64 executions of one node, one bit
-// each of a uint64, which Phase III's finisher holds by value in its
-// per-node machines and resets per attempt; its default K = 2⌈log₂(n+2)⌉
-// never exceeds 64 for an int32 node count. The
-// per-node Machine in this package's tests is the specification both
-// follow: at K = 1 the differential tests and
-// FuzzRunShatterMatchesPerNode hold RunShatter to it bit for bit, and at
-// larger K it drives Proto on its own.
+// repair). Its node state is one byte: three flags and the exponent k of
+// the level 2⁻ᵏ, 1 ≤ k ≤ 20, which a round moves by a branch-free min and
+// max. A node marks when the top k bits of its next draw are zero, which
+// is Bernoulli(2⁻ᵏ) on that draw, outcome for outcome, and the move on k
+// is nextDesire's on 2⁻ᵏ; TestDesireExponentMatchesFloat holds both at
+// every k, the floor included, which no differential input reaches.
+// Proto holds up to MaxK = 64 executions of one node, one bit each of a
+// uint64, which Phase III's finisher holds by value in its per-node
+// machines and resets per attempt; its default K = 2⌈log₂(n+2)⌉ never
+// exceeds 64 for an int32 node count. The per-node Machine in this
+// package's tests is the specification both follow: at K = 1 the
+// differential tests and FuzzRunShatterMatchesPerNode hold RunShatter to
+// it bit for bit, and at larger K it drives Proto on its own.
 package ghaffari

@@ -51,20 +51,45 @@ type BatchMachine interface {
 }
 
 // BatchOutbox collects the messages of one ComposeAll call: broadcasts and
-// unicasts in two flat arrays, each grouped by sender in awake order (the
-// engine's router relies on that grouping to deliver in sender order
-// without sorting, and fails the run when it is broken). Buffers are
-// pooled and reused across rounds.
+// unicasts, each grouped by sender in awake order (the engine's router
+// relies on that grouping to deliver in sender order without sorting, and
+// fails the run when it is broken). A broadcast is kept as its sender and
+// its A, in two parallel arrays; its Kind, B and Bits are kept once per run
+// of consecutive broadcasts that share them, so a round whose broadcasts
+// share one header, as every round of the one-bit protocols does, keeps 12
+// bytes per broadcast. A unicast is kept whole, with its destination.
+// Buffers are pooled and reused across rounds.
 type BatchOutbox struct {
-	bcast []Msg   // broadcasts; Msg.From is the sender
-	uni   []Msg   // unicasts; Msg.From is the sender
-	uto   []int32 // unicast destinations, parallel to uni
+	from []int32    // broadcast senders
+	a    []uint64   // broadcast A, parallel to from
+	runs []bcastRun // the broadcasts' header runs, in order
+	uni  []Msg      // unicasts; Msg.From is the sender
+	uto  []int32    // unicast destinations, parallel to uni
+}
+
+// bcastRun is a run of consecutive broadcasts that share Kind, B and Bits,
+// which it holds, and start is the index of the run's first broadcast. A
+// run ends where the next one starts, the last at the last broadcast.
+type bcastRun struct {
+	header
+	start int
+}
+
+// header is the part of a broadcast that a run shares.
+type header struct {
+	kind uint8
+	bits int32
+	b    uint64
 }
 
 // Broadcast queues m on every incident edge of node from.
 func (o *BatchOutbox) Broadcast(from int32, m Msg) {
-	m.From = from
-	o.bcast = append(o.bcast, m)
+	o.from = append(o.from, from)
+	o.a = append(o.a, m.A)
+	h := header{m.Kind, m.Bits, m.B}
+	if k := len(o.runs) - 1; k < 0 || o.runs[k].header != h {
+		o.runs = append(o.runs, bcastRun{h, len(o.from) - 1})
+	}
 }
 
 // Send queues a unicast from node from to its neighbor to. RunBatch fails
@@ -76,21 +101,32 @@ func (o *BatchOutbox) Send(from, to int32, m Msg) {
 }
 
 func (o *BatchOutbox) reset() {
-	o.bcast = o.bcast[:0]
-	o.uni = o.uni[:0]
-	o.uto = o.uto[:0]
+	o.from, o.a, o.runs = o.from[:0], o.a[:0], o.runs[:0]
+	o.uni, o.uto = o.uni[:0], o.uto[:0]
 }
 
-// group returns the next sender in routing order after bcast[:bi] and
-// uni[:ui] — the smaller head sender; its broadcasts drain before its
-// unicasts — and the ends of that sender's broadcast and unicast runs.
+// runOf returns the index of the header run that holds broadcast i. r is
+// the run of an earlier broadcast, or 0: callers walk the broadcasts in
+// order and pass back the run each call returns, so finding the runs
+// costs one step per run.
+func (o *BatchOutbox) runOf(i, r int) int {
+	for r+1 < len(o.runs) && o.runs[r+1].start <= i {
+		r++
+	}
+	return r
+}
+
+// group returns the next sender in routing order after broadcasts [:bi]
+// and unicasts [:ui] — the smaller head sender; its broadcasts drain
+// before its unicasts — and the ends of that sender's broadcast and
+// unicast runs.
 func (o *BatchOutbox) group(bi, ui int) (s int32, be, ue int) {
-	if bi < len(o.bcast) && (ui >= len(o.uni) || o.bcast[bi].From <= o.uni[ui].From) {
-		s = o.bcast[bi].From
+	if bi < len(o.from) && (ui >= len(o.uni) || o.from[bi] <= o.uni[ui].From) {
+		s = o.from[bi]
 	} else {
 		s = o.uni[ui].From
 	}
-	for be = bi; be < len(o.bcast) && o.bcast[be].From == s; be++ {
+	for be = bi; be < len(o.from) && o.from[be] == s; be++ {
 	}
 	for ue = ui; ue < len(o.uni) && o.uni[ue].From == s; ue++ {
 	}
@@ -182,12 +218,16 @@ func (q *pushState) write() {
 		q.buf = make([]Msg, size)
 	}
 	buf := q.buf[:size]
-	for bi, ui := 0, 0; bi < len(ob.bcast) || ui < len(ob.uni); {
+	run := 0
+	for bi, ui := 0, 0; bi < len(ob.from) || ui < len(ob.uni); {
 		s, be, ue := ob.group(bi, ui)
 		// One pass over the row per broadcast: each receiver still gets
 		// the sender's broadcasts in call order, and the common single
 		// broadcast costs one store per receiver.
-		for _, mm := range ob.bcast[bi:be] {
+		for i := bi; i < be; i++ {
+			run = ob.runOf(i, run)
+			h := ob.runs[run].header
+			mm := Msg{From: s, Kind: h.kind, A: ob.a[i], B: h.b, Bits: h.bits}
 			for _, u := range g.Neighbors(int(s)) {
 				if r := pos[u]; r != 0 {
 					buf[off[r]] = mm
@@ -303,7 +343,8 @@ const maxRound = math.MaxInt32
 
 // Mem holds the engine's reusable buffers, so a caller executing many runs
 // can amortize all engine allocations across runs instead of paying them
-// per run: the wake calendar, the awake positions, the round's outbox,
+// per run: the wake calendar, the awake positions, the round's outbox (its
+// broadcasts' senders and A words, their header runs, and its unicasts),
 // push's per-receiver counts, the inbox offsets and buffer that a pushed
 // round's first At fills in place (there is no staging area), and pull's
 // sender bytes and gather scratch. The per-node buffers hold n entries
@@ -327,7 +368,8 @@ type Mem struct {
 	// The wake calendar. The lane holds the nodes of the round just
 	// executed that wake in the next round: rescheduling compacts them, in
 	// place and ascending, into awake[:lane], and the next round starts
-	// from them. Every other wake goes to the ring or the far heap. Ring
+	// from them. Before round 0 it holds the nodes InitAll wakes in round
+	// 0, ascending. Every other wake goes to the ring or the far heap. Ring
 	// slot r&(calSize-1) lists the nodes waking in round r, for the
 	// calSize-1 rounds after the engine's current one, threaded through
 	// link (a node waits in at most one slot). head, tail and link hold
@@ -379,8 +421,9 @@ func (m *Mem) ringPush(v int32, r int) {
 }
 
 // take returns round r's awake set, ascending: the lane, which rescheduling
-// left at the front of the awake buffer (empty unless r follows the round
-// just executed), and then round r's ring slot, emptied into the buffer.
+// (or, for round 0, the run's start) left at the front of the awake buffer
+// (empty unless r follows the round just executed), and then round r's
+// ring slot, emptied into the buffer.
 // A slot that adds nodes is ordered with the lane through order, unless
 // the lane is empty and the slot was filled in ascending order.
 func (m *Mem) take(r int) []int32 {
@@ -556,12 +599,21 @@ func (e *batchEngine) run() (*Result, error) {
 	if len(first) != n {
 		return nil, fmt.Errorf("sim: InitAll returned %d first rounds for %d nodes", len(first), n)
 	}
+	// Round 0's nodes go straight into the lane, ascending, as the nodes
+	// of a round that wake in the next one do; every later wake goes to
+	// the calendar.
+	lane := m.awake[:0]
 	for v, r := range first {
-		if r < 0 && r != Never {
+		switch {
+		case r == 0:
+			lane = append(lane, int32(v))
+		case r < 0 && r != Never:
 			return nil, fmt.Errorf("sim: node %d scheduled invalid round %d", v, r)
+		default:
+			e.schedule(int32(v), r)
 		}
-		e.schedule(int32(v), r)
 	}
+	m.awake, m.lane = lane, len(lane)
 
 	tr := e.cfg.Tracer
 	for {
@@ -590,7 +642,8 @@ func (e *batchEngine) run() (*Result, error) {
 
 		// Stage 1: count the awake set's round, give each node its
 		// position (route and the deliveries read it), and compose the
-		// whole awake set into one outbox.
+		// whole awake set into one outbox, which keeps each broadcast as
+		// its sender and A under its run's header.
 		for i, v := range awake {
 			e.res.Awake[v]++
 			m.pos[v] = int32(i) + 1
@@ -676,14 +729,15 @@ func (e *batchEngine) run() (*Result, error) {
 // in routing order: ascending sender; per sender, broadcasts then
 // unicasts, each in call order. A one-bit round is pulled (route reports
 // true): no unicasts, at least half as many broadcasts as awake nodes,
-// exactly one broadcast per sender, and broadcasts that differ only in an
-// A of 0 or 1. Pull only stores each sender's byte, and Inboxes.At and
-// Count read each inbox from the receiver's row, one byte per neighbor.
-// Every other round is pushed: route only counts each inbox, and the
-// round's first Inboxes.At writes the copies into the inbox buffer, with
-// no staging copy.
+// exactly one broadcast per sender, and broadcasts in one header run
+// with an A of 0 or 1. Pull only stores each sender's byte, and
+// Inboxes.At and Count read each inbox from the receiver's row, one byte
+// per neighbor. Every other round is pushed: route only counts each
+// inbox, and the round's first Inboxes.At writes the copies into the
+// inbox buffer, with no staging copy, each broadcast's rebuilt from its
+// sender, its A and its run's header.
 func (e *batchEngine) route(round int, awake []int32) (pulled bool, err error) {
-	if len(e.mem.out.uni) == 0 && 2*len(e.mem.out.bcast) >= len(awake) && e.pull(awake) {
+	if len(e.mem.out.uni) == 0 && 2*len(e.mem.out.from) >= len(awake) && e.pull(awake) {
 		return true, nil
 	}
 	return false, e.push(round, awake)
@@ -721,7 +775,8 @@ func (e *batchEngine) push(round int, awake []int32) error {
 
 	ob := &m.out
 	prev := int32(-1)
-	for bi, ui := 0, 0; bi < len(ob.bcast) || ui < len(ob.uni); {
+	run := 0
+	for bi, ui := 0, 0; bi < len(ob.from) || ui < len(ob.uni); {
 		s, be, ue := ob.group(bi, ui)
 		if err := e.sender(s, prev, round); err != nil {
 			return err
@@ -729,9 +784,10 @@ func (e *batchEngine) push(round int, awake []int32) error {
 		prev = s
 		if nbrs := e.g.Neighbors(int(s)); be > bi && len(nbrs) > 0 {
 			per := uint64(be - bi)
-			for _, mm := range ob.bcast[bi:be] {
-				e.account(mm, len(nbrs))
-				per += nonzero(mm)
+			for i := bi; i < be; i++ {
+				run = ob.runOf(i, run)
+				e.account(ob.runs[run].bits, len(nbrs))
+				per += nonzero(ob.a[i])
 			}
 			for _, u := range nbrs {
 				cnt[pos[u]] += per
@@ -742,8 +798,8 @@ func (e *batchEngine) push(round int, awake []int32) error {
 			if !e.g.HasEdge(int(s), int(to)) {
 				return fmt.Errorf("sim: node %d unicast to non-neighbor %d", s, to)
 			}
-			e.account(ob.uni[i], 1)
-			cnt[pos[to]] += 1 + nonzero(ob.uni[i])
+			e.account(ob.uni[i].Bits, 1)
+			cnt[pos[to]] += 1 + nonzero(ob.uni[i].A)
 		}
 		bi, ui = be, ue
 	}
@@ -754,31 +810,33 @@ func (e *batchEngine) push(round int, awake []int32) error {
 
 // nonzero is a copy's increment of its receiver's nonzero count, which
 // push keeps in the high half of the receiver's cnt word.
-func nonzero(m Msg) uint64 {
-	if m.A != 0 {
+func nonzero(a uint64) uint64 {
+	if a != 0 {
 		return 1 << 32
 	}
 	return 0
 }
 
 // pull routes a one-bit round of broadcasts by receiver without copying
-// them. In one pass over the outbox it validates each broadcast (an awake
-// sender above the previous one, so each sends exactly once, and the first
-// broadcast's Kind, B and Bits with an A of 0 or 1) and stores its
-// sender's byte; then it accounts the round's copies at once. Each inbox
-// is read from the bytes when DeliverAll asks for it (Inboxes.At and
-// Count), and the copies dropped are settled after DeliverAll
-// (pullState.settle). pull reports false, with no byte left set and the
-// counters untouched, at the first broadcast that does not conform: push
-// then routes the round, or names the error.
+// them. It takes only an outbox whose broadcasts form one header run, so
+// all share Kind, B and Bits. In one pass over the broadcasts' senders
+// and A words it validates each broadcast (an awake sender above the
+// previous one, so each sends exactly once, with an A of 0 or 1) and
+// stores its sender's byte; then it accounts the round's copies at once,
+// under the run's header. Each inbox is read from the bytes when
+// DeliverAll asks for it (Inboxes.At and Count), and the copies dropped
+// are settled after DeliverAll (pullState.settle). pull reports false,
+// with no byte left set and the counters untouched, for an outbox of
+// several runs or at the first broadcast that does not conform: push then
+// routes the round, or names the error.
 func (e *batchEngine) pull(awake []int32) bool {
 	m := e.mem
 	p := &m.pull
 	pos := m.pos
-	bc := m.out.bcast
-	hdr := bc[0]
-	first, last := hdr.From, bc[len(bc)-1].From
-	if first < 0 || last < first || int(last) >= len(pos) {
+	ob := &m.out
+	senders, as := ob.from, ob.a[:len(ob.from)]
+	first, last := senders[0], senders[len(senders)-1]
+	if len(ob.runs) != 1 || first < 0 || last < first || int(last) >= len(pos) {
 		return false
 	}
 	if len(p.from) < len(pos) {
@@ -791,31 +849,32 @@ func (e *batchEngine) pull(awake []int32) bool {
 	from := p.from
 	var sent int64
 	prev := int32(-1)
-	for _, mm := range bc {
-		s := mm.From
-		if s <= prev || s > last || pos[s] == 0 ||
-			mm.Kind != hdr.Kind || mm.B != hdr.B || mm.Bits != hdr.Bits || mm.A > 1 {
+	for i, s := range senders {
+		a := as[i]
+		if s <= prev || s > last || pos[s] == 0 || a > 1 {
 			p.reset()
 			return false
 		}
 		prev = s
-		from[s] = byte(mm.A)<<1 | 1
+		from[s] = byte(a)<<1 | 1
 		sent += int64(e.g.Degree(int(s)))
 	}
+	h := ob.runs[0].header
 	if sent > 0 {
-		e.account(hdr, int(sent))
+		e.account(h.bits, int(sent))
 	}
-	p.g, p.hdr, p.sent = e.g, hdr, sent
+	p.g, p.hdr, p.sent = e.g, Msg{Kind: h.kind, B: h.b, Bits: h.bits}, sent
 	return true
 }
 
-func (e *batchEngine) account(m Msg, copies int) {
+// account counts copies of a message of the given declared size.
+func (e *batchEngine) account(bits int32, copies int) {
 	e.res.MsgsSent += int64(copies)
-	e.res.BitsTotal += int64(copies) * int64(m.Bits)
-	if int(m.Bits) > e.res.BitsMax {
-		e.res.BitsMax = int(m.Bits)
+	e.res.BitsTotal += int64(copies) * int64(bits)
+	if int(bits) > e.res.BitsMax {
+		e.res.BitsMax = int(bits)
 	}
-	if int(m.Bits) > e.cfg.B {
+	if int(bits) > e.cfg.B {
 		e.res.Violations += int64(copies)
 	}
 }

@@ -759,8 +759,9 @@ func TestBatchRejectsRogueSenders(t *testing.T) {
 
 // TestBatchMemReuseAfterError: a run that errors mid-flight (the MaxRounds
 // cap, with or without wakes pending in the far heap, a unicast to a
-// non-neighbor, a message from a sleeping or misordered sender, or a
-// non-increasing wake after lower nodes have joined the lane),
+// non-neighbor, a message from a sleeping or misordered sender, a
+// non-increasing wake after lower nodes have joined the lane, or an
+// invalid first round after round 0's nodes have filled the lane),
 // through RunBatch or through Run's per-node machines, must leave a pooled
 // Mem clean — no phantom scheduled nodes, no stale awake positions, no
 // pulled-round sender bytes or read flags — so a subsequent run on a
@@ -858,6 +859,25 @@ func TestBatchMemReuseAfterError(t *testing.T) {
 					out.Broadcast(awake[i], Msg{Kind: 1, Bits: 8})
 				}
 			}}, Config{Mem: mem})
+			return err
+		}},
+		{"bad-first-round-after-lane", func(mem *Mem) error {
+			// InitAll wakes nodes 0..k at round 0, which fills the lane,
+			// and then gives node k+1 the first round -2.
+			const k = 150
+			wake := func(v int) int {
+				switch {
+				case v <= k:
+					return 0
+				case v == k+1:
+					return -2
+				}
+				return 1 + v%3
+			}
+			_, err := RunBatch(big, &scriptBatch{wake: wake, last: 50, compose: pingAll}, Config{Mem: mem})
+			if want := fmt.Sprintf("sim: node %d scheduled invalid round -2", k+1); err == nil || err.Error() != want {
+				t.Fatalf("bad-first-round-after-lane: err = %v, want %q", err, want)
+			}
 			return err
 		}},
 		{"run/max-rounds", func(mem *Mem) error {

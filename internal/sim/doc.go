@@ -59,7 +59,9 @@
 // keeps the nodes that wake in the very next round, which in Luby and in
 // Phase II's shattering are most of a round's awake set, in a lane:
 // rescheduling compacts them in place, ascending, at the front of the
-// awake buffer, and the next round starts from them. Every other wake
+// awake buffer, and the next round starts from them. Round 0 starts from
+// the lane too: the run's start puts the nodes InitAll wakes in round 0
+// there, ascending, so they never pass through a bucket. Every other wake
 // goes to a ring of calSize per-round buckets, threaded through a
 // per-node link, or to a min-heap for wakes calSize or more rounds ahead
 // that drains into the ring as the round advances. A round whose bucket
@@ -69,22 +71,26 @@
 // a bitmap over the round's span [lo, hi], in O(k + (hi-lo)/64) for k
 // nodes.
 //
-// The router pulls a one-bit round — no unicasts, at least half as many
-// broadcasts as awake nodes, one broadcast per sender, and broadcasts that
-// share Kind, B and Bits and differ only in an A of 0 or 1 — and pushes
-// every other round. Neither writes a copy while routing. Pull stores one
-// byte per sender in an n-byte array over node IDs, bit 0 marking the
-// sender and bit 1 holding its A, and keeps the round's Kind, B and Bits
-// once. Inboxes.At builds a receiver's inbox when DeliverAll asks for it,
-// by walking the receiver's sorted neighbor row, loading one byte per
-// neighbor, and writing, for each sending neighbor, the round's header
-// with the neighbor's ID and A, with no data-dependent branch;
-// Inboxes.Count walks the same row loading only the bytes and writes
-// nothing. After DeliverAll the round zeroes the awake set's bytes, which
-// cover every sender's. So a pulled round costs O(awake) to route and
-// clear plus the rows of the inboxes read, with no term in n, and needs
-// no O(m) buffer; the copies dropped are settled after DeliverAll, by
-// counting the inboxes it never read. Push validates and accounts the
+// The outbox keeps a broadcast in 12 bytes, its sender and its A in two
+// parallel arrays, and keeps its Kind, B and Bits once per run of
+// consecutive broadcasts that share them: a one-bit protocol's round is
+// one run. Unicasts are kept whole. The router pulls a one-bit round — no
+// unicasts, at least half as many broadcasts as awake nodes, one
+// broadcast per sender, and broadcasts in one header run that differ only
+// in an A of 0 or 1 — and pushes every other round, rebuilding each
+// broadcast's message from its run's header where it needs one. Neither
+// writes a copy while routing. Pull stores one byte per sender in an
+// n-byte array over node IDs, bit 0 marking the sender and bit 1 holding
+// its A, and keeps the round's Kind, B and Bits once. Inboxes.At builds a
+// receiver's inbox when DeliverAll asks for it, by walking the receiver's
+// sorted neighbor row, loading one byte per neighbor, and writing, for
+// each sending neighbor, the round's header with the neighbor's ID and A,
+// with no data-dependent branch; Inboxes.Count walks the same row loading
+// only the bytes and writes nothing. After DeliverAll the round zeroes the
+// awake set's bytes, which cover every sender's. So a pulled round costs
+// O(awake) to route and clear plus the rows of the inboxes read, with no
+// term in n, and needs no O(m) buffer; the copies dropped are settled
+// after DeliverAll, by counting the inboxes it never read. Push validates and accounts the
 // outbox in one pass that counts each receiver's copies and those with a
 // nonzero A, and does nothing more: Inboxes.Count reads its two numbers
 // from the counts in O(1). The round's first Inboxes.At turns the counts

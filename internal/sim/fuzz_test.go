@@ -11,7 +11,9 @@ import (
 // inputs: it broadcasts with probability pb — one random bit in even
 // rounds, which a dense round pulls, and the round in 4 to 19 bits in odd
 // ones; in rounds 2 mod 4 sometimes twice, which sends a dense round to
-// push —, unicasts to each neighbor with probability pu, and sleeps far —
+// push, the second time either with Kind 2 or as the first broadcast with
+// B = 1, so the outbox's header runs also split on B alone —, unicasts to
+// each neighbor with probability pu, and sleeps far —
 // around the wake calendar's ring size or past it — with probability
 // pfar, near (1 to 3 rounds) otherwise. Message sizes straddle the
 // CONGEST budget of 16 bits. Its digest folds every inbox, in order.
@@ -44,13 +46,18 @@ func (m *fuzzMachine) Compose(round int, out *Outbox) {
 	r := m.env.Rand
 	if r.Bernoulli(m.pb) {
 		draw := r.Intn(16)
-		if round%2 == 0 {
-			out.Broadcast(Msg{Kind: 1, A: uint64(draw) & 1, Bits: 1})
-		} else {
-			out.Broadcast(Msg{Kind: 1, A: uint64(round), Bits: int32(4 + draw)})
+		first := Msg{Kind: 1, A: uint64(draw) & 1, Bits: 1}
+		if round%2 == 1 {
+			first = Msg{Kind: 1, A: uint64(round), Bits: int32(4 + draw)}
 		}
+		out.Broadcast(first)
 		if round%4 == 2 && r.Bernoulli(m.pb/2) {
-			out.Broadcast(Msg{Kind: 2, A: r.Uint64(), Bits: 8})
+			second := Msg{Kind: 2, A: r.Uint64(), Bits: 8}
+			if draw&2 != 0 {
+				second = first
+				second.B = 1
+			}
+			out.Broadcast(second)
 		}
 	}
 	for _, u := range m.env.Neighbors {

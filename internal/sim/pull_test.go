@@ -384,22 +384,26 @@ func idBit(round int, v int32) Msg {
 // not start at node 0 and leaves some of the receivers' neighbors below
 // and above it. In round r each sender broadcasts bit r of its ID, so
 // every round is pulled and each receiver reassembles its senders' IDs
-// from the A bits of their sender bytes. Four more cases are dense but
+// from the A bits of their sender bytes. Six more cases are dense but
 // must push in every round: one sender's A is 2, or its Kind, B or Bits
-// differs from the others'. The cases share one Mem, whose sender bytes
-// the later 200-node cases reuse: node 100, a sender in the second case,
-// is a receiver in the last, so a sender byte that a run left set shows
-// there as a phantom message.
+// differs from the others'. The odd sender is node 64, in the middle of
+// the round, and for B also the round's first sender (node 0) and its
+// last (node 199), so the outbox's header runs split in the middle, after
+// the first broadcast and before the last. The cases share one Mem, whose
+// sender bytes the later 200-node cases reuse: node 100, a sender in the
+// second case, is a receiver in the last, so a sender byte that a run
+// left set shows there as a phantom message.
 func TestPullBitmapEdges(t *testing.T) {
-	// odd is idBit except that sender 64 broadcasts change(m).
-	odd := func(change func(m Msg) Msg) func(int, int32) Msg {
+	// odd is idBit except that sender at broadcasts change(m).
+	odd := func(at int32, change func(m Msg) Msg) func(int, int32) Msg {
 		return func(round int, v int32) Msg {
-			if v == 64 {
+			if v == at {
 				return change(idBit(round, v))
 			}
 			return idBit(round, v)
 		}
 	}
+	nextB := func(m Msg) Msg { m.B++; return m }
 	wordEdges := []int{0, 63, 64, 127, 199}
 	cases := []struct {
 		name              string
@@ -410,10 +414,12 @@ func TestPullBitmapEdges(t *testing.T) {
 		{"word-edges", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, nil},
 		{"inner-span", 300, []int{70, 100, 130, 191, 192, 255}, []int{66, 260}, []int{0, 64, 69, 71, 299}, nil},
 		{"one-word", 300, []int{129, 130}, []int{128}, []int{0, 127, 131, 299}, nil},
-		{"push/A=2", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(func(m Msg) Msg { m.A = 2; return m })},
-		{"push/Kind", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(func(m Msg) Msg { m.Kind = 2; return m })},
-		{"push/B", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(func(m Msg) Msg { m.B++; return m })},
-		{"push/Bits", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(func(m Msg) Msg { m.Bits = 2; return m })},
+		{"push/A=2", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(64, func(m Msg) Msg { m.A = 2; return m })},
+		{"push/Kind", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(64, func(m Msg) Msg { m.Kind = 2; return m })},
+		{"push/B", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(64, nextB)},
+		{"push/B-first", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(0, nextB)},
+		{"push/B-last", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(199, nextB)},
+		{"push/Bits", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, odd(64, func(m Msg) Msg { m.Bits = 2; return m })},
 		{"word-edges-again", 200, wordEdges, []int{100, 150}, []int{1, 62, 65, 126, 128, 198}, nil},
 	}
 	mem := NewMem()
