@@ -11,5 +11,9 @@
 // so enumeration, counting and Reset cost time proportional to the words
 // in use, not to the key space. The dynamic repair path tracks its
 // dirty, woken, and region sets in Sparse sets and ORs whole adjacency
-// rows into them, each key into its own word, in loops with no call.
+// rows into them (Sparse.OrRow), each key into its own word, in loops
+// with no call. Its one other row kernel, FirstAndRow, finds a row's
+// smallest member for the conflict sweep. The repair path needs no
+// kernel that counts a row's members: the engine keeps that count per
+// node.
 package bitvec

@@ -6,7 +6,8 @@ package bitvec
 // key tested or OR-ed in its own word: the rows the repair path walks put
 // one or two keys in each word they reach, so grouping consecutive keys
 // into one mask first saves few loads and costs a data-dependent branch
-// per key. Sparse.OrRowCount is the fused OR-and-count kernel.
+// per key. FirstAndRow is the search kernel; Sparse.OrRow is the OR
+// kernel.
 
 // FirstAndRow returns the smallest row id whose bit is set in words, or
 // -1 when the row and the bitset are disjoint.

@@ -7,9 +7,8 @@ import (
 )
 
 // Naive references for the row kernels: one hasBit lookup per row id,
-// with no set to write. The fuzz targets hold the kernels' results to
-// these loops, and the sets OrRow and OrRowCount leave to a map of the
-// keys added.
+// with no set to write. The fuzz targets hold FirstAndRow's result to
+// this loop, and the set OrRow leaves to a map of the keys added.
 
 func hasBit(words []uint64, id int32) bool {
 	w := int(id) >> 6
@@ -23,16 +22,6 @@ func naiveFirstAnd(words []uint64, row []int32) int32 {
 		}
 	}
 	return -1
-}
-
-func naiveCountAnd(words []uint64, row []int32) int {
-	n := 0
-	for _, id := range row {
-		if hasBit(words, id) {
-			n++
-		}
-	}
-	return n
 }
 
 // decodeRow turns fuzz bytes into a sorted, deduped row of small int32
@@ -92,11 +81,11 @@ func hubRow(first byte, n int) []byte {
 	return data
 }
 
-// FuzzRowKernels holds FirstAndRow, OrRow and OrRowCount to the naive
-// walks: each row kernel runs into an empty set and into one that
-// already holds keys in the row's words, including a word that was
-// written and cleared back to zero, and must leave the union of the two
-// with a touched list naming each non-zero word once.
+// FuzzRowKernels holds FirstAndRow and OrRow to the naive walks: OrRow
+// runs into an empty set and into one that already holds keys in the
+// row's words, including a word that was written and cleared back to
+// zero, and must leave the union of the two with a touched list naming
+// each non-zero word once.
 func FuzzRowKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{0, 1}, uint8(2))
 	f.Add([]byte{63, 1, 1, 64}, []byte{0, 0, 1, 2}, uint8(3))
@@ -124,43 +113,35 @@ func FuzzRowKernels(f *testing.F) {
 		}
 
 		for _, prefill := range []bool{false, true} {
-			for _, fused := range []bool{false, true} {
-				var s Sparse
-				s.Grow(int(row[len(row)-1]|63) + 1) // whole words: prefill keys share the row's words
-				ref := map[int32]bool{}
-				if prefill {
-					for i, id := range row {
-						switch i % 3 {
-						case 0:
-							s.Set(id ^ 32)
-							ref[id^32] = true
-						case 1:
-							if s.Set(id ^ 1) {
-								s.Clear(id ^ 1)
-							}
+			var s Sparse
+			s.Grow(int(row[len(row)-1]|63) + 1) // whole words: prefill keys share the row's words
+			ref := map[int32]bool{}
+			if prefill {
+				for i, id := range row {
+					switch i % 3 {
+					case 0:
+						s.Set(id ^ 32)
+						ref[id^32] = true
+					case 1:
+						if s.Set(id ^ 1) {
+							s.Clear(id ^ 1)
 						}
 					}
 				}
-				if fused {
-					if got, want := s.OrRowCount(row, words), naiveCountAnd(words, row); got != want {
-						t.Fatalf("OrRowCount = %d, want %d (prefill %v, row %v)", got, want, prefill, row)
-					}
-				} else {
-					s.OrRow(row)
-				}
-				for _, id := range row {
-					ref[id] = true
-				}
-				want := make([]int32, 0, len(ref))
-				for k := range ref {
-					want = append(want, k)
-				}
-				slices.Sort(want)
-				if got := s.AppendAscending(nil); !slices.Equal(got, want) {
-					t.Fatalf("fused %v, prefill %v: set holds %v, want %v", fused, prefill, got, want)
-				}
-				checkTouched(t, &s, want)
 			}
+			s.OrRow(row)
+			for _, id := range row {
+				ref[id] = true
+			}
+			want := make([]int32, 0, len(ref))
+			for k := range ref {
+				want = append(want, k)
+			}
+			slices.Sort(want)
+			if got := s.AppendAscending(nil); !slices.Equal(got, want) {
+				t.Fatalf("prefill %v: set holds %v, want %v", prefill, got, want)
+			}
+			checkTouched(t, &s, want)
 		}
 	})
 }
@@ -205,18 +186,12 @@ func FuzzStampedOps(f *testing.F) {
 				s.Clear(k)
 				delete(ref, k)
 			case 3:
-				// OrRow over a short clustered row around k; every other
-				// turn takes the fused OrRowCount and cross-checks the
-				// member-reply count against the naive filter walk.
+				// OrRow over a short clustered row around k.
 				row := []int32{k}
 				for d := int32(1); d <= 3 && k+d < n; d++ {
 					row = append(row, k+d)
 				}
-				if op&1 == 0 {
-					s.OrRow(row)
-				} else if got, want := s.OrRowCount(row, member), naiveCountAnd(member, row); got != want {
-					t.Fatalf("OrRowCount = %d, want %d (row %v)", got, want, row)
-				}
+				s.OrRow(row)
 				for _, id := range row {
 					ref[id] = true
 				}
@@ -292,16 +267,8 @@ func TestKernelsBoundary(t *testing.T) {
 	if got := FirstAndRow(words, row); got != 63 {
 		t.Fatalf("FirstAndRow = %d, want 63", got)
 	}
-	var s Sparse
-	s.Grow(256)
-	if got := s.OrRowCount(row, words); got != 3 {
-		t.Fatalf("OrRowCount = %d, want 3", got)
-	}
 	// Row id 191 indexes word 2 — present; 192 would index word 3 — absent.
 	if FirstAndRow(words, []int32{192, 200}) != -1 {
-		t.Fatal("ids past the word array must read as non-members")
-	}
-	if s.OrRowCount([]int32{192, 250}, words) != 0 {
 		t.Fatal("ids past the word array must read as non-members")
 	}
 }

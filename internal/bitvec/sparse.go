@@ -109,27 +109,6 @@ func (s *Sparse) OrRow(row []int32) {
 	}
 }
 
-// OrRowCount is OrRow fused with a member count: it adds the row's keys
-// to the set and returns how many of them have their bit set in filter,
-// in a single pass over the keys (the repair coverage probe: wake the
-// whole neighborhood, count member replies). Filter words past
-// len(filter) read as zero.
-func (s *Sparse) OrRowCount(row []int32, filter []uint64) int {
-	n := 0
-	for _, id := range row {
-		w := id >> 6
-		x := s.words[w]
-		if x == 0 {
-			s.touch(w)
-		}
-		s.words[w] = x | 1<<(uint32(id)&63)
-		if int(w) < len(filter) {
-			n += int(filter[w] >> (uint32(id) & 63) & 1)
-		}
-	}
-	return n
-}
-
 // TouchedWords returns the word indices written since Reset, unordered
 // and without duplicates; a touched word may have all its bits cleared
 // again. The slice aliases the set's bookkeeping and is valid until the

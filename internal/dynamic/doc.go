@@ -37,7 +37,11 @@
 // row's end (every edge of the newest node) skips the search. The first
 // edgeless row a batch's edge inserts reach is sized for the rest of the
 // batch, so the hub attack's reconnect batch allocates its replacement
-// node's row once. The uncovered region is split into connected
+// node's row once. Every node slot keeps its number of member neighbors,
+// moved by joins, evictions and edge edits, so a coverage probe walks its
+// row only to wake it and reads its replies from the count, and the
+// conflict sweep skips a dirty member whose count is 0; Check recounts
+// every row. The uncovered region is split into connected
 // components by graph.Components (partition.go). Each component is an
 // independent election: singletons join analytically without an engine
 // run, and the rest are composed as internal/pipeline runs (batch luby /

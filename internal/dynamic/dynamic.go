@@ -132,7 +132,10 @@ type Engine struct {
 
 	inSet  []bool
 	inSetW []uint64 // word-packed mirror of inSet (bit v of word v>>6)
-	awake  []int64  // cumulative awake rounds per slot (repair + bootstrap)
+	// memberNbrs counts each live slot's neighbors in the set (0 for dead
+	// slots), so a coverage probe reads its replies without a row walk.
+	memberNbrs []int32
+	awake      []int64 // cumulative awake rounds per slot (repair + bootstrap)
 
 	stats   Stats
 	batchNo uint64
@@ -189,12 +192,16 @@ func New(g *graph.Graph, inSet []bool, p Params) (*Engine, error) {
 		edges:      g.M(),
 		inSet:      make([]bool, n),
 		inSetW:     make([]uint64, (n+63)>>6),
+		memberNbrs: make([]int32, n),
 		awake:      make([]int64, n),
 	}
 	copy(e.inSet, inSet)
 	for v, in := range e.inSet {
 		if in {
 			e.inSetW[v>>6] |= 1 << (uint(v) & 63)
+			for _, u := range g.Neighbors(v) {
+				e.memberNbrs[u]++
+			}
 		}
 	}
 	// One arena allocation backs every initial adjacency row, each
@@ -224,20 +231,35 @@ const rowSlack = 4
 // setMember and clearMember are the only writers of set membership: they
 // keep the bool vector and its word-packed mirror in lockstep, so the
 // repair sweeps can test adjacency keys and AND dirty words against
-// inSetW.
+// inSetW, and move the member count of every neighbor in v's row by one.
+// clearMember requires v to be a member.
 func (e *Engine) setMember(v int32) {
 	e.inSet[v] = true
 	e.inSetW[v>>6] |= 1 << (uint32(v) & 63)
+	for _, u := range e.adj[v] {
+		e.memberNbrs[u]++
+	}
 }
 
 func (e *Engine) clearMember(v int32) {
 	e.inSet[v] = false
 	e.inSetW[v>>6] &^= 1 << (uint32(v) & 63)
+	for _, u := range e.adj[v] {
+		e.memberNbrs[u]--
+	}
 }
 
-// growMembership extends inSet/inSetW/awake for one appended node slot.
+// memberBit returns 1 if v is in the set and 0 otherwise, read from the
+// word-packed mirror (an edge edit's member-count change).
+func (e *Engine) memberBit(v int32) int32 {
+	return int32(e.inSetW[v>>6] >> (uint32(v) & 63) & 1)
+}
+
+// growMembership extends inSet/inSetW/memberNbrs/awake for one appended
+// node slot.
 func (e *Engine) growMembership() {
 	e.inSet = append(e.inSet, false)
+	e.memberNbrs = append(e.memberNbrs, 0)
 	e.awake = append(e.awake, 0)
 	if len(e.inSet) > len(e.inSetW)<<6 {
 		e.inSetW = append(e.inSetW, 0)
@@ -354,33 +376,38 @@ func (e *Engine) SnapshotSet(orig []int32) []bool {
 }
 
 // Check validates the full maintained invariant: the current set is a
-// maximal independent set of the current graph and no dead slot is a
-// member. It scans the live adjacency directly — O(n+m), no allocation —
-// so it is cheap enough to run after every update in tests.
+// maximal independent set of the current graph, no dead slot is a
+// member, and every slot's kept member count equals the members its row
+// holds (0 for a dead slot), counted here afresh. It scans the live
+// adjacency directly — O(n+m), no allocation — so it is cheap enough to
+// run after every update in tests.
 func (e *Engine) Check() error {
 	for v := range e.adj {
 		if !e.alive[v] {
 			if e.inSet[v] {
 				return fmt.Errorf("dynamic: dead slot %d in set", v)
 			}
-			continue
-		}
-		if e.inSet[v] {
-			for _, u := range e.adj[v] {
-				if e.inSet[u] {
-					return fmt.Errorf("dynamic: not independent: edge (%d,%d) inside set", v, u)
-				}
+			if e.memberNbrs[v] != 0 {
+				return fmt.Errorf("dynamic: dead slot %d keeps member count %d", v, e.memberNbrs[v])
 			}
 			continue
 		}
-		covered := false
+		members, first := int32(0), int32(-1)
 		for _, u := range e.adj[v] {
 			if e.inSet[u] {
-				covered = true
-				break
+				if members == 0 {
+					first = u
+				}
+				members++
 			}
 		}
-		if !covered {
+		if members != e.memberNbrs[v] {
+			return fmt.Errorf("dynamic: node %d has %d member neighbors, kept count %d", v, members, e.memberNbrs[v])
+		}
+		if e.inSet[v] && members > 0 {
+			return fmt.Errorf("dynamic: not independent: edge (%d,%d) inside set", v, first)
+		}
+		if !e.inSet[v] && members == 0 {
 			return fmt.Errorf("dynamic: not maximal: node %d uncovered", v)
 		}
 	}
@@ -510,6 +537,8 @@ func (e *Engine) applyStructural(up *Update, rest int, st *scratch) error {
 			}
 			e.adj[v], _ = insertSorted(e.adj[v], int32(u))
 			e.edges++
+			e.memberNbrs[u] += e.memberBit(int32(v))
+			e.memberNbrs[v] += e.memberBit(int32(u))
 		} else {
 			var removed bool
 			e.adj[u], removed = removeSorted(e.adj[u], int32(v))
@@ -518,6 +547,8 @@ func (e *Engine) applyStructural(up *Update, rest int, st *scratch) error {
 			}
 			e.adj[v], _ = removeSorted(e.adj[v], int32(u))
 			e.edges--
+			e.memberNbrs[u] -= e.memberBit(int32(v))
+			e.memberNbrs[v] -= e.memberBit(int32(u))
 		}
 		st.wake(int32(u))
 		st.wake(int32(v))
@@ -548,6 +579,7 @@ func (e *Engine) applyStructural(up *Update, rest int, st *scratch) error {
 			}
 			e.adj[nb], _ = insertSorted(e.adj[nb], id)
 			e.edges++
+			e.memberNbrs[id] += e.memberBit(int32(nb))
 			st.wake(int32(nb))
 		}
 		st.wake(id)
@@ -559,6 +591,11 @@ func (e *Engine) applyStructural(up *Update, rest int, st *scratch) error {
 		}
 		row := e.adj[v]
 		wasMember := e.inSet[v]
+		if wasMember {
+			// Leave the set while the row still names the neighbors whose
+			// member counts drop.
+			e.clearMember(int32(v))
+		}
 		for _, u := range row {
 			e.adj[u], _ = removeSorted(e.adj[u], int32(v))
 			st.wake(u)
@@ -571,7 +608,7 @@ func (e *Engine) applyStructural(up *Update, rest int, st *scratch) error {
 		e.adj[v] = nil
 		e.alive[v] = false
 		e.aliveCount--
-		e.clearMember(int32(v))
+		e.memberNbrs[v] = 0
 		// The dead slot must not join the repair region even if an earlier
 		// update in the batch marked it.
 		st.unmark(int32(v))

@@ -398,3 +398,32 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckCatchesStaleMemberCount holds Check to its own recount: a
+// live node's kept member count that is one off, in either direction,
+// and a dead slot that keeps a count are each reported.
+func TestCheckCatchesStaleMemberCount(t *testing.T) {
+	e := newEngine(t, graph.Star(5), Params{Seed: 1, SelfCheck: true})
+	if _, err := e.RemoveNode(4); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		v     int
+		delta int32
+		want  string
+	}{
+		{1, +1, "node 1 has 1 member neighbors, kept count 2"},
+		{0, -1, "node 0 has 0 member neighbors, kept count -1"},
+		{4, +1, "dead slot 4 keeps member count 1"},
+	} {
+		e.memberNbrs[c.v] += c.delta
+		err := e.Check()
+		e.memberNbrs[c.v] -= c.delta
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("count of %d moved by %+d: Check = %v, want %q", c.v, c.delta, err, c.want)
+		}
+	}
+	if err := e.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -87,7 +87,7 @@ func (s *scratch) empty() bool {
 // re-elections over the uncovered region. The dirty frontier is
 // enumerated word by word, AND/ANDNOT against the engine's membership
 // words; adjacency rows are walked key by key, each key OR-ed into the
-// woken set and tested against the membership words in its own word.
+// woken set, and member replies are read from the kept member counts.
 func (e *Engine) repairBatch(st *scratch, bs *BatchStats) error {
 	if st.empty() {
 		return nil // nothing changed (no-op updates only)
@@ -96,8 +96,8 @@ func (e *Engine) repairBatch(st *scratch, bs *BatchStats) error {
 
 	// Coverage probe: every dirty non-member broadcasts a probe; member
 	// neighbors answer, and the whole neighborhood wakes — one pass over
-	// the row, OR-ing each key into the woken set and counting the keys
-	// set in the membership words. Dirty nodes are always alive
+	// the row, OR-ing each key into the woken set, while the replies are
+	// the node's kept member count. Dirty nodes are always alive
 	// (markDirty only sees live slots and a dying slot is unmarked), so
 	// the sweep needs no alive filter.
 	st.region = st.region[:0]
@@ -161,13 +161,14 @@ func (e *Engine) repairBatch(st *scratch, bs *BatchStats) error {
 // both its endpoints were marked dirty then; evictions only remove
 // members, so they cannot create a conflict.
 // Dirty nodes that are not members have no conflict to resolve, so the
-// sweep enumerates dirty ∧ members in one word-AND pass, ascending. Each
-// conflict evicts the endpoint whose departure uncovers fewer nodes:
-// lower degree, ties toward the higher ID.
+// sweep enumerates dirty ∧ members in one word-AND pass, ascending, and a
+// dirty member whose member count is 0 has none either, so its row is
+// not searched. Each conflict evicts the endpoint whose departure
+// uncovers fewer nodes: lower degree, ties toward the higher ID.
 func (e *Engine) resolveConflictsBatch(st *scratch, bs *BatchStats) {
 	st.dirtySnap = st.dirty.AndInto(e.inSetW, st.dirtySnap[:0])
 	for _, v := range st.dirtySnap {
-		for e.inSet[v] {
+		for e.inSet[v] && e.memberNbrs[v] > 0 {
 			conflict := bitvec.FirstAndRow(e.inSetW, e.adj[v]) // smallest member neighbor
 			if conflict < 0 {
 				break
@@ -189,12 +190,13 @@ func (e *Engine) resolveConflictsBatch(st *scratch, bs *BatchStats) {
 }
 
 // probeRow wakes v's whole neighborhood and returns (degree, member
-// replies) — the coverage probe of one dirty non-member, as one fused
-// pass over the row's keys. Every key must join the woken set, so the
-// walk is the probe's cost whatever the member count.
+// replies) — the coverage probe of one dirty non-member. Every key must
+// join the woken set, so the row walk is the probe's cost; the replies
+// are v's kept member count, read without a second look at the keys.
 func (e *Engine) probeRow(v int32, st *scratch) (deg, replies int) {
 	row := e.adj[v]
-	return len(row), st.woken.OrRowCount(row, e.inSetW)
+	st.woken.OrRow(row)
+	return len(row), int(e.memberNbrs[v])
 }
 
 // wakeRow wakes v's neighborhood and returns its degree (the join/leave

@@ -18,7 +18,8 @@ type Pipeline struct {
 
 	acc      *stats.Accumulator
 	inSet    []bool
-	residual []int // original IDs of the nodes the next phase runs on
+	residual []int           // original IDs of the nodes the next phase runs on
+	sub      *graph.Subgraph // residual's induced subgraph, built on first use
 
 	// Observability: base.Tracer (when set) receives phase spans from
 	// Begin/Record/Sync, bracketing the per-round events the engine emits
@@ -72,10 +73,16 @@ func (p *Pipeline) Graph() *graph.Graph { return p.g }
 // phases must not mutate it.
 func (p *Pipeline) Residual() []int { return p.residual }
 
-// Subgraph materializes the induced subgraph of the current residual set,
-// with Orig mapping local back to original IDs.
+// Subgraph returns the induced subgraph of the current residual set,
+// with Orig mapping local back to original IDs. It is built on the first
+// call after a SetResidual and shared by every call until the next one
+// (a phase run over several engine runs and the phase after it often
+// read the same residual), so callers must not mutate it or its Orig.
 func (p *Pipeline) Subgraph() *graph.Subgraph {
-	return graph.InducedSubgraph(p.g, p.residual)
+	if p.sub == nil {
+		p.sub = graph.InducedSubgraph(p.g, p.residual)
+	}
+	return p.sub
 }
 
 // Record accounts one phase's engine result. origIDs[i] is the original
@@ -145,6 +152,7 @@ func (p *Pipeline) SetResidual(local []int, origIDs []int32) {
 		}
 	}
 	p.residual = next
+	p.sub = nil
 }
 
 // Sync charges the one-round all-awake phase-boundary synchronization to

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/energymis/energymis/internal/graph"
@@ -105,5 +106,48 @@ func TestSharedMemIdentical(t *testing.T) {
 				t.Fatalf("graph %d seed %d: pooled counters differ", i, seed)
 			}
 		}
+	}
+}
+
+// TestSubgraphSharedUntilSetResidual holds Subgraph to one induced
+// subgraph per residual: repeated calls return the same *Subgraph, Sync
+// and Record leave it in place, and SetResidual, even with the same
+// nodes, yields a fresh one of the new residual.
+func TestSubgraphSharedUntilSetResidual(t *testing.T) {
+	g := graph.GNP(200, 10.0/200, 5)
+	pl := New(g, sim.Config{Seed: 1})
+	if sub := pl.Subgraph(); sub.Graph.N() != 0 {
+		t.Fatalf("subgraph before any SetResidual has %d nodes, want 0", sub.Graph.N())
+	}
+	keep := []int{1, 4, 9, 16, 25, 36, 49, 64, 81, 100}
+	pl.SetResidual(keep, nil)
+	first := pl.Subgraph()
+	pl.Sync("sync")
+	set, res, err := luby.Run(first.Graph, pl.Cfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Join(set, first.Orig)
+	pl.Record("stage", res, first.Orig)
+	if again := pl.Subgraph(); again != first {
+		t.Fatal("a second Subgraph call on the same residual built a new subgraph")
+	}
+	want := graph.InducedSubgraph(g, keep)
+	if first.Graph.N() != want.Graph.N() || first.Graph.M() != want.Graph.M() || !slices.Equal(first.Orig, want.Orig) {
+		t.Fatalf("subgraph has %d nodes, %d edges, orig %v; want %d, %d, %v",
+			first.Graph.N(), first.Graph.M(), first.Orig, want.Graph.N(), want.Graph.M(), want.Orig)
+	}
+
+	pl.SetResidual([]int{0, 2, 3}, first.Orig) // original IDs 1, 9, 16
+	second := pl.Subgraph()
+	if second == first {
+		t.Fatal("SetResidual kept the previous residual's subgraph")
+	}
+	if !slices.Equal(second.Orig, []int32{1, 9, 16}) {
+		t.Fatalf("subgraph orig %v, want [1 9 16]", second.Orig)
+	}
+	pl.SetResidual(pl.Residual(), nil)
+	if pl.Subgraph() == second {
+		t.Fatal("SetResidual with the same nodes kept the previous subgraph")
 	}
 }
